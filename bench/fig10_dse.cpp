@@ -54,7 +54,7 @@ main(int argc, char **argv)
         return *rc;
 
     banner("Figure 10: DSE over variants x pipeline configs");
-    // Every leg up to the warm distributed ones must be cache-cold
+    // Every leg up to the warm distributed one must be cache-cold
     // and deterministic regardless of the ambient environment.
     unsetenv(kArtifactCacheEnv);
     configureArtifactCache("");
@@ -130,30 +130,26 @@ main(int argc, char **argv)
     const TraceCacheStats cache = traceCacheStats();
 
     // Distributed legs: the same sweep fanned out over worker
-    // subprocesses (multi-process engine, dse/distributor.h), once
-    // per transport -- pipe fds and loopback TCP sockets -- so the
-    // socket layer's cost shows up as a separate trend line. Worker
-    // processes trace from their own cold caches, so each leg
-    // measures the full remote cost: wire round trip + per-worker
-    // front end + batched backend. Must be bit-identical like every
-    // other leg.
+    // subprocesses that dial back over loopback TCP (multi-process
+    // engine, dse/distributor.h). In the cold leg the worker
+    // processes trace from their own cold caches, so it measures the
+    // full remote cost: wire round trip + per-worker front end +
+    // batched backend. Must be bit-identical like every other leg.
     const int dseWorkers = 2;
     struct DistLeg
     {
         const char *name;
-        DseTransport transport;
         double seconds = 0;
         size_t mismatches = 0;
         DistributorStats stats;
     };
     std::vector<DistLeg> distLegs = {
-        {"pipe", DseTransport::Pipe, 0, 0, {}},
-        {"loopback_tcp", DseTransport::LoopbackTcp, 0, 0, {}},
+        {"loopback_tcp", 0, 0, {}},
+        {"loopback_tcp_warm", 0, 0, {}},
     };
     auto runDistLeg = [&](DistLeg &leg) {
         DistributorOptions dopts;
         dopts.stats = &leg.stats;
-        dopts.transport = leg.transport;
         const auto t3 = std::chrono::steady_clock::now();
         const std::vector<DsePoint> dist =
             ex.evaluateAllDistributed(reqs, dseWorkers, dopts);
@@ -166,18 +162,17 @@ main(int argc, char **argv)
                 ++leg.mismatches;
         }
     };
-    for (DistLeg &leg : distLegs)
-        runDistLeg(leg);
+    runDistLeg(distLegs[0]);
 
-    // Warm distributed legs: prime the persistent artifact cache with
+    // Warm distributed leg: prime the persistent artifact cache with
     // every front-end trace from the master process, export the cache
-    // dir so the spawned workers inherit it, and re-run both
-    // transports. Each worker then loads every trace from disk
-    // instead of re-tracing it, isolating the spawn + handshake +
-    // wire + backend remainder -- the cold legs above keep the legacy
-    // trend line, whose sub-1x "speedup" is dominated by per-worker
-    // front-end duplication, and the cold/warm split shows what the
-    // persistent cache recovers. Results must stay bit-identical.
+    // dir so the spawned workers inherit it, and re-run the sweep.
+    // Each worker then loads every trace from disk instead of
+    // re-tracing it, isolating the spawn + handshake + wire + backend
+    // remainder -- the cold leg above keeps the gated trend line, and
+    // the cold/warm split shows how much per-worker front-end
+    // duplication the persistent cache recovers. Results must stay
+    // bit-identical.
     const std::string artifactDir = "fig10_artifact_cache";
     setenv(kArtifactCacheEnv, artifactDir.c_str(), 1);
     configureArtifactCache(artifactDir);
@@ -188,19 +183,13 @@ main(int argc, char **argv)
         OptStats stats;
         (void)ex.framework().traceShared(opt, stats); // writes artifact
     }
-    std::vector<DistLeg> warmLegs = {
-        {"pipe_warm", DseTransport::Pipe, 0, 0, {}},
-        {"loopback_tcp_warm", DseTransport::LoopbackTcp, 0, 0, {}},
-    };
-    for (DistLeg &leg : warmLegs)
-        runDistLeg(leg);
+    runDistLeg(distLegs[1]);
     unsetenv(kArtifactCacheEnv);
     configureArtifactCache("");
-    distLegs.insert(distLegs.end(), warmLegs.begin(), warmLegs.end());
 
     // Determinism contract: the parallel and distributed sweeps are
     // bit-identical to the serial one. Counted per leg (parallel /
-    // warm / per-transport distributed) so an identity failure in CI
+    // warm / cold and warm distributed) so an identity failure in CI
     // names the engine that diverged.
     size_t parallelMismatches = 0;
     for (size_t i = 0; i < points.size(); ++i) {
@@ -297,19 +286,19 @@ main(int argc, char **argv)
         .num("parallel_seconds", parallelSeconds)
         .num("speedup", speedup)
         .count("dse_workers", static_cast<size_t>(dseWorkers));
-    // Legacy aggregate keys (pipe leg) so existing trend lines keep
-    // their history, then one block per transport. The fault-tolerance
-    // counters are informational, not gated: all zero on a healthy
-    // run, non-zero under an ambient FINESSE_DSE_FAULT plan or a
-    // loaded machine -- trend tracking only.
-    const DistLeg &pipeLeg = distLegs[0];
-    json.num("distributed_seconds", pipeLeg.seconds)
+    // Aggregate keys (cold leg; distributed_speedup is gated), then
+    // one block per leg. The fault-tolerance counters are
+    // informational, not gated: all zero on a healthy run, non-zero
+    // under an ambient FINESSE_DSE_FAULT plan or a loaded machine --
+    // trend tracking only.
+    const DistLeg &coldLeg = distLegs[0];
+    json.num("distributed_seconds", coldLeg.seconds)
         .num("distributed_speedup",
-             pipeLeg.seconds > 0 ? serialSeconds / pipeLeg.seconds
+             coldLeg.seconds > 0 ? serialSeconds / coldLeg.seconds
                                  : 0.0)
-        .count("distributed_groups", pipeLeg.stats.groups)
+        .count("distributed_groups", coldLeg.stats.groups)
         .count("distributed_worker_deaths",
-               static_cast<size_t>(pipeLeg.stats.workerDeaths));
+               static_cast<size_t>(coldLeg.stats.workerDeaths));
     for (const DistLeg &leg : distLegs) {
         const std::string p = std::string("distributed_") + leg.name;
         const DistributorStats &s = leg.stats;

@@ -33,8 +33,8 @@ inline constexpr CliDoc kCliCommands[] = {
      "seeded Pareto-frontier search over variants x hardware; "
      "deterministic for a fixed --search-seed"},
     {"dse-worker",
-     "evaluate DSE groups for a master (pipe via stdin/stdout, or TCP "
-     "with --listen); spawned by the sweep, rarely typed by hand"},
+     "evaluate DSE groups for a master over TCP: a standing server "
+     "with --listen, or spawned by the sweep with --connect"},
     {"disasm", "compile and print the head of the encoded binary"},
     {"deploy",
      "compile and save a program image: finesse_cli deploy <config> "
@@ -65,9 +65,6 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--dse-workers=N",
      "run the `dse` sweep on N worker subprocesses (0 = in-process "
      "on --jobs threads)"},
-    {"--dse-transport={pipe|loopback-tcp}",
-     "transport for locally spawned dse workers (default "
-     "FINESSE_DSE_TRANSPORT env / pipe)"},
     {"--dse-hosts=host:port,...",
      "pool of running `dse-worker --listen` peers; the token \"local\" "
      "pins a local slot (default FINESSE_DSE_HOSTS env / all-local)"},
@@ -104,11 +101,11 @@ inline constexpr CliDoc kCliFlags[] = {
      "`verify-batch`: zero-based indices (into the concatenated "
      "--workload stream) to corrupt; these must verify as Reject"},
     {"--listen=host:port",
-     "`dse-worker`: serve masters over TCP instead of stdin/stdout "
-     "(port 0 = ephemeral, announced in the banner)"},
+     "`dse-worker`: serve masters over TCP, one at a time (port 0 = "
+     "ephemeral, announced in the banner)"},
     {"--connect=host:port",
-     "`dse-worker`: dial a waiting master (loopback-tcp transport; "
-     "set by the spawner, rarely typed by hand)"},
+     "`dse-worker`: dial back to the master that spawned it over "
+     "loopback TCP (set by the spawner, rarely typed by hand)"},
     {"--max-accepts=N",
      "`dse-worker --listen`: exit after serving N masters (-1 = "
      "forever; keeps chaos tests bounded)"},

@@ -23,8 +23,6 @@
  *   dse.respawns          replacement-worker budget (-1 = 2x width)
  *   dse.fallback_local    evaluate in-process instead of failing when
  *                         retries/pool run out (default true)
- *   dse.transport         pipe | loopback-tcp (worker transport;
- *                         default = FINESSE_DSE_TRANSPORT env / pipe)
  *   dse.hosts             comma-separated host:port remote worker pool
  *                         ("local" pins a local slot; default =
  *                         FINESSE_DSE_HOSTS env / all-local)
@@ -43,6 +41,7 @@
 #include "core/framework.h"
 #include "dse/distributor.h"
 #include "support/config.h"
+#include "support/splitlist.h"
 
 namespace finesse {
 
@@ -145,28 +144,9 @@ applyDistributorConfig(const Config &cfg, DistributorOptions &dopts)
         cfg.getInt("dse.respawns", dopts.maxRespawns));
     dopts.fallbackLocal =
         cfg.getBool("dse.fallback_local", dopts.fallbackLocal);
-    const std::string transport = cfg.getString("dse.transport", "");
-    if (transport == "pipe")
-        dopts.transport = DseTransport::Pipe;
-    else if (transport == "loopback-tcp")
-        dopts.transport = DseTransport::LoopbackTcp;
-    else
-        FINESSE_REQUIRE(transport.empty(),
-                        "bad dse.transport: ", transport);
     const std::string hosts = cfg.getString("dse.hosts", "");
-    if (!hosts.empty()) {
-        dopts.hosts.clear();
-        size_t from = 0;
-        while (from <= hosts.size()) {
-            size_t comma = hosts.find(',', from);
-            if (comma == std::string::npos)
-                comma = hosts.size();
-            if (comma > from)
-                dopts.hosts.push_back(
-                    hosts.substr(from, comma - from));
-            from = comma + 1;
-        }
-    }
+    if (!hosts.empty())
+        dopts.hosts = splitList(hosts);
     dopts.connectTimeoutMs = static_cast<int>(
         cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs));
 }

@@ -12,9 +12,10 @@
  *     garbage@frame:N     inject junk bytes ahead of frame N
  *     refuse@connect      (handled at spawn time by the distributor)
  *
- * The wrapper interposes on ANY transport -- pipes included -- so the
- * chaos matrix exercises the master's reconnect/poison/re-dispatch
- * paths identically for both. Faults the worker itself injects
+ * The wrapper interposes on ANY Connection -- spawned local workers
+ * and remote peers alike -- so the chaos matrix exercises the
+ * master's reconnect/poison/re-dispatch paths identically for both.
+ * Faults the worker itself injects
  * (kill/hang/garbage worker-side) desync the stream mid-scan; the
  * proxy detects the unparseable header and degrades to transparent
  * byte forwarding rather than second-guessing a corrupted stream.

@@ -5,10 +5,10 @@
  *
  * Master: groups requests by front-end trace key (non-batchable
  * requests become singleton groups), builds a pool of worker
- * CONNECTIONS -- pipe subprocesses, loopback-TCP subprocesses, or
- * remote `dse-worker --listen` peers named by a host pool -- and runs
- * a poll() loop with finite timeouts. Workers are admitted by a Hello
- * handshake (protocol version + curve-catalog hash) before any
+ * CONNECTIONS -- locally spawned workers dialing back over loopback
+ * TCP, or remote `dse-worker --listen` peers named by a host pool --
+ * and runs a poll() loop with finite timeouts. Workers are admitted by
+ * a Hello handshake (protocol version + curve-catalog hash) before any
  * dispatch; until the Hello is validated the slot's frame buffer is
  * capped to a few KB, so an unauthenticated peer cannot drive a large
  * allocation with a forged length prefix. One group is in flight per
@@ -19,9 +19,9 @@
  * in-flight group is re-queued at the FRONT of the pending list under
  * a per-group retry budget with capped exponential backoff. Remote
  * hosts that fail to connect are quarantined with the same capped
- * backoff and retried on that timer; in the meantime the slot refills
- * with a local worker (remoteDegradeToLocal), so losing every remote
- * degrades to the all-local path. Once the backlog drains,
+ * backoff and the slot refills with a local worker (the host is tried
+ * again when the slot next respawns after its quarantine), so losing
+ * every remote degrades to the all-local path. Once the backlog drains,
  * long-running stragglers are hedged: the same group goes to an idle
  * worker and the first result wins (safe -- both compute identical
  * bits). When a group exhausts its retries or the pool empties for
@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -67,6 +68,7 @@
 #include "dse/chaosproxy.h"
 #include "support/connection.h"
 #include "support/socket.h"
+#include "support/splitlist.h"
 #include "support/subprocess.h"
 
 namespace finesse {
@@ -85,6 +87,11 @@ constexpr int kHandshakeFloorMs = 5000;
 /** Liveness default when neither the option nor the env is set. */
 constexpr int kDefaultLivenessMs = 10000;
 
+/** Re-dispatch and host-quarantine backoff: base delay, doubling per
+ *  consecutive failure, capped. */
+constexpr i64 kRetryBackoffMs = 50;
+constexpr i64 kRetryBackoffCapMs = 2000;
+
 /**
  * Frame-payload cap for a peer that has not completed its handshake:
  * a Hello is ~20 bytes, so anything beyond a few KB before admission
@@ -92,23 +99,45 @@ constexpr int kDefaultLivenessMs = 10000;
  */
 constexpr size_t kPreHelloPayloadCap = 4096;
 
+/**
+ * Strict base-10 parse of @p text as an int in [@p lo, INT_MAX].
+ * Empty text, trailing junk and out-of-range values (which strtol
+ * would clamp to LONG_MAX and a cast would then truncate) are all
+ * nullopt -- a bounded count must never wrap into a different one.
+ */
+std::optional<int>
+parseIntAtLeast(const char *text, int lo)
+{
+    if (!text || !*text)
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < lo ||
+        v > INT_MAX)
+        return std::nullopt;
+    return static_cast<int>(v);
+}
+
 int
 envMsOr(const char *name, int dflt)
 {
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return dflt;
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n <= 0)
-        return dflt;
-    return static_cast<int>(n);
+    return parseIntAtLeast(std::getenv(name), 1).value_or(dflt);
 }
 
 i64
 msUntil(Clock::time_point t, Clock::time_point now)
 {
     return std::chrono::duration_cast<milliseconds>(t - now).count();
+}
+
+/** Capped exponential backoff after @p failures consecutive failures. */
+milliseconds
+backoffAfter(int failures)
+{
+    const int shift = std::min(failures - 1, 20);
+    return milliseconds(
+        std::min(kRetryBackoffCapMs, kRetryBackoffMs << shift));
 }
 
 /** One pending/in-flight trace-key group. */
@@ -148,6 +177,7 @@ struct WorkerSlot
     Clock::time_point dispatchedAt{}; ///< current group's dispatch time
     Clock::time_point lastPingAt{};
     std::vector<std::string> env; ///< respawns reuse the slot's env
+                                  ///< (its pinned fault plan, if any)
 
     int hostIdx = -1;    ///< index into the host pool; -1 = local slot
     FaultPlan framePlan; ///< stream-fault template; COPIED per spawn,
@@ -182,32 +212,16 @@ DistributorStats::describe() const
     return os.str();
 }
 
-DseTransport
-resolveDseTransport(DseTransport requested)
-{
-    if (requested != DseTransport::Default)
-        return requested;
-    const char *v = std::getenv(kTransportEnv);
-    if (!v || !*v || std::strcmp(v, "pipe") == 0)
-        return DseTransport::Pipe;
-    if (std::strcmp(v, "loopback-tcp") == 0 ||
-        std::strcmp(v, "tcp") == 0)
-        return DseTransport::LoopbackTcp;
-    fatal("unknown ", kTransportEnv, " '", v,
-          "' (expected pipe | loopback-tcp)");
-}
-
 FaultPlan
 FaultPlan::parse(const std::string &spec)
 {
     FaultPlan plan;
     const auto parseIndex = [&](const std::string &text,
                                 const std::string &term) {
-        char *end = nullptr;
-        const long v = std::strtol(text.c_str(), &end, 10);
-        if (text.empty() || *end != '\0' || v < 0)
+        const std::optional<int> v = parseIntAtLeast(text.c_str(), 0);
+        if (!v)
             fatal("fault plan: bad index '", text, "' in '", term, "'");
-        return static_cast<int>(v);
+        return *v;
     };
 
     size_t start = 0;
@@ -351,11 +365,7 @@ distributeEvaluate(const std::string &curve,
     }
     stats.groups = groups.size();
 
-    std::vector<std::string> cmd = opts.workerCommand;
-    if (cmd.empty())
-        cmd = {selfExePath(), "dse-worker"};
-
-    const DseTransport transport = resolveDseTransport(opts.transport);
+    const std::vector<std::string> cmd = {selfExePath(), "dse-worker"};
 
     const int livenessMs =
         opts.livenessTimeoutMs > 0
@@ -373,15 +383,7 @@ distributeEvaluate(const std::string &curve,
         std::vector<std::string> specs = opts.hosts;
         if (specs.empty()) {
             const char *env = std::getenv(kHostsEnv);
-            std::string text = env ? env : "";
-            size_t from = 0;
-            while (from <= text.size() && !text.empty()) {
-                size_t comma = text.find(',', from);
-                if (comma == std::string::npos)
-                    comma = text.size();
-                specs.push_back(text.substr(from, comma - from));
-                from = comma + 1;
-            }
+            specs = splitList(env ? env : "");
         }
         for (const std::string &spec : specs) {
             if (spec.empty())
@@ -410,34 +412,22 @@ distributeEvaluate(const std::string &curve,
     // half, the proxy lifts out only the network-kind terms -- and
     // only when no explicit worker plans pin the slots (a test that
     // pins its workers expects no ambient interference at all).
-    const bool explicitWorkerPlans = !opts.workerFaultPlans.empty() ||
-                                     opts.killAllWorkers ||
-                                     opts.killWorkerIndex >= 0;
+    const bool explicitWorkerPlans = !opts.workerFaultPlans.empty();
     const char *ambientSpec = std::getenv(kFaultPlanEnv);
 
     std::vector<WorkerSlot> pool(static_cast<size_t>(n));
     for (int w = 0; w < n; ++w) {
         WorkerSlot &ws = pool[static_cast<size_t>(w)];
-        ws.env = opts.workerEnv;
         if (!hosts.empty())
             ws.hostIdx = w % static_cast<int>(hosts.size());
-        std::string plan;
-        bool explicitPlan = false;
-        if (!opts.workerFaultPlans.empty()) {
-            plan = opts.workerFaultPlans[static_cast<size_t>(w) %
-                                         opts.workerFaultPlans.size()];
-            explicitPlan = true;
-        }
-        if (plan.empty() &&
-            (opts.killAllWorkers || w == opts.killWorkerIndex)) {
-            plan = "kill@group:0";
-            explicitPlan = true;
-        }
         // An explicit plan (even an empty one) is always exported so
         // it shadows any ambient FINESSE_DSE_FAULT: chaos tests pin
         // exactly which slots fault no matter what CI injects.
-        if (explicitPlan)
-            ws.env.push_back(std::string(kFaultPlanEnv) + "=" + plan);
+        if (explicitWorkerPlans)
+            ws.env.push_back(
+                std::string(kFaultPlanEnv) + "=" +
+                opts.workerFaultPlans[static_cast<size_t>(w) %
+                                      opts.workerFaultPlans.size()]);
 
         FaultPlan net;
         if (!opts.networkFaultPlans.empty())
@@ -457,23 +447,16 @@ distributeEvaluate(const std::string &curve,
     const auto quarantineHost = [&](HostState &h,
                                     Clock::time_point now) {
         ++h.failures;
-        const int shift = std::min(h.failures - 1, 20);
-        const i64 backoff =
-            std::min<i64>(opts.retryBackoffCapMs,
-                          static_cast<i64>(opts.retryBackoffMs)
-                              << shift);
-        h.eligibleAt = now + milliseconds(backoff);
+        h.eligibleAt = now + backoffAfter(h.failures);
         ++stats.hostQuarantines;
     };
 
-    enum class Spawn {
-        Ok,       ///< slot is up (remote or local)
-        Failed,   ///< attempt made and lost (consumes respawn budget)
-        Deferred, ///< host quarantined, no local refill: retry later
-    };
-
+    // Bring a dead slot up: its remote host when one is assigned and
+    // out of quarantine, else a local worker (a quarantined or failed
+    // remote slot degrades to local). False = the attempt was lost,
+    // which consumes respawn budget.
     const auto trySpawnSlot = [&](WorkerSlot &ws,
-                                  Clock::time_point now) -> Spawn {
+                                  Clock::time_point now) -> bool {
         // Scripted connect refusal (chaos): the failure itself is the
         // point -- exercise the master's retry/degrade reaction
         // without needing an actually-unreachable host.
@@ -481,7 +464,7 @@ distributeEvaluate(const std::string &curve,
                                 ws.connectAttempts)) {
             ++ws.connectAttempts;
             ++stats.networkFaultsInjected;
-            return Spawn::Failed;
+            return false;
         }
         ++ws.connectAttempts;
 
@@ -492,8 +475,6 @@ distributeEvaluate(const std::string &curve,
         bool degraded = false;
         if (host && !host->local) {
             if (msUntil(host->eligibleAt, now) > 0) {
-                if (!opts.remoteDegradeToLocal)
-                    return Spawn::Deferred;
                 degraded = true; // quarantined: refill locally for now
             } else {
                 std::string err;
@@ -506,8 +487,6 @@ distributeEvaluate(const std::string &curve,
                     std::fprintf(stderr, "distributed sweep: %s\n",
                                  err.c_str());
                     quarantineHost(*host, now);
-                    if (!opts.remoteDegradeToLocal)
-                        return Spawn::Failed;
                     degraded = true;
                 }
             }
@@ -515,23 +494,18 @@ distributeEvaluate(const std::string &curve,
         if (!conn) {
             if (degraded)
                 ++stats.remoteDegraded;
-            if (transport == DseTransport::LoopbackTcp) {
-                std::string err;
-                conn = spawnLoopbackTcpConnection(cmd, ws.env,
-                                                  connectMs, &err);
-                if (!conn) {
-                    std::fprintf(stderr,
-                                 "distributed sweep: loopback worker: "
-                                 "%s\n",
-                                 err.c_str());
-                    return Spawn::Failed;
-                }
-            } else {
-                conn = spawnSubprocessConnection(cmd, ws.env);
+            std::string err;
+            conn = spawnLoopbackTcpConnection(cmd, ws.env, connectMs,
+                                              &err);
+            if (!conn) {
+                std::fprintf(stderr,
+                             "distributed sweep: local worker: %s\n",
+                             err.c_str());
+                return false;
             }
         }
 
-        // Stream-level chaos: wrap ANY transport in the fault proxy
+        // Stream-level chaos: wrap ANY connection in the fault proxy
         // when frame-site actions are scripted. The slot's template
         // is COPIED per connection, so a respawned slot replays its
         // stream faults afresh (exactly like worker-side plans) --
@@ -548,7 +522,7 @@ distributeEvaluate(const std::string &curve,
         ws.lastProgress = Clock::now();
         ws.lastPingAt = ws.lastProgress;
         ++stats.workersSpawned;
-        return Spawn::Ok;
+        return true;
     };
 
     for (WorkerSlot &ws : pool)
@@ -597,12 +571,7 @@ distributeEvaluate(const std::string &curve,
         }
         ++grp.retries;
         ++stats.redispatches;
-        const int shift = std::min(grp.retries - 1, 20);
-        const i64 backoff =
-            std::min<i64>(opts.retryBackoffCapMs,
-                          static_cast<i64>(opts.retryBackoffMs)
-                              << shift);
-        grp.eligibleAt = now + milliseconds(backoff);
+        grp.eligibleAt = now + backoffAfter(grp.retries);
         pending.push_front(g);
     };
 
@@ -705,34 +674,24 @@ distributeEvaluate(const std::string &curve,
         }
 
         // (2) Elastic respawn: keep the pool at full width while the
-        // budget lasts and work remains. A slot whose host is
-        // quarantined (and no local refill allowed) defers without
-        // consuming budget -- the quarantine timer retries it.
-        bool spawnDeferred = false;
+        // budget lasts and work remains.
         for (WorkerSlot &ws : pool) {
             if (completed >= groups.size() || respawnBudget <= 0)
                 break;
             if (ws.state != WorkerSlot::State::Dead)
                 continue;
-            const Spawn got = trySpawnSlot(ws, now);
-            if (got == Spawn::Deferred) {
-                spawnDeferred = true;
-                continue;
-            }
             --respawnBudget;
-            if (got == Spawn::Ok)
+            if (trySpawnSlot(ws, now))
                 ++stats.respawns;
         }
 
         // (3) Pool empty for good: finish the sweep in-process (or
-        // fail, preserving the pre-fallback contract). Deferred
-        // spawns keep the sweep alive -- a quarantined host may yet
-        // come back before the budget runs out.
+        // fail, preserving the pre-fallback contract).
         const bool anyAlive = std::any_of(
             pool.begin(), pool.end(), [](const WorkerSlot &ws) {
                 return ws.state != WorkerSlot::State::Dead;
             });
-        if (!anyAlive && !spawnDeferred) {
+        if (!anyAlive) {
             if (!opts.fallbackLocal)
                 fatal("distributed sweep: all ", n, " workers died (",
                       groups.size() - completed, " groups unfinished)");
@@ -797,21 +756,13 @@ distributeEvaluate(const std::string &curve,
             break;
 
         // (5) Finite poll timeout from the next deadline: liveness
-        // windows, ping due times, retry-backoff gates, hedge
-        // eligibility and host-quarantine expiries all wake the loop
-        // exactly when they mature.
+        // windows, ping due times, retry-backoff gates and hedge
+        // eligibility all wake the loop exactly when they mature.
         i64 timeoutMs = 1000;
         for (const WorkerSlot &ws : pool) {
             switch (ws.state) {
               case WorkerSlot::State::Dead:
-                if (ws.hostIdx >= 0 &&
-                    !hosts[static_cast<size_t>(ws.hostIdx)].local)
-                    timeoutMs = std::min(
-                        timeoutMs,
-                        msUntil(hosts[static_cast<size_t>(ws.hostIdx)]
-                                    .eligibleAt,
-                                now));
-                break;
+                break; // respawned (or gone for good) at loop top
               case WorkerSlot::State::Handshake:
                 timeoutMs = std::min(
                     timeoutMs,
@@ -862,13 +813,9 @@ distributeEvaluate(const std::string &curve,
             fds.push_back({pool[w].conn->pollFd(), POLLIN, 0});
             fdWorker.push_back(w);
         }
-        if (fds.empty()) {
-            // Everything is dead but a deferred spawn is pending:
-            // sleep to the quarantine expiry instead of spinning.
-            std::this_thread::sleep_for(
-                milliseconds(std::max<i64>(timeoutMs, 1)));
-            continue;
-        }
+        if (fds.empty())
+            continue; // dispatch killed the last worker: respawn or
+                      // fall back at the top of the loop
 
         int rc;
         do {
@@ -1145,7 +1092,7 @@ runWorkerFault(const FaultAction &fa, WorkerOutput &out)
 } // namespace
 
 int
-runDseWorker(int inFd, int outFd)
+runDseWorker(int fd)
 {
     // A master that died mid-sweep must surface as a failed write
     // (-> clean worker exit), not as a fatal SIGPIPE.
@@ -1155,7 +1102,7 @@ runDseWorker(int inFd, int outFd)
     // master-side chaos proxy, not to us.
     FaultPlan plan =
         FaultPlan::parse(faultSpec ? faultSpec : "").keep(false);
-    WorkerOutput out(outFd);
+    WorkerOutput out(fd);
 
     // Handshake: always the first frame on the stream.
     {
@@ -1181,13 +1128,13 @@ runDseWorker(int inFd, int outFd)
     int groupsSeen = 0;
     try {
         for (;;) {
-            const long r = readSomeFd(inFd, chunk.data(), chunk.size());
+            const long r = readSomeFd(fd, chunk.data(), chunk.size());
             if (r == 0)
                 return 0; // clean shutdown: master closed our stream
             if (r == kReadAgainFd) {
                 // Nonblocking fd with nothing buffered: wait for
                 // data instead of treating the lull as an error.
-                pollfd pfd = {inFd, POLLIN, 0};
+                pollfd pfd = {fd, POLLIN, 0};
                 (void)::poll(&pfd, 1, -1);
                 continue;
             }
@@ -1297,7 +1244,7 @@ runDseWorkerListen(const std::string &listenSpec, int maxAccepts)
         // EOF or abandonment -- ends runDseWorker (a failed session
         // is not fatal to the server) and we RE-LISTEN for the next
         // master with a fresh fault-plan parse.
-        runDseWorker(fd, fd);
+        runDseWorker(fd);
         ::close(fd);
     }
     ::close(listenFd);
@@ -1316,7 +1263,7 @@ runDseWorkerConnect(const std::string &connectSpec)
         std::fprintf(stderr, "dse-worker: %s\n", err.c_str());
         return 1;
     }
-    const int rc = runDseWorker(fd, fd);
+    const int rc = runDseWorker(fd);
     ::close(fd);
     return rc;
 }
@@ -1335,32 +1282,31 @@ maybeRunDseWorkerMain(int argc, char **argv)
         } else if (arg.rfind("--connect=", 0) == 0) {
             connect = arg.substr(10);
         } else if (arg.rfind("--max-accepts=", 0) == 0) {
-            char *end = nullptr;
-            const long v = std::strtol(arg.c_str() + 14, &end, 10);
-            if (*end != '\0' || v < 1) {
+            const std::optional<int> v =
+                parseIntAtLeast(arg.c_str() + 14, 1);
+            if (!v) {
                 std::fprintf(stderr,
                              "dse-worker: bad --max-accepts '%s'\n",
                              arg.c_str() + 14);
                 return 2;
             }
-            maxAccepts = static_cast<int>(v);
+            maxAccepts = *v;
         } else {
             std::fprintf(stderr, "dse-worker: unknown flag '%s'\n",
                          arg.c_str());
             return 2;
         }
     }
-    if (!listen.empty() && !connect.empty()) {
-        std::fprintf(
-            stderr,
-            "dse-worker: --listen and --connect are exclusive\n");
+    if (listen.empty() == connect.empty()) {
+        std::fprintf(stderr,
+                     "usage: dse-worker --listen=host:port "
+                     "[--max-accepts=N] | dse-worker "
+                     "--connect=host:port (exactly one)\n");
         return 2;
     }
     if (!listen.empty())
         return runDseWorkerListen(listen, maxAccepts);
-    if (!connect.empty())
-        return runDseWorkerConnect(connect);
-    return runDseWorker();
+    return runDseWorkerConnect(connect);
 }
 
 } // namespace finesse

@@ -1,8 +1,9 @@
 /**
  * @file
  * Multi-process DSE fan-out: a master that ships trace-key groups of
- * design points to worker subprocesses over pipes (Pando-style
- * coordinator/volunteer split) and a worker loop that evaluates the
+ * design points to worker processes over TCP (Pando-style
+ * coordinator/volunteer split: locally spawned workers are just
+ * remote workers on 127.0.0.1) and a worker loop that evaluates the
  * groups on the in-process batched engine.
  *
  * Dispatch unit = one trace-key group (the PR 4 batching contract):
@@ -18,7 +19,8 @@
  * on finite timeouts computed from the next liveness/group deadline;
  * a worker with no frame progress by its deadline is SIGKILLed and
  * reaped, its group re-queued under a per-group retry budget with
- * capped exponential backoff. Dead workers are respawned up to a
+ * capped exponential backoff (50 ms doubling per retry, capped at
+ * 2 s). Dead workers are respawned up to a
  * respawn budget; stragglers can be hedged (the same group
  * re-dispatched to an idle worker, first result wins -- safe because
  * results are bit-identical); and when retries or the pool run out,
@@ -78,38 +80,18 @@ struct DistributorStats
     std::string describe() const;
 };
 
-/**
- * How master and workers exchange frames. The fault-tolerance layer
- * is transport-agnostic (frames over fds); this only picks which fds.
- */
-enum class DseTransport {
-    Default,     ///< FINESSE_DSE_TRANSPORT env, falling back to Pipe
-    Pipe,        ///< fork/exec children over stdin/stdout pipes
-    LoopbackTcp, ///< fork/exec children over a 127.0.0.1 TCP socket
-};
-
-/** Resolve Default against FINESSE_DSE_TRANSPORT ("pipe" /
- *  "loopback-tcp"; unset = Pipe, anything else is fatal -- a typo'd
- *  transport must not silently fall back). */
-DseTransport resolveDseTransport(DseTransport requested);
-
-/** Env var naming the default transport (see resolveDseTransport). */
-constexpr const char *kTransportEnv = "FINESSE_DSE_TRANSPORT";
-
 /** Env var holding the default remote host pool: comma-separated
  *  host:port entries; the token "local" pins a local slot. */
 constexpr const char *kHostsEnv = "FINESSE_DSE_HOSTS";
 
-/** Knobs of the distributed sweep (defaults are production behavior). */
+/**
+ * Knobs of the distributed sweep (defaults are production behavior).
+ * Local workers always re-exec the current binary as
+ * `<self> dse-worker --connect=127.0.0.1:<port>` (see
+ * maybeRunDseWorkerMain), so master and workers are the same build.
+ */
 struct DistributorOptions
 {
-    /**
-     * Worker command line; empty means re-exec the current binary as
-     * `<self> dse-worker` (see maybeRunDseWorkerMain). Override to
-     * point at another evaluator binary that speaks the wire protocol.
-     */
-    std::vector<std::string> workerCommand;
-
     /** Re-dispatches allowed per group after worker deaths. */
     int maxGroupRetries = 2;
 
@@ -142,11 +124,6 @@ struct DistributorOptions
      */
     int hedgeAfterMs = 5000;
 
-    /** Exponential re-dispatch backoff: base delay, doubling per
-     *  retry, capped. */
-    int retryBackoffMs = 50;
-    int retryBackoffCapMs = 2000;
-
     /** Replacement workers allowed after deaths; -1 = 2x pool width. */
     int maxRespawns = -1;
 
@@ -159,31 +136,21 @@ struct DistributorOptions
      */
     bool fallbackLocal = true;
 
-    /** Extra "KEY=VALUE" environment entries for every worker. */
-    std::vector<std::string> workerEnv;
-
-    /** Transport for locally spawned workers (Default = env / pipe). */
-    DseTransport transport = DseTransport::Default;
-
     /**
      * Remote worker pool: "host:port" entries naming running
      * `dse-worker --listen` peers, or the token "local" pinning a
      * local slot (mixed pools). Empty = FINESSE_DSE_HOSTS env; both
      * empty = all-local pool. Slot w uses hosts[w % size]. A failed
      * connect quarantines its host (capped exponential backoff before
-     * the next attempt) and -- with remoteDegradeToLocal -- refills
-     * the slot with a local worker, so losing every remote degrades
-     * to the all-local path instead of failing the sweep.
+     * the next attempt) and refills the slot with a local worker, so
+     * losing every remote degrades to the all-local path instead of
+     * failing the sweep.
      */
     std::vector<std::string> hosts;
 
     /** Hard deadline per remote connect / loopback accept; 0 = the
      *  handshake window (max(liveness, 5000ms)). */
     int connectTimeoutMs = 0;
-
-    /** Refill a quarantined remote slot with a local worker. False =
-     *  the slot stays empty until its host leaves quarantine. */
-    bool remoteDegradeToLocal = true;
 
     /**
      * Chaos injection (tests): per-slot FINESSE_DSE_FAULT plans,
@@ -198,7 +165,7 @@ struct DistributorOptions
     /**
      * Network chaos (tests): per-slot fault plans executed by a
      * MASTER-SIDE proxy thread interposed on the slot's connection
-     * (any transport), round-robin like workerFaultPlans. Network
+     * (local or remote), round-robin like workerFaultPlans. Network
      * actions -- drop | trunc | delay_ms=<N> | garbage at frame:<N>
      * sites (worker->master frame ordinal), refuse at the connect
      * site -- corrupt the stream between healthy endpoints, the
@@ -208,13 +175,6 @@ struct DistributorOptions
      * the workers), so one env var scripts both sides.
      */
     std::vector<std::string> networkFaultPlans;
-
-    // Legacy fault-injection hooks (sugar for workerFaultPlans with
-    // "kill@group:0"): the selected workers SIGKILL themselves on
-    // receipt of their first group -- a genuine `kill -9` mid-group,
-    // after the master committed the dispatch.
-    int killWorkerIndex = -1; ///< -1 = none
-    bool killAllWorkers = false;
 };
 
 /**
@@ -312,13 +272,14 @@ distributeEvaluate(const std::string &curve,
                    const DistributorOptions &opts = {});
 
 /**
- * Worker loop: send Hello, then read frames from @p inFd until EOF --
- * GroupRequests are evaluated via Explorer::evaluateAll (serial:
- * process-level parallelism comes from running N workers) under a
- * heartbeat thread, Pings are answered with Pongs -- streaming
- * results to @p outFd. Returns the process exit code (0 on clean EOF).
+ * Worker loop over the connected socket @p fd: send Hello, then read
+ * frames until EOF -- GroupRequests are evaluated via
+ * Explorer::evaluateAll (serial: process-level parallelism comes from
+ * running N workers) under a heartbeat thread, Pings are answered
+ * with Pongs -- streaming results back on the same socket. Returns
+ * the process exit code (0 on clean EOF).
  */
-int runDseWorker(int inFd = 0, int outFd = 1);
+int runDseWorker(int fd);
 
 /**
  * Network worker: bind @p listenSpec ("host:port"; port 0 =
@@ -333,7 +294,7 @@ int runDseWorkerListen(const std::string &listenSpec,
                        int maxAccepts = -1);
 
 /**
- * Loopback-transport worker: connect back to the master's ephemeral
+ * Locally spawned worker: connect back to the master's ephemeral
  * listener at @p connectSpec and run the worker loop over the socket.
  */
 int runDseWorkerConnect(const std::string &connectSpec);
@@ -341,12 +302,12 @@ int runDseWorkerConnect(const std::string &connectSpec);
 /**
  * Re-exec shim for binaries that act as their own worker pool: call
  * first thing in main(); when argv[1] == "dse-worker" this runs the
- * worker loop -- over stdin/stdout by default, over a socket with
- * `--listen=host:port` (plus optional `--max-accepts=N`) or
- * `--connect=host:port` -- and returns its exit code to pass to
+ * worker loop over a socket -- `--listen=host:port` (plus optional
+ * `--max-accepts=N`) or `--connect=host:port`; neither is a usage
+ * error (exit 2) -- and returns its exit code to pass to
  * return/exit, std::nullopt otherwise. finesse_cli, the distributed
- * tests and the fig10 bench all dispatch through this, so the default
- * DistributorOptions::workerCommand (self re-exec) always works.
+ * tests and the fig10 bench all dispatch through this, so the
+ * distributor's self re-exec always works.
  */
 std::optional<int> maybeRunDseWorkerMain(int argc, char **argv);
 

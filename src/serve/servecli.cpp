@@ -10,32 +10,17 @@
 #include "core/framework.h"
 #include "support/diskcache.h"
 #include "support/socket.h"
+#include "support/splitlist.h"
 
 namespace finesse {
 
 namespace {
 
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    size_t from = 0;
-    while (from <= text.size()) {
-        size_t at = text.find(sep, from);
-        if (at == std::string::npos)
-            at = text.size();
-        if (at > from)
-            out.push_back(text.substr(from, at - from));
-        from = at + 1;
-    }
-    return out;
-}
-
 std::set<int>
 parseIndexList(const std::string &list)
 {
     std::set<int> out;
-    for (const std::string &tok : splitOn(list, ',')) {
+    for (const std::string &tok : splitList(list)) {
         size_t consumed = 0;
         int idx = -1;
         try {
@@ -223,7 +208,7 @@ std::vector<std::pair<RequestKind, int>>
 parseWorkloadSpec(const std::string &spec)
 {
     std::vector<std::pair<RequestKind, int>> out;
-    for (const std::string &tok : splitOn(spec, ',')) {
+    for (const std::string &tok : splitList(spec)) {
         const size_t colon = tok.find(':');
         FINESSE_REQUIRE(colon != std::string::npos,
                         "bad workload token (want kind:count): ", tok);

@@ -19,62 +19,7 @@ namespace finesse {
 
 namespace {
 
-class SubprocessConnection final : public Connection
-{
-  public:
-    SubprocessConnection(const std::vector<std::string> &cmd,
-                         const std::vector<std::string> &env)
-    {
-        proc_.spawn(cmd, env);
-    }
-
-    int pollFd() const override { return proc_.stdoutFd(); }
-
-    bool
-    writeAll(const void *data, size_t n) override
-    {
-        return proc_.writeAll(data, n);
-    }
-
-    long
-    readSome(void *buf, size_t n) override
-    {
-        return proc_.readSome(buf, n);
-    }
-
-    void closeWrite() override { proc_.closeStdin(); }
-
-    bool
-    terminate() override
-    {
-        if (!proc_.running())
-            return false;
-        proc_.kill(SIGKILL);
-        return Subprocess::wasSignaled(proc_.wait());
-    }
-
-    void
-    finish() override
-    {
-        if (!proc_.running())
-            return;
-        proc_.closeStdin();
-        proc_.wait();
-    }
-
-    std::string
-    describe() const override
-    {
-        std::ostringstream os;
-        os << "pipe worker pid " << proc_.pid();
-        return os.str();
-    }
-
-  private:
-    Subprocess proc_;
-};
-
-/** Socket data path shared by the loopback and remote transports. */
+/** Socket data path shared by the local and remote connections. */
 class SocketStream
 {
   public:
@@ -152,8 +97,7 @@ class LoopbackTcpConnection final : public Connection
     finish() override
     {
         if (proc_.running()) {
-            // EOF on the socket is the worker's shutdown signal, the
-            // same contract as EOF on a pipe transport's stdin.
+            // EOF on the socket is the worker's shutdown signal.
             stream_.closeWrite();
             proc_.wait();
         }
@@ -237,13 +181,6 @@ class TcpConnection final : public Connection
 };
 
 } // namespace
-
-std::unique_ptr<Connection>
-spawnSubprocessConnection(const std::vector<std::string> &cmd,
-                          const std::vector<std::string> &env)
-{
-    return std::make_unique<SubprocessConnection>(cmd, env);
-}
 
 std::unique_ptr<Connection>
 spawnLoopbackTcpConnection(const std::vector<std::string> &cmd,

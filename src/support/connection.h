@@ -1,19 +1,18 @@
 /**
  * @file
- * Transport abstraction of the distributed sweep: the master talks to
- * every worker through a `Connection` -- a byte stream plus identity
- * and kill/reap semantics -- and never cares whether the bytes ride a
- * pipe pair to a forked child or a TCP socket to another host.
+ * Connection abstraction of the distributed sweep: the master talks to
+ * every worker through a `Connection` -- a TCP byte stream plus
+ * identity and kill/reap semantics -- and never cares whether the
+ * worker is its own child or a process on another host.
  *
- * Three implementations:
+ * Two implementations:
  *
- *   - SubprocessConnection: the PR 5/7 pipe transport (fork/exec, the
- *     child's stdin/stdout are the stream; terminate = SIGKILL+reap).
- *   - LoopbackTcpConnection: subprocess lifecycle, socket data path.
- *     The master binds an ephemeral loopback listener, spawns
+ *   - LoopbackTcpConnection: a locally spawned worker. The master
+ *     binds an ephemeral loopback listener, spawns
  *     `<self> dse-worker --connect=127.0.0.1:<port>`, and accepts the
  *     child's connection -- a genuine TCP stream with local kill/reap
- *     identity, so CI exercises the socket path with no remote hosts.
+ *     identity (terminate = SIGKILL + reap), so a local worker is just
+ *     a remote worker on 127.0.0.1.
  *   - TcpConnection: a remote `dse-worker --listen=host:port` peer.
  *     terminate() can only close the socket (no pid to signal); the
  *     abandoned remote sees EOF, finishes or discards its group, and
@@ -76,14 +75,8 @@ class Connection
     virtual std::string describe() const = 0;
 };
 
-/** Pipe transport: fork/exec @p cmd with @p env overrides. Throws
- *  FatalError when fork/pipe fail (exec failure = child exit 127). */
-std::unique_ptr<Connection>
-spawnSubprocessConnection(const std::vector<std::string> &cmd,
-                          const std::vector<std::string> &env);
-
 /**
- * Loopback TCP transport: spawn @p cmd with `--connect=127.0.0.1:P`
+ * Local worker: spawn @p cmd with `--connect=127.0.0.1:P`
  * appended (P = a fresh ephemeral listener) and accept the child's
  * connection within @p acceptTimeoutMs. Returns nullptr with @p err
  * set on listen/accept failure -- the child, if spawned, is killed
@@ -95,7 +88,7 @@ spawnLoopbackTcpConnection(const std::vector<std::string> &cmd,
                            int acceptTimeoutMs, std::string *err);
 
 /**
- * Remote TCP transport: connect to a `dse-worker --listen` peer at
+ * Remote worker: connect to a `dse-worker --listen` peer at
  * @p to within @p connectTimeoutMs. Returns nullptr with @p err set
  * on failure (refused, timeout, resolution).
  */

@@ -1,8 +1,8 @@
 /**
  * @file
  * POSIX subprocess implementation: pipe + fork + execve, blocking
- * reads/writes with EINTR retry, SIGKILL-on-destruction so a throwing
- * master never leaks worker processes.
+ * reads with EINTR retry, SIGKILL-on-destruction so a throwing master
+ * never leaks worker processes.
  */
 #include "support/subprocess.h"
 
@@ -77,12 +77,10 @@ Subprocess::operator=(Subprocess &&other) noexcept
             kill(SIGKILL);
             wait();
         }
-        closeFds();
+        closeFd();
         pid_ = other.pid_;
-        stdinFd_ = other.stdinFd_;
         stdoutFd_ = other.stdoutFd_;
         other.pid_ = -1;
-        other.stdinFd_ = -1;
         other.stdoutFd_ = -1;
     }
     return *this;
@@ -94,17 +92,14 @@ Subprocess::~Subprocess()
         kill(SIGKILL);
         wait();
     }
-    closeFds();
+    closeFd();
 }
 
 void
-Subprocess::closeFds()
+Subprocess::closeFd()
 {
-    if (stdinFd_ >= 0)
-        ::close(stdinFd_);
     if (stdoutFd_ >= 0)
         ::close(stdoutFd_);
-    stdinFd_ = -1;
     stdoutFd_ = -1;
 }
 
@@ -118,18 +113,11 @@ Subprocess::spawn(const std::vector<std::string> &argv,
 
     // O_CLOEXEC is load-bearing: without it every later-spawned
     // sibling inherits these pipe ends across its exec, holds the
-    // write ends open, and EOF (the shutdown/crash signal of the
-    // wire protocol) never reaches anyone. The child's dup2() onto
-    // fds 0/1 clears the flag on the copies it actually uses.
-    int inPipe[2];  // master writes -> child stdin
-    int outPipe[2]; // child stdout -> master reads
-    if (::pipe2(inPipe, O_CLOEXEC) != 0)
+    // write end open, and EOF never reaches the reader. The child's
+    // dup2() onto fd 1 clears the flag on the copy it actually uses.
+    int outPipe[2]; // child stdout -> parent reads
+    if (::pipe2(outPipe, O_CLOEXEC) != 0)
         fatal("subprocess: pipe: ", std::strerror(errno));
-    if (::pipe2(outPipe, O_CLOEXEC) != 0) {
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
-        fatal("subprocess: pipe: ", std::strerror(errno));
-    }
 
     // Build argv/envp before fork: no allocation between fork and exec.
     std::vector<char *> argvp;
@@ -165,18 +153,13 @@ Subprocess::spawn(const std::vector<std::string> &argv,
 
     const int pid = ::fork();
     if (pid < 0) {
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
         ::close(outPipe[0]);
         ::close(outPipe[1]);
         fatal("subprocess: fork: ", std::strerror(errno));
     }
     if (pid == 0) {
-        // Child: wire the pipes to stdin/stdout and exec.
-        ::dup2(inPipe[0], STDIN_FILENO);
+        // Child: wire the pipe to stdout and exec.
         ::dup2(outPipe[1], STDOUT_FILENO);
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
         ::close(outPipe[0]);
         ::close(outPipe[1]);
         ::execve(argvp[0], argvp.data(), envp.data());
@@ -184,31 +167,15 @@ Subprocess::spawn(const std::vector<std::string> &argv,
         ::_exit(127);
     }
 
-    ::close(inPipe[0]);
     ::close(outPipe[1]);
     pid_ = pid;
-    stdinFd_ = inPipe[1];
     stdoutFd_ = outPipe[0];
-}
-
-bool
-Subprocess::writeAll(const void *data, size_t n)
-{
-    return writeAllFd(stdinFd_, data, n);
 }
 
 long
 Subprocess::readSome(void *buf, size_t n)
 {
     return readSomeFd(stdoutFd_, buf, n);
-}
-
-void
-Subprocess::closeStdin()
-{
-    if (stdinFd_ >= 0)
-        ::close(stdinFd_);
-    stdinFd_ = -1;
 }
 
 void

@@ -1,9 +1,11 @@
 /**
  * @file
- * Minimal POSIX subprocess with piped stdin/stdout, used by the
- * multi-process DSE distributor to spawn and talk to worker
- * processes. stderr is inherited so worker diagnostics land in the
- * parent's stream. No external dependencies: fork/execve + pipes.
+ * Minimal POSIX subprocess with a piped stdout, used by the
+ * multi-process DSE distributor to spawn worker processes (which then
+ * dial back over a socket) and by tests to read a listening worker's
+ * banner. stdin and stderr are inherited, so worker diagnostics land
+ * in the parent's stream. No external dependencies: fork/execve + a
+ * pipe.
  */
 #ifndef FINESSE_SUPPORT_SUBPROCESS_H_
 #define FINESSE_SUPPORT_SUBPROCESS_H_
@@ -16,9 +18,9 @@
 namespace finesse {
 
 /**
- * One spawned child process. The parent writes frames to stdinFd()
- * and reads from stdoutFd(). Destruction kills (SIGKILL) and reaps a
- * still-running child; call closeStdin() + wait() for a clean exit.
+ * One spawned child process whose stdout the parent reads with
+ * readSome(). Destruction kills (SIGKILL) and reaps a still-running
+ * child; call wait() for a clean exit.
  */
 class Subprocess
 {
@@ -38,7 +40,7 @@ class Subprocess
      * match, so a plain append could never override an inherited
      * value -- the distributor relies on per-worker fault plans
      * shadowing an ambient FINESSE_DSE_FAULT). Throws FatalError when
-     * the pipes or fork fail; exec failure in the child surfaces as
+     * the pipe or fork fail; exec failure in the child surfaces as
      * exit code 127. Spawning also ignores SIGPIPE process-wide
      * (once) so a write to a crashed worker reports EPIPE instead of
      * killing us.
@@ -48,23 +50,12 @@ class Subprocess
 
     bool running() const { return pid_ > 0; }
     int pid() const { return pid_; }
-    int stdinFd() const { return stdinFd_; }
-    int stdoutFd() const { return stdoutFd_; }
-
-    /**
-     * Write the whole buffer to the child's stdin; returns false on
-     * any error (notably EPIPE after a child crash).
-     */
-    bool writeAll(const void *data, size_t n);
 
     /**
      * One blocking read from the child's stdout into @p buf. Returns
      * the byte count, 0 on EOF (child closed / exited), -1 on error.
      */
     long readSome(void *buf, size_t n);
-
-    /** Close our write end; the child sees EOF on its stdin. */
-    void closeStdin();
 
     /** Send a signal (e.g. SIGKILL) to a running child. */
     void kill(int sig);
@@ -88,19 +79,17 @@ class Subprocess
     static int exitCode(int waitStatus);
 
   private:
-    void closeFds();
+    void closeFd();
 
     int pid_ = -1;
-    int stdinFd_ = -1;
     int stdoutFd_ = -1;
 };
 
 /**
  * Write the whole buffer to @p fd, retrying on EINTR and waiting out
  * EAGAIN/EWOULDBLOCK via poll(POLLOUT); false on any real error
- * (EPIPE included). The one write loop shared by
- * Subprocess::writeAll (master -> worker pipes), the worker's result
- * stream, and the socket transport.
+ * (EPIPE included). The one write loop shared by the master's socket
+ * connections and the worker's result stream.
  */
 bool writeAllFd(int fd, const void *data, size_t n);
 
@@ -121,7 +110,7 @@ long readSomeFd(int fd, void *buf, size_t n);
 /**
  * Ignore SIGPIPE process-wide (idempotent): a peer that died mid-frame
  * must surface as EPIPE from write(), not as a fatal signal. Called by
- * Subprocess::spawn and by worker loops writing to inherited pipes.
+ * Subprocess::spawn and by worker loops writing to their sockets.
  */
 void ignoreSigpipe();
 

@@ -168,45 +168,23 @@ TEST(DistributedDse, MatchesEvaluateAllForWorkers124)
     }
 }
 
-TEST(DistributedDse, LoopbackTcpTransportMatchesEvaluateAll)
-{
-    // The identity contract is transport-independent: the same sweep
-    // over loopback-TCP sockets (master listens on an ephemeral
-    // 127.0.0.1 port, each worker dials back with --connect) must
-    // produce the same bits as the pipe transport and the in-process
-    // engine, for every pool width.
-    Explorer ex("BN254N");
-    const std::vector<DseRequest> reqs = mixedRequests(ex);
-    const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
-
-    for (int workers : {1, 2, 4}) {
-        SCOPED_TRACE("workers " + std::to_string(workers));
-        DistributorStats stats;
-        DistributorOptions opts;
-        opts.stats = &stats;
-        opts.transport = DseTransport::LoopbackTcp;
-        const std::vector<DsePoint> got =
-            ex.evaluateAllDistributed(reqs, workers, opts);
-        expectSamePoints(ref, got);
-        if (!ambientFaults()) {
-            EXPECT_EQ(stats.workerDeaths, 0);
-            EXPECT_EQ(stats.redispatches, 0);
-        }
-    }
-}
-
 /**
  * Spawn `<self> dse-worker --listen=127.0.0.1:0` and return its
  * address, parsed from the stdout banner (the ephemeral-port
  * discovery contract). @p maxAccepts bounds the server's lifetime so
- * wait() below returns.
+ * wait() below returns. The server is pinned fault-free (an empty
+ * FINESSE_DSE_FAULT shadows any ambient plan): under an ambient
+ * hang@group:0 it would otherwise hang forever and wait() never
+ * return. The master's local slots still run the ambient plan, and
+ * its chaos proxy still applies the plan's network terms to these
+ * connections.
  */
 HostPort
 spawnListenWorker(Subprocess &worker, int maxAccepts)
 {
     worker.spawn({selfExePath(), "dse-worker", "--listen=127.0.0.1:0",
                   "--max-accepts=" + std::to_string(maxAccepts)},
-                 {});
+                 {std::string(kFaultPlanEnv) + "="});
     std::string banner;
     char c;
     while (banner.find('\n') == std::string::npos &&
@@ -286,40 +264,6 @@ TEST(DistributedDse, AllRemoteHostsDeadDegradesToLocalWorkers)
     EXPECT_EQ(stats.remoteConnects, 0);
 }
 
-TEST(DistributedDse, QuarantinedHostStaysEmptyWithoutDegrade)
-{
-    // remoteDegradeToLocal=false: a dead remote's slot must NOT
-    // refill locally. With fallbackLocal the sweep still completes
-    // in-process -- results identical, zero workers ever spawned.
-    std::string err;
-    int deadPort = 0;
-    HostPort loop;
-    loop.host = "127.0.0.1";
-    const int probe = tcpListen(loop, 1, &err, &deadPort);
-    ASSERT_GE(probe, 0) << err;
-    ASSERT_EQ(::close(probe), 0);
-
-    Explorer ex("BN254N");
-    std::vector<DseRequest> reqs;
-    reqs.emplace_back();
-    reqs.back().opt.part = TracePart::FinalExpOnly;
-    reqs.back().label = "solo";
-    const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
-
-    DistributorStats stats;
-    DistributorOptions opts;
-    opts.stats = &stats;
-    opts.hosts = {"127.0.0.1:" + std::to_string(deadPort)};
-    opts.remoteDegradeToLocal = false;
-    opts.maxRespawns = 2;
-    const std::vector<DsePoint> got =
-        ex.evaluateAllDistributed(reqs, 1, opts);
-    expectSamePoints(ref, got);
-    EXPECT_EQ(stats.remoteDegraded, 0);
-    EXPECT_EQ(stats.workersSpawned, 0);
-    EXPECT_GE(stats.fallbackGroups, 1);
-}
-
 TEST(DistributedDse, MatchesEvaluateAllAcrossFullCatalog)
 {
     // Every catalog curve, two hardware models against the default
@@ -350,9 +294,10 @@ TEST(DistributedDse, MatchesEvaluateAllAcrossFullCatalog)
 TEST(DistributedDse, Kill9MidGroupRedispatchesAndStaysIdentical)
 {
     // Worker 0 raises SIGKILL on receipt of its first group -- after
-    // the master committed the dispatch, i.e. genuinely mid-group.
-    // The master must detect the death, re-dispatch that group to the
-    // surviving worker, and still return bit-identical results.
+    // the master committed the dispatch, i.e. genuinely mid-group --
+    // while worker 1 is pinned fault-free. The master must detect the
+    // death, re-dispatch that group to the surviving worker, and
+    // still return bit-identical results.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = mixedRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
@@ -360,7 +305,7 @@ TEST(DistributedDse, Kill9MidGroupRedispatchesAndStaysIdentical)
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;
-    opts.killWorkerIndex = 0;
+    opts.workerFaultPlans = {"kill@group:0", ""};
     opts.maxRespawns = 0; // a replacement would replay the kill plan
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
@@ -389,7 +334,7 @@ TEST(DistributedDse, AllWorkersDeadFailsWithBoundedRetries)
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;
-    opts.killAllWorkers = true;
+    opts.workerFaultPlans = {"kill@group:0"};
     opts.maxGroupRetries = 5;
     opts.fallbackLocal = false;
     EXPECT_THROW(ex.evaluateAllDistributed(reqs, 2, opts), FatalError);

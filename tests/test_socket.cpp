@@ -256,6 +256,31 @@ TEST(Socket, ListenWorkerServesTwoMastersInTurn)
     EXPECT_EQ(worker.wait(), 0); // max-accepts reached: clean exit
 }
 
+TEST(Socket, DseWorkerUsageErrorsExitTwo)
+{
+    // An out-of-range --max-accepts is junk, not a count truncated to
+    // int (4294967296 would wrap to 0 and serve nobody), and a worker
+    // needs exactly one of --listen / --connect: each is a usage
+    // error that exits 2 before anything is bound or dialed.
+    const std::vector<std::vector<std::string>> cases = {
+        {"--listen=127.0.0.1:0", "--max-accepts=4294967296"},
+        {},
+        {"--listen=127.0.0.1:0", "--connect=127.0.0.1:1"},
+    };
+    for (const std::vector<std::string> &flags : cases) {
+        std::vector<std::string> argv = {selfExePath(), "dse-worker"};
+        std::string trace = "dse-worker";
+        for (const std::string &f : flags) {
+            argv.push_back(f);
+            trace += " " + f;
+        }
+        SCOPED_TRACE(trace);
+        Subprocess worker;
+        worker.spawn(argv, {});
+        EXPECT_EQ(Subprocess::exitCode(worker.wait()), 2);
+    }
+}
+
 TEST(Socket, LoopbackSpawnDetectsAChildThatNeverConnects)
 {
     // `/bin/true` exits without dialing back: the accept deadline
@@ -278,7 +303,8 @@ TEST(Socket, LoopbackSpawnDetectsAChildThatNeverConnects)
 int
 main(int argc, char **argv)
 {
-    // The listen-worker test re-execs this binary as its worker.
+    // The listen-worker and usage tests re-exec this binary as a
+    // worker.
     if (const std::optional<int> rc =
             finesse::maybeRunDseWorkerMain(argc, argv))
         return *rc;

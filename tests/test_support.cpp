@@ -1,7 +1,8 @@
 /**
  * @file
  * Support-layer tests: RNG determinism and bounds, table printer,
- * panic/fatal machinery, and remaining BigInt accessors.
+ * panic/fatal machinery, list splitting, and remaining BigInt
+ * accessors.
  */
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "bigint/bigint.h"
 #include "support/common.h"
 #include "support/rng.h"
+#include "support/splitlist.h"
 #include "support/table.h"
 
 namespace finesse {
@@ -52,6 +54,16 @@ TEST(PanicFatal, ThrowDistinctTypes)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("42"), std::string::npos);
     }
+}
+
+TEST(SplitList, DropsEmptyFields)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(splitList("a:1,b:2,local"), (V{"a:1", "b:2", "local"}));
+    EXPECT_EQ(splitList(",a,,b,"), (V{"a", "b"}));
+    EXPECT_EQ(splitList(""), V{});
+    EXPECT_EQ(splitList(",,"), V{});
+    EXPECT_EQ(splitList("x;y", ';'), (V{"x", "y"}));
 }
 
 TEST(TextTable, AlignsColumns)

@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Docs lint: the user-facing surface must be documented.
+"""Docs lint: the user-facing surface must be documented, and the
+docs must document nothing that is gone.
 
-Two checks, both extracted from the code (never from a hand-kept
-list, so the lint cannot go stale):
+Forward checks, extracted from the code (never from a hand-kept list,
+so the lint cannot go stale):
 
   1. every finesse_cli subcommand in src/core/cliusage.h
      (the table --help renders and test_cli_help audits), and
   2. every FINESSE_* environment variable that appears as a string
      literal anywhere in src/, tools/, bench/ or tests/
 
-must be mentioned in README.md or docs/operations.md. A name missing
-from both fails the build -- adding a subcommand or env knob without
-documenting it is a CI failure, not doc drift.
+must be mentioned in README.md or docs/operations.md. Reverse checks,
+extracted from those two docs:
+
+  3. every FINESSE_* name they mention must appear somewhere in the
+     code (src/, tools/, bench/, tests/ or CMakeLists.txt), and
+  4. every `--flag` they quote in backticks must be a flag of the
+     kCliFlags table in cliusage.h.
+
+Any failure fails the build -- an undocumented knob and a stale row
+for a deleted one are both CI failures, not doc drift.
 
 Usage: python3 tools/docs_check.py [--repo-root DIR]
 """
@@ -38,18 +46,41 @@ def cli_commands(root: pathlib.Path) -> set:
     return set(names)
 
 
-def env_vars(root: pathlib.Path) -> set:
-    """FINESSE_* env-var string literals anywhere in the code."""
-    found = set()
+def cli_flags(root: pathlib.Path) -> set:
+    """Flag names (up to any '=') from the kCliFlags table."""
+    text = (root / "src/core/cliusage.h").read_text()
+    m = re.search(r"kCliFlags\[\]\s*=\s*\{(.*?)\n\};", text, re.S)
+    if not m:
+        sys.exit("docs_check: kCliFlags table not found in cliusage.h")
+    names = re.findall(r'\{"(--[a-z0-9-]+)', m.group(1))
+    if len(names) < 10:
+        sys.exit(f"docs_check: suspiciously few flags parsed: {names}")
+    return set(names)
+
+
+def code_text(root: pathlib.Path) -> str:
+    """All code the reverse checks search: CODE_DIRS + CMakeLists.txt."""
+    parts = [(root / "CMakeLists.txt").read_text()]
     for d in CODE_DIRS:
-        for path in (root / d).rglob("*"):
-            if path.suffix not in CODE_SUFFIXES or not path.is_file():
-                continue
-            found.update(
-                re.findall(r'"(FINESSE_[A-Z0-9_]+)"', path.read_text()))
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix in CODE_SUFFIXES and path.is_file():
+                parts.append(path.read_text())
+    return "\n".join(parts)
+
+
+def env_vars(code: str) -> set:
+    """FINESSE_* env-var string literals anywhere in the code."""
+    found = set(re.findall(r'"(FINESSE_[A-Z0-9_]+)"', code))
     if not found:
         sys.exit("docs_check: no FINESSE_* env vars found -- broken scan?")
     return found
+
+
+def doc_names(docs: str) -> tuple:
+    """FINESSE_* names and backticked `--flag` names in the docs."""
+    env = set(re.findall(r"FINESSE_[A-Z0-9]+(?:_[A-Z0-9]+)*", docs))
+    flags = set(re.findall(r"`(--[a-z0-9-]+)", docs))
+    return env, flags
 
 
 def main() -> int:
@@ -66,23 +97,43 @@ def main() -> int:
             return 1
         docs += path.read_text()
 
+    code = code_text(root)
+    commands = cli_commands(root)
+    env = env_vars(code)
+    flags = cli_flags(root)
+
     missing = []
-    for name in sorted(cli_commands(root)):
+    for name in sorted(commands):
         if name not in docs:
             missing.append(f"finesse_cli subcommand `{name}`")
-    for name in sorted(env_vars(root)):
+    for name in sorted(env):
         if name not in docs:
             missing.append(f"environment variable {name}")
+
+    doc_env, doc_flags = doc_names(docs)
+    stale = []
+    for name in sorted(doc_env):
+        if not re.search(rf"\b{name}\b", code):
+            stale.append(f"environment variable {name} (not in the code)")
+    for name in sorted(doc_flags - flags):
+        stale.append(f"flag `{name}` (not in kCliFlags)")
 
     if missing:
         print("docs_check: FAIL: undocumented surface (add to README.md "
               "or docs/operations.md):")
         for item in missing:
             print(f"  - {item}")
+    if stale:
+        print("docs_check: FAIL: documented surface that does not exist "
+              "(remove from README.md / docs/operations.md):")
+        for item in stale:
+            print(f"  - {item}")
+    if missing or stale:
         return 1
 
-    print(f"docs_check: OK: {len(cli_commands(root))} subcommands and "
-          f"{len(env_vars(root))} env vars all documented")
+    print(f"docs_check: OK: {len(commands)} subcommands and {len(env)} "
+          f"env vars all documented; {len(doc_env)} documented env vars "
+          f"and {len(doc_flags)} documented flags all exist")
     return 0
 
 

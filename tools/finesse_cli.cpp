@@ -27,6 +27,7 @@
 #include "serve/servecli.h"
 #include "sim/binary.h"
 #include "support/diskcache.h"
+#include "support/splitlist.h"
 #include "support/threadpool.h"
 
 using namespace finesse;
@@ -94,8 +95,9 @@ int
 main(int argc, char **argv)
 {
     // Worker mode: the master re-executes this binary as
-    // `finesse_cli dse-worker` and speaks the wire protocol over the
-    // spawned pipes; nothing else on the command line applies.
+    // `finesse_cli dse-worker --connect=...` and speaks the wire
+    // protocol over the socket; nothing else on the command line
+    // applies.
     if (const std::optional<int> rc = maybeRunDseWorkerMain(argc, argv))
         return *rc;
 
@@ -105,7 +107,6 @@ main(int argc, char **argv)
     int jobs = -1; // -1 = not on the command line; config/default wins
     int dseWorkers = -1;
     std::string passList;
-    std::string dseTransport;
     std::string dseHosts;
     u64 searchSeed = 1;
     int generations = 8;
@@ -137,14 +138,6 @@ main(int argc, char **argv)
             dseWorkers = parseCount(arg.substr(14));
             if (dseWorkers < 0) {
                 std::fprintf(stderr, "bad --dse-workers value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--dse-transport=", 0) == 0) {
-            dseTransport = arg.substr(16);
-            if (dseTransport != "pipe" &&
-                dseTransport != "loopback-tcp") {
-                std::fprintf(stderr, "bad --dse-transport value: %s\n",
                              arg.c_str());
                 return usage();
             }
@@ -310,23 +303,8 @@ main(int argc, char **argv)
         DistributorStats dstats;
         DistributorOptions dopts;
         applyDistributorConfig(cfg, dopts);
-        if (dseTransport == "pipe")
-            dopts.transport = DseTransport::Pipe;
-        else if (dseTransport == "loopback-tcp")
-            dopts.transport = DseTransport::LoopbackTcp;
-        if (!dseHosts.empty()) {
-            dopts.hosts.clear();
-            size_t from = 0;
-            while (from <= dseHosts.size()) {
-                size_t comma = dseHosts.find(',', from);
-                if (comma == std::string::npos)
-                    comma = dseHosts.size();
-                if (comma > from)
-                    dopts.hosts.push_back(
-                        dseHosts.substr(from, comma - from));
-                from = comma + 1;
-            }
-        }
+        if (!dseHosts.empty())
+            dopts.hosts = splitList(dseHosts);
         dopts.stats = &dstats;
 
         if (command == "dse") {
