@@ -7,8 +7,9 @@
  *
  * Reference arm (the pre-batching design-point cost): clone the
  * cached trace module, rebuild the dependence graph inside
- * scheduleModuleReference (ordered-map LegacyPortTracker), run
- * RegAlloc + full encode, then cycle-simulate on the legacy tracker.
+ * scheduleModuleReference (ordered-map LegacyPortTracker), run the
+ * std::map allocateRegistersReference + full encode, then
+ * cycle-simulate on the legacy tracker.
  * Batched arm: one TracePrep per trace shared by every point, dense
  * PortTracker + reusable BackendScratch (runBackendPoint computes the
  * encoding layout instead of materializing words -- exactly what the
@@ -80,11 +81,12 @@ main()
         const auto t0 = std::chrono::steady_clock::now();
         for (const PipelineModel &hw : models) {
             const Module copy = m; // the pre-batching per-point clone
-            const BankAssignment banks = assignBanks(copy, hw);
+            BankAssignment banks;
+            assignBanksInto(copy, hw, banks);
             Schedule sched =
                 scheduleModuleReference(copy, banks, hw, true);
             RegAssignment regs =
-                allocateRegisters(copy, banks, sched);
+                allocateRegistersReference(copy, banks, sched);
             CompiledProgram prog;
             prog.module = copy;
             prog.banks = banks;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Backend implementation: BankAlloc, the PackSched (Algorithm 2)
- * reference oracle, and RegAlloc. The production scheduleModule runs
- * on the dense batched engine (compiler/backendprep.h); the legacy
- * Module-walking implementation below is kept byte-identical as the
- * reference the dense engine is tested and benchmarked against.
+ * Backend reference oracles: the legacy Module-walking PackSched
+ * (Algorithm 2) and the std::map RegAlloc. Production runs -- compile
+ * and sweep alike -- go through the dense engine
+ * (compiler/backendprep.h); the oracles below are kept byte-identical
+ * to it by tests/test_backend_props.cpp and bench/fig_backend.
  */
 #include "compiler/backend.h"
 
@@ -12,33 +12,9 @@
 #include <map>
 #include <queue>
 
-#include "compiler/backendprep.h"
 #include "compiler/ports.h"
 
 namespace finesse {
-
-BankAssignment
-assignBanks(const Module &m, const PipelineModel &hw)
-{
-    BankAssignment ba;
-    ba.numBanks = hw.numBanks;
-    ba.bankOf.resize(m.numValues);
-    for (i32 v = 0; v < m.numValues; ++v)
-        ba.bankOf[v] = v % hw.numBanks;
-    return ba;
-}
-
-Schedule
-scheduleModule(const Module &m, const BankAssignment &banks,
-               const PipelineModel &hw, bool useListScheduling)
-{
-    const TracePrep prep = buildTracePrep(m);
-    BackendScratch scratch;
-    Schedule sched;
-    scheduleModule(m, prep, banks, hw, useListScheduling, scratch,
-                   sched);
-    return sched;
-}
 
 Schedule
 scheduleModuleReference(const Module &m, const BankAssignment &banks,
@@ -219,8 +195,8 @@ scheduleModuleReference(const Module &m, const BankAssignment &banks,
 }
 
 RegAssignment
-allocateRegisters(const Module &m, const BankAssignment &banks,
-                  const Schedule &sched)
+allocateRegistersReference(const Module &m, const BankAssignment &banks,
+                           const Schedule &sched)
 {
     RegAssignment ra;
     ra.regOf.assign(m.numValues, -1);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Compiler backend stages (Sec. 3.5): BankAlloc, PackSched (Algorithm 2
- * with issue-slot affinity), RegAlloc, and the compiled-program
- * container handed to the encoder and the simulators.
+ * Compiler backend artifacts (Sec. 3.5), the compiled-program container
+ * and the reference oracles of the backend stages. The stage functions
+ * that compile and sweep both run live in compiler/backendprep.h.
  */
 #ifndef FINESSE_COMPILER_BACKEND_H_
 #define FINESSE_COMPILER_BACKEND_H_
@@ -23,11 +23,6 @@ struct BankAssignment
     bool operator==(const BankAssignment &) const = default;
 };
 
-/**
- * Residual (modulo) bank assignment: the paper's baseline strategy.
- */
-BankAssignment assignBanks(const Module &m, const PipelineModel &hw);
-
 /** One issue slot: up to issueWidth instruction indexes. */
 struct Bundle
 {
@@ -44,41 +39,8 @@ struct Schedule
     i64 estimatedCycles = 0;       ///< completion estimate
     size_t numInstrs = 0;
 
-    double
-    estimatedIpc() const
-    {
-        return estimatedCycles
-                   ? static_cast<double>(numInstrs) /
-                         static_cast<double>(estimatedCycles)
-                   : 0.0;
-    }
-
     bool operator==(const Schedule &) const = default;
 };
-
-/**
- * PackSched. When @p useListScheduling is false the schedule is plain
- * program order (one instruction per bundle): the "Init" baseline.
- * Otherwise: top-down list scheduling over the dependence DAG with
- * issue-slot affinity ordering and greedy constraint-checked packing
- * (Algorithm 2). Runs on the dense batched engine
- * (compiler/backendprep.h) with a per-call prep/scratch; sweeps that
- * evaluate many hardware points against one trace should build the
- * TracePrep once and call the prep overload directly.
- */
-Schedule scheduleModule(const Module &m, const BankAssignment &banks,
-                        const PipelineModel &hw, bool useListScheduling);
-
-/**
- * Reference oracle: the legacy Module-walking scheduler (per-call
- * dependence-graph rebuild, ordered-map LegacyPortTracker). Kept
- * byte-identical to scheduleModule by the identity tests
- * (tests/test_backend_props.cpp) and bench/fig_backend.
- */
-Schedule scheduleModuleReference(const Module &m,
-                                 const BankAssignment &banks,
-                                 const PipelineModel &hw,
-                                 bool useListScheduling);
 
 /** Register assignment within banks. */
 struct RegAssignment
@@ -99,12 +61,23 @@ struct RegAssignment
 };
 
 /**
- * RegAlloc: linear-scan (liveness-interval) allocation in schedule
- * order with per-bank free lists. Constants are pinned for the whole
- * program (they are preloaded into DMem).
+ * Reference oracle of scheduleModule, called only by
+ * tests/test_backend_props.cpp and bench/fig_backend: the legacy
+ * Module-walking scheduler (per-call dependence-graph rebuild,
+ * ordered-map LegacyPortTracker).
  */
-RegAssignment allocateRegisters(const Module &m, const BankAssignment &banks,
-                                const Schedule &sched);
+Schedule scheduleModuleReference(const Module &m,
+                                 const BankAssignment &banks,
+                                 const PipelineModel &hw,
+                                 bool useListScheduling);
+
+/**
+ * Reference oracle of allocateRegistersInto, called only by the same
+ * two: its std::map expiry buckets are the legacy implementation.
+ */
+RegAssignment allocateRegistersReference(const Module &m,
+                                         const BankAssignment &banks,
+                                         const Schedule &sched);
 
 /** Everything the encoder/simulators need about one compilation. */
 struct CompiledProgram
@@ -114,7 +87,6 @@ struct CompiledProgram
     Schedule schedule;
     RegAssignment regs;
     PipelineModel hw;
-    double compileSeconds = 0.0;
 };
 
 } // namespace finesse

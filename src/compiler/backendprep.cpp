@@ -389,26 +389,23 @@ runBackendPoint(const Module &m, const TracePrep &prep,
                 BackendScratch &scratch, BackendPoint &out)
 {
     using Clock = std::chrono::steady_clock;
-    auto since = [](Clock::time_point t0) {
-        return std::chrono::duration<double>(Clock::now() - t0).count();
-    };
     const auto start = Clock::now();
     assignBanksInto(m, hw, out.banks);
-    out.bankallocSeconds = since(start);
+    out.bankallocSeconds = secondsSince(start);
     const auto tSched = Clock::now();
     scheduleModule(m, prep, out.banks, hw, listSchedule, scratch,
                    out.schedule);
-    out.packschedSeconds = since(tSched);
+    out.packschedSeconds = secondsSince(tSched);
     const auto tRegs = Clock::now();
     allocateRegistersInto(m, out.banks, out.schedule, scratch, out.regs);
-    out.regallocSeconds = since(tRegs);
+    out.regallocSeconds = secondsSince(tRegs);
     const auto tEnc = Clock::now();
     const EncodingLayout layout =
         encodingLayout(out.banks, out.regs, out.schedule, hw);
     out.wordBits = layout.wordBits;
     out.imemBits = layout.imemBits();
-    out.encodeSeconds = since(tEnc);
-    out.seconds = since(start);
+    out.encodeSeconds = secondsSince(tEnc);
+    out.seconds = secondsSince(start);
 }
 
 } // namespace finesse

@@ -1,20 +1,17 @@
 /**
  * @file
- * Batched backend evaluation: the hardware-independent per-trace
- * artifact (TracePrep), the reusable per-worker buffer set
- * (BackendScratch), and the allocation-free backend point runner.
+ * The backend stage functions (assignBanksInto, scheduleModule,
+ * allocateRegistersInto), the per-trace artifact (TracePrep), the
+ * per-worker buffer set (BackendScratch) and the backend point runner.
  *
- * A DSE sweep evaluates many (hardware model, schedule mode) points
- * against one cached front-end trace. The classic path re-derived the
- * identical def-use/dependence graph from the Module for every point
- * and churned through per-point allocations; here the graph is built
- * exactly once per trace (TracePrep, immutable, shared read-only by
- * every worker) and all per-point working state lives in a
- * BackendScratch that is reset -- never reallocated -- between
- * points. The engines are byte-identical to the legacy Module-walking
- * reference (scheduleModuleReference / allocateRegisters), which is
- * kept as the oracle (tests/test_backend_props.cpp,
- * bench/fig_backend.cpp).
+ * Compile and sweep run the same stage functions: the compile
+ * pipeline's passes (compiler/pipeline.cpp) with a per-call prep and
+ * scratch, runBackendPoint against one TracePrep per cached trace,
+ * built once and shared read-only by every worker. All per-point
+ * working state lives in a BackendScratch that is reset -- never
+ * reallocated -- between points. The stages are byte-identical to
+ * the reference oracles in compiler/backend.h, checked by
+ * tests/test_backend_props.cpp and bench/fig_backend.cpp.
  */
 #ifndef FINESSE_COMPILER_BACKENDPREP_H_
 #define FINESSE_COMPILER_BACKENDPREP_H_
@@ -109,15 +106,16 @@ struct BackendScratch
     BackendPoint point;
 };
 
-/** BankAlloc into a reused assignment (same result as assignBanks). */
+/** BankAlloc: residual (modulo) bank assignment, the paper's baseline. */
 void assignBanksInto(const Module &m, const PipelineModel &hw,
                      BankAssignment &out);
 
 /**
- * PackSched against a shared TracePrep: the batched-engine overload of
- * scheduleModule. Byte-identical schedules to the legacy reference for
- * both init (program-order) and list scheduling; zero graph
- * rebuilding, and all working state in @p scratch. @p sched is
+ * PackSched. When @p useListScheduling is false the schedule is plain
+ * program order (one instruction per bundle): the "Init" baseline.
+ * Otherwise: top-down list scheduling over the dependence DAG with
+ * issue-slot affinity ordering and greedy constraint-checked packing
+ * (Algorithm 2). All working state lives in @p scratch; @p sched is
  * overwritten in place, reusing its buffers.
  */
 void scheduleModule(const Module &m, const TracePrep &prep,
@@ -126,9 +124,9 @@ void scheduleModule(const Module &m, const TracePrep &prep,
                     Schedule &sched);
 
 /**
- * RegAlloc with scratch-resident liveness/expiry buffers (counting-
- * sorted expiry buckets replace the legacy std::map). Byte-identical
- * register assignment to allocateRegisters.
+ * RegAlloc: linear-scan allocation in schedule order with per-bank
+ * free lists; constants are pinned (preloaded into DMem). Liveness and
+ * counting-sorted expiry buffers live in @p scratch.
  */
 void allocateRegistersInto(const Module &m, const BankAssignment &banks,
                            const Schedule &sched, BackendScratch &scratch,

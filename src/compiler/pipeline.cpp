@@ -2,11 +2,14 @@
  * @file
  * PassManager implementation plus the four backend stages (BankAlloc,
  * PackSched, RegAlloc, encode) as passes over the CompilationContext.
+ * The stage passes call the same stage functions the DSE sweep's
+ * runBackendPoint runs (compiler/backendprep.h).
  */
 #include "compiler/pipeline.h"
 
 #include <chrono>
 
+#include "compiler/backendprep.h"
 #include "compiler/optcontext.h"
 #include "support/common.h"
 
@@ -27,7 +30,7 @@ class BankAllocPass final : public Pass
     bool
     run(CompilationContext &ctx) override
     {
-        ctx.prog.banks = assignBanks(ctx.module(), ctx.prog.hw);
+        assignBanksInto(ctx.module(), ctx.prog.hw, ctx.prog.banks);
         ctx.hasBanks = true;
         return true;
     }
@@ -46,9 +49,10 @@ class PackSchedPass final : public Pass
     {
         FINESSE_CHECK(ctx.hasBanks,
                       "packsched requires bankalloc in the pipeline");
-        ctx.prog.schedule = scheduleModule(ctx.module(), ctx.prog.banks,
-                                           ctx.prog.hw,
-                                           ctx.listSchedule);
+        const TracePrep prep = buildTracePrep(ctx.module());
+        BackendScratch scratch;
+        scheduleModule(ctx.module(), prep, ctx.prog.banks, ctx.prog.hw,
+                       ctx.listSchedule, scratch, ctx.prog.schedule);
         ctx.hasSchedule = true;
         return true;
     }
@@ -67,8 +71,9 @@ class RegAllocPass final : public Pass
     {
         FINESSE_CHECK(ctx.hasBanks && ctx.hasSchedule,
                       "regalloc requires bankalloc + packsched");
-        ctx.prog.regs = allocateRegisters(ctx.module(), ctx.prog.banks,
-                                          ctx.prog.schedule);
+        BackendScratch scratch;
+        allocateRegistersInto(ctx.module(), ctx.prog.banks,
+                              ctx.prog.schedule, scratch, ctx.prog.regs);
         ctx.hasRegs = true;
         return true;
     }

@@ -331,11 +331,7 @@ runBackendPipeline(Module module, const PipelineModel &hw,
     result.prog = std::move(ctx.prog);
     result.binary = std::move(ctx.binary);
     result.opt = std::move(ctx.stats);
-    result.compileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    result.prog.compileSeconds = result.compileSeconds;
+    result.compileSeconds = secondsSince(start);
     return result;
 }
 
@@ -370,11 +366,7 @@ class CurveHandleImpl : public ICurveHandle
         CompileResult result = runBackendPipeline(
             std::move(m), opt.hw, opt.listSchedule, opt.backendPasses(),
             stats);
-        result.compileSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        result.prog.compileSeconds = result.compileSeconds;
+        result.compileSeconds = secondsSince(start);
         return result;
     }
 
@@ -532,6 +524,23 @@ runBackend(Module module, const PipelineModel &hw, bool listSchedule,
                               backendPasses.empty() ? backendPassNames()
                                                     : backendPasses,
                               stats);
+}
+
+DesignPoint
+designPoint(int fpBits, const PipelineModel &hw, int cores,
+            const BankAssignment &banks, const RegAssignment &regs,
+            size_t imemBits)
+{
+    DesignPoint dp;
+    dp.fpBits = fpBits;
+    dp.longDepth = hw.longLat;
+    dp.numLinUnits = hw.numLinUnits;
+    dp.cores = cores;
+    dp.imemBits = imemBits;
+    for (i32 w : regs.maxRegsPerBank)
+        dp.dmemWords += static_cast<size_t>(w);
+    dp.numBanks = banks.numBanks;
+    return dp;
 }
 
 const ICurveHandle &

@@ -206,6 +206,14 @@ CompileResult runBackend(Module module, const PipelineModel &hw,
                          const std::vector<std::string> &backendPasses = {});
 
 /**
+ * The area model's input for one compiled design point: the one place
+ * a DesignPoint is built from backend artifacts.
+ */
+DesignPoint designPoint(int fpBits, const PipelineModel &hw, int cores,
+                        const BankAssignment &banks,
+                        const RegAssignment &regs, size_t imemBits);
+
+/**
  * Counters of the process-wide front-end trace cache. The cache is
  * sharded by key hash with one mutex per shard, so concurrent sweep
  * workers on different keys never contend; concurrent requests for
@@ -313,18 +321,9 @@ class Framework
     AreaReport
     area(const CompileResult &result, int cores = 1) const
     {
-        DesignPoint dp;
-        dp.fpBits = info().logP();
-        dp.longDepth = result.prog.hw.longLat;
-        dp.numLinUnits = result.prog.hw.numLinUnits;
-        dp.cores = cores;
-        dp.imemBits = result.binary.imemBits();
-        size_t words = 0;
-        for (i32 w : result.prog.regs.maxRegsPerBank)
-            words += static_cast<size_t>(w);
-        dp.dmemWords = words;
-        dp.numBanks = result.prog.banks.numBanks;
-        return AreaModel().report(dp);
+        return AreaModel().report(designPoint(
+            info().logP(), result.prog.hw, cores, result.prog.banks,
+            result.prog.regs, result.binary.imemBits()));
     }
 
   private:

@@ -61,10 +61,8 @@ optionsFromConfig(const Config &cfg)
     opt.listSchedule = cfg.getBool("schedule", true);
     opt.passes = parsePassList(cfg.getString("passes", ""));
     opt.useTraceCache = cfg.getBool("trace_cache", true);
-    opt.jobs = static_cast<int>(cfg.getInt("jobs", 0));
-    FINESSE_REQUIRE(opt.jobs >= 0, "jobs must be >= 0");
-    opt.dseWorkers = static_cast<int>(cfg.getInt("dse_workers", 0));
-    FINESSE_REQUIRE(opt.dseWorkers >= 0, "dse_workers must be >= 0");
+    opt.jobs = cfg.getInt("jobs", 0, 0);
+    opt.dseWorkers = cfg.getInt("dse_workers", 0, 0);
 
     const std::string part = cfg.getString("part", "full");
     if (part == "miller")
@@ -74,16 +72,15 @@ optionsFromConfig(const Config &cfg)
     else
         FINESSE_REQUIRE(part == "full", "bad part: ", part);
 
-    opt.hw.longLat = static_cast<int>(cfg.getInt("hw.long_lat", 38));
-    opt.hw.shortLat = static_cast<int>(cfg.getInt("hw.short_lat", 8));
-    opt.hw.invLat = static_cast<int>(cfg.getInt("hw.inv_lat", 900));
-    opt.hw.issueWidth = static_cast<int>(cfg.getInt("hw.issue_width", 1));
-    opt.hw.numLinUnits = static_cast<int>(cfg.getInt("hw.lin_units", 1));
-    opt.hw.numBanks = static_cast<int>(
-        cfg.getInt("hw.banks", opt.hw.issueWidth));
+    opt.hw.longLat = cfg.getInt("hw.long_lat", 38);
+    opt.hw.shortLat = cfg.getInt("hw.short_lat", 8);
+    opt.hw.invLat = cfg.getInt("hw.inv_lat", 900);
+    opt.hw.issueWidth = cfg.getInt("hw.issue_width", 1);
+    opt.hw.numLinUnits = cfg.getInt("hw.lin_units", 1);
+    opt.hw.numBanks = cfg.getInt("hw.banks", opt.hw.issueWidth);
     opt.hw.writebackFifo =
         cfg.getBool("hw.fifo", opt.hw.issueWidth > 1);
-    opt.hw.fifoDepth = static_cast<int>(cfg.getInt("hw.fifo_depth", 8));
+    opt.hw.fifoDepth = cfg.getInt("hw.fifo_depth", 8);
     opt.hw.beta = cfg.getDouble("hw.beta", 0.05);
 
     auto parseMul = [](const std::string &v) {
@@ -130,25 +127,21 @@ optionsFromConfig(const Config &cfg)
 inline void
 applyDistributorConfig(const Config &cfg, DistributorOptions &dopts)
 {
-    dopts.maxGroupRetries = static_cast<int>(
-        cfg.getInt("dse.retries", dopts.maxGroupRetries));
-    FINESSE_REQUIRE(dopts.maxGroupRetries >= 0,
-                    "dse.retries must be >= 0");
-    dopts.livenessTimeoutMs = static_cast<int>(
-        cfg.getInt("dse.liveness_ms", dopts.livenessTimeoutMs));
-    dopts.groupDeadlineMs = static_cast<int>(
-        cfg.getInt("dse.group_deadline_ms", dopts.groupDeadlineMs));
-    dopts.hedgeAfterMs = static_cast<int>(
-        cfg.getInt("dse.hedge_ms", dopts.hedgeAfterMs));
-    dopts.maxRespawns = static_cast<int>(
-        cfg.getInt("dse.respawns", dopts.maxRespawns));
+    dopts.maxGroupRetries =
+        cfg.getInt("dse.retries", dopts.maxGroupRetries, 0);
+    dopts.livenessTimeoutMs =
+        cfg.getInt("dse.liveness_ms", dopts.livenessTimeoutMs);
+    dopts.groupDeadlineMs =
+        cfg.getInt("dse.group_deadline_ms", dopts.groupDeadlineMs);
+    dopts.hedgeAfterMs = cfg.getInt("dse.hedge_ms", dopts.hedgeAfterMs);
+    dopts.maxRespawns = cfg.getInt("dse.respawns", dopts.maxRespawns);
     dopts.fallbackLocal =
         cfg.getBool("dse.fallback_local", dopts.fallbackLocal);
     const std::string hosts = cfg.getString("dse.hosts", "");
     if (!hosts.empty())
         dopts.hosts = splitList(hosts);
-    dopts.connectTimeoutMs = static_cast<int>(
-        cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs));
+    dopts.connectTimeoutMs =
+        cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs);
 }
 
 } // namespace finesse

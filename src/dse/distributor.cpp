@@ -47,7 +47,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -67,6 +66,7 @@
 #include "curve/catalog.h"
 #include "dse/chaosproxy.h"
 #include "support/connection.h"
+#include "support/numparse.h"
 #include "support/socket.h"
 #include "support/splitlist.h"
 #include "support/subprocess.h"
@@ -99,30 +99,11 @@ constexpr i64 kRetryBackoffCapMs = 2000;
  */
 constexpr size_t kPreHelloPayloadCap = 4096;
 
-/**
- * Strict base-10 parse of @p text as an int in [@p lo, INT_MAX].
- * Empty text, trailing junk and out-of-range values (which strtol
- * would clamp to LONG_MAX and a cast would then truncate) are all
- * nullopt -- a bounded count must never wrap into a different one.
- */
-std::optional<int>
-parseIntAtLeast(const char *text, int lo)
-{
-    if (!text || !*text)
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v < lo ||
-        v > INT_MAX)
-        return std::nullopt;
-    return static_cast<int>(v);
-}
-
 int
 envMsOr(const char *name, int dflt)
 {
-    return parseIntAtLeast(std::getenv(name), 1).value_or(dflt);
+    const char *text = std::getenv(name);
+    return text ? parseInt(text, 1).value_or(dflt) : dflt;
 }
 
 i64
@@ -218,22 +199,13 @@ FaultPlan::parse(const std::string &spec)
     FaultPlan plan;
     const auto parseIndex = [&](const std::string &text,
                                 const std::string &term) {
-        const std::optional<int> v = parseIntAtLeast(text.c_str(), 0);
+        const std::optional<int> v = parseInt(text, 0);
         if (!v)
             fatal("fault plan: bad index '", text, "' in '", term, "'");
         return *v;
     };
 
-    size_t start = 0;
-    while (start <= spec.size()) {
-        size_t semi = spec.find(';', start);
-        if (semi == std::string::npos)
-            semi = spec.size();
-        const std::string term = spec.substr(start, semi - start);
-        start = semi + 1;
-        if (term.empty())
-            continue;
-
+    for (const std::string &term : splitList(spec, ';')) {
         const size_t at = term.find('@');
         if (at == std::string::npos)
             fatal("fault plan: missing '@' in '", term, "'");
@@ -1282,8 +1254,7 @@ maybeRunDseWorkerMain(int argc, char **argv)
         } else if (arg.rfind("--connect=", 0) == 0) {
             connect = arg.substr(10);
         } else if (arg.rfind("--max-accepts=", 0) == 0) {
-            const std::optional<int> v =
-                parseIntAtLeast(arg.c_str() + 14, 1);
+            const std::optional<int> v = parseInt(arg.c_str() + 14, 1);
             if (!v) {
                 std::fprintf(stderr,
                              "dse-worker: bad --max-accepts '%s'\n",

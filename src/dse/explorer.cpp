@@ -21,40 +21,6 @@ namespace finesse {
 
 namespace {
 
-/**
- * Consumes the CompileResult: callers hand over their (freshly
- * compiled) result so the per-pass stats move instead of copying the
- * whole OptStats vector on the hot sweep path.
- */
-void
-fillMetrics(DsePoint &p, const Framework &fw, CompileResult &&res,
-            int cores)
-{
-    p.instrs = res.instrs();
-    p.mulInstrs = res.prog.module.countUnit(UnitClass::Mul);
-    p.linInstrs = res.prog.module.countUnit(UnitClass::Linear);
-    p.compileSeconds = res.compileSeconds;
-    p.opt = std::move(res.opt);
-
-    const CycleStats sim = simulateCycles(res.prog);
-    p.cycles = sim.totalCycles;
-    p.ipc = sim.ipc();
-
-    const AreaReport area = fw.area(res, cores);
-    p.areaMm2 = area.totalArea;
-
-    TimingModel timing;
-    p.criticalPathNs =
-        timing.criticalPathNs(fw.info().logP(), res.prog.hw.longLat);
-    p.freqMHz =
-        timing.frequencyMHz(fw.info().logP(), res.prog.hw.longLat);
-
-    p.latencyUs = static_cast<double>(p.cycles) / p.freqMHz;
-    p.throughputOps =
-        cores * p.freqMHz * 1e6 / static_cast<double>(p.cycles);
-    p.thptPerArea = p.throughputOps / p.areaMm2;
-}
-
 /** Per-worker reusable backend buffers (one per thread, never shared). */
 BackendScratch &
 workerScratch()
@@ -66,10 +32,9 @@ workerScratch()
 /**
  * One design point on the batched engine: backend artifacts + cycle
  * simulation + area/timing models against the shared immutable
- * (module, prep). Computes exactly the numbers fillMetrics derives
- * from a full CompileResult -- identical by the engine-identity and
- * encoding-layout contracts -- without cloning the module or
- * materializing the binary.
+ * (module, prep), without cloning the module or materializing the
+ * binary. Equal to the per-point compile path (evaluateLegacy) by the
+ * engine-identity and encoding-layout contracts.
  */
 DsePoint
 evaluatePoint(const Framework &fw, const Module &m, const TracePrep &prep,
@@ -106,34 +71,13 @@ evaluatePoint(const Framework &fw, const Module &m, const TracePrep &prep,
         p.opt.seconds += seconds;
     }
 
-    const CycleStats sim = simulateCycles(m, bp.banks, bp.schedule,
-                                          opt.hw, 10000, 64, &scratch);
-    p.cycles = sim.totalCycles;
-    p.ipc = sim.ipc();
-
-    // Same DesignPoint Framework::area builds from a CompileResult.
-    DesignPoint dp;
-    dp.fpBits = fw.info().logP();
-    dp.longDepth = opt.hw.longLat;
-    dp.numLinUnits = opt.hw.numLinUnits;
-    dp.cores = cores;
-    dp.imemBits = bp.imemBits;
-    size_t words = 0;
-    for (i32 w : bp.regs.maxRegsPerBank)
-        words += static_cast<size_t>(w);
-    dp.dmemWords = words;
-    dp.numBanks = bp.banks.numBanks;
-    p.areaMm2 = AreaModel().report(dp).totalArea;
-
-    TimingModel timing;
-    p.criticalPathNs =
-        timing.criticalPathNs(fw.info().logP(), opt.hw.longLat);
-    p.freqMHz = timing.frequencyMHz(fw.info().logP(), opt.hw.longLat);
-
-    p.latencyUs = static_cast<double>(p.cycles) / p.freqMHz;
-    p.throughputOps =
-        cores * p.freqMHz * 1e6 / static_cast<double>(p.cycles);
-    p.thptPerArea = p.throughputOps / p.areaMm2;
+    const int fpBits = fw.info().logP();
+    fillModelMetrics(
+        p, fpBits,
+        simulateCycles(m, bp.banks, bp.schedule, opt.hw, 10000, 64,
+                       &scratch),
+        AreaModel().report(designPoint(fpBits, opt.hw, cores, bp.banks,
+                                       bp.regs, bp.imemBits)));
     return p;
 }
 
@@ -169,6 +113,24 @@ groupByTraceKey(const std::string &curve,
     return out;
 }
 
+void
+fillModelMetrics(DsePoint &p, int fpBits, const CycleStats &sim,
+                 const AreaReport &area)
+{
+    p.cycles = sim.totalCycles;
+    p.ipc = sim.ipc();
+    p.areaMm2 = area.totalArea;
+
+    TimingModel timing;
+    p.criticalPathNs = timing.criticalPathNs(fpBits, p.hw.longLat);
+    p.freqMHz = timing.frequencyMHz(fpBits, p.hw.longLat);
+
+    p.latencyUs = static_cast<double>(p.cycles) / p.freqMHz;
+    p.throughputOps =
+        p.cores * p.freqMHz * 1e6 / static_cast<double>(p.cycles);
+    p.thptPerArea = p.throughputOps / p.areaMm2;
+}
+
 DsePoint
 Explorer::evaluateLegacy(const CompileOptions &opt, int cores,
                          const std::string &label) const
@@ -178,7 +140,14 @@ Explorer::evaluateLegacy(const CompileOptions &opt, int cores,
     p.variants = opt.variants;
     p.hw = opt.hw;
     p.cores = cores;
-    fillMetrics(p, fw_, fw_.compile(opt), cores);
+    CompileResult res = fw_.compile(opt);
+    p.instrs = res.instrs();
+    p.mulInstrs = res.prog.module.countUnit(UnitClass::Mul);
+    p.linInstrs = res.prog.module.countUnit(UnitClass::Linear);
+    p.compileSeconds = res.compileSeconds;
+    fillModelMetrics(p, fw_.info().logP(), simulateCycles(res.prog),
+                     fw_.area(res, cores));
+    p.opt = std::move(res.opt);
     return p;
 }
 
@@ -186,14 +155,7 @@ DsePoint
 Explorer::evaluate(const CompileOptions &opt, int cores,
                    const std::string &label) const
 {
-    if (!batchableRequest(opt))
-        return evaluateLegacy(opt, cores, label);
-    OptStats stats;
-    const std::shared_ptr<const Module> trace =
-        fw_.traceShared(opt, stats);
-    const TracePrep prep = buildTracePrep(*trace);
-    return evaluatePoint(fw_, *trace, prep, opt, cores, label, stats,
-                         workerScratch());
+    return evaluateAll({DseRequest{opt, cores, label}}, 1)[0];
 }
 
 std::vector<DsePoint>

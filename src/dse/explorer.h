@@ -51,6 +51,14 @@ struct DsePoint
     OptStats opt;
 };
 
+/**
+ * Fill @p p's model metrics (its hw and cores set) from its cycle
+ * simulation and area report: the one derivation of frequency,
+ * latency, throughput and thpt-per-area.
+ */
+void fillModelMetrics(DsePoint &p, int fpBits, const CycleStats &sim,
+                      const AreaReport &area);
+
 /** Objective helpers for exploration. */
 enum class Objective { MinCycles, MaxThroughput, MaxThptPerArea, MinArea };
 
@@ -103,11 +111,10 @@ class Explorer
     const Framework &framework() const { return fw_; }
 
     /**
-     * Compile + simulate + model one design point. The front end goes
-     * through the process-wide trace cache and the backend runs on the
-     * batched engine against the shared (un-cloned) cached trace, so a
-     * sweep that varies only the hardware model re-runs just the
-     * backend stages and never deep-copies the trace module.
+     * Compile + simulate + model one design point: a one-request,
+     * serial evaluateAll. The front end goes through the process-wide
+     * trace cache and the backend runs on the batched engine against
+     * the shared (un-cloned) cached trace.
      */
     DsePoint evaluate(const CompileOptions &opt, int cores,
                       const std::string &label) const;

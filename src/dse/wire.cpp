@@ -116,21 +116,6 @@ getHw(WireReader &r)
     return hw;
 }
 
-// OptStats encoding is shared with the artifact cache: one
-// definition (core/artifacts.h putOptStats/getOptStats), so a cached
-// point and a wire-shipped point round-trip through identical bytes.
-void
-putStats(WireWriter &w, const OptStats &s)
-{
-    putOptStats(w, s);
-}
-
-OptStats
-getStats(WireReader &r)
-{
-    return getOptStats(r);
-}
-
 } // namespace
 
 void
@@ -191,7 +176,9 @@ putPoint(WireWriter &w, const DsePoint &p)
     w.f64v(p.throughputOps);
     w.f64v(p.thptPerArea);
     w.f64v(p.compileSeconds);
-    putStats(w, p.opt);
+    // Shared with the artifact cache (core/artifacts.h): a cached point
+    // and a wire-shipped point round-trip through identical bytes.
+    putOptStats(w, p.opt);
 }
 
 DsePoint
@@ -214,7 +201,7 @@ getPoint(WireReader &r)
     p.throughputOps = r.f64v();
     p.thptPerArea = r.f64v();
     p.compileSeconds = r.f64v();
-    p.opt = getStats(r);
+    p.opt = getOptStats(r);
     return p;
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/framework.h"
 #include "support/diskcache.h"
+#include "support/numparse.h"
 #include "support/socket.h"
 #include "support/splitlist.h"
 
@@ -16,22 +17,32 @@ namespace finesse {
 
 namespace {
 
+/** Comma-separated 0-based indices, each in [0, @p n). */
 std::set<int>
-parseIndexList(const std::string &list)
+parseIndexList(const std::string &list, size_t n)
 {
     std::set<int> out;
     for (const std::string &tok : splitList(list)) {
-        size_t consumed = 0;
-        int idx = -1;
-        try {
-            idx = std::stoi(tok, &consumed);
-        } catch (...) {
-        }
-        FINESSE_REQUIRE(consumed == tok.size() && idx >= 0,
-                        "bad corrupt index: ", tok);
-        out.insert(idx);
+        const std::optional<int> idx = parseInt(tok, 0);
+        if (!idx)
+            fatal("bad corrupt index: ", tok);
+        if (static_cast<size_t>(*idx) >= n)
+            fatal("corrupt index ", *idx, " out of range (n=", n, ")");
+        out.insert(*idx);
     }
+    if (out.empty())
+        fatal("empty corrupt index list");
     return out;
+}
+
+/** Request count of a serve command or workload token: >= 1. */
+int
+parseRequestCount(const std::string &text)
+{
+    const std::optional<int> n = parseInt(text, 1);
+    if (!n)
+        fatal("bad request count: ", text);
+    return *n;
 }
 
 /**
@@ -94,30 +105,16 @@ submitWithRetry(ServeEngine &engine, const VerifyRequest &req,
 /** One `bls|kzg|zk N [corrupt=i,j]` command: submit, wait, report. */
 void
 runKindCommand(ServeEngine &engine, WorkloadFactory &factory,
-               RequestKind kind, std::istringstream &line, FILE *to)
+               const ServeCommand &c, FILE *to)
 {
-    int n = 0;
-    line >> n;
-    if (n <= 0) {
-        std::fprintf(to, "err bad request count\n");
-        return;
-    }
-    std::set<int> corrupt;
-    std::string tail;
-    if (line >> tail) {
-        if (tail.rfind("corrupt=", 0) != 0) {
-            std::fprintf(to, "err bad argument: %s\n", tail.c_str());
-            return;
-        }
-        corrupt = parseIndexList(tail.substr(8));
-    }
+    const int n = c.count;
     int retries = 0;
     std::vector<std::future<Verdict>> futures;
     futures.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         futures.push_back(
             submitWithRetry(engine,
-                            factory.make(kind, corrupt.count(i) > 0),
+                            factory.make(c.kind, c.corrupt.count(i) > 0),
                             &retries)
                 .verdict);
     }
@@ -131,7 +128,7 @@ runKindCommand(ServeEngine &engine, WorkloadFactory &factory,
     std::fprintf(to,
                  "ok kind=%s n=%d accepted=%zu rejected=%zu retries=%d "
                  "verdicts=%s\n",
-                 toString(kind), n, accepted,
+                 toString(c.kind), n, accepted,
                  static_cast<size_t>(n) - accepted, retries,
                  verdicts.c_str());
 }
@@ -139,19 +136,11 @@ runKindCommand(ServeEngine &engine, WorkloadFactory &factory,
 /** `flood <kind> N`: no waiting, no backoff — show the bounces. */
 void
 runFloodCommand(ServeEngine &engine, WorkloadFactory &factory,
-                std::istringstream &line, FILE *to)
+                const ServeCommand &c, FILE *to)
 {
-    std::string kindName;
-    int n = 0;
-    line >> kindName >> n;
-    if (kindName.empty() || n <= 0) {
-        std::fprintf(to, "err usage: flood <bls|kzg|zk> N\n");
-        return;
-    }
-    const RequestKind kind = parseRequestKind(kindName);
     int admitted = 0, bounced = 0, lastRetryMs = 0;
-    for (int i = 0; i < n; ++i) {
-        Admission adm = engine.submit(factory.make(kind, false));
+    for (int i = 0; i < c.count; ++i) {
+        Admission adm = engine.submit(factory.make(c.kind, false));
         if (adm.admitted) {
             admitted++; // future dropped: verdict still computed
         } else {
@@ -162,7 +151,8 @@ runFloodCommand(ServeEngine &engine, WorkloadFactory &factory,
     std::fprintf(to,
                  "flood kind=%s n=%d admitted=%d bounced=%d "
                  "retry_after_ms=%d\n",
-                 toString(kind), n, admitted, bounced, lastRetryMs);
+                 toString(c.kind), c.count, admitted, bounced,
+                 lastRetryMs);
 }
 
 void
@@ -171,28 +161,24 @@ commandLoop(ServeEngine &engine, WorkloadFactory &factory, FILE *in,
 {
     char *lineBuf = nullptr;
     size_t lineCap = 0;
+    using Op = ServeCommand::Op;
     while (getline(&lineBuf, &lineCap, in) >= 0) {
-        std::istringstream line{std::string(lineBuf)};
-        std::string cmd;
-        if (!(line >> cmd) || cmd[0] == '#')
-            continue;
         try {
-            if (cmd == "bls" || cmd == "kzg" || cmd == "zk") {
-                runKindCommand(engine, factory, parseRequestKind(cmd),
-                               line, to);
-            } else if (cmd == "flood") {
-                runFloodCommand(engine, factory, line, to);
-            } else if (cmd == "stats") {
+            const ServeCommand c = parseServeCommand(lineBuf);
+            if (c.op == Op::None)
+                continue;
+            if (c.op == Op::Quit)
+                break;
+            if (c.op == Op::Submit) {
+                runKindCommand(engine, factory, c, to);
+            } else if (c.op == Op::Flood) {
+                runFloodCommand(engine, factory, c, to);
+            } else if (c.op == Op::Stats) {
                 printStats(to, engine.counters());
-            } else if (cmd == "drain") {
+            } else {
                 engine.drain();
                 std::fprintf(to, "drained completed=%zu\n",
                              engine.counters().completed);
-            } else if (cmd == "quit") {
-                break;
-            } else {
-                std::fprintf(to, "err unknown command: %s\n",
-                             cmd.c_str());
             }
         } catch (const std::exception &e) {
             std::fprintf(to, "err %s\n", e.what());
@@ -204,6 +190,51 @@ commandLoop(ServeEngine &engine, WorkloadFactory &factory, FILE *in,
 
 } // namespace
 
+ServeCommand
+parseServeCommand(const std::string &line)
+{
+    std::istringstream in(line);
+    std::vector<std::string> tok;
+    for (std::string t; in >> t;)
+        tok.push_back(std::move(t));
+    ServeCommand c;
+    if (tok.empty() || tok[0][0] == '#')
+        return c;
+    const std::string &cmd = tok[0];
+    size_t used = 1;
+    if (cmd == "bls" || cmd == "kzg" || cmd == "zk") {
+        if (tok.size() < 2)
+            fatal("usage: ", cmd, " N [corrupt=i,j]");
+        c.op = ServeCommand::Op::Submit;
+        c.kind = parseRequestKind(cmd);
+        c.count = parseRequestCount(tok[1]);
+        used = 2;
+        if (tok.size() > 2 && tok[2].rfind("corrupt=", 0) == 0) {
+            c.corrupt = parseIndexList(tok[2].substr(8),
+                                       static_cast<size_t>(c.count));
+            used = 3;
+        }
+    } else if (cmd == "flood") {
+        if (tok.size() < 3)
+            fatal("usage: flood <bls|kzg|zk> N");
+        c.op = ServeCommand::Op::Flood;
+        c.kind = parseRequestKind(tok[1]);
+        c.count = parseRequestCount(tok[2]);
+        used = 3;
+    } else if (cmd == "stats") {
+        c.op = ServeCommand::Op::Stats;
+    } else if (cmd == "drain") {
+        c.op = ServeCommand::Op::Drain;
+    } else if (cmd == "quit") {
+        c.op = ServeCommand::Op::Quit;
+    } else {
+        fatal("unknown command: ", cmd);
+    }
+    if (tok.size() > used)
+        fatal("unexpected argument: ", tok[used]);
+    return c;
+}
+
 std::vector<std::pair<RequestKind, int>>
 parseWorkloadSpec(const std::string &spec)
 {
@@ -213,16 +244,7 @@ parseWorkloadSpec(const std::string &spec)
         FINESSE_REQUIRE(colon != std::string::npos,
                         "bad workload token (want kind:count): ", tok);
         const RequestKind kind = parseRequestKind(tok.substr(0, colon));
-        const std::string countStr = tok.substr(colon + 1);
-        size_t consumed = 0;
-        int count = -1;
-        try {
-            count = std::stoi(countStr, &consumed);
-        } catch (...) {
-        }
-        FINESSE_REQUIRE(consumed == countStr.size() && count > 0,
-                        "bad workload count: ", tok);
-        out.emplace_back(kind, count);
+        out.emplace_back(kind, parseRequestCount(tok.substr(colon + 1)));
     }
     FINESSE_REQUIRE(!out.empty(), "empty workload spec");
     return out;
@@ -295,9 +317,12 @@ runVerifyBatchCommand(const ServeCliOptions &opts)
 {
     const CurveSystem12 &sys = curveSystem12(opts.curve);
     const auto mix = parseWorkloadSpec(opts.workload);
+    size_t total = 0;
+    for (const auto &[kind, count] : mix)
+        total += static_cast<size_t>(count);
     const std::set<int> corrupt =
         opts.corrupt.empty() ? std::set<int>{}
-                             : parseIndexList(opts.corrupt);
+                             : parseIndexList(opts.corrupt, total);
 
     WorkloadFactory factory(sys, opts.engine.seed);
     std::vector<VerifyRequest> requests;
@@ -309,11 +334,6 @@ runVerifyBatchCommand(const ServeCliOptions &opts)
                 factory.make(kind, corrupt.count(global) > 0));
             kinds.push_back(kind);
         }
-    }
-    for (const int idx : corrupt) {
-        FINESSE_REQUIRE(idx < static_cast<int>(requests.size()),
-                        "--corrupt index ", idx, " out of range (n=",
-                        requests.size(), ")");
     }
 
     // Reference verdicts: per-request single verification.

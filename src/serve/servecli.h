@@ -34,6 +34,7 @@
 #ifndef FINESSE_SERVE_SERVECLI_H_
 #define FINESSE_SERVE_SERVECLI_H_
 
+#include <set>
 #include <string>
 
 #include "core/options.h"
@@ -52,6 +53,23 @@ struct ServeCliOptions
     std::string corrupt;       ///< verify-batch indices to corrupt
     CompileOptions compile;    ///< warmup compile (config-derived)
 };
+
+/** One parsed line of the `serve` command loop. */
+struct ServeCommand
+{
+    enum class Op { None, Submit, Flood, Stats, Drain, Quit };
+    Op op = Op::None; ///< None: blank or `#` comment line
+    RequestKind kind = RequestKind::Bls; ///< Submit / Flood
+    int count = 0;                       ///< Submit / Flood, >= 1
+    std::set<int> corrupt; ///< Submit: indices to corrupt, each < count
+};
+
+/**
+ * Parse one serve command line, with no I/O. Throws FatalError (the
+ * loop replies `err <message>`) on anything malformed: the count and
+ * index rules are verify-batch's.
+ */
+ServeCommand parseServeCommand(const std::string &line);
 
 /** `kind:count,...` over bls|kzg|zk; throws FatalError on junk. */
 std::vector<std::pair<RequestKind, int>>

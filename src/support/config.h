@@ -19,6 +19,7 @@
 #include <string>
 
 #include "support/common.h"
+#include "support/numparse.h"
 
 namespace finesse {
 
@@ -65,18 +66,20 @@ class Config
         return it == values_.end() ? dflt : it->second;
     }
 
-    i64
-    getInt(const std::string &key, i64 dflt = 0) const
+    /** Strict integer in [@p lo, @p hi]; fatal, naming the key. */
+    int
+    getInt(const std::string &key, int dflt = 0,
+           int lo = std::numeric_limits<int>::min(),
+           int hi = std::numeric_limits<int>::max()) const
     {
         auto it = values_.find(key);
         if (it == values_.end())
             return dflt;
-        try {
-            return std::stoll(it->second, nullptr, 0);
-        } catch (...) {
-            fatal("config key '", key, "': not an integer: ",
-                  it->second);
-        }
+        const std::optional<int> v = parseInt(it->second, lo, hi);
+        if (!v)
+            fatal("config key '", key, "': not an integer in [", lo,
+                  ", ", hi, "]: ", it->second);
+        return *v;
     }
 
     double
@@ -85,11 +88,10 @@ class Config
         auto it = values_.find(key);
         if (it == values_.end())
             return dflt;
-        try {
-            return std::stod(it->second);
-        } catch (...) {
+        const std::optional<double> v = parseDouble(it->second);
+        if (!v)
             fatal("config key '", key, "': not a number: ", it->second);
-        }
+        return *v;
     }
 
     bool

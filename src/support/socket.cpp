@@ -20,6 +20,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "support/numparse.h"
+
 namespace finesse {
 
 namespace {
@@ -141,11 +143,10 @@ parseHostPort(const std::string &spec)
                   "' (bracket IPv6 literals: [addr]:port)");
     }
     const std::string portText = spec.substr(colon + 1);
-    char *end = nullptr;
-    const long port = std::strtol(portText.c_str(), &end, 10);
-    if (portText.empty() || *end != '\0' || port < 0 || port > 65535)
+    const std::optional<int> port = parseInt(portText, 0, 65535);
+    if (!port)
         fatal("bad port '", portText, "' in '", spec, "'");
-    hp.port = static_cast<int>(port);
+    hp.port = *port;
     return hp;
 }
 

@@ -161,12 +161,16 @@ expectEnginesIdentical(const Module &m, const TracePrep &prep,
         EXPECT_EQ(int(prep.numReads[i]), arity(m.body[i].op));
         EXPECT_EQ(UnitClass(prep.unit[i]), unitOf(m.body[i].op));
     }
-    const BankAssignment banks = assignBanks(m, hw);
+    BankAssignment banks;
+    assignBanksInto(m, hw, banks);
     const Schedule ref = scheduleModuleReference(m, banks, hw, listSched);
-    const RegAssignment refRegs = allocateRegisters(m, banks, ref);
+    const RegAssignment refRegs = allocateRegistersReference(m, banks, ref);
 
-    // Wrapper entry point (per-call prep).
-    EXPECT_EQ(scheduleModule(m, banks, hw, listSched), ref);
+    // PassManager entry point: the compile pipeline's backend passes.
+    const CompileResult viaPasses = runBackend(m, hw, listSched);
+    EXPECT_EQ(viaPasses.prog.banks, banks);
+    EXPECT_EQ(viaPasses.prog.schedule, ref);
+    EXPECT_EQ(viaPasses.prog.regs, refRegs);
 
     // Batched entry point (shared prep, reused scratch).
     BackendPoint bp;

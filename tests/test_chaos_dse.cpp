@@ -25,40 +25,10 @@
 
 #include "dse/distributor.h"
 #include "dse/explorer.h"
+#include "dsepoint_eq.h"
 
 namespace finesse {
 namespace {
-
-/** Deterministic DsePoint fields, doubles compared bit-exactly. */
-void
-expectSamePoint(const DsePoint &a, const DsePoint &b)
-{
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instrs, b.instrs);
-    EXPECT_EQ(a.mulInstrs, b.mulInstrs);
-    EXPECT_EQ(a.linInstrs, b.linInstrs);
-    EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.variants.cacheKey(), b.variants.cacheKey());
-    EXPECT_EQ(a.hw.describe(), b.hw.describe());
-    EXPECT_TRUE(a.ipc == b.ipc);
-    EXPECT_TRUE(a.areaMm2 == b.areaMm2);
-    EXPECT_TRUE(a.freqMHz == b.freqMHz);
-    EXPECT_TRUE(a.latencyUs == b.latencyUs);
-    EXPECT_TRUE(a.throughputOps == b.throughputOps);
-    EXPECT_TRUE(a.thptPerArea == b.thptPerArea);
-}
-
-void
-expectSamePoints(const std::vector<DsePoint> &ref,
-                 const std::vector<DsePoint> &got)
-{
-    ASSERT_EQ(got.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-        SCOPED_TRACE("point " + std::to_string(i));
-        expectSamePoint(ref[i], got[i]);
-    }
-}
 
 /**
  * Three trace-key groups (distinct variant configs) of two hardware

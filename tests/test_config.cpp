@@ -35,6 +35,50 @@ TEST(Config, RejectsMalformed)
     const Config cfg = Config::parse("x = abc\n");
     EXPECT_THROW(cfg.getInt("x"), FatalError);
     EXPECT_THROW(cfg.getBool("x"), FatalError);
+
+    // Numbers: trailing junk, octal-looking leading zeros and values
+    // past the int range are fatal, and the error names the key.
+    for (const char *text : {"hw.long_lat = 38abc\n",
+                             "hw.long_lat = 038\n",
+                             "hw.issue_width = 4294967297\n",
+                             "hw.long_lat = 3 8\n", "hw.banks = 0x\n",
+                             "hw.beta = 0.05xyz\n", "hw.beta = nan\n",
+                             "hw.beta = 1e999\n", "jobs = -1\n",
+                             "dse.retries = -2\n"}) {
+        SCOPED_TRACE(text);
+        const Config bad = Config::parse(text);
+        const std::string key = bad.entries().begin()->first;
+        try {
+            optionsFromConfig(bad);
+            DistributorOptions dopts;
+            applyDistributorConfig(bad, dopts);
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Config, KeepsValidNumberForms)
+{
+    const Config cfg = Config::parse(R"(
+a = 0
+b = +7
+c = -3
+d = 0x1F
+e = 2147483647
+f = 1e-3
+g = -0.5
+)");
+    EXPECT_EQ(cfg.getInt("a", 1), 0);
+    EXPECT_EQ(cfg.getInt("b"), 7);
+    EXPECT_EQ(cfg.getInt("c"), -3);
+    EXPECT_EQ(cfg.getInt("d"), 31);
+    EXPECT_EQ(cfg.getInt("e"), 2147483647);
+    EXPECT_EQ(cfg.getDouble("f"), 1e-3);
+    EXPECT_EQ(cfg.getDouble("g"), -0.5);
+    EXPECT_THROW(cfg.getInt("c", 0, 0), FatalError); // below lo
 }
 
 TEST(ConfigBridge, BuildsCompileOptions)

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dse/explorer.h"
+#include "dsepoint_eq.h"
 #include "support/threadpool.h"
 
 namespace finesse {
@@ -88,25 +89,6 @@ TEST(ThreadPool, FreeParallelForRunsInlineWhenSerial)
 }
 
 // -------------------------------------------- determinism of the sweep
-
-/** All deterministic DsePoint fields (everything but wall times). */
-void
-expectSamePoint(const DsePoint &a, const DsePoint &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instrs, b.instrs);
-    EXPECT_EQ(a.mulInstrs, b.mulInstrs);
-    EXPECT_EQ(a.linInstrs, b.linInstrs);
-    EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.variants.cacheKey(), b.variants.cacheKey());
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_DOUBLE_EQ(a.areaMm2, b.areaMm2);
-    EXPECT_DOUBLE_EQ(a.freqMHz, b.freqMHz);
-    EXPECT_DOUBLE_EQ(a.criticalPathNs, b.criticalPathNs);
-    EXPECT_DOUBLE_EQ(a.latencyUs, b.latencyUs);
-    EXPECT_DOUBLE_EQ(a.throughputOps, b.throughputOps);
-    EXPECT_DOUBLE_EQ(a.thptPerArea, b.thptPerArea);
-}
 
 TEST(ParallelDse, EvaluateAllMatchesSerialAcrossJobs)
 {

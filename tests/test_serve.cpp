@@ -6,13 +6,16 @@
  * per-request single verification across all three request kinds,
  * G2-base merge economy (Miller-loop counts), and the ServeEngine's
  * serial == concurrent verdict contract plus admission-queue
- * backpressure. The whole file is TSan-clean (CI runs it under
+ * backpressure, and the serve command parser's rejection of malformed
+ * lines. The whole file is TSan-clean (CI runs it under
  * -DFINESSE_SANITIZE=thread).
  */
 #include <gtest/gtest.h>
 
 #include "serve/engine.h"
+#include "serve/servecli.h"
 #include "serve/workload.h"
+#include "support/rng.h"
 
 using namespace finesse;
 
@@ -231,4 +234,117 @@ TEST(ServeEngineTest, BackpressureBouncesAndRecovers)
     const ServeCounters c = engine.counters();
     EXPECT_EQ(c.completed, static_cast<size_t>(admitted) + 1);
     EXPECT_EQ(c.rejectedInvalid, 0u);
+}
+
+// ------------------------------------------------ serve command parser
+
+TEST(ServeCommandParse, Table)
+{
+    using Op = ServeCommand::Op;
+    const struct
+    {
+        const char *line;
+        Op op;
+        RequestKind kind;
+        int count;
+        std::set<int> corrupt;
+    } ok[] = {
+        {"", Op::None, RequestKind::Bls, 0, {}},
+        {"   \n", Op::None, RequestKind::Bls, 0, {}},
+        {"# bls 2 corrupt=5", Op::None, RequestKind::Bls, 0, {}},
+        {"bls 8 corrupt=2\n", Op::Submit, RequestKind::Bls, 8, {2}},
+        {"kzg 4", Op::Submit, RequestKind::Kzg, 4, {}},
+        {"zk 3 corrupt=0,2,2", Op::Submit, RequestKind::Zk, 3, {0, 2}},
+        {"\tbls   2  ", Op::Submit, RequestKind::Bls, 2, {}},
+        {"flood kzg 5", Op::Flood, RequestKind::Kzg, 5, {}},
+        {"stats", Op::Stats, RequestKind::Bls, 0, {}},
+        {"drain", Op::Drain, RequestKind::Bls, 0, {}},
+        {"quit\n", Op::Quit, RequestKind::Bls, 0, {}},
+    };
+    for (const auto &c : ok) {
+        SCOPED_TRACE(c.line);
+        const ServeCommand got = parseServeCommand(c.line);
+        EXPECT_EQ(got.op, c.op);
+        EXPECT_EQ(got.kind, c.kind);
+        EXPECT_EQ(got.count, c.count);
+        EXPECT_EQ(got.corrupt, c.corrupt);
+    }
+
+    for (const char *bad : {
+             "bls 2 corrupt=5",       // index past the request count
+             "bls 2 corrupt=2",       // == count is out of range too
+             "bls 2 corrupt=1 junk",  // trailing token
+             "bls 2 junk",            // unknown argument
+             "bls 2 corrupt=",        // empty index list
+             "bls 2 corrupt=-1",
+             "bls 2 corrupt=1x",
+             "bls 2 corrupt=01",
+             "flood bls 3x",          // junk after the count
+             "flood bls 3 4",
+             "flood bls",
+             "flood nope 3",
+             "bls",
+             "bls 0",
+             "bls -1",
+             "bls 3x",
+             "bls 4294967297",        // no truncation into range
+             "bls 03",
+             "stats now",
+             "quit 1",
+             "verify 3",
+         }) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseServeCommand(bad), FatalError);
+    }
+}
+
+namespace {
+
+/** Invariants every accepted command holds. */
+void
+expectWellFormed(const ServeCommand &c)
+{
+    if (c.op != ServeCommand::Op::Submit &&
+        c.op != ServeCommand::Op::Flood)
+        return;
+    EXPECT_GE(c.count, 1);
+    for (const int i : c.corrupt) {
+        EXPECT_GE(i, 0);
+        EXPECT_LT(i, c.count);
+    }
+}
+
+} // namespace
+
+TEST(ServeCommandParse, TruncationAndMutation)
+{
+    // Every prefix and random single-character mutations of valid
+    // lines: each parses to a well-formed command or is rejected with
+    // FatalError -- never another exception, never a bad command.
+    const std::vector<std::string> valid = {
+        "bls 8 corrupt=2,5", "kzg 12 corrupt=0,11", "flood zk 30",
+        "stats", "drain", "quit"};
+    for (const std::string &line : valid) {
+        for (size_t n = 0; n <= line.size(); ++n) {
+            SCOPED_TRACE(line.substr(0, n));
+            try {
+                expectWellFormed(parseServeCommand(line.substr(0, n)));
+            } catch (const FatalError &) {
+            }
+        }
+    }
+    const std::string alphabet = "0123456789 ,=-+xX#abcdefghijklmnopqrstuvwz";
+    Rng rng(0x5e4e);
+    for (int iter = 0; iter < 4000; ++iter) {
+        std::string line = valid[rng.below(valid.size())];
+        const int edits = 1 + static_cast<int>(rng.below(3));
+        for (int e = 0; e < edits && !line.empty(); ++e)
+            line[rng.below(line.size())] =
+                alphabet[rng.below(alphabet.size())];
+        SCOPED_TRACE(line);
+        try {
+            expectWellFormed(parseServeCommand(line));
+        } catch (const FatalError &) {
+        }
+    }
 }

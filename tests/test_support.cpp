@@ -10,6 +10,7 @@
 
 #include "bigint/bigint.h"
 #include "support/common.h"
+#include "support/numparse.h"
 #include "support/rng.h"
 #include "support/splitlist.h"
 #include "support/table.h"
@@ -120,6 +121,75 @@ TEST(BigIntPow, SmallExponents)
     EXPECT_EQ(BigInt(u64{3}).pow(0), BigInt(u64{1}));
     EXPECT_EQ(BigInt(u64{3}).pow(5), BigInt(u64{243}));
     EXPECT_EQ((-BigInt(u64{2})).pow(3), BigInt(i64{-8}));
+}
+
+TEST(NumParse, IntegerGrammar)
+{
+    const struct
+    {
+        const char *text;
+        std::optional<int> want;
+    } cases[] = {
+        {"0", 0},
+        {"7", 7},
+        {"+7", 7},
+        {"-7", -7},
+        {"-0", 0},
+        {"0x1f", 31},
+        {"0XFF", 255},
+        {"-0x10", -16},
+        {"2147483647", 2147483647},
+        {"-2147483648", -2147483647 - 1},
+        {"2147483648", std::nullopt},
+        {"4294967297", std::nullopt}, // no truncation into range
+        {"0x10000000000000000", std::nullopt},
+        {"", std::nullopt},
+        {"+", std::nullopt},
+        {"-", std::nullopt},
+        {"0x", std::nullopt},
+        {"038", std::nullopt}, // octal-looking leading zero
+        {"010", std::nullopt},
+        {"00", std::nullopt},
+        {"38abc", std::nullopt},
+        {"3 8", std::nullopt},
+        {" 3", std::nullopt},
+        {"3 ", std::nullopt},
+        {"0x1g", std::nullopt},
+        {"0x-1", std::nullopt},
+        {"1e3", std::nullopt},
+        {"--1", std::nullopt},
+        {"+-1", std::nullopt},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        EXPECT_EQ(parseInt(c.text), c.want);
+    }
+}
+
+TEST(NumParse, RangesAndSeeds)
+{
+    EXPECT_EQ(parseInt("5", 0, 5), 5);
+    EXPECT_EQ(parseInt("6", 0, 5), std::nullopt);
+    EXPECT_EQ(parseInt("-1", 0, 5), std::nullopt);
+    EXPECT_EQ(parseInt("0", 1), std::nullopt);
+    EXPECT_EQ(parseU64("18446744073709551615"), ~u64{0});
+    EXPECT_EQ(parseU64("0xffffffffffffffff"), ~u64{0});
+    EXPECT_EQ(parseU64("18446744073709551616"), std::nullopt);
+    EXPECT_EQ(parseU64("-1"), std::nullopt); // strtoull would wrap
+    EXPECT_EQ(parseU64("010"), std::nullopt);
+    EXPECT_EQ(parseU64("-0"), u64{0});
+}
+
+TEST(NumParse, Reals)
+{
+    EXPECT_EQ(parseDouble("0.05"), 0.05);
+    EXPECT_EQ(parseDouble("-1e-3"), -1e-3);
+    EXPECT_EQ(parseDouble("3"), 3.0);
+    for (const char *bad :
+         {"", " 1", "0.05xyz", "1e999", "nan", "inf", "1.0 ", "."}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EQ(parseDouble(bad), std::nullopt);
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "dse/distributor.h"
@@ -27,6 +28,7 @@
 #include "serve/servecli.h"
 #include "sim/binary.h"
 #include "support/diskcache.h"
+#include "support/numparse.h"
 #include "support/splitlist.h"
 #include "support/threadpool.h"
 
@@ -73,20 +75,20 @@ printPassStats(const OptStats &opt)
                     static_cast<long long>(opt.instrsAfter));
 }
 
-/** Strict parse of a non-negative --flag=N value; -1 on junk. */
-int
-parseCount(const std::string &value)
+/** Value text of a `--flag=value` argument. */
+std::string_view
+flagText(const std::string &arg)
 {
-    size_t consumed = 0;
-    int n;
-    try {
-        n = std::stoi(value, &consumed);
-    } catch (...) {
-        return -1;
-    }
-    if (consumed != value.size()) // reject "4x", "1O", ...
-        return -1;
-    return n >= 0 ? n : -1;
+    return std::string_view(arg).substr(arg.find('=') + 1);
+}
+
+/** Name a malformed flag value and return the usage exit code. */
+int
+badFlag(const std::string &arg)
+{
+    std::fprintf(stderr, "bad %s value: %s\n",
+                 arg.substr(0, arg.find('=')).c_str(), arg.c_str());
+    return usage();
 }
 
 } // namespace
@@ -115,57 +117,54 @@ main(int argc, char **argv)
     bool haveArtifactCache = false;
     std::string artifactCacheDir;
     ServeCliOptions serveOpts;
+    // Integer flags: value range = the flag's domain.
+    struct IntFlag
+    {
+        const char *prefix;
+        int *value;
+        int lo, hi;
+    };
+    constexpr int kMax = std::numeric_limits<int>::max();
+    const IntFlag intFlags[] = {
+        {"--jobs=", &jobs, 0, kMax},
+        {"--dse-workers=", &dseWorkers, 0, kMax},
+        {"--generations=", &generations, 1, kMax},
+        {"--population=", &population, 1, kMax},
+        {"--batch=", &serveOpts.engine.batchSize, 1, kMax},
+        {"--queue=", &serveOpts.engine.maxQueue, 1, kMax},
+        {"--linger-ms=", &serveOpts.engine.lingerMs, 0, kMax},
+        {"--serve-port=", &serveOpts.servePort, 0, 65535},
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "help") {
             std::fputs(cliUsageText().c_str(), stdout);
             return 0;
         }
-        if (arg == "--pass-stats") {
+        const IntFlag *intFlag = nullptr;
+        for (const IntFlag &f : intFlags) {
+            if (arg.rfind(f.prefix, 0) == 0)
+                intFlag = &f;
+        }
+        if (intFlag) {
+            const std::optional<int> v =
+                parseInt(flagText(arg), intFlag->lo, intFlag->hi);
+            if (!v)
+                return badFlag(arg);
+            *intFlag->value = *v;
+        } else if (arg == "--pass-stats") {
             passStats = true;
         } else if (arg == "--no-trace-cache") {
             noTraceCache = true;
         } else if (arg.rfind("--passes=", 0) == 0) {
             passList = arg.substr(9);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = parseCount(arg.substr(7));
-            if (jobs < 0) {
-                std::fprintf(stderr, "bad --jobs value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--dse-workers=", 0) == 0) {
-            dseWorkers = parseCount(arg.substr(14));
-            if (dseWorkers < 0) {
-                std::fprintf(stderr, "bad --dse-workers value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
         } else if (arg.rfind("--dse-hosts=", 0) == 0) {
             dseHosts = arg.substr(12);
         } else if (arg.rfind("--search-seed=", 0) == 0) {
-            char *end = nullptr;
-            const std::string v = arg.substr(14);
-            searchSeed = std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0') {
-                std::fprintf(stderr, "bad --search-seed value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--generations=", 0) == 0) {
-            generations = parseCount(arg.substr(14));
-            if (generations <= 0) {
-                std::fprintf(stderr, "bad --generations value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--population=", 0) == 0) {
-            population = parseCount(arg.substr(13));
-            if (population <= 0) {
-                std::fprintf(stderr, "bad --population value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
+            const std::optional<u64> v = parseU64(flagText(arg));
+            if (!v)
+                return badFlag(arg);
+            searchSeed = *v;
         } else if (arg.rfind("--objective=", 0) == 0) {
             const std::string v = arg.substr(12);
             if (v == "cycles") {
@@ -177,50 +176,16 @@ main(int argc, char **argv)
             } else if (v == "area") {
                 objective = Objective::MinArea;
             } else {
-                std::fprintf(stderr, "bad --objective value: %s\n",
-                             arg.c_str());
-                return usage();
+                return badFlag(arg);
             }
         } else if (arg.rfind("--artifact-cache=", 0) == 0) {
             haveArtifactCache = true;
             artifactCacheDir = arg.substr(17);
-        } else if (arg.rfind("--batch=", 0) == 0) {
-            serveOpts.engine.batchSize = parseCount(arg.substr(8));
-            if (serveOpts.engine.batchSize <= 0) {
-                std::fprintf(stderr, "bad --batch value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--queue=", 0) == 0) {
-            serveOpts.engine.maxQueue = parseCount(arg.substr(8));
-            if (serveOpts.engine.maxQueue <= 0) {
-                std::fprintf(stderr, "bad --queue value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--linger-ms=", 0) == 0) {
-            serveOpts.engine.lingerMs = parseCount(arg.substr(12));
-            if (serveOpts.engine.lingerMs < 0) {
-                std::fprintf(stderr, "bad --linger-ms value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--serve-port=", 0) == 0) {
-            serveOpts.servePort = parseCount(arg.substr(13));
-            if (serveOpts.servePort < 0 || serveOpts.servePort > 65535) {
-                std::fprintf(stderr, "bad --serve-port value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
         } else if (arg.rfind("--serve-seed=", 0) == 0) {
-            char *end = nullptr;
-            const std::string v = arg.substr(13);
-            serveOpts.engine.seed = std::strtoull(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0') {
-                std::fprintf(stderr, "bad --serve-seed value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
+            const std::optional<u64> v = parseU64(flagText(arg));
+            if (!v)
+                return badFlag(arg);
+            serveOpts.engine.seed = *v;
         } else if (arg.rfind("--workload=", 0) == 0) {
             serveOpts.workload = arg.substr(11);
         } else if (arg.rfind("--corrupt=", 0) == 0) {
@@ -316,10 +281,7 @@ main(int argc, char **argv)
             const DsePoint best =
                 ex.exploreVariants(opt, Objective::MinCycles, true,
                                    dopts);
-            const double sweepSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+            const double sweepSeconds = secondsSince(t0);
             const TraceCacheStats cache = traceCacheStats();
             if (opt.dseWorkers > 0) {
                 std::printf("swept %zu combos on %d worker processes "
@@ -361,10 +323,7 @@ main(int argc, char **argv)
             const auto t0 = std::chrono::steady_clock::now();
             ParetoSearch search(ex, SearchSpace::standard(ex), sopt);
             const SearchResult sres = search.run();
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+            const double seconds = secondsSince(t0);
             const TraceCacheStats cache = traceCacheStats();
             const DiskCache *dc = artifactCache();
             std::printf("searched %zu unique points of a %llu-point "
@@ -439,18 +398,17 @@ main(int argc, char **argv)
                         static_cast<long long>(sim.bubbles));
             return 0;
         } else if (command == "area") {
-            TimingModel timing;
-            const double mhz = timing.frequencyMHz(fw.info().logP(),
-                                                   opt.hw.longLat);
             const CycleStats sim = fw.simulate(res);
             for (int cores : {1, 4, 8}) {
+                DsePoint p;
+                p.hw = opt.hw;
+                p.cores = cores;
                 const AreaReport a = fw.area(res, cores);
+                fillModelMetrics(p, fw.info().logP(), sim, a);
                 std::printf("%d-core: %s | %.0f MHz | %.1f kops | "
                             "%.2f kops/mm^2\n",
-                            cores, a.describe().c_str(), mhz,
-                            cores * mhz * 1e3 / double(sim.totalCycles),
-                            cores * mhz * 1e3 / double(sim.totalCycles) /
-                                a.totalArea);
+                            cores, a.describe().c_str(), p.freqMHz,
+                            p.throughputOps / 1e3, p.thptPerArea / 1e3);
             }
             return 0;
         } else if (command == "disasm") {
