@@ -3,11 +3,13 @@
  * End-to-end sweep: for every catalog curve, compile the full pairing
  * and cross-validate the compiled program against the native library
  * (SSA level and register-file level). This is the strongest
- * whole-framework guarantee in the suite.
+ * whole-framework guarantee in the suite. Each curve's deterministic
+ * compile outputs are also pinned by tests/golden/catalog.txt.
  */
 #include <gtest/gtest.h>
 
 #include "core/framework.h"
+#include "golden.h"
 
 namespace finesse {
 namespace {
@@ -30,6 +32,21 @@ TEST_P(AllCurvesEndToEnd, CompileSimulateValidate)
     // Timing sanity.
     const CycleStats sim = fw.simulate(res);
     EXPECT_GT(sim.ipc(), 0.85);
+
+    // Golden: front end, backend, cycle model and area, bit-exact.
+    size_t regs = 0;
+    for (i32 w : res.prog.regs.maxRegsPerBank)
+        regs += static_cast<size_t>(w);
+    expectGolden(
+        std::string("allcurves.") + GetParam(),
+        goldenFormat("instrs_before=%zu instrs_after=%zu bundles=%zu "
+                     "cycles=%lld bubbles=%lld regs=%zu imem_bits=%zu "
+                     "mm2=%.17g",
+                     res.opt.instrsBefore, res.instrs(),
+                     res.binary.numBundles,
+                     static_cast<long long>(sim.totalCycles),
+                     static_cast<long long>(sim.bubbles), regs,
+                     res.binary.imemBits(), fw.area(res).totalArea));
 
     // Functional correctness vs the native oracle.
     const ValidationReport rep = fw.validate(res, 1);

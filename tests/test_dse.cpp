@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "dse/explorer.h"
+#include "golden.h"
 
 namespace finesse {
 namespace {
@@ -111,6 +112,27 @@ TEST(Dse, Fig10ModelsValid)
     for (const PipelineModel &m : fig10HardwareModels())
         m.validate();
     EXPECT_EQ(fig10HardwareModels().size(), 5u);
+
+    // Golden: BN254N cycles on every Fig. 10 model, plus the
+    // program-order ("Init") schedule on the paper model.
+    Explorer ex("BN254N");
+    std::vector<DseRequest> reqs;
+    for (const PipelineModel &m : fig10HardwareModels()) {
+        reqs.emplace_back();
+        reqs.back().opt.hw = m;
+    }
+    reqs.emplace_back();
+    reqs.back().opt.listSchedule = false;
+    const std::vector<DsePoint> pts = ex.evaluateAll(reqs, 1);
+    for (size_t i = 0; i + 1 < pts.size(); ++i) {
+        expectGolden("fig10.BN254N.m" + std::to_string(i),
+                     goldenFormat("hw=%s cycles=%lld",
+                                  pts[i].hw.describe().c_str(),
+                                  static_cast<long long>(pts[i].cycles)));
+    }
+    expectGolden("fig10.BN254N.init",
+                 goldenFormat("cycles=%lld", static_cast<long long>(
+                                                 pts.back().cycles)));
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "dse/distributor.h"
 #include "dse/explorer.h"
 #include "dse/search.h"
+#include "golden.h"
 #include "support/diskcache.h"
 
 namespace finesse {
@@ -103,6 +104,11 @@ TEST(SearchDeterminism, BitIdenticalAcrossJobs)
     ASSERT_FALSE(r1.frontier.empty());
     expectSameFrontier(r1, r2);
     expectSameFrontier(r1, r8);
+    expectGolden("search.BN254N.quick",
+                 goldenFormat("fingerprint=%016llx evaluated_unique=%zu",
+                              static_cast<unsigned long long>(
+                                  frontierFingerprint(r1.frontier)),
+                              r1.stats.evaluatedUnique));
 }
 
 TEST(SearchDeterminism, BitIdenticalAcrossDseWorkers)
