@@ -16,7 +16,7 @@ main()
     banner("Ablation: scheduler mechanisms (BN254N)");
     Explorer ex("BN254N");
     const Module m = ex.framework().handle().trace(
-        VariantConfig{}, TracePart::Full, true, nullptr);
+        VariantConfig{}, TracePart::Full, true);
 
     // ---- affinity parameter beta (single issue) -----------------------
     {
@@ -99,9 +99,9 @@ main()
     // ---- Miller / final-exponentiation split (Sec. 2.1's 40/60) -------
     {
         const Module miller = ex.framework().handle().trace(
-            VariantConfig{}, TracePart::MillerOnly, true, nullptr);
+            VariantConfig{}, TracePart::MillerOnly, true);
         const Module fexp = ex.framework().handle().trace(
-            VariantConfig{}, TracePart::FinalExpOnly, true, nullptr);
+            VariantConfig{}, TracePart::FinalExpOnly, true);
         PipelineModel hw;
         const i64 cm =
             simulateCycles(runBackend(miller, hw, true).prog).totalCycles;

@@ -21,7 +21,7 @@ main()
 
     // Trace once; only the backend depends on the latency model.
     const Module m = ex.framework().handle().trace(
-        VariantConfig{}, TracePart::Full, true, nullptr);
+        VariantConfig{}, TracePart::Full, true);
 
     TextTable t;
     t.header({"Long(cy)", "IPC", "CritPath(ns)", "Freq(MHz)",

@@ -72,8 +72,7 @@ main()
 
     for (const std::string &name : curves) {
         const ICurveHandle &h = curveHandle(name);
-        const Module raw =
-            h.trace(VariantConfig{}, TracePart::Full, false, nullptr);
+        const Module raw = h.trace(VariantConfig{}, TracePart::Full, false);
 
         const EngineRun sweep =
             runEngine(raw, frontendPassNames(), false);
@@ -109,8 +108,7 @@ main()
     size_t ablationsIdentical = 0;
     if (!largest.empty()) {
         const ICurveHandle &h = curveHandle(largest);
-        const Module raw =
-            h.trace(VariantConfig{}, TracePart::Full, false, nullptr);
+        const Module raw = h.trace(VariantConfig{}, TracePart::Full, false);
         std::printf("\nsingle-pass ablations on %s:\n",
                     largest.c_str());
         for (const std::string &pass : frontendPassNames()) {

@@ -43,7 +43,7 @@ main()
 
     // Step 3: ALU-family sweep (hardware axis) on the best variants.
     const Module m = ex.framework().handle().trace(
-        pv.variants, TracePart::Full, true, nullptr);
+        pv.variants, TracePart::Full, true);
     double bestThpt = 0;
     int bestDepth = 0;
     for (int depth = 14; depth <= 44; depth += 3) {

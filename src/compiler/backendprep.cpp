@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "compiler/pipeline.h"
 #include "isa/encode.h"
 
 namespace finesse {
@@ -72,6 +73,7 @@ void
 assignBanksInto(const Module &m, const PipelineModel &hw,
                 BankAssignment &out)
 {
+    hw.validate();
     out.numBanks = hw.numBanks;
     out.bankOf.resize(static_cast<size_t>(m.numValues));
     for (i32 v = 0; v < m.numValues; ++v)
@@ -101,7 +103,6 @@ scheduleModule(const Module &m, const TracePrep &prep,
                bool useListScheduling, BackendScratch &scratch,
                Schedule &sched)
 {
-    hw.validate();
     const size_t n = m.body.size();
     FINESSE_CHECK(prep.numInstrs == n &&
                       prep.numValues == m.numValues,
@@ -406,6 +407,23 @@ runBackendPoint(const Module &m, const TracePrep &prep,
     out.imemBits = layout.imemBits();
     out.encodeSeconds = secondsSince(tEnc);
     out.seconds = secondsSince(start);
+}
+
+void
+appendBackendStats(OptStats &stats, const BackendPoint &bp)
+{
+    const std::pair<const char *, double> stages[] = {
+        {"bankalloc", bp.bankallocSeconds},
+        {"packsched", bp.packschedSeconds},
+        {"regalloc", bp.regallocSeconds},
+        {"encode", bp.encodeSeconds},
+    };
+    for (const auto &[name, seconds] : stages) {
+        PassStats &ps = ensurePassStats(stats, name, false);
+        ps.invocations += 1;
+        ps.seconds += seconds;
+        stats.seconds += seconds;
+    }
 }
 
 } // namespace finesse

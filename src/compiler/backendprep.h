@@ -4,14 +4,15 @@
  * allocateRegistersInto), the per-trace artifact (TracePrep), the
  * per-worker buffer set (BackendScratch) and the backend point runner.
  *
- * Compile and sweep run the same stage functions: the compile
- * pipeline's passes (compiler/pipeline.cpp) with a per-call prep and
- * scratch, runBackendPoint against one TracePrep per cached trace,
- * built once and shared read-only by every worker. All per-point
- * working state lives in a BackendScratch that is reset -- never
- * reallocated -- between points. The stages are byte-identical to
- * the reference oracles in compiler/backend.h, checked by
- * tests/test_backend_props.cpp and bench/fig_backend.cpp.
+ * The backend is one fixed sequence, BankAlloc -> PackSched ->
+ * RegAlloc -> ASM/Link, and runBackendPoint is its one driver: compile
+ * (runBackend, core/framework.h) calls it with a per-call prep and
+ * scratch and then encodes the binary; the sweep calls it against one
+ * TracePrep per cached trace, built once and shared read-only by every
+ * worker. All per-point working state lives in a BackendScratch that
+ * is reset -- never reallocated -- between points. The stages are
+ * byte-identical to the reference oracles in compiler/backend.h,
+ * checked by tests/test_backend_props.cpp and bench/fig_backend.cpp.
  */
 #ifndef FINESSE_COMPILER_BACKENDPREP_H_
 #define FINESSE_COMPILER_BACKENDPREP_H_
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "compiler/backend.h"
+#include "compiler/passes.h"
 #include "compiler/ports.h"
 
 namespace finesse {
@@ -106,7 +108,11 @@ struct BackendScratch
     BackendPoint point;
 };
 
-/** BankAlloc: residual (modulo) bank assignment, the paper's baseline. */
+/**
+ * BankAlloc: residual (modulo) bank assignment, the paper's baseline.
+ * Validates @p hw first: this is the backend's entry point, and every
+ * later stage relies on a well-formed model (numBanks >= 1, ...).
+ */
 void assignBanksInto(const Module &m, const PipelineModel &hw,
                      BankAssignment &out);
 
@@ -141,6 +147,13 @@ void allocateRegistersInto(const Module &m, const BankAssignment &banks,
 void runBackendPoint(const Module &m, const TracePrep &prep,
                      const PipelineModel &hw, bool listSchedule,
                      BackendScratch &scratch, BackendPoint &out);
+
+/**
+ * Append the four backend stage rows (bankalloc, packsched, regalloc,
+ * encode) of @p bp to @p stats: one invocation each, the stage's wall
+ * time, no instruction delta. Compile and sweep report through this.
+ */
+void appendBackendStats(OptStats &stats, const BackendPoint &bp);
 
 } // namespace finesse
 

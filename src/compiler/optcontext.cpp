@@ -373,9 +373,6 @@ runFrontendWorklist(CompilationContext &ctx,
     slots.reserve(group.size());
     size_t rewriterSlots = 0;
     for (Pass *p : group) {
-        FINESSE_CHECK(p->isFrontend(),
-                      "worklist group contains backend pass ",
-                      p->name());
         InstRewriter *rw = p->instRewriter();
         FINESSE_CHECK(rw || p->name() == "dce",
                       "front-end pass without a worklist hook: ",
@@ -383,7 +380,7 @@ runFrontendWorklist(CompilationContext &ctx,
         slots.push_back({p, rw, rw ? rewriterSlots++ : 0, nullptr});
     }
 
-    OptContext oc(ctx.module(), rewriterSlots);
+    OptContext oc(ctx.module, rewriterSlots);
 
     // Create every PassStats entry first (pipeline order, identical to
     // the sweep engine's first-invocation order), THEN take pointers:

@@ -215,7 +215,7 @@ class OptContext final : public RewriteEnv
 };
 
 /**
- * Drive a contiguous front-end pass group over ctx.module() with the
+ * Drive a front-end pass group over ctx.module with the
  * worklist engine: rounds of per-pass scans until a clean round or
  * PassManager::kMaxFixpointIters, per-pass PassStats accounting
  * identical to the sweep engine's, then one compaction. Returns the

@@ -83,14 +83,12 @@ canonicalVnKey(const Inst &inst)
 class RewritePass : public Pass, public InstRewriter, public RewriteEnv
 {
   public:
-    bool isFrontend() const override { return true; }
-
     InstRewriter *instRewriter() override { return this; }
 
     bool
     run(CompilationContext &ctx) override
     {
-        Module &m = ctx.module();
+        Module &m = ctx.module;
         m_ = &m;
         rep_.assign(static_cast<size_t>(m.numValues), -1);
         constVal_.clear();
@@ -431,12 +429,10 @@ class DcePass final : public Pass
   public:
     std::string_view name() const override { return "dce"; }
 
-    bool isFrontend() const override { return true; }
-
     bool
     run(CompilationContext &ctx) override
     {
-        Module &m = ctx.module();
+        Module &m = ctx.module;
         std::vector<u8> live(static_cast<size_t>(m.numValues), 0);
         for (i32 out : m.outputs)
             live[static_cast<size_t>(out)] = 1;

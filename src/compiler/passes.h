@@ -11,10 +11,12 @@
  *  - global value numbering using commutativity on finite fields,
  *  - dead code elimination.
  *
- * Each optimization is a discrete Pass (see compiler/pipeline.h)
- * registered in a PassManager; the front-end group iterates to a
- * fixpoint. This header holds the per-pass and aggregate statistics
- * (Table 7) plus the classic one-call entry point.
+ * Each optimization is a discrete Pass (see compiler/pipeline.h) that
+ * the PassManager iterates to a fixpoint. These are the only passes:
+ * the backend is a fixed stage sequence (compiler/backendprep.h) that
+ * reports one PassStats row per stage. This header holds the per-pass
+ * and aggregate statistics (Table 7) plus the classic one-call entry
+ * point.
  */
 #ifndef FINESSE_COMPILER_PASSES_H_
 #define FINESSE_COMPILER_PASSES_H_
@@ -27,7 +29,7 @@
 
 namespace finesse {
 
-/** Per-pass accounting recorded by the PassManager. */
+/** Per-pass accounting: one row per IROpt pass or backend stage. */
 struct PassStats
 {
     std::string name;

@@ -1,15 +1,12 @@
 /**
  * @file
- * PassManager implementation plus the four backend stages (BankAlloc,
- * PackSched, RegAlloc, encode) as passes over the CompilationContext.
- * The stage passes call the same stage functions the DSE sweep's
- * runBackendPoint runs (compiler/backendprep.h).
+ * PassManager implementation: the IROpt pass registry and the
+ * fixpoint driver over the worklist and reference sweep engines.
  */
 #include "compiler/pipeline.h"
 
 #include <chrono>
 
-#include "compiler/backendprep.h"
 #include "compiler/optcontext.h"
 #include "support/common.h"
 
@@ -19,85 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** bankalloc: residual (modulo) value -> register-bank assignment. */
-class BankAllocPass final : public Pass
-{
-  public:
-    std::string_view name() const override { return "bankalloc"; }
-
-    bool isFrontend() const override { return false; }
-
-    bool
-    run(CompilationContext &ctx) override
-    {
-        assignBanksInto(ctx.module(), ctx.prog.hw, ctx.prog.banks);
-        ctx.hasBanks = true;
-        return true;
-    }
-};
-
-/** packsched: Algorithm 2 list scheduling (or program order). */
-class PackSchedPass final : public Pass
-{
-  public:
-    std::string_view name() const override { return "packsched"; }
-
-    bool isFrontend() const override { return false; }
-
-    bool
-    run(CompilationContext &ctx) override
-    {
-        FINESSE_CHECK(ctx.hasBanks,
-                      "packsched requires bankalloc in the pipeline");
-        const TracePrep prep = buildTracePrep(ctx.module());
-        BackendScratch scratch;
-        scheduleModule(ctx.module(), prep, ctx.prog.banks, ctx.prog.hw,
-                       ctx.listSchedule, scratch, ctx.prog.schedule);
-        ctx.hasSchedule = true;
-        return true;
-    }
-};
-
-/** regalloc: linear-scan allocation in schedule order. */
-class RegAllocPass final : public Pass
-{
-  public:
-    std::string_view name() const override { return "regalloc"; }
-
-    bool isFrontend() const override { return false; }
-
-    bool
-    run(CompilationContext &ctx) override
-    {
-        FINESSE_CHECK(ctx.hasBanks && ctx.hasSchedule,
-                      "regalloc requires bankalloc + packsched");
-        BackendScratch scratch;
-        allocateRegistersInto(ctx.module(), ctx.prog.banks,
-                              ctx.prog.schedule, scratch, ctx.prog.regs);
-        ctx.hasRegs = true;
-        return true;
-    }
-};
-
-/** encode: ASM + Link into the parameterized binary format. */
-class EncodePass final : public Pass
-{
-  public:
-    std::string_view name() const override { return "encode"; }
-
-    bool isFrontend() const override { return false; }
-
-    bool
-    run(CompilationContext &ctx) override
-    {
-        FINESSE_CHECK(ctx.hasBanks && ctx.hasSchedule && ctx.hasRegs,
-                      "encode requires the full backend prefix");
-        ctx.binary = encodeProgram(ctx.prog);
-        ctx.hasBinary = true;
-        return true;
-    }
-};
-
 } // namespace
 
 const std::vector<std::string> &
@@ -105,14 +23,6 @@ frontendPassNames()
 {
     static const std::vector<std::string> names = {
         "constfold", "zerooneprop", "strengthreduce", "gvn", "dce"};
-    return names;
-}
-
-const std::vector<std::string> &
-backendPassNames()
-{
-    static const std::vector<std::string> names = {
-        "bankalloc", "packsched", "regalloc", "encode"};
     return names;
 }
 
@@ -126,40 +36,13 @@ isFrontendPassName(const std::string &name)
     return false;
 }
 
-bool
-isBackendPassName(const std::string &name)
-{
-    for (const std::string &n : backendPassNames()) {
-        if (n == name)
-            return true;
-    }
-    return false;
-}
-
-std::unique_ptr<Pass>
-makeBackendPass(const std::string &name)
-{
-    if (name == "bankalloc")
-        return std::make_unique<BankAllocPass>();
-    if (name == "packsched")
-        return std::make_unique<PackSchedPass>();
-    if (name == "regalloc")
-        return std::make_unique<RegAllocPass>();
-    if (name == "encode")
-        return std::make_unique<EncodePass>();
-    return nullptr;
-}
-
 std::unique_ptr<Pass>
 makePass(const std::string &name)
 {
     if (auto p = makeFrontendPass(name))
         return p;
-    if (auto p = makeBackendPass(name))
-        return p;
     fatal("unknown compiler pass: '", name, "' (known: ",
-          "constfold, zerooneprop, strengthreduce, gvn, dce, ",
-          "bankalloc, packsched, regalloc, encode)");
+          "constfold, zerooneprop, strengthreduce, gvn, dce)");
 }
 
 std::vector<std::string>
@@ -225,14 +108,13 @@ ensurePassStats(OptStats &stats, std::string_view name, bool frontend)
 bool
 PassManager::invoke(Pass &pass, CompilationContext &ctx)
 {
-    PassStats *entry =
-        &ensurePassStats(ctx.stats, pass.name(), pass.isFrontend());
+    PassStats *entry = &ensurePassStats(ctx.stats, pass.name(), true);
 
-    const size_t before = ctx.module().size();
+    const size_t before = ctx.module.size();
     const auto start = Clock::now();
     const bool changed = pass.run(ctx);
     const double dt = secondsSince(start);
-    const size_t after = ctx.module().size();
+    const size_t after = ctx.module.size();
 
     entry->invocations += 1;
     entry->instrsRemoved +=
@@ -245,46 +127,27 @@ PassManager::invoke(Pass &pass, CompilationContext &ctx)
 void
 PassManager::run(CompilationContext &ctx)
 {
-    runImpl(ctx, /*worklist=*/true);
+    if (passes_.empty())
+        return;
+    std::vector<Pass *> group;
+    group.reserve(passes_.size());
+    for (const auto &p : passes_)
+        group.push_back(p.get());
+    runFrontendWorklist(ctx, group);
 }
 
 void
 PassManager::runSweep(CompilationContext &ctx)
 {
-    runImpl(ctx, /*worklist=*/false);
-}
-
-void
-PassManager::runImpl(CompilationContext &ctx, bool worklist)
-{
-    size_t i = 0;
-    while (i < passes_.size()) {
-        if (!passes_[i]->isFrontend()) {
-            invoke(*passes_[i], ctx);
-            ++i;
-            continue;
-        }
-        // Contiguous front-end group: iterate to a fixpoint.
-        size_t j = i;
-        while (j < passes_.size() && passes_[j]->isFrontend())
-            ++j;
-        if (worklist) {
-            std::vector<Pass *> group;
-            group.reserve(j - i);
-            for (size_t k = i; k < j; ++k)
-                group.push_back(passes_[k].get());
-            runFrontendWorklist(ctx, group);
-        } else {
-            for (int iter = 0; iter < kMaxFixpointIters; ++iter) {
-                ++ctx.stats.iterations;
-                bool changed = false;
-                for (size_t k = i; k < j; ++k)
-                    changed |= invoke(*passes_[k], ctx);
-                if (!changed)
-                    break;
-            }
-        }
-        i = j;
+    if (passes_.empty())
+        return;
+    for (int iter = 0; iter < kMaxFixpointIters; ++iter) {
+        ++ctx.stats.iterations;
+        bool changed = false;
+        for (const auto &p : passes_)
+            changed |= invoke(*p, ctx);
+        if (!changed)
+            break;
     }
 }
 
@@ -293,15 +156,6 @@ PassManager::standardFrontend()
 {
     PassManager pm;
     for (const std::string &n : frontendPassNames())
-        pm.add(n);
-    return pm;
-}
-
-PassManager
-PassManager::standardBackend()
-{
-    PassManager pm;
-    for (const std::string &n : backendPassNames())
         pm.add(n);
     return pm;
 }
@@ -322,22 +176,18 @@ runFrontendImpl(Module &m, const std::vector<std::string> &names,
                 bool worklist)
 {
     CompilationContext ctx;
-    ctx.prog.module = std::move(m);
-    ctx.stats.instrsBefore = ctx.module().size();
+    ctx.module = std::move(m);
+    ctx.stats.instrsBefore = ctx.module.size();
     if (!names.empty()) {
-        for (const std::string &n : names) {
-            FINESSE_CHECK(isFrontendPassName(n),
-                          "not a front-end pass: ", n);
-        }
         PassManager pm = PassManager::fromNames(names);
         if (worklist)
             pm.run(ctx);
         else
             pm.runSweep(ctx);
-        ctx.module().verify();
+        ctx.module.verify();
     }
-    ctx.stats.instrsAfter = ctx.module().size();
-    m = std::move(ctx.prog.module);
+    ctx.stats.instrsAfter = ctx.module.size();
+    m = std::move(ctx.module);
     return ctx.stats;
 }
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * Staged compilation pipeline: a CompilationContext shared by every
- * stage and a PassManager that runs named Pass objects over it.
+ * The IROpt front end as a staged pipeline: a CompilationContext
+ * shared by the passes and a PassManager that iterates named Pass
+ * objects over it to a fixpoint.
  *
- * The front end (IROpt) is five discrete passes -- constfold,
- * zerooneprop, strengthreduce, gvn, dce -- that the manager iterates
- * to a fixpoint as a group; the backend stages of the paper --
- * bankalloc, packsched, regalloc, encode -- are passes over the same
- * context, so any pipeline subset is composable (ablation studies,
- * Table 7 per-pass attribution) and the DSE loop can rerun just the
- * hardware-dependent tail against a cached front-end trace.
+ * The front end is five discrete passes -- constfold, zerooneprop,
+ * strengthreduce, gvn, dce -- so any subset is composable (ablation
+ * studies, Table 7 per-pass attribution). The backend is not made of
+ * passes: BankAlloc -> PackSched -> RegAlloc -> ASM/Link is one fixed
+ * sequence (runBackendPoint, compiler/backendprep.h) that compile and
+ * the DSE sweep both run.
  */
 #ifndef FINESSE_COMPILER_PIPELINE_H_
 #define FINESSE_COMPILER_PIPELINE_H_
@@ -19,38 +19,20 @@
 #include <string_view>
 #include <vector>
 
-#include "compiler/backend.h"
 #include "compiler/passes.h"
-#include "isa/encode.h"
 
 namespace finesse {
 
 class InstRewriter; // worklist hook of the front-end passes (optcontext.h)
 
-/**
- * Everything one compilation owns, shared by all passes. The front-end
- * passes rewrite prog.module; the backend stages fill in the bank,
- * schedule, register and binary artifacts and flag what has been
- * computed so later stages can validate their prerequisites.
- */
+/** What the front-end passes read and rewrite. */
 struct CompilationContext
 {
-    CompiledProgram prog;   ///< module + hw model + backend artifacts
-    EncodedProgram binary;  ///< ASM/Link output (encode pass)
-    OptStats stats;         ///< per-pass + aggregate accounting
-    bool listSchedule = true; ///< Algorithm 2 vs program order ("Init")
-
-    // Prerequisite flags maintained by the backend passes.
-    bool hasBanks = false;
-    bool hasSchedule = false;
-    bool hasRegs = false;
-    bool hasBinary = false;
-
-    Module &module() { return prog.module; }
-    const Module &module() const { return prog.module; }
+    Module module;  ///< rewritten in place by every pass
+    OptStats stats; ///< per-pass + aggregate accounting
 };
 
-/** One named compilation stage. */
+/** One named IROpt pass. */
 class Pass
 {
   public:
@@ -58,41 +40,34 @@ class Pass
 
     virtual std::string_view name() const = 0;
 
-    /** Front-end passes are iterated to a fixpoint as a group. */
-    virtual bool isFrontend() const = 0;
-
     /**
      * Run one full sweep on the context; returns true when anything
-     * changed. Backend stages run this exactly once; for front-end
-     * passes this is the reference sweep engine (the worklist engine
-     * drives instRewriter() instead).
+     * changed. This is the reference sweep engine (the worklist
+     * engine drives instRewriter() instead).
      */
     virtual bool run(CompilationContext &ctx) = 0;
 
     /**
      * Worklist hook for the single-build OptContext engine. Non-null
-     * for every rewriting front-end pass; null for backend stages and
-     * for dce (which the engine implements natively on its use-count
-     * table).
+     * for every rewriting pass; null for dce (which the engine
+     * implements natively on its use-count table).
      */
     virtual InstRewriter *instRewriter() { return nullptr; }
 };
 
 /**
- * Ordered pass pipeline with per-pass instrumentation. Contiguous
- * front-end passes form a group that is iterated (up to
- * kMaxFixpointIters rounds) until no pass reports a change; backend
- * passes run exactly once, in order. Each invocation records
- * instruction deltas, round counts and wall time into
- * CompilationContext::stats.
+ * The IROpt fixpoint driver: the pipeline's passes are iterated as
+ * one group (up to kMaxFixpointIters rounds) until no pass reports a
+ * change. Each invocation records instruction deltas, round counts
+ * and wall time into CompilationContext::stats.
  *
- * Front-end groups run on the single-build OptContext worklist engine
+ * run() uses the single-build OptContext worklist engine
  * (compiler/optcontext.h): one shared use-count / replacement /
- * constant-pool build per group run, with per-round scans visiting
- * only instructions whose operands changed. runSweep() drives the
- * legacy whole-body sweep engine instead -- the reference
- * implementation the worklist engine is benchmarked and
- * byte-identity-tested against.
+ * constant-pool build per run, with per-round scans visiting only
+ * instructions whose operands changed. runSweep() drives the legacy
+ * whole-body sweep engine instead -- the reference implementation
+ * the worklist engine is benchmarked and byte-identity-tested
+ * against.
  */
 class PassManager
 {
@@ -113,13 +88,10 @@ class PassManager
 
     /** The five IROpt passes in canonical order. */
     static PassManager standardFrontend();
-    /** The four backend stages in canonical order. */
-    static PassManager standardBackend();
     /** Arbitrary pipeline; fatal() on an unknown pass name. */
     static PassManager fromNames(const std::vector<std::string> &names);
 
   private:
-    void runImpl(CompilationContext &ctx, bool worklist);
     bool invoke(Pass &pass, CompilationContext &ctx);
 
     std::vector<std::unique_ptr<Pass>> passes_;
@@ -127,18 +99,12 @@ class PassManager
 
 /** Canonical front-end pass names, pipeline order. */
 const std::vector<std::string> &frontendPassNames();
-/** Canonical backend stage names, pipeline order. */
-const std::vector<std::string> &backendPassNames();
 /** True if @p name is a registered front-end pass. */
 bool isFrontendPassName(const std::string &name);
-/** True if @p name is a registered backend stage. */
-bool isBackendPassName(const std::string &name);
 
 /** Construct a front-end pass by name (nullptr if unknown). */
 std::unique_ptr<Pass> makeFrontendPass(const std::string &name);
-/** Construct a backend stage by name (nullptr if unknown). */
-std::unique_ptr<Pass> makeBackendPass(const std::string &name);
-/** Construct any registered pass; fatal() on an unknown name. */
+/** Construct a registered pass; fatal() on an unknown name. */
 std::unique_ptr<Pass> makePass(const std::string &name);
 
 /**

@@ -54,9 +54,9 @@ inline constexpr CliDoc kCliCommands[] = {
 
 inline constexpr CliDoc kCliFlags[] = {
     {"--passes=<list>",
-     "comma-separated pass pipeline (ablation): front-end subset of "
-     "constfold,zerooneprop,strengthreduce,gvn,dce and/or backend "
-     "subset of bankalloc,packsched,regalloc,encode"},
+     "comma-separated IROpt passes (ablation), a subset of "
+     "constfold,zerooneprop,strengthreduce,gvn,dce; the backend "
+     "always runs all four stages"},
     {"--pass-stats", "print the per-pass instruction/time attribution"},
     {"--no-trace-cache", "disable the front-end trace cache"},
     {"--jobs=N",

@@ -1,8 +1,9 @@
 /**
  * @file
  * Framework implementation: type-erased curve handles over the two
- * tower shapes, the PassManager-driven compile pipeline, the
- * process-wide front-end trace cache, and functional validation.
+ * tower shapes, the compile pipeline (IROpt PassManager, then the
+ * fixed backend sequence the sweep runs), the process-wide front-end
+ * trace cache, and functional validation.
  */
 #include "core/framework.h"
 
@@ -15,6 +16,7 @@
 #include <memory>
 #include <mutex>
 
+#include "compiler/backendprep.h"
 #include "compiler/codegen.h"
 #include "core/artifacts.h"
 #include "pairing/cache.h"
@@ -102,22 +104,6 @@ std::atomic<size_t> g_traceDiskHits{0};
 std::atomic<size_t> g_traceDiskMisses{0};
 std::atomic<size_t> g_traceDiskPuts{0};
 std::atomic<size_t> g_traceDiskRejects{0};
-
-std::string
-traceCacheKey(const std::string &curve, const CompileOptions &opt)
-{
-    std::string key = curve;
-    key += '|';
-    key += std::to_string(static_cast<int>(opt.part));
-    key += '|';
-    for (const std::string &n : opt.frontendPasses()) {
-        key += n;
-        key += ',';
-    }
-    key += '|';
-    key += opt.variants.cacheKey();
-    return key;
-}
 
 /**
  * Enforce the global entry bound: while over capacity, scan the
@@ -220,7 +206,7 @@ sharedFrontend(const ICurveHandle &h, const CompileOptions &opt,
                OptStats &statsOut)
 {
     auto traceNow = [&] {
-        Module m = h.trace(opt.variants, opt.part, false, nullptr);
+        Module m = h.trace(opt.variants, opt.part, false);
         statsOut = runFrontendPipeline(m, opt.frontendPasses());
         return m;
     };
@@ -302,7 +288,7 @@ cachedFrontend(const ICurveHandle &h, const CompileOptions &opt,
                OptStats &statsOut)
 {
     if (!opt.useTraceCache) {
-        Module m = h.trace(opt.variants, opt.part, false, nullptr);
+        Module m = h.trace(opt.variants, opt.part, false);
         statsOut = runFrontendPipeline(m, opt.frontendPasses());
         return m;
     }
@@ -310,27 +296,31 @@ cachedFrontend(const ICurveHandle &h, const CompileOptions &opt,
 }
 
 /**
- * Drive the backend PassManager over a traced module and package the
- * context as a CompileResult, merging the front-end stats in.
+ * The fixed backend over a traced module: runBackendPoint, the exact
+ * sequence every sweep point runs, then the ASM/Link encoder for the
+ * binary. Appends the four backend stage rows to the front-end stats.
  */
 CompileResult
-runBackendPipeline(Module module, const PipelineModel &hw,
-                   bool listSchedule,
-                   const std::vector<std::string> &backendPasses,
-                   const OptStats &frontendStats)
+runBackendStages(Module module, const PipelineModel &hw,
+                 bool listSchedule, OptStats stats)
 {
     const auto start = std::chrono::steady_clock::now();
-    CompilationContext ctx;
-    ctx.prog.module = std::move(module);
-    ctx.prog.hw = hw;
-    ctx.listSchedule = listSchedule;
-    ctx.stats = frontendStats;
-    PassManager::fromNames(backendPasses).run(ctx);
+    const TracePrep prep = buildTracePrep(module);
+    BackendScratch scratch;
+    BackendPoint &bp = scratch.point;
+    runBackendPoint(module, prep, hw, listSchedule, scratch, bp);
 
     CompileResult result;
-    result.prog = std::move(ctx.prog);
-    result.binary = std::move(ctx.binary);
-    result.opt = std::move(ctx.stats);
+    result.prog.module = std::move(module);
+    result.prog.hw = hw;
+    result.prog.banks = std::move(bp.banks);
+    result.prog.schedule = std::move(bp.schedule);
+    result.prog.regs = std::move(bp.regs);
+    const auto tEnc = std::chrono::steady_clock::now();
+    result.binary = encodeProgram(result.prog);
+    bp.encodeSeconds += secondsSince(tEnc);
+    appendBackendStats(stats, bp);
+    result.opt = std::move(stats);
     result.compileSeconds = secondsSince(start);
     return result;
 }
@@ -345,15 +335,12 @@ class CurveHandleImpl : public ICurveHandle
     const PairingPlan &plan() const override { return sys_.plan(); }
 
     Module
-    trace(const VariantConfig &variants, TracePart part, bool optimize,
-          OptStats *stats) const override
+    trace(const VariantConfig &variants, TracePart part,
+          bool optimize) const override
     {
         Module m = tracePairing<SymTW>(sys_, variants, part);
-        const OptStats local = runFrontendPipeline(
-            m, optimize ? frontendPassNames()
-                        : std::vector<std::string>{});
-        if (stats)
-            *stats = local;
+        if (optimize)
+            runFrontendPipeline(m, frontendPassNames());
         return m;
     }
 
@@ -363,9 +350,8 @@ class CurveHandleImpl : public ICurveHandle
         const auto start = std::chrono::steady_clock::now();
         OptStats stats;
         Module m = cachedFrontend(*this, opt, stats);
-        CompileResult result = runBackendPipeline(
-            std::move(m), opt.hw, opt.listSchedule, opt.backendPasses(),
-            stats);
+        CompileResult result = runBackendStages(
+            std::move(m), opt.hw, opt.listSchedule, std::move(stats));
         result.compileSeconds = secondsSince(start);
         return result;
     }
@@ -503,6 +489,22 @@ clearTraceCache()
 }
 
 std::string
+traceCacheKey(const std::string &curve, const CompileOptions &opt)
+{
+    std::string key = curve;
+    key += '|';
+    key += std::to_string(static_cast<int>(opt.part));
+    key += '|';
+    for (const std::string &n : opt.frontendPasses()) {
+        key += n;
+        key += ',';
+    }
+    key += '|';
+    key += opt.variants.cacheKey();
+    return key;
+}
+
+std::string
 Framework::traceKey(const CompileOptions &opt) const
 {
     return traceCacheKey(handle_->info().def.name, opt);
@@ -515,15 +517,12 @@ Framework::traceShared(const CompileOptions &opt, OptStats &stats) const
 }
 
 CompileResult
-runBackend(Module module, const PipelineModel &hw, bool listSchedule,
-           const std::vector<std::string> &backendPasses)
+runBackend(Module module, const PipelineModel &hw, bool listSchedule)
 {
     OptStats stats;
     stats.instrsBefore = stats.instrsAfter = module.size();
-    return runBackendPipeline(std::move(module), hw, listSchedule,
-                              backendPasses.empty() ? backendPassNames()
-                                                    : backendPasses,
-                              stats);
+    return runBackendStages(std::move(module), hw, listSchedule,
+                            std::move(stats));
 }
 
 DesignPoint

@@ -40,10 +40,10 @@ struct CompileOptions
     TracePart part = TracePart::Full;
 
     /**
-     * Explicit pass pipeline (see compiler/pipeline.h). Empty = the
-     * standard pipeline. Front-end names ablate IROpt (subject to
-     * `optimize`); when any backend name is present, exactly those
-     * backend stages run in the given order.
+     * IROpt pass pipeline (see compiler/pipeline.h), for ablation.
+     * Empty = the standard front end; `optimize = false` disables it.
+     * Only front-end names are valid: the backend always runs all
+     * four stages.
      */
     std::vector<std::string> passes;
 
@@ -72,53 +72,20 @@ struct CompileOptions
     int dseWorkers = 0;
 
     /**
-     * Front-end pass names implied by these options. Mirrors
-     * backendPasses(): a pass list naming no front-end passes keeps
-     * the standard IROpt pipeline (use `optimize = false` to disable
-     * the front end entirely).
+     * Front-end pass names implied by these options. Fatal on an
+     * unregistered name: a typo'd programmatic list must not silently
+     * fall back to the standard pipeline.
      */
     std::vector<std::string>
     frontendPasses() const
     {
-        validatePasses();
-        if (!optimize)
-            return {};
-        std::vector<std::string> out;
         for (const std::string &n : passes) {
-            if (isFrontendPassName(n))
-                out.push_back(n);
-        }
-        if (out.empty())
-            return frontendPassNames();
-        return out;
-    }
-
-    /** Backend stage names implied by these options. */
-    std::vector<std::string>
-    backendPasses() const
-    {
-        validatePasses();
-        std::vector<std::string> out;
-        for (const std::string &n : passes) {
-            if (isBackendPassName(n))
-                out.push_back(n);
-        }
-        if (out.empty())
-            return backendPassNames();
-        return out;
-    }
-
-    /**
-     * Reject unregistered pass names: a typo'd programmatic list
-     * must not silently fall back to the standard pipeline.
-     */
-    void
-    validatePasses() const
-    {
-        for (const std::string &n : passes) {
-            if (!isFrontendPassName(n) && !isBackendPassName(n))
+            if (!isFrontendPassName(n))
                 makePass(n); // fatal() with the known-pass list
         }
+        if (!optimize)
+            return {};
+        return passes.empty() ? frontendPassNames() : passes;
     }
 };
 
@@ -161,7 +128,7 @@ class ICurveHandle
 
     /** CodeGen + IROpt only (front end). */
     virtual Module trace(const VariantConfig &variants, TracePart part,
-                         bool optimize, OptStats *stats) const = 0;
+                         bool optimize) const = 0;
 
     /** Random valid pairing inputs in the module I/O convention. */
     virtual std::vector<BigInt> sampleInputs(Rng &rng,
@@ -196,14 +163,22 @@ const ICurveHandle &curveHandle(const std::string &name);
 
 /**
  * Back end only: BankAlloc + PackSched + RegAlloc + encode a traced
- * module for one hardware model, driven through the backend
- * PassManager. Lets DSE sweeps reuse one front-end trace across many
- * hardware configurations. A non-empty @p backendPasses selects a
- * subset/order of the backend stages.
+ * module for one hardware model. Runs runBackendPoint
+ * (compiler/backendprep.h), the function every sweep point runs, then
+ * encodes the binary; the result's stats carry the four backend stage
+ * rows.
  */
 CompileResult runBackend(Module module, const PipelineModel &hw,
-                         bool listSchedule = true,
-                         const std::vector<std::string> &backendPasses = {});
+                         bool listSchedule = true);
+
+/**
+ * Canonical front-end trace-cache key of @p opt on the curve named
+ * @p curve: (curve, TracePart, front-end pipeline, variants). Two
+ * options with equal keys share one cached trace; the batched DSE
+ * engine groups design points by exactly this key.
+ */
+std::string traceCacheKey(const std::string &curve,
+                          const CompileOptions &opt);
 
 /**
  * The area model's input for one compiled design point: the one place
@@ -276,12 +251,7 @@ class Framework
         return handle_->compile(opt);
     }
 
-    /**
-     * Canonical front-end trace-cache key of @p opt on this curve:
-     * (curve, TracePart, front-end pipeline, variants). Two options
-     * with equal keys share one cached trace; the batched DSE engine
-     * groups design points by exactly this key.
-     */
+    /** traceCacheKey of @p opt under this curve's catalog name. */
     std::string traceKey(const CompileOptions &opt) const;
 
     /**

@@ -82,6 +82,7 @@ optionsFromConfig(const Config &cfg)
         cfg.getBool("hw.fifo", opt.hw.issueWidth > 1);
     opt.hw.fifoDepth = cfg.getInt("hw.fifo_depth", 8);
     opt.hw.beta = cfg.getDouble("hw.beta", 0.05);
+    opt.hw.validate(); // before first use; messages name the hw.* key
 
     auto parseMul = [](const std::string &v) {
         if (v == "schoolbook")
@@ -130,18 +131,18 @@ applyDistributorConfig(const Config &cfg, DistributorOptions &dopts)
     dopts.maxGroupRetries =
         cfg.getInt("dse.retries", dopts.maxGroupRetries, 0);
     dopts.livenessTimeoutMs =
-        cfg.getInt("dse.liveness_ms", dopts.livenessTimeoutMs);
+        cfg.getInt("dse.liveness_ms", dopts.livenessTimeoutMs, 0);
     dopts.groupDeadlineMs =
-        cfg.getInt("dse.group_deadline_ms", dopts.groupDeadlineMs);
-    dopts.hedgeAfterMs = cfg.getInt("dse.hedge_ms", dopts.hedgeAfterMs);
-    dopts.maxRespawns = cfg.getInt("dse.respawns", dopts.maxRespawns);
+        cfg.getInt("dse.group_deadline_ms", dopts.groupDeadlineMs, 0);
+    dopts.hedgeAfterMs = cfg.getInt("dse.hedge_ms", dopts.hedgeAfterMs, 0);
+    dopts.maxRespawns = cfg.getInt("dse.respawns", dopts.maxRespawns, -1);
     dopts.fallbackLocal =
         cfg.getBool("dse.fallback_local", dopts.fallbackLocal);
     const std::string hosts = cfg.getString("dse.hosts", "");
     if (!hosts.empty())
         dopts.hosts = splitList(hosts);
     dopts.connectTimeoutMs =
-        cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs);
+        cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs, 0);
 }
 
 } // namespace finesse

@@ -3,11 +3,10 @@
  * Master/worker implementation of the fault-tolerant distributed
  * sweep.
  *
- * Master: groups requests by front-end trace key (non-batchable
- * requests become singleton groups), builds a pool of worker
- * CONNECTIONS -- locally spawned workers dialing back over loopback
- * TCP, or remote `dse-worker --listen` peers named by a host pool --
- * and runs a poll() loop with finite timeouts. Workers are admitted by
+ * Master: groups requests by front-end trace key, builds a pool of
+ * worker CONNECTIONS -- locally spawned workers dialing back over
+ * loopback TCP, or remote `dse-worker --listen` peers named by a host
+ * pool -- and runs a poll() loop with finite timeouts. Workers are admitted by
  * a Hello handshake (protocol version + curve-catalog hash) before any
  * dispatch; until the Hello is validated the slot's frame buffer is
  * capped to a few KB, so an unauthenticated peer cannot drive a large
@@ -319,22 +318,10 @@ distributeEvaluate(const std::string &curve,
     // Group by front-end trace key (groupByTraceKey: the SAME
     // grouping the in-process engine applies) so one dispatch
     // amortizes the worker-side trace + prep across every point that
-    // shares it. Requests the batched engine would not group ride as
-    // singleton groups; the worker's evaluateAll applies the same
-    // split, so the evaluation path per point is identical either
-    // way.
+    // shares it.
     std::vector<Group> groups;
-    {
-        GroupedRequests grouping = groupByTraceKey(curve, points);
-        groups.reserve(grouping.byKey.size() +
-                       grouping.ungrouped.size());
-        for (std::vector<size_t> &indices : grouping.byKey)
-            groups.push_back({std::move(indices), 0, 0, false, false,
-                              Clock::time_point{}});
-        for (size_t i : grouping.ungrouped)
-            groups.push_back(
-                {{i}, 0, 0, false, false, Clock::time_point{}});
-    }
+    for (std::vector<size_t> &indices : groupByTraceKey(curve, points))
+        groups.push_back({std::move(indices)});
     stats.groups = groups.size();
 
     const std::vector<std::string> cmd = {selfExePath(), "dse-worker"};

@@ -10,7 +10,6 @@
  */
 #include "dse/explorer.h"
 
-#include <optional>
 #include <unordered_map>
 
 #include "compiler/backendprep.h"
@@ -56,20 +55,7 @@ evaluatePoint(const Framework &fw, const Module &m, const TracePrep &prep,
     p.linInstrs = prep.linInstrs;
     p.compileSeconds = bp.seconds;
 
-    // Backend stage rows for --pass-stats, like the PassManager path
-    // appends (invocations/wall time; backend stages remove nothing).
-    const std::pair<const char *, double> stages[] = {
-        {"bankalloc", bp.bankallocSeconds},
-        {"packsched", bp.packschedSeconds},
-        {"regalloc", bp.regallocSeconds},
-        {"encode", bp.encodeSeconds},
-    };
-    for (const auto &[name, seconds] : stages) {
-        PassStats &ps = ensurePassStats(p.opt, name, false);
-        ps.invocations += 1;
-        ps.seconds += seconds;
-        p.opt.seconds += seconds;
-    }
+    appendBackendStats(p.opt, bp); // --pass-stats rows, as compile
 
     const int fpBits = fw.info().logP();
     fillModelMetrics(
@@ -83,34 +69,20 @@ evaluatePoint(const Framework &fw, const Module &m, const TracePrep &prep,
 
 } // namespace
 
-bool
-batchableRequest(const CompileOptions &opt)
-{
-    return opt.useTraceCache && opt.backendPasses() == backendPassNames();
-}
-
-GroupedRequests
+std::vector<std::vector<size_t>>
 groupByTraceKey(const std::string &curve,
                 const std::vector<DseRequest> &points)
 {
-    GroupedRequests out;
-    std::optional<Framework> fw;
+    std::vector<std::vector<size_t>> groups;
     std::unordered_map<std::string, size_t> keyIndex;
     for (size_t i = 0; i < points.size(); ++i) {
-        if (!batchableRequest(points[i].opt)) {
-            out.ungrouped.push_back(i);
-            continue;
-        }
-        if (!fw)
-            fw.emplace(curve);
-        const auto [it, inserted] =
-            keyIndex.emplace(fw->traceKey(points[i].opt),
-                             out.byKey.size());
+        const auto [it, inserted] = keyIndex.emplace(
+            traceCacheKey(curve, points[i].opt), groups.size());
         if (inserted)
-            out.byKey.emplace_back();
-        out.byKey[it->second].push_back(i);
+            groups.emplace_back();
+        groups[it->second].push_back(i);
     }
-    return out;
+    return groups;
 }
 
 void
@@ -164,42 +136,37 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
 {
     std::vector<DsePoint> out(points.size());
 
-    // Bucket batchable requests by trace key (the shared grouping
-    // definition, groupByTraceKey); everything else goes through the
-    // legacy per-point path in phase B.
+    // Bucket requests by trace key (the shared grouping definition,
+    // groupByTraceKey).
     struct TraceGroup
     {
         std::shared_ptr<const Module> module;
         TracePrep prep;
         OptStats stats;
     };
-    const GroupedRequests grouping = groupByTraceKey(curve_, points);
-    std::vector<TraceGroup> groups(grouping.byKey.size());
-    constexpr size_t kUngrouped = static_cast<size_t>(-1);
-    std::vector<size_t> groupOf(points.size(), kUngrouped);
-    for (size_t g = 0; g < grouping.byKey.size(); ++g) {
-        for (size_t i : grouping.byKey[g])
+    const std::vector<std::vector<size_t>> byKey =
+        groupByTraceKey(curve_, points);
+    std::vector<TraceGroup> groups(byKey.size());
+    std::vector<size_t> groupOf(points.size());
+    for (size_t g = 0; g < byKey.size(); ++g) {
+        for (size_t i : byKey[g])
             groupOf[i] = g;
     }
 
     // Phase A: one shared trace + prep per group. Tracing goes
     // through the process-wide cache (concurrent same-key requests
-    // from other sweeps still coalesce).
+    // from other sweeps still coalesce) unless the group's first
+    // request disables it; by the trace-cache contract the module is
+    // bit-identical either way.
     parallelFor(groups.size(), jobs, [&](size_t g) {
         TraceGroup &grp = groups[g];
-        grp.module = fw_.traceShared(points[grouping.byKey[g][0]].opt,
-                                     grp.stats);
+        grp.module = fw_.traceShared(points[byKey[g][0]].opt, grp.stats);
         grp.prep = buildTracePrep(*grp.module);
     });
 
     // Phase B: every point against its group's immutable shared state,
     // with per-worker reusable scratch.
     parallelFor(points.size(), jobs, [&](size_t i) {
-        if (groupOf[i] == kUngrouped) {
-            out[i] = evaluateLegacy(points[i].opt, points[i].cores,
-                                    points[i].label);
-            return;
-        }
         const TraceGroup &grp = groups[groupOf[i]];
         out[i] = evaluatePoint(fw_, *grp.module, grp.prep,
                                points[i].opt, points[i].cores,

@@ -71,34 +71,17 @@ struct DseRequest
 };
 
 /**
- * True when the batched engine can group @p opt by trace key: the
- * standard backend stage pipeline with the trace cache enabled.
- * Anything else (stage ablations, --no-trace-cache) takes the legacy
- * per-point compile path, which honors every option. The ONE
- * definition shared by Explorer::evaluateAll and the multi-process
- * distributor -- master-side grouping must never diverge from
- * worker-side evaluation.
+ * Request indices grouped by front-end trace key (traceCacheKey under
+ * @p curve as given): groups in first-appearance order, indices
+ * ascending. The ONE grouping definition shared by
+ * Explorer::evaluateAll and the multi-process distributor -- a
+ * grouping change that reached only one of them would silently break
+ * the bit-identity contract. The curve handle is never resolved, so
+ * the distributor leaves curve validation to its workers.
  */
-bool batchableRequest(const CompileOptions &opt);
-
-/**
- * Request indices bucketed for batched evaluation: batchable requests
- * grouped by front-end trace key (groups in first-appearance order,
- * indices ascending), non-batchable leftovers listed separately. The
- * ONE grouping definition shared by Explorer::evaluateAll and the
- * multi-process distributor -- a grouping change that reached only
- * one of them would silently break the bit-identity contract. The
- * curve handle is resolved lazily: a request list with no batchable
- * entry never validates the curve (the distributor defers that to
- * its workers).
- */
-struct GroupedRequests
-{
-    std::vector<std::vector<size_t>> byKey;
-    std::vector<size_t> ungrouped;
-};
-GroupedRequests groupByTraceKey(const std::string &curve,
-                                const std::vector<DseRequest> &points);
+std::vector<std::vector<size_t>>
+groupByTraceKey(const std::string &curve,
+                const std::vector<DseRequest> &points);
 
 /** Explorer: evaluates and exhaustively searches design points. */
 class Explorer
@@ -155,10 +138,10 @@ class Explorer
 
     /**
      * Reference oracle for the grouped engine: the pre-batching
-     * per-point path (every point independently clones the cached
-     * trace and runs the full backend PassManager). Deterministic
-     * fields must match evaluateAll exactly; tests and benches
-     * enforce this.
+     * per-point path (every point independently runs
+     * Framework::compile on its own clone of the cached trace).
+     * Deterministic fields must match evaluateAll exactly; tests and
+     * benches enforce this.
      */
     std::vector<DsePoint>
     evaluateAllUngrouped(const std::vector<DseRequest> &points,

@@ -58,19 +58,17 @@ stepDim(int &v, const std::vector<int> &cands, Rng &rng, int radius)
  * Content-addressed key of one evaluated design point. Everything
  * the deterministic result depends on is in the key: the build /
  * catalog fingerprint and both codec versions, the front-end trace
- * key (curve, part, front-end pipeline, variants), the backend stage
- * pipeline and scheduling mode, the full hardware model, and the core
- * count. The point label is NOT keyed -- it is presentation, and the
- * cache hit path restores the requester's label.
+ * key (curve, part, front-end pipeline, variants), the scheduling
+ * mode, the full hardware model, and the core count. The point label
+ * is NOT keyed -- it is presentation, and the cache hit path restores
+ * the requester's label.
  */
 std::string
 pointArtifactKey(const Framework &fw, const DseRequest &req)
 {
     std::ostringstream os;
     os << "point|" << hex16(artifactFingerprint()) << "|w"
-       << wire::kProtocolVersion << "|" << fw.traceKey(req.opt) << "|be:";
-    for (const std::string &p : req.opt.backendPasses())
-        os << p << ",";
+       << wire::kProtocolVersion << "|" << fw.traceKey(req.opt);
     const PipelineModel &m = req.opt.hw;
     u64 betaBits = 0;
     static_assert(sizeof betaBits == sizeof m.beta);

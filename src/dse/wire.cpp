@@ -113,6 +113,7 @@ getHw(WireReader &r)
     hw.writebackFifo = r.boolv();
     hw.fifoDepth = r.i32v();
     hw.beta = r.f64v();
+    hw.validate(); // a zero width or bank count would SIGFPE a worker
     return hw;
 }
 
@@ -144,6 +145,8 @@ getRequest(WireReader &r)
     DseRequest req;
     req.label = r.str();
     req.cores = r.i32v();
+    if (req.cores < 1)
+        fatal("wire: request cores must be >= 1, got ", req.cores);
     req.opt.variants = getVariants(r);
     req.opt.hw = getHw(r);
     req.opt.optimize = r.boolv();

@@ -61,19 +61,28 @@ struct PipelineModel
         return 1;
     }
 
-    /** Validate the paper's structural constraints. */
+    /**
+     * Validate the paper's structural constraints and the value
+     * bounds every stage relies on (a zero width or bank count would
+     * divide by zero). Messages name the config keys (core/options.h).
+     */
     void
     validate() const
     {
+        FINESSE_REQUIRE(shortLat >= 1, "hw.short_lat must be >= 1");
         FINESSE_REQUIRE(longLat > shortLat,
-                        "Long latency must exceed Short");
-        FINESSE_REQUIRE(issueWidth >= 1 && numLinUnits >= 1);
+                        "hw.long_lat must exceed hw.short_lat");
+        FINESSE_REQUIRE(invLat >= 1, "hw.inv_lat must be >= 1");
+        FINESSE_REQUIRE(issueWidth >= 1, "hw.issue_width must be >= 1");
+        FINESSE_REQUIRE(numLinUnits >= 1, "hw.lin_units must be >= 1");
         FINESSE_REQUIRE(numBanks >= issueWidth,
-                        "need at least as many banks as issue width");
+                        "hw.banks must be >= hw.issue_width");
         FINESSE_REQUIRE(readsPerBank >= 2 && writesPerBank >= 1,
                         "banks must support 2R1W per cycle");
+        FINESSE_REQUIRE(fifoDepth >= 1, "hw.fifo_depth must be >= 1");
         FINESSE_REQUIRE(issueWidth == 1 || writebackFifo,
-                        "VLIW architectures require write-back FIFOs");
+                        "VLIW architectures require write-back FIFOs "
+                        "(hw.fifo)");
     }
 
     std::string

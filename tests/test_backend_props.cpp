@@ -166,11 +166,11 @@ expectEnginesIdentical(const Module &m, const TracePrep &prep,
     const Schedule ref = scheduleModuleReference(m, banks, hw, listSched);
     const RegAssignment refRegs = allocateRegistersReference(m, banks, ref);
 
-    // PassManager entry point: the compile pipeline's backend passes.
-    const CompileResult viaPasses = runBackend(m, hw, listSched);
-    EXPECT_EQ(viaPasses.prog.banks, banks);
-    EXPECT_EQ(viaPasses.prog.schedule, ref);
-    EXPECT_EQ(viaPasses.prog.regs, refRegs);
+    // Compile entry point: runBackend, the compile pipeline's backend.
+    const CompileResult viaCompile = runBackend(m, hw, listSched);
+    EXPECT_EQ(viaCompile.prog.banks, banks);
+    EXPECT_EQ(viaCompile.prog.schedule, ref);
+    EXPECT_EQ(viaCompile.prog.regs, refRegs);
 
     // Batched entry point (shared prep, reused scratch).
     BackendPoint bp;

@@ -44,7 +44,18 @@ TEST(Config, RejectsMalformed)
                              "hw.long_lat = 3 8\n", "hw.banks = 0x\n",
                              "hw.beta = 0.05xyz\n", "hw.beta = nan\n",
                              "hw.beta = 1e999\n", "jobs = -1\n",
-                             "dse.retries = -2\n"}) {
+                             "dse.retries = -2\n",
+                             // Out-of-range hardware models fail
+                             // before first use (no SIGFPE).
+                             "hw.issue_width = 0\n", "hw.banks = 0\n",
+                             "hw.short_lat = -3\n", "hw.inv_lat = -5\n",
+                             "hw.fifo_depth = 0\n",
+                             // Negative dse.* knobs are not "default".
+                             "dse.liveness_ms = -1\n",
+                             "dse.group_deadline_ms = -5\n",
+                             "dse.hedge_ms = -1\n",
+                             "dse.connect_ms = -100\n",
+                             "dse.respawns = -7\n"}) {
         SCOPED_TRACE(text);
         const Config bad = Config::parse(text);
         const std::string key = bad.entries().begin()->first;

@@ -44,8 +44,8 @@ ambientFaults()
 
 /**
  * Mixed request set on BN254N: several trace keys (variants x part),
- * several hardware models per key, a legacy-path request (trace cache
- * disabled -> singleton group) and a backend ablation.
+ * several hardware models per key, and a request with the trace cache
+ * disabled (it joins its key's group).
  */
 std::vector<DseRequest>
 mixedRequests(const Explorer &ex)
@@ -84,10 +84,10 @@ mixedRequests(const Explorer &ex)
         reqs.push_back(std::move(req));
     }
     {
-        // Legacy per-point path: no trace cache -> singleton group.
+        // Trace cache off: same key, same group, same result.
         DseRequest req;
         req.opt.useTraceCache = false;
-        req.label = "legacy";
+        req.label = "uncached";
         reqs.push_back(std::move(req));
     }
     return reqs;
@@ -294,12 +294,11 @@ TEST(DistributedDse, WorkerSideErrorPropagatesWithoutRetry)
 {
     // An unknown curve is a deterministic failure: the worker reports
     // it over the wire (WorkerError frame) and the master propagates
-    // instead of burning retries on it. The request disables the
-    // trace cache so the master never needs the curve handle itself
-    // (singleton group) -- the error must travel the wire.
+    // instead of burning retries on it. The master never resolves the
+    // curve handle (groupByTraceKey keys on the name as given), so
+    // the error must travel the wire.
     std::vector<DseRequest> reqs;
     reqs.emplace_back();
-    reqs.back().opt.useTraceCache = false;
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;

@@ -40,7 +40,7 @@ TEST(Dse, TwoStageEvaluationMatchesMonolithic)
     CompileOptions opt;
     const DsePoint direct = ex.evaluate(opt, 1, "direct");
     const Module m = ex.framework().handle().trace(
-        opt.variants, TracePart::Full, true, nullptr);
+        opt.variants, TracePart::Full, true);
     const DsePoint staged = ex.evaluateModule(m, opt.hw, 1, "staged");
     EXPECT_EQ(direct.cycles, staged.cycles);
     EXPECT_EQ(direct.instrs, staged.instrs);
@@ -76,11 +76,11 @@ TEST(Dse, KaratsubaCrossoverBetweenArchitectures)
     // linear ops are cheap/parallel.
     Explorer ex("BN254N");
     const Module mKarat = ex.framework().handle().trace(
-        ex.allKaratsuba(), TracePart::Full, true, nullptr);
+        ex.allKaratsuba(), TracePart::Full, true);
     VariantConfig noKaratLow = ex.allKaratsuba();
     noKaratLow.levels[2].mul = MulVariant::Schoolbook;
     const Module mMixed = ex.framework().handle().trace(
-        noKaratLow, TracePart::Full, true, nullptr);
+        noKaratLow, TracePart::Full, true);
 
     PipelineModel single; // L=38/S=8 single issue
     PipelineModel wide;

@@ -131,5 +131,31 @@ TEST(PipelineModelChecks, LatencyTable)
     EXPECT_EQ(hw.latency(Op::Inv), hw.invLat);
 }
 
+TEST(PipelineModelChecks, RejectsOutOfRangeFields)
+{
+    PipelineModel().validate(); // the paper default is valid
+    const std::pair<const char *, void (*)(PipelineModel &)> bad[] = {
+        {"hw.issue_width", [](PipelineModel &m) { m.issueWidth = 0; }},
+        {"hw.banks", [](PipelineModel &m) { m.numBanks = 0; }},
+        {"hw.short_lat", [](PipelineModel &m) { m.shortLat = -3; }},
+        {"hw.short_lat", [](PipelineModel &m) { m.shortLat = 0; }},
+        {"hw.inv_lat", [](PipelineModel &m) { m.invLat = -5; }},
+        {"hw.fifo_depth", [](PipelineModel &m) { m.fifoDepth = 0; }},
+        {"hw.lin_units", [](PipelineModel &m) { m.numLinUnits = 0; }},
+    };
+    for (const auto &[key, breakIt] : bad) {
+        SCOPED_TRACE(key);
+        PipelineModel m;
+        breakIt(m);
+        try {
+            m.validate();
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 } // namespace
 } // namespace finesse

@@ -26,8 +26,7 @@ namespace {
 Module
 rawTrace(const std::string &curve)
 {
-    return curveHandle(curve).trace(VariantConfig{}, TracePart::Full,
-                                    false, nullptr);
+    return curveHandle(curve).trace(VariantConfig{}, TracePart::Full, false);
 }
 
 /** Subsets exercising every pass alone and several mixed orders. */

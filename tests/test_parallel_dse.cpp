@@ -134,8 +134,8 @@ TEST(ParallelDse, GroupedEvaluateAllMatchesUngroupedAcrossJobs)
 {
     // The batched engine (grouped by trace key, shared TracePrep,
     // per-worker scratch) against the pre-batching per-point oracle
-    // (every point clones the cached trace and runs the full backend
-    // PassManager): deterministic fields must be bit-identical for
+    // (every point runs Framework::compile on its own clone of the
+    // trace): deterministic fields must be bit-identical for
     // every jobs value. This test is part of the TSan workload -- the
     // grouped path shares immutable trace/prep state across workers.
     Explorer ex("BN254N");
@@ -163,6 +163,13 @@ TEST(ParallelDse, GroupedEvaluateAllMatchesUngroupedAcrossJobs)
                 reqs.push_back(std::move(req));
             }
         }
+    }
+    {
+        // Trace cache off: joins its key's group, same result.
+        DseRequest req;
+        req.opt.useTraceCache = false;
+        req.label = "uncached";
+        reqs.push_back(std::move(req));
     }
 
     const std::vector<DsePoint> ref = ex.evaluateAllUngrouped(reqs, 1);

@@ -3,7 +3,7 @@
  * PassManager-layer tests: registry and pipeline composition, pass
  * ordering, per-pass attribution (deltas sum to the aggregate
  * reduction), single-pass ablation correctness against the native
- * reference, backend prerequisite enforcement, and the hit/miss
+ * reference, rejection of backend stage names, and the hit/miss
  * semantics of the process-wide front-end trace cache (one trace per
  * (curve, variants, part) across a full-catalog DSE sweep).
  */
@@ -15,6 +15,10 @@
 namespace finesse {
 namespace {
 
+/** The backend's fixed stages, as named in the --pass-stats rows. */
+const std::vector<std::string> kBackendStages = {"bankalloc", "packsched",
+                                                 "regalloc", "encode"};
+
 // ------------------------------------------------------ registry/ordering
 
 TEST(PassRegistry, StandardPipelineOrder)
@@ -22,20 +26,12 @@ TEST(PassRegistry, StandardPipelineOrder)
     EXPECT_EQ(frontendPassNames(),
               (std::vector<std::string>{"constfold", "zerooneprop",
                                         "strengthreduce", "gvn", "dce"}));
-    EXPECT_EQ(backendPassNames(),
-              (std::vector<std::string>{"bankalloc", "packsched",
-                                        "regalloc", "encode"}));
     EXPECT_EQ(PassManager::standardFrontend().names(),
               frontendPassNames());
-    EXPECT_EQ(PassManager::standardBackend().names(),
-              backendPassNames());
     for (const std::string &n : frontendPassNames()) {
         EXPECT_TRUE(isFrontendPassName(n));
-        EXPECT_FALSE(isBackendPassName(n));
-        EXPECT_TRUE(makePass(n)->isFrontend());
+        EXPECT_EQ(makePass(n)->name(), n);
     }
-    for (const std::string &n : backendPassNames())
-        EXPECT_FALSE(makePass(n)->isFrontend());
 }
 
 TEST(PassRegistry, ParsePassListValidates)
@@ -47,27 +43,34 @@ TEST(PassRegistry, ParsePassListValidates)
               (std::vector<std::string>{"constfold", "dce"}));
     EXPECT_THROW(parsePassList("gvn,bogus"), FatalError);
     EXPECT_THROW(makePass("nope"), FatalError);
+    // The backend always runs all four stages: a stage name is the
+    // unknown-pass error, not an ablation.
+    for (const std::string &n : kBackendStages) {
+        SCOPED_TRACE(n);
+        EXPECT_THROW(makePass(n), FatalError);
+        try {
+            parsePassList("gvn," + n);
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown compiler pass"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
-TEST(PassRegistry, CompileOptionsSplitPipeline)
+TEST(PassRegistry, CompileOptionsFrontendPipeline)
 {
     CompileOptions opt;
     EXPECT_EQ(opt.frontendPasses(), frontendPassNames());
-    EXPECT_EQ(opt.backendPasses(), backendPassNames());
 
     opt.passes = {"gvn", "dce"};
     EXPECT_EQ(opt.frontendPasses(),
               (std::vector<std::string>{"gvn", "dce"}));
-    EXPECT_EQ(opt.backendPasses(), backendPassNames());
 
-    opt.passes = {"dce", "bankalloc", "packsched"};
-    EXPECT_EQ(opt.backendPasses(),
-              (std::vector<std::string>{"bankalloc", "packsched"}));
-
-    // A backend-only list keeps the standard front end (symmetric
-    // with a frontend-only list keeping the standard backend).
-    opt.passes = {"bankalloc", "packsched", "regalloc", "encode"};
-    EXPECT_EQ(opt.frontendPasses(), frontendPassNames());
+    opt.passes = {"dce", "bankalloc"}; // a backend stage is not a pass
+    EXPECT_THROW(opt.frontendPasses(), FatalError);
+    opt.passes = {"gvn", "dce"};
 
     opt.optimize = false;
     EXPECT_EQ(opt.frontendPasses(), std::vector<std::string>{});
@@ -158,22 +161,6 @@ TEST(PassPipeline, EachPassAttributedOnSmallModule)
         EXPECT_EQ(ps.invocations, stats.iterations) << ps.name;
 }
 
-TEST(PassPipeline, BackendPrerequisitesEnforced)
-{
-    // packsched without bankalloc must fail loudly, not misbehave.
-    EXPECT_THROW(
-        runBackend(smallModule(), PipelineModel{}, true, {"packsched"}),
-        PanicError);
-    EXPECT_THROW(runBackend(smallModule(), PipelineModel{}, true,
-                            {"bankalloc", "regalloc"}),
-                 PanicError);
-    // A backend prefix is a valid ablation: no regs/binary computed.
-    const CompileResult partial = runBackend(
-        smallModule(), PipelineModel{}, true, {"bankalloc", "packsched"});
-    EXPECT_GT(partial.prog.schedule.bundles.size(), 0u);
-    EXPECT_TRUE(partial.binary.words.empty());
-}
-
 // ----------------------------------------------- whole-pairing pipeline
 
 TEST(PassPipeline, PerPassDeltasSumToAggregateOnPairing)
@@ -188,12 +175,13 @@ TEST(PassPipeline, PerPassDeltasSumToAggregateOnPairing)
               static_cast<i64>(st.instrsBefore) -
                   static_cast<i64>(st.instrsAfter));
     // All five front-end passes and all four backend stages reported.
+    EXPECT_EQ(st.passes.size(), frontendPassNames().size() + 4);
     for (const std::string &n : frontendPassNames()) {
         ASSERT_NE(st.pass(n), nullptr) << n;
         EXPECT_TRUE(st.pass(n)->frontend);
         EXPECT_GT(st.pass(n)->invocations, 0) << n;
     }
-    for (const std::string &n : backendPassNames()) {
+    for (const std::string &n : kBackendStages) {
         ASSERT_NE(st.pass(n), nullptr) << n;
         EXPECT_FALSE(st.pass(n)->frontend);
         EXPECT_EQ(st.pass(n)->invocations, 1) << n;

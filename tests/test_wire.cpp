@@ -548,6 +548,28 @@ TEST(Wire, RandomBytesFuzz)
     }
 }
 
+TEST(Wire, OutOfRangeRequestsAreRejectedAtDecode)
+{
+    // A model that would divide by zero in the backend stages, or a
+    // core count below one, must fail at decode -- the worker replies
+    // with an error instead of dying on SIGFPE mid-group.
+    const std::vector<void (*)(DseRequest &)> breakers = {
+        [](DseRequest &r) { r.opt.hw.numBanks = 0; },
+        [](DseRequest &r) { r.opt.hw.issueWidth = 0; },
+        [](DseRequest &r) { r.opt.hw.shortLat = -3; },
+        [](DseRequest &r) { r.opt.hw.invLat = -5; },
+        [](DseRequest &r) { r.opt.hw.fifoDepth = 0; },
+        [](DseRequest &r) { r.cores = 0; },
+    };
+    for (size_t i = 0; i < breakers.size(); ++i) {
+        SCOPED_TRACE(i);
+        GroupRequest msg = sampleRequest();
+        breakers[i](msg.requests[1]);
+        EXPECT_THROW(decodeGroupRequest(payloadOf(encodeGroupRequest(msg))),
+                     FatalError);
+    }
+}
+
 TEST(Wire, HugeElementCountsAreRejectedWithoutAllocating)
 {
     // A payload whose request count claims 2^32-1 entries but carries
