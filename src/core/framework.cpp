@@ -305,10 +305,13 @@ runBackendStages(Module module, const PipelineModel &hw,
                  bool listSchedule, OptStats stats)
 {
     const auto start = std::chrono::steady_clock::now();
-    const TracePrep prep = buildTracePrep(module);
-    BackendScratch scratch;
-    BackendPoint &bp = scratch.point;
-    runBackendPoint(module, prep, hw, listSchedule, scratch, bp);
+    BackendPoint bp;
+    {
+        // Freed before the binary is materialized (peak memory).
+        const TracePrep prep = buildTracePrep(module);
+        BackendScratch scratch;
+        runBackendPoint(module, prep, hw, listSchedule, scratch, bp);
+    }
 
     CompileResult result;
     result.prog.module = std::move(module);
