@@ -5,7 +5,7 @@
  * per-worker buffer set (BackendScratch) and the backend point runner.
  *
  * The backend is one fixed sequence, BankAlloc -> PackSched ->
- * RegAlloc -> ASM/Link, and runBackendPoint is its one driver: compile
+ * RegAlloc -> ASM/Link, and runBackendPoint is what runs it: compile
  * (runBackend, core/framework.h) calls it with a per-call prep and
  * scratch and then encodes the binary; the sweep calls it against one
  * TracePrep per cached trace, built once and shared read-only by every

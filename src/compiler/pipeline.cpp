@@ -1,7 +1,7 @@
 /**
  * @file
  * PassManager implementation: the IROpt pass registry and the
- * fixpoint driver over the worklist and reference sweep engines.
+ * fixpoint loop over the worklist and reference sweep engines.
  */
 #include "compiler/pipeline.h"
 

@@ -56,7 +56,7 @@ class Pass
 };
 
 /**
- * The IROpt fixpoint driver: the pipeline's passes are iterated as
+ * The IROpt fixpoint loop: the pipeline's passes are iterated as
  * one group (up to kMaxFixpointIters rounds) until no pass reports a
  * change. Each invocation records instruction deltas, round counts
  * and wall time into CompilationContext::stats.
