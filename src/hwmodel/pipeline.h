@@ -79,7 +79,8 @@ struct PipelineModel
                         "hw.banks must be >= hw.issue_width");
         FINESSE_REQUIRE(readsPerBank >= 2 && writesPerBank >= 1,
                         "banks must support 2R1W per cycle");
-        FINESSE_REQUIRE(fifoDepth >= 1, "hw.fifo_depth must be >= 1");
+        FINESSE_REQUIRE(!writebackFifo || fifoDepth >= 1,
+                        "hw.fifo_depth must be >= 1 when hw.fifo is on");
         FINESSE_REQUIRE(issueWidth == 1 || writebackFifo,
                         "VLIW architectures require write-back FIFOs "
                         "(hw.fifo)");

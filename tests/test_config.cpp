@@ -49,7 +49,7 @@ TEST(Config, RejectsMalformed)
                              // before first use (no SIGFPE).
                              "hw.issue_width = 0\n", "hw.banks = 0\n",
                              "hw.short_lat = -3\n", "hw.inv_lat = -5\n",
-                             "hw.fifo_depth = 0\n",
+                             "hw.fifo = true\nhw.fifo_depth = 0\n",
                              // Negative dse.* knobs are not "default".
                              "dse.liveness_ms = -1\n",
                              "dse.group_deadline_ms = -5\n",
@@ -69,6 +69,10 @@ TEST(Config, RejectsMalformed)
                 << e.what();
         }
     }
+    // The FIFO depth is only read when the FIFO is on.
+    EXPECT_EQ(optionsFromConfig(Config::parse("hw.fifo_depth = 0\n"))
+                  .hw.fifoDepth,
+              0);
 }
 
 TEST(Config, KeepsValidNumberForms)

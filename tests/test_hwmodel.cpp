@@ -134,13 +134,20 @@ TEST(PipelineModelChecks, LatencyTable)
 TEST(PipelineModelChecks, RejectsOutOfRangeFields)
 {
     PipelineModel().validate(); // the paper default is valid
+    PipelineModel noFifo;       // the depth is unused without a FIFO
+    noFifo.fifoDepth = 0;
+    noFifo.validate();
     const std::pair<const char *, void (*)(PipelineModel &)> bad[] = {
         {"hw.issue_width", [](PipelineModel &m) { m.issueWidth = 0; }},
         {"hw.banks", [](PipelineModel &m) { m.numBanks = 0; }},
         {"hw.short_lat", [](PipelineModel &m) { m.shortLat = -3; }},
         {"hw.short_lat", [](PipelineModel &m) { m.shortLat = 0; }},
         {"hw.inv_lat", [](PipelineModel &m) { m.invLat = -5; }},
-        {"hw.fifo_depth", [](PipelineModel &m) { m.fifoDepth = 0; }},
+        {"hw.fifo_depth",
+         [](PipelineModel &m) {
+             m.writebackFifo = true;
+             m.fifoDepth = 0;
+         }},
         {"hw.lin_units", [](PipelineModel &m) { m.numLinUnits = 0; }},
     };
     for (const auto &[key, breakIt] : bad) {

@@ -558,7 +558,10 @@ TEST(Wire, OutOfRangeRequestsAreRejectedAtDecode)
         [](DseRequest &r) { r.opt.hw.issueWidth = 0; },
         [](DseRequest &r) { r.opt.hw.shortLat = -3; },
         [](DseRequest &r) { r.opt.hw.invLat = -5; },
-        [](DseRequest &r) { r.opt.hw.fifoDepth = 0; },
+        [](DseRequest &r) {
+            r.opt.hw.writebackFifo = true;
+            r.opt.hw.fifoDepth = 0;
+        },
         [](DseRequest &r) { r.cores = 0; },
     };
     for (size_t i = 0; i < breakers.size(); ++i) {
