@@ -50,7 +50,9 @@ struct CompileOptions
     /**
      * Reuse the process-wide front-end trace cache keyed by (curve,
      * variants, part, front-end pipeline): a traced + optimized module
-     * is computed once and cloned for each hardware point.
+     * is computed once and cloned for each hardware point. In a
+     * sweep, a group of same-key requests traces uncached if any of
+     * them sets this to false.
      */
     bool useTraceCache = true;
 

@@ -155,12 +155,17 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
 
     // Phase A: one shared trace + prep per group. Tracing goes
     // through the process-wide cache (concurrent same-key requests
-    // from other sweeps still coalesce) unless the group's first
-    // request disables it; by the trace-cache contract the module is
-    // bit-identical either way.
+    // from other sweeps still coalesce) unless any request of the
+    // group disables it, so the option does not depend on request
+    // order; by the trace-cache contract the module is bit-identical
+    // either way.
     parallelFor(groups.size(), jobs, [&](size_t g) {
         TraceGroup &grp = groups[g];
-        grp.module = fw_.traceShared(points[byKey[g][0]].opt, grp.stats);
+        CompileOptions opt = points[byKey[g][0]].opt;
+        for (size_t i : byKey[g])
+            opt.useTraceCache = opt.useTraceCache &&
+                                points[i].opt.useTraceCache;
+        grp.module = fw_.traceShared(opt, grp.stats);
         grp.prep = buildTracePrep(*grp.module);
     });
 

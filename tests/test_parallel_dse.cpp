@@ -185,6 +185,29 @@ TEST(ParallelDse, GroupedEvaluateAllMatchesUngroupedAcrossJobs)
     }
 }
 
+TEST(ParallelDse, UncachedRequestTracesItsGroupUncachedInAnyOrder)
+{
+    // A group traces uncached if any of its requests disables the
+    // trace cache, whichever position that request has.
+    Explorer ex("BN254N");
+    for (bool uncachedFirst : {true, false}) {
+        SCOPED_TRACE(uncachedFirst ? "uncached first" : "uncached last");
+        clearTraceCache();
+        DseRequest cached, uncached;
+        cached.label = "cached";
+        uncached.label = "uncached";
+        uncached.opt.useTraceCache = false;
+        uncached.opt.hw.longLat = 20;
+        const std::vector<DseRequest> reqs =
+            uncachedFirst ? std::vector<DseRequest>{uncached, cached}
+                          : std::vector<DseRequest>{cached, uncached};
+        ex.evaluateAll(reqs, 1);
+        const TraceCacheStats s = traceCacheStats();
+        EXPECT_EQ(s.hits + s.misses + s.coalesced, 0u);
+        EXPECT_EQ(s.entries, 0u);
+    }
+}
+
 TEST(ParallelDse, ExploreVariantsSameBestPointAcrossJobs)
 {
     Explorer ex("BN254N");
