@@ -359,7 +359,7 @@ OptContext::compact()
 }
 
 int
-runFrontendWorklist(CompilationContext &ctx,
+runFrontendWorklist(Module &m, OptStats &stats,
                     const std::vector<Pass *> &group)
 {
     struct Slot
@@ -380,15 +380,15 @@ runFrontendWorklist(CompilationContext &ctx,
         slots.push_back({p, rw, rw ? rewriterSlots++ : 0, nullptr});
     }
 
-    OptContext oc(ctx.module, rewriterSlots);
+    OptContext oc(m, rewriterSlots);
 
     // Create every PassStats entry first (pipeline order, identical to
     // the sweep engine's first-invocation order), THEN take pointers:
     // ensurePassStats appends and can reallocate the vector.
     for (const Slot &s : slots)
-        ensurePassStats(ctx.stats, s.pass->name(), true);
+        ensurePassStats(stats, s.pass->name(), true);
     for (Slot &s : slots)
-        s.stats = &ensurePassStats(ctx.stats, s.pass->name(), true);
+        s.stats = &ensurePassStats(stats, s.pass->name(), true);
 
     for (Slot &s : slots) {
         if (s.rw)
@@ -408,11 +408,11 @@ runFrontendWorklist(CompilationContext &ctx,
             s.stats->invocations += 1;
             s.stats->instrsRemoved += static_cast<i64>(r.instsRemoved);
             s.stats->seconds += dt;
-            ctx.stats.seconds += dt;
+            stats.seconds += dt;
             changed |= r.changed;
         }
     }
-    ctx.stats.iterations += rounds;
+    stats.iterations += rounds;
     oc.compact();
     return rounds;
 }

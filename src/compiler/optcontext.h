@@ -215,13 +215,13 @@ class OptContext final : public RewriteEnv
 };
 
 /**
- * Drive a front-end pass group over ctx.module with the
+ * Drive a front-end pass group over @p m with the
  * worklist engine: rounds of per-pass scans until a clean round or
  * PassManager::kMaxFixpointIters, per-pass PassStats accounting
  * identical to the sweep engine's, then one compaction. Returns the
  * number of rounds executed.
  */
-int runFrontendWorklist(CompilationContext &ctx,
+int runFrontendWorklist(Module &m, OptStats &stats,
                         const std::vector<Pass *> &group);
 
 } // namespace finesse

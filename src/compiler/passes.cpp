@@ -86,9 +86,8 @@ class RewritePass : public Pass, public InstRewriter, public RewriteEnv
     InstRewriter *instRewriter() override { return this; }
 
     bool
-    run(CompilationContext &ctx) override
+    run(Module &m) override
     {
-        Module &m = ctx.module;
         m_ = &m;
         rep_.assign(static_cast<size_t>(m.numValues), -1);
         constVal_.clear();
@@ -430,9 +429,8 @@ class DcePass final : public Pass
     std::string_view name() const override { return "dce"; }
 
     bool
-    run(CompilationContext &ctx) override
+    run(Module &m) override
     {
-        Module &m = ctx.module;
         std::vector<u8> live(static_cast<size_t>(m.numValues), 0);
         for (i32 out : m.outputs)
             live[static_cast<size_t>(out)] = 1;

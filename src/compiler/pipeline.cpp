@@ -106,26 +106,26 @@ ensurePassStats(OptStats &stats, std::string_view name, bool frontend)
 }
 
 bool
-PassManager::invoke(Pass &pass, CompilationContext &ctx)
+PassManager::invoke(Pass &pass, Module &m, OptStats &stats)
 {
-    PassStats *entry = &ensurePassStats(ctx.stats, pass.name(), true);
+    PassStats *entry = &ensurePassStats(stats, pass.name(), true);
 
-    const size_t before = ctx.module.size();
+    const size_t before = m.size();
     const auto start = Clock::now();
-    const bool changed = pass.run(ctx);
+    const bool changed = pass.run(m);
     const double dt = secondsSince(start);
-    const size_t after = ctx.module.size();
+    const size_t after = m.size();
 
     entry->invocations += 1;
     entry->instrsRemoved +=
         static_cast<i64>(before) - static_cast<i64>(after);
     entry->seconds += dt;
-    ctx.stats.seconds += dt;
+    stats.seconds += dt;
     return changed;
 }
 
 void
-PassManager::run(CompilationContext &ctx)
+PassManager::run(Module &m, OptStats &stats)
 {
     if (passes_.empty())
         return;
@@ -133,19 +133,19 @@ PassManager::run(CompilationContext &ctx)
     group.reserve(passes_.size());
     for (const auto &p : passes_)
         group.push_back(p.get());
-    runFrontendWorklist(ctx, group);
+    runFrontendWorklist(m, stats, group);
 }
 
 void
-PassManager::runSweep(CompilationContext &ctx)
+PassManager::runSweep(Module &m, OptStats &stats)
 {
     if (passes_.empty())
         return;
     for (int iter = 0; iter < kMaxFixpointIters; ++iter) {
-        ++ctx.stats.iterations;
+        ++stats.iterations;
         bool changed = false;
         for (const auto &p : passes_)
-            changed |= invoke(*p, ctx);
+            changed |= invoke(*p, m, stats);
         if (!changed)
             break;
     }
@@ -175,20 +175,18 @@ OptStats
 runFrontendImpl(Module &m, const std::vector<std::string> &names,
                 bool worklist)
 {
-    CompilationContext ctx;
-    ctx.module = std::move(m);
-    ctx.stats.instrsBefore = ctx.module.size();
+    OptStats stats;
+    stats.instrsBefore = m.size();
     if (!names.empty()) {
         PassManager pm = PassManager::fromNames(names);
         if (worklist)
-            pm.run(ctx);
+            pm.run(m, stats);
         else
-            pm.runSweep(ctx);
-        ctx.module.verify();
+            pm.runSweep(m, stats);
+        m.verify();
     }
-    ctx.stats.instrsAfter = ctx.module.size();
-    m = std::move(ctx.module);
-    return ctx.stats;
+    stats.instrsAfter = m.size();
+    return stats;
 }
 
 } // namespace

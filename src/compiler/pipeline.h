@@ -1,8 +1,8 @@
 /**
  * @file
- * The IROpt front end as a staged pipeline: a CompilationContext
- * shared by the passes and a PassManager that iterates named Pass
- * objects over it to a fixpoint.
+ * The IROpt front end as a staged pipeline: a PassManager that
+ * iterates named Pass objects over a Module to a fixpoint, keeping
+ * the per-pass accounting (OptStats) itself.
  *
  * The front end is five discrete passes -- constfold, zerooneprop,
  * strengthreduce, gvn, dce -- so any subset is composable (ablation
@@ -25,13 +25,6 @@ namespace finesse {
 
 class InstRewriter; // worklist hook of the front-end passes (optcontext.h)
 
-/** What the front-end passes read and rewrite. */
-struct CompilationContext
-{
-    Module module;  ///< rewritten in place by every pass
-    OptStats stats; ///< per-pass + aggregate accounting
-};
-
 /** One named IROpt pass. */
 class Pass
 {
@@ -41,11 +34,11 @@ class Pass
     virtual std::string_view name() const = 0;
 
     /**
-     * Run one full sweep on the context; returns true when anything
-     * changed. This is the reference sweep engine (the worklist
-     * engine drives instRewriter() instead).
+     * Run one full sweep over @p m in place; returns true when
+     * anything changed. This is the reference sweep engine (the
+     * worklist engine drives instRewriter() instead).
      */
-    virtual bool run(CompilationContext &ctx) = 0;
+    virtual bool run(Module &m) = 0;
 
     /**
      * Worklist hook for the single-build OptContext engine. Non-null
@@ -59,7 +52,7 @@ class Pass
  * The IROpt fixpoint loop: the pipeline's passes are iterated as
  * one group (up to kMaxFixpointIters rounds) until no pass reports a
  * change. Each invocation records instruction deltas, round counts
- * and wall time into CompilationContext::stats.
+ * and wall time into the caller's OptStats.
  *
  * run() uses the single-build OptContext worklist engine
  * (compiler/optcontext.h): one shared use-count / replacement /
@@ -80,11 +73,11 @@ class PassManager
     size_t size() const { return passes_.size(); }
     std::vector<std::string> names() const;
 
-    /** Run the pipeline (worklist engine for front-end groups). */
-    void run(CompilationContext &ctx);
+    /** Run the pipeline over @p m (worklist engine). */
+    void run(Module &m, OptStats &stats);
 
     /** Run with the legacy per-sweep front-end engine (reference). */
-    void runSweep(CompilationContext &ctx);
+    void runSweep(Module &m, OptStats &stats);
 
     /** The five IROpt passes in canonical order. */
     static PassManager standardFrontend();
@@ -92,7 +85,7 @@ class PassManager
     static PassManager fromNames(const std::vector<std::string> &names);
 
   private:
-    bool invoke(Pass &pass, CompilationContext &ctx);
+    bool invoke(Pass &pass, Module &m, OptStats &stats);
 
     std::vector<std::unique_ptr<Pass>> passes_;
 };
