@@ -4,15 +4,62 @@
  * and cross-validate the compiled program against the native library
  * (SSA level and register-file level). This is the strongest
  * whole-framework guarantee in the suite. Each curve's deterministic
- * compile outputs are also pinned by tests/golden/catalog.txt.
+ * compile outputs, and its schedule, register assignment and cycle
+ * counts on every Fig. 10 model, are also pinned by
+ * tests/golden/catalog.txt.
  */
 #include <gtest/gtest.h>
 
 #include "core/framework.h"
+#include "dse/explorer.h"
 #include "golden.h"
 
 namespace finesse {
 namespace {
+
+/** FNV-1a-64, fed one little-endian integer at a time. */
+struct Fnv1a
+{
+    u64 h = 0xcbf29ce484222325ull;
+
+    void
+    add(u64 v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * One golden line for a compiled point: FNV-1a over issueCycle, the
+ * bundles (size, then instIdx), regOf and maxRegsPerBank, followed by
+ * the cycle simulator's counters.
+ */
+std::string
+scheduleFingerprint(const CompileResult &r, const CycleStats &sim)
+{
+    Fnv1a f;
+    for (i64 c : r.prog.schedule.issueCycle)
+        f.add(static_cast<u64>(c));
+    for (const Bundle &b : r.prog.schedule.bundles) {
+        f.add(b.instIdx.size());
+        for (i32 idx : b.instIdx)
+            f.add(static_cast<u64>(idx));
+    }
+    for (i32 reg : r.prog.regs.regOf)
+        f.add(static_cast<u64>(reg));
+    for (i32 n : r.prog.regs.maxRegsPerBank)
+        f.add(static_cast<u64>(n));
+    return goldenFormat("fnv=%016llx cycles=%lld issue_cycles=%lld "
+                        "bubbles=%lld max_fifo_defer=%lld",
+                        static_cast<unsigned long long>(f.h),
+                        static_cast<long long>(sim.totalCycles),
+                        static_cast<long long>(sim.issueCycles),
+                        static_cast<long long>(sim.bubbles),
+                        static_cast<long long>(sim.maxFifoDefer));
+}
 
 class AllCurvesEndToEnd : public ::testing::TestWithParam<const char *>
 {
@@ -51,6 +98,23 @@ TEST_P(AllCurvesEndToEnd, CompileSimulateValidate)
     // Functional correctness vs the native oracle.
     const ValidationReport rep = fw.validate(res, 1);
     EXPECT_TRUE(rep.allPassed()) << GetParam();
+
+    // Golden: schedule, register assignment and cycle-sim output on
+    // every Fig. 10 model, plus program order on the paper model.
+    // The trace cache is warm, so each point costs one backend run.
+    const std::vector<PipelineModel> models = fig10HardwareModels();
+    for (size_t i = 0; i <= models.size(); ++i) {
+        CompileOptions opt;
+        if (i < models.size())
+            opt.hw = models[i];
+        else
+            opt.listSchedule = false;
+        const CompileResult r = fw.compile(opt);
+        expectGolden(std::string("sched.") + GetParam() +
+                         (i < models.size() ? ".m" + std::to_string(i)
+                                            : std::string(".init")),
+                     scheduleFingerprint(r, fw.simulate(r)));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, AllCurvesEndToEnd,
