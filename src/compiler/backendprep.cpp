@@ -2,9 +2,13 @@
  * @file
  * Batched backend engine implementation: TracePrep construction and
  * the allocation-free scheduling / register-allocation / layout run
- * over a shared trace. Mirrors the legacy reference implementations in
- * backend.cpp line for line where scheduling decisions are made -- the
- * identity tests and bench/fig_backend enforce byte-equality.
+ * over a shared trace. Every scheduling and allocation decision is
+ * made in the same order as the reference implementations in
+ * backend.cpp, though the data structures differ (the list scheduler
+ * pops per-unit ready heaps where the reference sorts a ready list;
+ * the allocator counting-sorts expiries where the reference keeps a
+ * std::map) -- the identity tests, bench/fig_backend and the sched.*
+ * goldens enforce byte-equality.
  */
 #include "compiler/backendprep.h"
 
@@ -83,6 +87,14 @@ assignBanksInto(const Module &m, const PipelineModel &hw,
 namespace {
 
 using PendEntry = std::pair<i64, i32>;
+
+/** Ready-heap order: true when @p a pops after @p b, i.e. @p a has
+ *  lower priority, or equal priority and a higher body index. */
+bool
+popsAfter(const ReadyEntry &a, const ReadyEntry &b)
+{
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+}
 
 /** Append into @p sched.bundles reusing retained Bundle capacity. */
 Bundle &
@@ -199,65 +211,105 @@ scheduleModule(const Module &m, const TracePrep &prep,
             heapPush({0, static_cast<i32>(i)});
     }
 
-    std::vector<i32> &ready = scratch.ready;
-    std::vector<i32> &leftover = scratch.leftover;
-    ready.clear();
-    leftover.clear();
+    // Ready instructions, one max-heap per unit class on (priority
+    // desc, body index asc): the sort key of Algorithm 2 line 9 within
+    // a class. Nop (no unit limit) shares the Inv heap.
+    std::vector<ReadyEntry> &readyMul = scratch.readyMul;
+    std::vector<ReadyEntry> &readyLin = scratch.readyLin;
+    std::vector<ReadyEntry> &readyRest = scratch.readyRest;
+    std::vector<i32> &deferred = scratch.deferred;
+    readyMul.clear();
+    readyLin.clear();
+    readyRest.clear();
+    deferred.clear();
+    auto heapOf = [&](i32 idx) -> std::vector<ReadyEntry> & {
+        switch (UnitClass(prep.unit[static_cast<size_t>(idx)])) {
+          case UnitClass::Mul:
+            return readyMul;
+          case UnitClass::Linear:
+            return readyLin;
+          default:
+            return readyRest;
+        }
+    };
+    auto pushReady = [&](i32 idx) {
+        std::vector<ReadyEntry> &h = heapOf(idx);
+        h.push_back({prio[static_cast<size_t>(idx)], idx});
+        std::push_heap(h.begin(), h.end(), popsAfter);
+    };
+
     size_t remaining = n;
     i64 cycle = 0;
 
     while (remaining > 0) {
         while (!pending.empty() && pending.front().first <= cycle) {
-            ready.push_back(pending.front().second);
+            pushReady(pending.front().second);
             heapPop();
         }
-        if (ready.empty()) {
+        if (readyMul.empty() && readyLin.empty() && readyRest.empty()) {
             FINESSE_CHECK(!pending.empty(), "scheduler deadlock");
             cycle = std::max(cycle + 1, pending.front().first);
             continue;
         }
 
-        // sortByAffinity (Algorithm 2 line 9).
-        const bool wantLong = longAffinity(cycle);
-        std::sort(ready.begin(), ready.end(), [&](i32 x, i32 y) {
-            const bool lx = prep.unit[static_cast<size_t>(x)] ==
-                            static_cast<u8>(UnitClass::Mul);
-            const bool ly = prep.unit[static_cast<size_t>(y)] ==
-                            static_cast<u8>(UnitClass::Mul);
-            if (lx != ly)
-                return wantLong ? lx > ly : lx < ly;
-            if (prio[x] != prio[y])
-                return prio[x] > prio[y];
-            return x < y;
-        });
-
-        // Greedy constraint-checked packing (solveMaxValidInstrPack).
+        // Greedy constraint-checked packing (solveMaxValidInstrPack)
+        // in sortByAffinity order (Algorithm 2 line 9): the Mul class
+        // first or last by affinity, the other classes merged by key.
+        // A class whose unit is full in this bundle is skipped:
+        // tryIssue would reject each of its ops without side effects.
         Bundle &bundle = nextBundle(sched, usedBundles);
-        leftover.clear();
-        for (i32 idx : ready) {
-            bool issuedHere = false;
-            if (static_cast<int>(bundle.instIdx.size()) < hw.issueWidth) {
-                const Inst &inst = m.body[idx];
-                const PortOp pop = makePortOp(inst, banks.bankOf);
-                if (ports.tryIssue(pop, cycle, true)) {
-                    bundle.instIdx.push_back(idx);
-                    sched.issueCycle[idx] = cycle;
-                    readyAt[inst.dst] = cycle + hw.latency(inst.op);
-                    const auto [ub, ue] = prep.usersOf(inst.dst);
-                    for (const i32 *u = ub; u != ue; ++u) {
-                        earliest[*u] =
-                            std::max(earliest[*u], readyAt[inst.dst]);
-                        if (--deps[*u] == 0)
-                            heapPush({earliest[*u], *u});
-                    }
-                    --remaining;
-                    issuedHere = true;
-                }
+        int mulIssued = 0, linIssued = 0;
+        auto full = [&] {
+            return static_cast<int>(bundle.instIdx.size()) >=
+                   hw.issueWidth;
+        };
+        auto mulOpen = [&] { return mulIssued < 1 && !readyMul.empty(); };
+        auto linOpen = [&] {
+            return linIssued < hw.numLinUnits && !readyLin.empty();
+        };
+        auto visit = [&](std::vector<ReadyEntry> &h) {
+            std::pop_heap(h.begin(), h.end(), popsAfter);
+            const i32 idx = h.back().second;
+            h.pop_back();
+            const Inst &inst = m.body[idx];
+            if (!ports.tryIssue(makePortOp(inst, banks.bankOf), cycle,
+                                true)) {
+                deferred.push_back(idx);
+                return;
             }
-            if (!issuedHere)
-                leftover.push_back(idx);
+            const UnitClass unit = UnitClass(prep.unit[idx]);
+            mulIssued += unit == UnitClass::Mul;
+            linIssued += unit == UnitClass::Linear;
+            bundle.instIdx.push_back(idx);
+            sched.issueCycle[idx] = cycle;
+            readyAt[inst.dst] = cycle + hw.latency(inst.op);
+            const auto [ub, ue] = prep.usersOf(inst.dst);
+            for (const i32 *u = ub; u != ue; ++u) {
+                earliest[*u] = std::max(earliest[*u], readyAt[inst.dst]);
+                if (--deps[*u] == 0)
+                    heapPush({earliest[*u], *u});
+            }
+            --remaining;
+        };
+
+        const bool wantLong = longAffinity(cycle);
+        while (wantLong && !full() && mulOpen())
+            visit(readyMul);
+        while (!full()) {
+            const bool lin = linOpen();
+            if (!lin && readyRest.empty())
+                break;
+            const bool takeRest =
+                !lin || (!readyRest.empty() &&
+                         popsAfter(readyLin.front(), readyRest.front()));
+            visit(takeRest ? readyRest : readyLin);
         }
-        ready.swap(leftover);
+        while (!wantLong && !full() && mulOpen())
+            visit(readyMul);
+
+        for (i32 idx : deferred)
+            pushReady(idx);
+        deferred.clear();
         if (bundle.instIdx.empty())
             --usedBundles; // reference only keeps non-empty bundles
         ++cycle;

@@ -12,7 +12,8 @@
  * worker. All per-point working state lives in a BackendScratch that
  * is reset -- never reallocated -- between points. The stages are
  * byte-identical to the reference oracles in compiler/backend.h,
- * checked by tests/test_backend_props.cpp and bench/fig_backend.cpp.
+ * checked by tests/test_backend_props.cpp, bench/fig_backend.cpp and
+ * the sched.* lines of tests/golden/catalog.txt.
  */
 #ifndef FINESSE_COMPILER_BACKENDPREP_H_
 #define FINESSE_COMPILER_BACKENDPREP_H_
@@ -79,10 +80,15 @@ struct BackendPoint
     double encodeSeconds = 0.0;
 };
 
+/** A ready instruction of the list scheduler: (priority, body index). */
+using ReadyEntry = std::pair<i64, i32>;
+
 /**
- * Reusable per-worker working set for backend runs: scheduler
- * priority/ready/leftover/heap buffers, register-allocator liveness
- * and expiry buffers, simulator replay buffers, and the dense port
+ * Reusable per-worker working set for backend runs: the list
+ * scheduler's priorities, pending heap (instructions whose operands
+ * are not yet available, keyed by earliest cycle), per-unit ready
+ * heaps and per-bundle deferred list; register-allocator liveness and
+ * expiry buffers; simulator replay buffers; and the dense port
  * trackers. Every buffer is reset with its capacity retained, so a
  * warmed-up worker evaluates a design point with near-zero heap
  * traffic. One scratch per worker thread; never shared concurrently.
@@ -93,7 +99,10 @@ struct BackendScratch
     std::vector<i64> readyAt, prio, earliest;
     std::vector<int> deps;
     std::vector<std::pair<i64, i32>> pending; ///< binary min-heap
-    std::vector<i32> ready, leftover;
+    /// Ready instructions by unit class (Mul, Linear, Inv and Nop),
+    /// each a binary max-heap on (priority desc, body index asc).
+    std::vector<ReadyEntry> readyMul, readyLin, readyRest;
+    std::vector<i32> deferred; ///< popped this bundle, failed tryIssue
     PortTracker ports;
     // Register allocator.
     std::vector<i64> lastUse, defPos;
@@ -123,6 +132,23 @@ void assignBanksInto(const Module &m, const PipelineModel &hw,
  * issue-slot affinity ordering and greedy constraint-checked packing
  * (Algorithm 2). All working state lives in @p scratch; @p sched is
  * overwritten in place, reusing its buffers.
+ *
+ * Each cycle visits ready instructions in the paper's sortByAffinity
+ * order -- the Mul class first when longAffinity(cycle) holds, else
+ * last; within the other classes by (priority desc, body index asc)
+ * -- and issues each one tryIssue accepts. The order comes from three
+ * ready heaps (Mul, Linear, Inv + Nop): the Mul heap is popped as a
+ * block, the other two are merged by comparing their tops. Visiting
+ * stops when the bundle holds issueWidth ops, and skips the Mul heap
+ * after one Mul issues and the Linear heap after numLinUnits Linear
+ * ops issue, because tryIssue would reject the rest without side
+ * effects. The Inv + Nop heap is never skipped: Nop has no unit limit,
+ * and a second Inv in a bundle just fails tryIssue. A popped op that fails tryIssue is pushed back after the
+ * bundle closes. The schedule therefore equals scheduleModuleReference,
+ * which sorts the whole ready list every cycle; an issue costs
+ * O(log R) for R ready ops, plus O(log R) for each rejected
+ * candidate (1.2 to 2.1 per issue on BN254N across the Fig. 10
+ * models).
  */
 void scheduleModule(const Module &m, const TracePrep &prep,
                     const BankAssignment &banks, const PipelineModel &hw,
