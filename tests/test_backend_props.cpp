@@ -65,7 +65,24 @@ struct HwCase
     const char *name;
     int issueWidth, linUnits, banks, longLat, shortLat;
     bool fifo;
+
+    PipelineModel
+    model() const
+    {
+        PipelineModel hw;
+        hw.issueWidth = issueWidth;
+        hw.numLinUnits = linUnits;
+        hw.numBanks = banks;
+        hw.longLat = longLat;
+        hw.shortLat = shortLat;
+        hw.writebackFifo = fifo;
+        return hw;
+    }
 };
+
+/** One linear unit under four issue slots: Linear saturates while
+ *  slots remain, so the scheduler must move on to the other classes. */
+constexpr HwCase kNarrowLin{"narrowlin", 4, 1, 4, 8, 2, true};
 
 class BackendProperty : public ::testing::TestWithParam<HwCase>
 {
@@ -74,13 +91,7 @@ class BackendProperty : public ::testing::TestWithParam<HwCase>
 TEST_P(BackendProperty, ScheduledProgramsStayCorrect)
 {
     const HwCase &hc = GetParam();
-    PipelineModel hw;
-    hw.issueWidth = hc.issueWidth;
-    hw.numLinUnits = hc.linUnits;
-    hw.numBanks = hc.banks;
-    hw.longLat = hc.longLat;
-    hw.shortLat = hc.shortLat;
-    hw.writebackFifo = hc.fifo;
+    const PipelineModel hw = hc.model();
 
     Rng rng(0xabc + hc.issueWidth * 131 + hc.banks);
     for (int trial = 0; trial < 8; ++trial) {
@@ -133,7 +144,8 @@ INSTANTIATE_TEST_SUITE_P(
         HwCase{"vliw2", 2, 2, 2, 38, 8, true},
         HwCase{"vliw3", 3, 2, 3, 8, 2, true},
         HwCase{"vliw5", 5, 4, 5, 8, 2, true},
-        HwCase{"manybanks", 2, 2, 8, 38, 8, true}),
+        HwCase{"manybanks", 2, 2, 8, 38, 8, true}, kNarrowLin,
+        HwCase{"fig10w7", 7, 6, 7, 8, 2, true}),
     [](const ::testing::TestParamInfo<HwCase> &info) {
         return info.param.name;
     });
@@ -205,13 +217,7 @@ expectEnginesIdentical(const Module &m, const TracePrep &prep,
 TEST_P(BackendProperty, DenseEngineMatchesReferenceOracle)
 {
     const HwCase &hc = GetParam();
-    PipelineModel hw;
-    hw.issueWidth = hc.issueWidth;
-    hw.numLinUnits = hc.linUnits;
-    hw.numBanks = hc.banks;
-    hw.longLat = hc.longLat;
-    hw.shortLat = hc.shortLat;
-    hw.writebackFifo = hc.fifo;
+    const PipelineModel hw = hc.model();
 
     Rng rng(0x5eed + hc.issueWidth * 17 + hc.banks);
     BackendScratch scratch; // reused across trials, like a sweep worker
@@ -301,6 +307,52 @@ TEST(BackendEngineIdentity, InvOpsAndDeepFifoWindows)
         for (bool listSched : {false, true})
             expectEnginesIdentical(m, prep, hw, listSched, scratch,
                                    "inv");
+    }
+}
+
+TEST(BackendEngineIdentity, PriorityTiesAndMixedClasses)
+{
+    // Many independent chains whose ops are permutations of one
+    // multiset (Add, Inv, Sub, Mul), so every chain head has the same
+    // priority and, later, Linear, Inv and Mul ops of equal priority
+    // are ready together. The chains are emitted round-robin, so body
+    // indices interleave Inv ops with linear ops and the index
+    // tie-break decides the issue order within and across classes.
+    Module m;
+    m.p = BigInt::fromString("0x1000000000000000000000000000000d1");
+    constexpr int kChains = 24;
+    const Op shapes[3][4] = {{Op::Add, Op::Inv, Op::Sub, Op::Mul},
+                             {Op::Inv, Op::Add, Op::Mul, Op::Sub},
+                             {Op::Mul, Op::Sub, Op::Inv, Op::Add}};
+    std::vector<i32> head(kChains), cur(kChains);
+    for (int j = 0; j < kChains; ++j) {
+        const i32 raw = m.numValues++;
+        m.inputs.push_back(raw);
+        head[j] = cur[j] = m.numValues++;
+        m.body.push_back({Op::Icv, head[j], raw, -1});
+    }
+    for (int step = 0; step < 4; ++step) {
+        for (int j = 0; j < kChains; ++j) {
+            const Op op = shapes[j % 3][step];
+            const i32 dst = m.numValues++;
+            m.body.push_back(
+                {op, dst, cur[j], arity(op) >= 2 ? head[j] : -1});
+            cur[j] = dst;
+        }
+    }
+    for (int j = 0; j < kChains; ++j) {
+        const i32 out = m.numValues++;
+        m.body.push_back({Op::Cvt, out, cur[j], -1});
+        m.outputs.push_back(out);
+    }
+    m.verify();
+
+    const TracePrep prep = buildTracePrep(m);
+    BackendScratch scratch;
+    for (const PipelineModel &hw : {PipelineModel{}, kNarrowLin.model()}) {
+        for (bool listSched : {false, true})
+            expectEnginesIdentical(m, prep, hw, listSched, scratch,
+                                   "ties");
     }
 }
 
