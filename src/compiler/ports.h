@@ -63,10 +63,13 @@ class PortTracker
     reset(const PipelineModel &hw)
     {
         hw_ = &hw;
-        const int maxLat =
-            std::max({hw.longLat, hw.shortLat, hw.invLat, 1});
-        const int fifoWindow = hw.writebackFifo ? hw.fifoDepth : 0;
-        window_ = static_cast<size_t>(maxLat + fifoWindow + 1);
+        // In size_t: validate() bounds each term, and the sum of two
+        // near-INT_MAX terms would overflow int.
+        const auto maxLat = static_cast<size_t>(
+            std::max({hw.longLat, hw.shortLat, hw.invLat, 1}));
+        const size_t fifoWindow =
+            hw.writebackFifo ? static_cast<size_t>(hw.fifoDepth) : 0;
+        window_ = maxLat + fifoWindow + 1;
         banks_ = static_cast<size_t>(hw.numBanks);
         use_.assign(window_, CycleSlot{});
         readTag_.assign(window_, -1);

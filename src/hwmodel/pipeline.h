@@ -61,6 +61,12 @@ struct PipelineModel
         return 1;
     }
 
+    /// Upper bounds: the port trackers allocate (max latency + FIFO
+    /// depth) x banks counters, so an unbounded model is a huge
+    /// allocation. Far above any model the paper or the tree uses.
+    static constexpr int kMaxLatency = 4096; ///< cycles, incl. FIFO depth
+    static constexpr int kMaxUnits = 64;     ///< width, units, banks, ports
+
     /**
      * Validate the paper's structural constraints and the value
      * bounds every stage relies on (a zero width or bank count would
@@ -70,17 +76,34 @@ struct PipelineModel
     validate() const
     {
         FINESSE_REQUIRE(shortLat >= 1, "hw.short_lat must be >= 1");
+        FINESSE_REQUIRE(shortLat <= kMaxLatency,
+                        "hw.short_lat must be <= ", kMaxLatency);
         FINESSE_REQUIRE(longLat > shortLat,
                         "hw.long_lat must exceed hw.short_lat");
+        FINESSE_REQUIRE(longLat <= kMaxLatency,
+                        "hw.long_lat must be <= ", kMaxLatency);
         FINESSE_REQUIRE(invLat >= 1, "hw.inv_lat must be >= 1");
+        FINESSE_REQUIRE(invLat <= kMaxLatency,
+                        "hw.inv_lat must be <= ", kMaxLatency);
         FINESSE_REQUIRE(issueWidth >= 1, "hw.issue_width must be >= 1");
+        FINESSE_REQUIRE(issueWidth <= kMaxUnits,
+                        "hw.issue_width must be <= ", kMaxUnits);
         FINESSE_REQUIRE(numLinUnits >= 1, "hw.lin_units must be >= 1");
+        FINESSE_REQUIRE(numLinUnits <= kMaxUnits,
+                        "hw.lin_units must be <= ", kMaxUnits);
         FINESSE_REQUIRE(numBanks >= issueWidth,
                         "hw.banks must be >= hw.issue_width");
+        FINESSE_REQUIRE(numBanks <= kMaxUnits,
+                        "hw.banks must be <= ", kMaxUnits);
         FINESSE_REQUIRE(readsPerBank >= 2 && writesPerBank >= 1,
                         "banks must support 2R1W per cycle");
+        FINESSE_REQUIRE(readsPerBank <= kMaxUnits &&
+                            writesPerBank <= kMaxUnits,
+                        "bank read/write ports must be <= ", kMaxUnits);
         FINESSE_REQUIRE(!writebackFifo || fifoDepth >= 1,
                         "hw.fifo_depth must be >= 1 when hw.fifo is on");
+        FINESSE_REQUIRE(fifoDepth <= kMaxLatency,
+                        "hw.fifo_depth must be <= ", kMaxLatency);
         FINESSE_REQUIRE(issueWidth == 1 || writebackFifo,
                         "VLIW architectures require write-back FIFOs "
                         "(hw.fifo)");

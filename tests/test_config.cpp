@@ -50,6 +50,14 @@ TEST(Config, RejectsMalformed)
                              "hw.issue_width = 0\n", "hw.banks = 0\n",
                              "hw.short_lat = -3\n", "hw.inv_lat = -5\n",
                              "hw.fifo = true\nhw.fifo_depth = 0\n",
+                             // Upper bounds: no multi-GB tracker.
+                             "hw.inv_lat = 100000000\n",
+                             "hw.inv_lat = 2147483647\n",
+                             "hw.long_lat = 2147483647\n",
+                             "hw.banks = 2000000000\n",
+                             "hw.issue_width = 65\n",
+                             "hw.lin_units = 65\n",
+                             "hw.fifo = true\nhw.fifo_depth = 4097\n",
                              // Negative dse.* knobs are not "default".
                              "dse.liveness_ms = -1\n",
                              "dse.group_deadline_ms = -5\n",

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "hwmodel/area.h"
 
 namespace finesse {
@@ -137,6 +139,13 @@ TEST(PipelineModelChecks, RejectsOutOfRangeFields)
     PipelineModel noFifo;       // the depth is unused without a FIFO
     noFifo.fifoDepth = 0;
     noFifo.validate();
+    PipelineModel largest; // every upper bound reached exactly
+    largest.shortLat = 4095;
+    largest.longLat = largest.invLat = largest.fifoDepth = 4096;
+    largest.issueWidth = largest.numLinUnits = largest.numBanks = 64;
+    largest.readsPerBank = largest.writesPerBank = 64;
+    largest.writebackFifo = true;
+    largest.validate();
     const std::pair<const char *, void (*)(PipelineModel &)> bad[] = {
         {"hw.issue_width", [](PipelineModel &m) { m.issueWidth = 0; }},
         {"hw.banks", [](PipelineModel &m) { m.numBanks = 0; }},
@@ -149,6 +158,31 @@ TEST(PipelineModelChecks, RejectsOutOfRangeFields)
              m.fifoDepth = 0;
          }},
         {"hw.lin_units", [](PipelineModel &m) { m.numLinUnits = 0; }},
+        // Upper bounds: the port trackers allocate (max latency + FIFO
+        // depth) x banks counters.
+        {"hw.inv_lat", [](PipelineModel &m) { m.invLat = 100000000; }},
+        {"hw.inv_lat", [](PipelineModel &m) { m.invLat = INT_MAX; }},
+        {"hw.long_lat", [](PipelineModel &m) { m.longLat = INT_MAX; }},
+        {"hw.short_lat",
+         [](PipelineModel &m) {
+             m.shortLat = 4097;
+             m.longLat = 5000;
+         }},
+        {"hw.fifo_depth",
+         [](PipelineModel &m) {
+             m.writebackFifo = true;
+             m.fifoDepth = 4097;
+         }},
+        {"hw.issue_width",
+         [](PipelineModel &m) {
+             m.issueWidth = 65;
+             m.numBanks = 65;
+             m.writebackFifo = true;
+         }},
+        {"hw.lin_units", [](PipelineModel &m) { m.numLinUnits = 65; }},
+        {"hw.banks", [](PipelineModel &m) { m.numBanks = 2000000000; }},
+        {"ports", [](PipelineModel &m) { m.readsPerBank = 65; }},
+        {"ports", [](PipelineModel &m) { m.writesPerBank = 65; }},
     };
     for (const auto &[key, breakIt] : bad) {
         SCOPED_TRACE(key);

@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <limits>
 
@@ -550,9 +551,10 @@ TEST(Wire, RandomBytesFuzz)
 
 TEST(Wire, OutOfRangeRequestsAreRejectedAtDecode)
 {
-    // A model that would divide by zero in the backend stages, or a
-    // core count below one, must fail at decode -- the worker replies
-    // with an error instead of dying on SIGFPE mid-group.
+    // A model that would divide by zero in the backend stages or
+    // size a multi-GB port tracker, or a core count below one, must
+    // fail at decode -- the worker replies with an error instead of
+    // dying on SIGFPE or bad_alloc mid-group.
     const std::vector<void (*)(DseRequest &)> breakers = {
         [](DseRequest &r) { r.opt.hw.numBanks = 0; },
         [](DseRequest &r) { r.opt.hw.issueWidth = 0; },
@@ -563,6 +565,15 @@ TEST(Wire, OutOfRangeRequestsAreRejectedAtDecode)
             r.opt.hw.fifoDepth = 0;
         },
         [](DseRequest &r) { r.cores = 0; },
+        // Upper bounds: a worker must not size a multi-GB tracker.
+        [](DseRequest &r) { r.opt.hw.invLat = INT_MAX; },
+        [](DseRequest &r) { r.opt.hw.longLat = INT_MAX; },
+        [](DseRequest &r) { r.opt.hw.numBanks = 2000000000; },
+        [](DseRequest &r) {
+            r.opt.hw.writebackFifo = true;
+            r.opt.hw.fifoDepth = 100000;
+        },
+        [](DseRequest &r) { r.opt.hw.writesPerBank = 1000; },
     };
     for (size_t i = 0; i < breakers.size(); ++i) {
         SCOPED_TRACE(i);
