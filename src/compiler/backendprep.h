@@ -142,13 +142,13 @@ void assignBanksInto(const Module &m, const PipelineModel &hw,
  * stops when the bundle holds issueWidth ops, and skips the Mul heap
  * after one Mul issues and the Linear heap after numLinUnits Linear
  * ops issue, because tryIssue would reject the rest without side
- * effects. The Inv + Nop heap is never skipped: Nop has no unit limit,
- * and a second Inv in a bundle just fails tryIssue. A popped op that fails tryIssue is pushed back after the
- * bundle closes. The schedule therefore equals scheduleModuleReference,
- * which sorts the whole ready list every cycle; an issue costs
- * O(log R) for R ready ops, plus O(log R) for each rejected
- * candidate (1.2 to 2.1 per issue on BN254N across the Fig. 10
- * models).
+ * effects. The Inv + Nop heap is never skipped: Nop has no unit
+ * limit, and a second Inv in a bundle just fails tryIssue. A popped
+ * op that fails tryIssue is pushed back after the bundle closes. The
+ * schedule therefore equals scheduleModuleReference, which sorts the
+ * whole ready list every cycle; an issue costs O(log R) for R ready
+ * ops, plus O(log R) for each rejected candidate (1.2 to 2.1 per
+ * issue on BN254N across the Fig. 10 models).
  */
 void scheduleModule(const Module &m, const TracePrep &prep,
                     const BankAssignment &banks, const PipelineModel &hw,

@@ -63,8 +63,8 @@ class PortTracker
     reset(const PipelineModel &hw)
     {
         hw_ = &hw;
-        // In size_t: validate() bounds each term, and the sum of two
-        // near-INT_MAX terms would overflow int.
+        // In size_t, so the sum cannot overflow even for a model that
+        // validate() has not bounded.
         const auto maxLat = static_cast<size_t>(
             std::max({hw.longLat, hw.shortLat, hw.invLat, 1}));
         const size_t fifoWindow =
