@@ -153,7 +153,7 @@ struct WorkerSlot
     wire::FrameBuffer frames;
     State state = State::Dead;
     long group = -1; ///< in-flight group id, -1 = none
-    Clock::time_point lastProgress{}; ///< last bytes read (any frame)
+    Clock::time_point lastProgress{}; ///< last whole frame read (any type)
     Clock::time_point dispatchedAt{}; ///< current group's dispatch time
     Clock::time_point lastPingAt{};
     std::vector<std::string> env; ///< respawns reuse the slot's env
@@ -808,7 +808,6 @@ distributeEvaluate(const std::string &curve,
             }
             now = Clock::now();
             ws.frames.append(chunk.data(), static_cast<size_t>(r));
-            ws.lastProgress = now;
 
             std::optional<std::string> workerError;
             std::optional<std::string> helloReject;
@@ -817,6 +816,10 @@ distributeEvaluate(const std::string &curve,
                 wire::Frame frame;
                 while (!poisoned && !helloReject &&
                        ws.frames.next(frame)) {
+                    // Liveness counts whole frames, not bytes: a
+                    // desynced stream fed by ping replies that never
+                    // completes a frame must still time out.
+                    ws.lastProgress = now;
                     switch (frame.type) {
                       case wire::FrameType::Hello: {
                         if (ws.state !=
