@@ -312,7 +312,6 @@ main(int argc, char **argv)
             .count(p + "_timeout_kills",
                    static_cast<size_t>(s.timeoutKills))
             .count(p + "_respawns", static_cast<size_t>(s.respawns))
-            .count(p + "_hedges", static_cast<size_t>(s.hedges))
             .count(p + "_handshake_failures",
                    static_cast<size_t>(s.handshakeFailures))
             .count(p + "_fallback_groups",

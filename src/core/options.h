@@ -3,7 +3,8 @@
  * Bridge from configuration files to compile options: lets a design
  * point be described declaratively (the paper's YAML-driven flow).
  *
- * Recognized keys:
+ * Recognized keys (any other key is a fatal error naming it, so a
+ * typo cannot silently run the default):
  *   curve                 catalog curve name (default BN254N)
  *   optimize              bool, run IROpt (default true)
  *   schedule              bool, list scheduling (default true)
@@ -16,27 +17,22 @@
  *                         concurrency, 1 = serial; default 0)
  *   dse_workers           sweep worker SUBPROCESSES (multi-process
  *                         fan-out; 0 = in-process on `jobs` threads)
- *   dse.retries           re-dispatches per group after worker deaths
- *   dse.liveness_ms       no-progress kill deadline (0 = env/default)
- *   dse.group_deadline_ms hard per-dispatch deadline (0 = disabled)
- *   dse.hedge_ms          straggler hedging threshold (0 = disabled)
- *   dse.respawns          replacement-worker budget (-1 = 2x width)
- *   dse.fallback_local    evaluate in-process instead of failing when
- *                         retries/pool run out (default true)
  *   dse.hosts             comma-separated host:port remote worker pool
  *                         ("local" pins a local slot; default =
  *                         FINESSE_DSE_HOSTS env / all-local)
- *   dse.connect_ms        remote connect / loopback accept deadline
- *                         (0 = the handshake window)
  *   hw.long_lat, hw.short_lat, hw.inv_lat        itineraries
  *   hw.issue_width, hw.lin_units, hw.banks       datapath shape
  *   hw.fifo, hw.fifo_depth, hw.beta              write-back / affinity
  *   variants.mul<D>       schoolbook | karatsuba      (D = 2,4,6,12,24)
  *   variants.sqr<D>       schoolbook | complex | ch-sqr2 | ch-sqr3
  *   variants.g2_coords    jacobian | projective
+ *   variants.cyclo        bool, cyclotomic squaring (default true)
  */
 #ifndef FINESSE_CORE_OPTIONS_H_
 #define FINESSE_CORE_OPTIONS_H_
+
+#include <set>
+#include <string>
 
 #include "core/framework.h"
 #include "dse/distributor.h"
@@ -45,6 +41,30 @@
 
 namespace finesse {
 
+/** Fatal on any key outside the recognized list above, naming it. */
+inline void
+requireKnownKeys(const Config &cfg)
+{
+    static const std::set<std::string> known = [] {
+        std::set<std::string> keys = {
+            "curve", "optimize", "schedule", "part", "passes",
+            "trace_cache", "jobs", "dse_workers", "dse.hosts",
+            "hw.long_lat", "hw.short_lat", "hw.inv_lat",
+            "hw.issue_width", "hw.lin_units", "hw.banks", "hw.fifo",
+            "hw.fifo_depth", "hw.beta", "variants.g2_coords",
+            "variants.cyclo"};
+        for (int d : {2, 4, 6, 12, 24}) {
+            keys.insert("variants.mul" + std::to_string(d));
+            keys.insert("variants.sqr" + std::to_string(d));
+        }
+        return keys;
+    }();
+    for (const auto &entry : cfg.entries()) {
+        if (!known.count(entry.first))
+            fatal("unknown config key '", entry.first, "'");
+    }
+}
+
 /** Curve name from a config (default BN254N). */
 inline std::string
 curveFromConfig(const Config &cfg)
@@ -52,10 +72,11 @@ curveFromConfig(const Config &cfg)
     return cfg.getString("curve", "BN254N");
 }
 
-/** Build CompileOptions from a parsed config. */
+/** Build CompileOptions from a parsed config (unknown keys are fatal). */
 inline CompileOptions
 optionsFromConfig(const Config &cfg)
 {
+    requireKnownKeys(cfg);
     CompileOptions opt;
     opt.optimize = cfg.getBool("optimize", true);
     opt.listSchedule = cfg.getBool("schedule", true);
@@ -122,27 +143,17 @@ optionsFromConfig(const Config &cfg)
 }
 
 /**
- * Overlay `dse.*` fault-tolerance keys onto @p dopts (fields without a
- * key keep their current value, so callers can pre-seed defaults).
+ * Overlay the `dse.hosts` pool onto @p dopts (left as is when the key
+ * is absent). The other distributor knobs are not config keys: the
+ * liveness window comes from FINESSE_DSE_LIVENESS_MS, the rest are
+ * fixed defaults.
  */
 inline void
 applyDistributorConfig(const Config &cfg, DistributorOptions &dopts)
 {
-    dopts.maxGroupRetries =
-        cfg.getInt("dse.retries", dopts.maxGroupRetries, 0);
-    dopts.livenessTimeoutMs =
-        cfg.getInt("dse.liveness_ms", dopts.livenessTimeoutMs, 0);
-    dopts.groupDeadlineMs =
-        cfg.getInt("dse.group_deadline_ms", dopts.groupDeadlineMs, 0);
-    dopts.hedgeAfterMs = cfg.getInt("dse.hedge_ms", dopts.hedgeAfterMs, 0);
-    dopts.maxRespawns = cfg.getInt("dse.respawns", dopts.maxRespawns, -1);
-    dopts.fallbackLocal =
-        cfg.getBool("dse.fallback_local", dopts.fallbackLocal);
     const std::string hosts = cfg.getString("dse.hosts", "");
     if (!hosts.empty())
         dopts.hosts = splitList(hosts);
-    dopts.connectTimeoutMs =
-        cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs, 0);
 }
 
 } // namespace finesse

@@ -10,22 +10,21 @@
  * a Hello handshake (protocol version + curve-catalog hash) before any
  * dispatch; until the Hello is validated the slot's frame buffer is
  * capped to a few KB, so an unauthenticated peer cannot drive a large
- * allocation with a forged length prefix. One group is in flight per
- * worker. A worker that hits EOF, poisons its stream (bad frame) or
- * misses its liveness/group deadline is terminated (SIGKILL + reap
- * locally; socket close for a remote, whose abandoned result then has
- * nowhere to land -- which is what keeps re-dispatch safe), and its
- * in-flight group is re-queued at the FRONT of the pending list under
- * a per-group retry budget with capped exponential backoff. Remote
- * hosts that fail to connect are quarantined with the same capped
- * backoff and the slot refills with a local worker (the host is tried
- * again when the slot next respawns after its quarantine), so losing
- * every remote degrades to the all-local path. Once the backlog drains,
- * long-running stragglers are hedged: the same group goes to an idle
- * worker and the first result wins (safe -- both compute identical
- * bits). When a group exhausts its retries or the pool empties for
- * good, fallbackLocal evaluates the remainder in-process via
- * Explorer::evaluateAll. Results are scattered into the output by
+ * allocation with a forged length prefix. A group is in flight on at
+ * most one worker, and a worker holds at most one group. A worker that
+ * hits EOF, poisons its stream (bad frame) or misses its liveness
+ * deadline is terminated (SIGKILL + reap locally; socket close for a
+ * remote, whose abandoned result then has nowhere to land -- which is
+ * what keeps re-dispatch safe), and its in-flight group is re-queued
+ * at the FRONT of the pending list under a per-group retry budget with
+ * capped exponential backoff. A worker that is slow but heartbeating
+ * keeps its group until it answers. Remote hosts that fail to connect
+ * are quarantined with the same capped backoff and the slot refills
+ * with a local worker (the host is tried again when the slot next
+ * respawns after its quarantine), so losing every remote degrades to
+ * the all-local path. When a group exhausts its retries or the pool
+ * empties for good, fallbackLocal evaluates the remainder in-process
+ * via Explorer::evaluateAll. Results are scattered into the output by
  * original request index, so the merge is the same index-ordered
  * reduction as Explorer::evaluateAll.
  *
@@ -86,6 +85,11 @@ constexpr int kHandshakeFloorMs = 5000;
 /** Liveness default when neither the option nor the env is set. */
 constexpr int kDefaultLivenessMs = 10000;
 
+/** Longest silence before a worker is pinged; shorter liveness
+ *  windows ping at a third of the window, so every window probes a
+ *  silent worker before killing it. */
+constexpr int kMaxPingIntervalMs = 1000;
+
 /** Re-dispatch and host-quarantine backoff: base delay, doubling per
  *  consecutive failure, capped. */
 constexpr i64 kRetryBackoffMs = 50;
@@ -98,11 +102,19 @@ constexpr i64 kRetryBackoffCapMs = 2000;
  */
 constexpr size_t kPreHelloPayloadCap = 4096;
 
+/** FINESSE_DSE_LIVENESS_MS, or the default when unset or empty; a
+ *  value that is not a positive integer is fatal, naming the var. */
 int
-envMsOr(const char *name, int dflt)
+livenessFromEnv()
 {
-    const char *text = std::getenv(name);
-    return text ? parseInt(text, 1).value_or(dflt) : dflt;
+    const char *text = std::getenv(kLivenessEnv);
+    if (text == nullptr || *text == '\0')
+        return kDefaultLivenessMs;
+    const std::optional<int> ms = parseInt(text, 1);
+    if (!ms)
+        fatal(kLivenessEnv, ": not a positive integer of ms: '", text,
+              "'");
+    return *ms;
 }
 
 i64
@@ -125,9 +137,7 @@ struct Group
 {
     std::vector<size_t> indices;
     int retries = 0;
-    int inFlight = 0; ///< live workers currently evaluating it
     bool completed = false;
-    bool hedged = false;
     Clock::time_point eligibleAt{}; ///< retry-backoff gate
 };
 
@@ -154,7 +164,6 @@ struct WorkerSlot
     State state = State::Dead;
     long group = -1; ///< in-flight group id, -1 = none
     Clock::time_point lastProgress{}; ///< last whole frame read (any type)
-    Clock::time_point dispatchedAt{}; ///< current group's dispatch time
     Clock::time_point lastPingAt{};
     std::vector<std::string> env; ///< respawns reuse the slot's env
                                   ///< (its pinned fault plan, if any)
@@ -176,8 +185,7 @@ DistributorStats::describe() const
 {
     std::ostringstream os;
     os << "groups=" << groups << " dispatched=" << dispatches
-       << " retried=" << redispatches << " hedged=" << hedges
-       << " stale=" << staleResults << " | workers spawned="
+       << " retried=" << redispatches << " | workers spawned="
        << workersSpawned << " died=" << workerDeaths << " (signaled="
        << workersSignaled << " exited=" << workersExited
        << " timeout-kills=" << timeoutKills << " handshake-rejects="
@@ -326,13 +334,11 @@ distributeEvaluate(const std::string &curve,
 
     const std::vector<std::string> cmd = {selfExePath(), "dse-worker"};
 
-    const int livenessMs =
-        opts.livenessTimeoutMs > 0
-            ? opts.livenessTimeoutMs
-            : envMsOr("FINESSE_DSE_LIVENESS_MS", kDefaultLivenessMs);
+    const int livenessMs = opts.livenessTimeoutMs > 0
+                               ? opts.livenessTimeoutMs
+                               : livenessFromEnv();
     const int handshakeMs = std::max(livenessMs, kHandshakeFloorMs);
-    const int connectMs =
-        opts.connectTimeoutMs > 0 ? opts.connectTimeoutMs : handshakeMs;
+    const int pingMs = std::clamp(livenessMs / 3, 1, kMaxPingIntervalMs);
 
     // Remote pool: explicit option, then the environment, else
     // all-local. parseHostPort is fatal on typos -- a malformed host
@@ -437,7 +443,7 @@ distributeEvaluate(const std::string &curve,
                 degraded = true; // quarantined: refill locally for now
             } else {
                 std::string err;
-                conn = connectTcpWorker(host->addr, connectMs, &err);
+                conn = connectTcpWorker(host->addr, handshakeMs, &err);
                 if (conn) {
                     ++stats.remoteConnects;
                     host->failures = 0;
@@ -454,7 +460,7 @@ distributeEvaluate(const std::string &curve,
             if (degraded)
                 ++stats.remoteDegraded;
             std::string err;
-            conn = spawnLoopbackTcpConnection(cmd, ws.env, connectMs,
+            conn = spawnLoopbackTcpConnection(cmd, ws.env, handshakeMs,
                                               &err);
             if (!conn) {
                 std::fprintf(stderr,
@@ -512,15 +518,13 @@ distributeEvaluate(const std::string &curve,
         stats.fallbackPoints += grp.indices.size();
     };
 
-    // An orphaned group (its last in-flight worker died) re-enters
-    // the queue at the FRONT, gated by capped exponential backoff, so
-    // a re-dispatched group is never starved by the backlog. Bounded
-    // per group; exhaustion degrades to local evaluation (or fatal
-    // when the caller opted out).
+    // An orphaned group (its worker died) re-enters the queue at the
+    // FRONT, gated by capped exponential backoff, so a re-dispatched
+    // group is never starved by the backlog. Bounded per group;
+    // exhaustion degrades to local evaluation (or fatal when the
+    // caller opted out).
     const auto requeueOrFallback = [&](size_t g, Clock::time_point now) {
         Group &grp = groups[g];
-        if (grp.completed || grp.inFlight > 0)
-            return; // a hedge twin still owns it
         if (grp.retries >= opts.maxGroupRetries) {
             if (!opts.fallbackLocal)
                 fatal("distributed sweep: group ", g, " failed after ",
@@ -552,15 +556,12 @@ distributeEvaluate(const std::string &curve,
         const long g = ws.group;
         ws.state = WorkerSlot::State::Dead;
         ws.group = -1;
-        if (g >= 0) {
-            --groups[static_cast<size_t>(g)].inFlight;
+        if (g >= 0)
             requeueOrFallback(static_cast<size_t>(g), Clock::now());
-        }
     };
 
     const auto dispatchTo = [&](WorkerSlot &ws, size_t g,
-                                Clock::time_point now,
-                                bool hedge) -> bool {
+                                Clock::time_point now) -> bool {
         wire::GroupRequest msg;
         msg.curve = curve;
         msg.groupId = g;
@@ -572,14 +573,8 @@ distributeEvaluate(const std::string &curve,
             return false; // caller declares the worker dead
         ws.state = WorkerSlot::State::Busy;
         ws.group = static_cast<long>(g);
-        ws.dispatchedAt = now;
         ws.lastProgress = now; // liveness clock restarts per dispatch
-        ++groups[g].inFlight;
         ++stats.dispatches;
-        if (hedge) {
-            groups[g].hedged = true;
-            ++stats.hedges;
-        }
         return true;
     };
 
@@ -589,11 +584,9 @@ distributeEvaluate(const std::string &curve,
     while (completed < groups.size()) {
         Clock::time_point now = Clock::now();
 
-        // (1) Deadlines: kill workers with no frame progress inside
-        // their liveness window (handshakes get the floored window),
-        // and -- when a hard per-group deadline is set -- workers
-        // whose group has been in flight too long even with
-        // heartbeats. Silent-but-live workers get a Ping first.
+        // (1) Deadlines: kill workers with no whole frame inside their
+        // liveness window (handshakes get the floored window). A
+        // worker silent for pingMs gets a Ping first.
         for (WorkerSlot &ws : pool) {
             if (ws.state == WorkerSlot::State::Handshake) {
                 if (msUntil(ws.lastProgress + milliseconds(handshakeMs),
@@ -603,23 +596,14 @@ distributeEvaluate(const std::string &curve,
             }
             if (ws.state == WorkerSlot::State::Dead)
                 continue;
-            bool expired =
-                msUntil(ws.lastProgress + milliseconds(livenessMs),
-                        now) <= 0;
-            if (ws.state == WorkerSlot::State::Busy &&
-                opts.groupDeadlineMs > 0 &&
-                msUntil(ws.dispatchedAt +
-                            milliseconds(opts.groupDeadlineMs),
-                        now) <= 0)
-                expired = true;
-            if (expired) {
+            if (msUntil(ws.lastProgress + milliseconds(livenessMs),
+                        now) <= 0) {
                 declareDead(ws, true);
                 continue;
             }
             const Clock::time_point lastTouch =
                 std::max(ws.lastProgress, ws.lastPingAt);
-            if (msUntil(lastTouch + milliseconds(opts.pingIntervalMs),
-                        now) <= 0) {
+            if (msUntil(lastTouch + milliseconds(pingMs), now) <= 0) {
                 wire::Ping ping;
                 ping.seq = ++pingSeq;
                 const std::vector<u8> probe = wire::encodePing(ping);
@@ -665,8 +649,7 @@ distributeEvaluate(const std::string &curve,
         now = Clock::now();
 
         // (4) Dispatch: hand each idle worker the next
-        // backoff-eligible pending group; once the queue is dry,
-        // hedge the oldest straggler instead.
+        // backoff-eligible pending group.
         for (WorkerSlot &ws : pool) {
             if (ws.state != WorkerSlot::State::Idle)
                 continue;
@@ -678,36 +661,9 @@ distributeEvaluate(const std::string &curve,
                     break;
                 }
             }
-            if (g < groups.size()) {
-                if (!dispatchTo(ws, g, now, false)) {
-                    pending.push_front(g); // never sent: no retry charge
-                    declareDead(ws, false);
-                }
-                continue;
-            }
-            if (pending.empty() && opts.hedgeAfterMs > 0) {
-                WorkerSlot *straggler = nullptr;
-                for (WorkerSlot &other : pool) {
-                    if (other.state != WorkerSlot::State::Busy)
-                        continue;
-                    Group &grp = groups[static_cast<size_t>(other.group)];
-                    if (grp.completed || grp.hedged ||
-                        grp.inFlight != 1)
-                        continue;
-                    if (msUntil(other.dispatchedAt +
-                                    milliseconds(opts.hedgeAfterMs),
-                                now) > 0)
-                        continue;
-                    if (!straggler ||
-                        other.dispatchedAt < straggler->dispatchedAt)
-                        straggler = &other;
-                }
-                if (straggler) {
-                    const size_t hg =
-                        static_cast<size_t>(straggler->group);
-                    if (!dispatchTo(ws, hg, now, true))
-                        declareDead(ws, false);
-                }
+            if (g < groups.size() && !dispatchTo(ws, g, now)) {
+                pending.push_front(g); // never sent: no retry charge
+                declareDead(ws, false);
             }
         }
 
@@ -715,8 +671,8 @@ distributeEvaluate(const std::string &curve,
             break;
 
         // (5) Finite poll timeout from the next deadline: liveness
-        // windows, ping due times, retry-backoff gates and hedge
-        // eligibility all wake the loop exactly when they mature.
+        // windows, ping due times and retry-backoff gates all wake the
+        // loop exactly when they mature.
         i64 timeoutMs = 1000;
         for (const WorkerSlot &ws : pool) {
             switch (ws.state) {
@@ -734,27 +690,11 @@ distributeEvaluate(const std::string &curve,
                     timeoutMs,
                     msUntil(ws.lastProgress + milliseconds(livenessMs),
                             now));
-                if (ws.state == WorkerSlot::State::Busy &&
-                    opts.groupDeadlineMs > 0)
-                    timeoutMs = std::min(
-                        timeoutMs,
-                        msUntil(ws.dispatchedAt +
-                                    milliseconds(opts.groupDeadlineMs),
-                                now));
-                if (ws.state == WorkerSlot::State::Busy &&
-                    opts.hedgeAfterMs > 0)
-                    timeoutMs = std::min(
-                        timeoutMs,
-                        msUntil(ws.dispatchedAt +
-                                    milliseconds(opts.hedgeAfterMs),
-                                now));
                 const Clock::time_point lastTouch =
                     std::max(ws.lastProgress, ws.lastPingAt);
                 timeoutMs = std::min(
                     timeoutMs,
-                    msUntil(lastTouch +
-                                milliseconds(opts.pingIntervalMs),
-                            now));
+                    msUntil(lastTouch + milliseconds(pingMs), now));
                 break;
               }
             }
@@ -859,23 +799,14 @@ distributeEvaluate(const std::string &curve,
                             break;
                         }
                         Group &grp = groups[res.groupId];
-                        if (grp.completed) {
-                            // Hedge loser: the twin already won the
-                            // race; identical bits, nothing to merge.
-                            ++stats.staleResults;
-                        } else if (res.points.size() !=
-                                   grp.indices.size()) {
+                        if (res.points.size() != grp.indices.size()) {
                             poisoned = true; // corrupt point count
                             break;
-                        } else {
-                            for (size_t k = 0; k < grp.indices.size();
-                                 ++k)
-                                out[grp.indices[k]] =
-                                    std::move(res.points[k]);
-                            grp.completed = true;
-                            ++completed;
                         }
-                        --grp.inFlight;
+                        for (size_t k = 0; k < grp.indices.size(); ++k)
+                            out[grp.indices[k]] = std::move(res.points[k]);
+                        grp.completed = true;
+                        ++completed;
                         ws.state = WorkerSlot::State::Idle;
                         ws.group = -1;
                         break;
@@ -920,11 +851,10 @@ distributeEvaluate(const std::string &curve,
             break;
           case WorkerSlot::State::Busy:
           case WorkerSlot::State::Handshake:
-            // A hedge loser still chewing on an already-completed
-            // group (its result would back up a stream the master
-            // will never drain), or a worker that never finished its
-            // handshake (possibly hung before Hello): a graceful EOF
-            // wait could deadlock on either. Terminate.
+            // A worker that never finished its handshake (possibly
+            // hung before Hello): a graceful EOF wait could deadlock.
+            // Terminate. (Busy cannot occur here: every group is
+            // complete, and a busy worker holds an incomplete one.)
             ws.conn->terminate();
             break;
           case WorkerSlot::State::Idle:
@@ -1034,8 +964,8 @@ runWorkerFault(const FaultAction &fa, WorkerOutput &out)
         break;
       }
       case FaultAction::Kind::Stall: {
-        // A straggler, not a corpse: heartbeats keep flowing, so only
-        // a hard group deadline or hedging reacts to this.
+        // A straggler, not a corpse: heartbeats keep flowing, so the
+        // master waits it out.
         Heartbeat beat(out);
         std::this_thread::sleep_for(milliseconds(fa.stallMs));
         break;

@@ -12,20 +12,19 @@
  * every point, so the per-trace prep amortizes remotely exactly as it
  * does on a local worker thread.
  *
- * Fault tolerance (PR 7): every worker opens with a Hello handshake
+ * Fault tolerance: every worker opens with a Hello handshake
  * (protocol version + curve-catalog hash; mismatched builds are
  * rejected before any dispatch), sends heartbeat Pongs while
  * evaluating, and answers master Pings. The master's poll() loop runs
- * on finite timeouts computed from the next liveness/group deadline;
- * a worker with no frame progress by its deadline is SIGKILLed and
- * reaped, its group re-queued under a per-group retry budget with
- * capped exponential backoff (50 ms doubling per retry, capped at
- * 2 s). Dead workers are respawned up to a
- * respawn budget; stragglers can be hedged (the same group
- * re-dispatched to an idle worker, first result wins -- safe because
- * results are bit-identical); and when retries or the pool run out,
- * fallbackLocal evaluates the remaining groups in-process instead of
- * failing the sweep.
+ * on finite timeouts computed from the next liveness deadline; a
+ * worker with no whole frame by its deadline is SIGKILLed and reaped,
+ * its group re-queued under a per-group retry budget with capped
+ * exponential backoff (50 ms doubling per retry, capped at 2 s). Dead
+ * workers are respawned up to a respawn budget, and when retries or
+ * the pool run out, fallbackLocal evaluates the remaining groups
+ * in-process instead of failing the sweep. A slow worker that keeps
+ * heartbeating is waited for: each group is in flight on at most one
+ * worker, and nothing speculates on stragglers.
  *
  * Determinism contract: results are merged index-ordered into the
  * caller's request order, every point is computed by the same
@@ -33,8 +32,8 @@
  * fields cross the wire as raw bit patterns -- the distributed sweep
  * is BIT-identical to the in-process one for any worker count and any
  * survivable fault plan (crashes, hangs, stream corruption, handshake
- * rejects), because re-dispatch, hedging and local fallback all rerun
- * the identical computation.
+ * rejects), because re-dispatch and local fallback both rerun the
+ * identical computation.
  */
 #ifndef FINESSE_DSE_DISTRIBUTOR_H_
 #define FINESSE_DSE_DISTRIBUTOR_H_
@@ -53,16 +52,14 @@ namespace finesse {
 struct DistributorStats
 {
     int workersSpawned = 0; ///< initial spawns + respawns
-    int workerDeaths = 0;   ///< EOF / decode failure / deadline kill
+    int workerDeaths = 0;   ///< EOF / decode failure / liveness kill
     int redispatches = 0;   ///< groups re-queued after a death
     size_t groups = 0;      ///< trace-key groups in the sweep
 
-    int dispatches = 0;         ///< group dispatches (incl. re/hedge)
+    int dispatches = 0;         ///< group dispatches (incl. retries)
     int timeoutKills = 0;       ///< deaths caused by a missed deadline
     int handshakeFailures = 0;  ///< workers rejected at/before Hello
     int respawns = 0;           ///< replacement workers spawned
-    int hedges = 0;             ///< speculative duplicate dispatches
-    int staleResults = 0;       ///< hedge-loser results discarded
     int workersExited = 0;      ///< reaped deaths: normal exit
     int workersSignaled = 0;    ///< reaped deaths: killed by signal
     int fallbackGroups = 0;     ///< groups evaluated in-process
@@ -84,6 +81,10 @@ struct DistributorStats
  *  host:port entries; the token "local" pins a local slot. */
 constexpr const char *kHostsEnv = "FINESSE_DSE_HOSTS";
 
+/** Env var holding the default liveness window in ms (a positive
+ *  integer; anything else is fatal). */
+constexpr const char *kLivenessEnv = "FINESSE_DSE_LIVENESS_MS";
+
 /**
  * Knobs of the distributed sweep (defaults are production behavior).
  * Local workers always re-exec the current binary as
@@ -99,30 +100,14 @@ struct DistributorOptions
     DistributorStats *stats = nullptr;
 
     /**
-     * Kill a worker with no frame progress (results, heartbeats, ping
-     * replies all count) for this long. 0 = read FINESSE_DSE_LIVENESS_MS
-     * from the environment, defaulting to 10000. Handshakes get
-     * max(this, 5000) so sanitizer-slowed exec never trips it.
+     * Kill a worker that delivers no whole frame (results, heartbeats
+     * and ping replies all count) for this long; a worker silent for
+     * min(1000, this / 3) ms is pinged first. 0 = read
+     * FINESSE_DSE_LIVENESS_MS from the environment, defaulting to
+     * 10000. Handshakes and connects get max(this, 5000) so
+     * sanitizer-slowed exec never trips them.
      */
     int livenessTimeoutMs = 0;
-
-    /**
-     * Hard per-dispatch deadline: kill the worker when one group has
-     * been in flight this long even if heartbeats still arrive
-     * (catches live-but-stuck workers). 0 = disabled.
-     */
-    int groupDeadlineMs = 0;
-
-    /** Ping a silent non-dead worker after this long. */
-    int pingIntervalMs = 1000;
-
-    /**
-     * Straggler hedging: once the pending queue is empty, a group in
-     * flight this long is speculatively re-dispatched to an idle
-     * worker; the first result wins, the loser is discarded as stale.
-     * 0 = disabled.
-     */
-    int hedgeAfterMs = 5000;
 
     /** Replacement workers allowed after deaths; -1 = 2x pool width. */
     int maxRespawns = -1;
@@ -147,10 +132,6 @@ struct DistributorOptions
      * failing the sweep.
      */
     std::vector<std::string> hosts;
-
-    /** Hard deadline per remote connect / loopback accept; 0 = the
-     *  handshake window (max(liveness, 5000ms)). */
-    int connectTimeoutMs = 0;
 
     /**
      * Chaos injection (tests): per-slot FINESSE_DSE_FAULT plans,

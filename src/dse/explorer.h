@@ -192,7 +192,7 @@ class Explorer
 
     /**
      * As above with explicit distributor knobs for the
-     * `base.dseWorkers > 0` path (retry/liveness/hedging/fallback
+     * `base.dseWorkers > 0` path (retry/liveness/fallback
      * policy plus a DistributorStats sink -- finesse_cli uses this to
      * print fault-tolerance counters after a distributed sweep).
      * Ignored by the in-process path.

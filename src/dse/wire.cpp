@@ -134,9 +134,8 @@ putRequest(WireWriter &w, const DseRequest &req)
     for (const std::string &p : opt.passes)
         w.str(p);
     w.boolv(opt.useTraceCache);
-    w.i32v(opt.jobs);
-    // dseWorkers is deliberately NOT serialized: a worker must never
-    // recursively fan out subprocesses for a shipped group.
+    // jobs and dseWorkers are deliberately NOT serialized: a worker
+    // evaluates a shipped group serially and never fans it out again.
 }
 
 DseRequest
@@ -156,7 +155,6 @@ getRequest(WireReader &r)
     for (u32 i = 0; i < n; ++i)
         req.opt.passes.push_back(r.str());
     req.opt.useTraceCache = r.boolv();
-    req.opt.jobs = r.i32v();
     return req;
 }
 

@@ -56,8 +56,9 @@ enum class FrameType : u8 {
  * workers announcing a different version, which is what makes
  * mixed-build pools fail fast instead of corrupting results.
  * Version 2 = version 1 (PR 5 group frames) + handshake/liveness.
+ * Version 3 = version 2 without CompileOptions::jobs in requests.
  */
-constexpr u32 kProtocolVersion = 2;
+constexpr u32 kProtocolVersion = 3;
 
 /** One trace-key group shipped to a worker. */
 struct GroupRequest

@@ -3,8 +3,8 @@
  * Chaos-injection suite for the fault-tolerant distributed sweep:
  * scripted worker faults (FINESSE_DSE_FAULT plans -- crash, hang,
  * stream corruption, stalls, handshake mismatches) against the
- * master's liveness deadlines, retry/backoff, hedging, elastic
- * respawn and local-fallback machinery. The determinism contract is
+ * master's liveness deadlines, retry/backoff, elastic respawn and
+ * local-fallback machinery. The determinism contract is
  * asserted throughout: for any survivable fault plan the sweep
  * returns results BIT-identical to Explorer::evaluateAll.
  *
@@ -33,7 +33,7 @@ namespace {
 /**
  * Three trace-key groups (distinct variant configs) of two hardware
  * models each, on the cheap final-exponentiation-only trace: enough
- * groups for re-dispatch/hedging to have somewhere to go, small
+ * groups for re-dispatch to have somewhere to go, small
  * enough that the chaos matrix stays fast.
  */
 std::vector<DseRequest>
@@ -184,8 +184,6 @@ TEST(ChaosDse, HungWorkerIsTimedOutKilledAndRedispatched)
     opts.stats = &stats;
     opts.workerFaultPlans = {"hang@group:0", ""};
     opts.livenessTimeoutMs = 1000;
-    opts.pingIntervalMs = 300; // probe the silent worker first
-    opts.hedgeAfterMs = 0;     // isolate the timeout path
     opts.maxRespawns = 0;      // a replacement would hang again
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
@@ -197,11 +195,11 @@ TEST(ChaosDse, HungWorkerIsTimedOutKilledAndRedispatched)
     EXPECT_EQ(stats.fallbackGroups, 0);
 }
 
-TEST(ChaosDse, GroupDeadlineKillsAHeartbeatingButStuckWorker)
+TEST(ChaosDse, HeartbeatingStragglerIsWaitedFor)
 {
-    // Slot 0 stalls far beyond the group deadline WITH heartbeats: the
-    // liveness clock alone would never fire, only the hard per-group
-    // deadline catches a live-but-stuck worker.
+    // Slot 0 stalls on its first group for twice the liveness window
+    // WITH heartbeats: a slow but live worker keeps its group until it
+    // answers -- no kill, no re-dispatch, no duplicate dispatch.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
@@ -209,42 +207,50 @@ TEST(ChaosDse, GroupDeadlineKillsAHeartbeatingButStuckWorker)
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;
-    opts.workerFaultPlans = {"stall_ms=30000@group:0", ""};
-    opts.livenessTimeoutMs = 60000;
-    opts.groupDeadlineMs = 700;
-    opts.hedgeAfterMs = 0;
+    opts.workerFaultPlans = {"stall_ms=2000@group:0", ""};
+    opts.livenessTimeoutMs = 1000;
     opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
-    EXPECT_GE(stats.timeoutKills, 1);
-    EXPECT_GE(stats.redispatches, 1);
+    EXPECT_EQ(stats.timeoutKills, 0);
+    EXPECT_EQ(stats.redispatches, 0);
+    EXPECT_EQ(stats.workerDeaths, 0);
+    EXPECT_EQ(static_cast<size_t>(stats.dispatches), stats.groups);
     EXPECT_GE(stats.pongsReceived, 1); // it WAS heartbeating
 }
 
-TEST(ChaosDse, StragglerIsHedgedToAnIdleWorker)
+TEST(ChaosDse, MalformedLivenessEnvIsFatal)
 {
-    // Slot 0 stalls (with heartbeats) long enough that slot 1 drains
-    // the backlog and goes idle: the master speculatively re-dispatches
-    // the straggling group, the idle worker's result wins, and the
-    // loser is retired at shutdown. No deaths required.
+    // FINESSE_DSE_LIVENESS_MS must be a positive integer of ms: "2s"
+    // once silently meant the 10 s default. The error names the
+    // variable and fires before any worker is spawned.
+    const char *prev = std::getenv(kLivenessEnv);
+    const std::string saved = prev ? prev : "";
+
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
-    const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
+    for (const char *text : {"2s", "0", "-5", "1.5", "4294967296"}) {
+        SCOPED_TRACE(text);
+        ASSERT_EQ(setenv(kLivenessEnv, text, 1), 0);
+        DistributorStats stats;
+        DistributorOptions opts;
+        opts.stats = &stats;
+        try {
+            ex.evaluateAllDistributed(reqs, 2, opts);
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(kLivenessEnv),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(stats.workersSpawned, 0);
+    }
 
-    DistributorStats stats;
-    DistributorOptions opts;
-    opts.stats = &stats;
-    opts.workerFaultPlans = {"stall_ms=30000@group:0", ""};
-    opts.livenessTimeoutMs = 60000;
-    opts.hedgeAfterMs = 200;
-    opts.maxRespawns = 0;
-    const std::vector<DsePoint> got =
-        ex.evaluateAllDistributed(reqs, 2, opts);
-    expectSamePoints(ref, got);
-    EXPECT_GE(stats.hedges, 1);
-    EXPECT_EQ(stats.timeoutKills, 0);
-    EXPECT_EQ(stats.redispatches, 0);
+    if (prev)
+        ASSERT_EQ(setenv(kLivenessEnv, saved.c_str(), 1), 0);
+    else
+        ASSERT_EQ(unsetenv(kLivenessEnv), 0);
 }
 
 TEST(ChaosDse, AllWorkersDeadFallsBackToLocalEvaluation)
@@ -339,7 +345,6 @@ TEST(ChaosDse, CrashedWorkersAreRespawnedAndFinishTheSweep)
     opts.stats = &stats;
     opts.workerFaultPlans = {"kill@group:1"};
     opts.maxRespawns = 3;
-    opts.hedgeAfterMs = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 1, opts);
     expectSamePoints(ref, got);

@@ -58,12 +58,20 @@ TEST(Config, RejectsMalformed)
                              "hw.issue_width = 65\n",
                              "hw.lin_units = 65\n",
                              "hw.fifo = true\nhw.fifo_depth = 4097\n",
-                             // Negative dse.* knobs are not "default".
+                             // dse.hosts is the only dse.* key: the
+                             // rest are unknown, whatever the value.
                              "dse.liveness_ms = -1\n",
                              "dse.group_deadline_ms = -5\n",
                              "dse.hedge_ms = -1\n",
                              "dse.connect_ms = -100\n",
-                             "dse.respawns = -7\n"}) {
+                             "dse.respawns = -7\n", "dse.hedge_ms = 0\n",
+                             "dse.fallback_local = true\n",
+                             // Unknown keys: a typo must not run the
+                             // default.
+                             "hw.isue_width = 7\n", "curv = BN254N\n",
+                             "variants.mul3 = karatsuba\n",
+                             "variants.cyclotomic = false\n",
+                             "dse.host = 127.0.0.1:7001\n"}) {
         SCOPED_TRACE(text);
         const Config bad = Config::parse(text);
         const std::string key = bad.entries().begin()->first;
@@ -120,6 +128,8 @@ variants.mul2 = schoolbook
 variants.sqr6 = ch-sqr2
 variants.mul12 = karatsuba
 variants.g2_coords = projective
+variants.cyclo = false
+dse.hosts = 127.0.0.1:7001,local
 )");
     EXPECT_EQ(curveFromConfig(cfg), "BLS12-446");
     const CompileOptions opt = optionsFromConfig(cfg);
@@ -133,6 +143,11 @@ variants.g2_coords = projective
     EXPECT_EQ(opt.variants.level(6).sqr, SqrVariant::CHSqr2);
     EXPECT_EQ(opt.variants.level(12).mul, MulVariant::Karatsuba);
     EXPECT_EQ(opt.variants.g2Coords, CoordSystem::Projective);
+    EXPECT_FALSE(opt.variants.cyclotomicSqr);
+    DistributorOptions dopts;
+    applyDistributorConfig(cfg, dopts);
+    EXPECT_EQ(dopts.hosts,
+              (std::vector<std::string>{"127.0.0.1:7001", "local"}));
 }
 
 TEST(ConfigBridge, DefaultsMatchPaperModel)

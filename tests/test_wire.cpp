@@ -146,9 +146,11 @@ TEST(Wire, GroupRequestRoundTripsByteIdentically)
     EXPECT_EQ(decoded.requests[0].opt.passes,
               msg.requests[0].opt.passes);
     EXPECT_EQ(decoded.requests[0].opt.part, msg.requests[0].opt.part);
+    // jobs stays behind: a worker evaluates its group serially.
+    EXPECT_EQ(decoded.requests[0].opt.jobs, CompileOptions{}.jobs);
 
     // The canonical-encoding check subsumes field-by-field equality:
-    // every bit of every field survived the wire.
+    // every bit of every field on the wire survived it.
     EXPECT_EQ(encodeGroupRequest(decoded), frame);
 }
 
