@@ -7,11 +7,11 @@
  * proofs).
  *
  * Why batching wins: a batch is ONE pairing product — one Miller
- * schedule over the merged terms and one final exponentiation —
- * instead of N products. With G2-base merging the Miller-loop count
- * itself collapses: N BLS checks cost N+1 loops (not 2N), N KZG
- * openings against one SRS cost 2 (not 2N), N Groth16 proofs under
- * one vk cost N+3 (not 4N).
+ * loop shared by the merged terms and one final exponentiation —
+ * instead of N products. With G2-base merging the term count itself
+ * collapses: N BLS checks cost N+1 terms (not 2N), N KZG openings
+ * against one SRS cost 2 (not 2N), N Groth16 proofs under one vk
+ * cost N+3 (not 4N).
  *
  * Identity gate: every batched verdict is differential-checked
  * against per-request single verification (clean streams AND a dirty

@@ -162,7 +162,8 @@ class CurveSystem
      * e(O, Q) = e(P, O) = 1 and are skipped; an all-infinity (or
      * empty) product is the GT identity. This is the entry point of
      * the batch-verification serving engine (src/serve/): one Miller
-     * schedule per finite term, one final exponentiation per product.
+     * loop shared by all finite terms (PairingEngine::multiMiller),
+     * one final exponentiation per product.
      */
     GtT
     pairProduct(

@@ -66,7 +66,7 @@ struct ServeCounters
     size_t rejectedInvalid = 0; ///< ... of which Reject
     size_t batches = 0;        ///< batches executed
     size_t products = 0;       ///< pairing products evaluated
-    size_t pairings = 0;       ///< Miller loops across all products
+    size_t pairings = 0;       ///< terms across all products
     size_t singleFallbacks = 0; ///< bisection-leaf single checks
     size_t bisectSplits = 0;   ///< batch splits forced by failures
     double totalLatencyMs = 0; ///< submit -> verdict, summed

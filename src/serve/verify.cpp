@@ -6,10 +6,11 @@ namespace {
 
 /**
  * Evaluate prod e(g1, g2) == 1 for already-scaled terms, merging
- * terms that share a G2 base first: each merge trades one Miller
- * loop for one (much cheaper) G1 Jacobian addition. Quadratic scan
- * over the term list — batches are tens of terms, Miller loops
- * dominate by orders of magnitude.
+ * terms that share a G2 base first: each merge trades one term's
+ * doubling/addition steps and line multiplications in the shared
+ * Miller loop for one (much cheaper) G1 Jacobian addition. Quadratic
+ * scan over the term list — batches are tens of terms, the Miller
+ * loop dominates by orders of magnitude.
  */
 bool
 productIsOne(const CurveSystem12 &sys,

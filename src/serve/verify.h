@@ -11,7 +11,7 @@
  *     accept  <=>  prod_i e(P_i, Q_i) == 1  in GT.
  *
  * Single verification evaluates the product directly (one Miller loop
- * per term, one shared final exponentiation — PairingEngine::
+ * shared by all terms, one final exponentiation — PairingEngine::
  * pairProduct). Batch verification draws an independent 128-bit
  * scalar r_j per request and checks
  *
@@ -22,10 +22,9 @@
  * — or an unlucky pair of bad requests — from cancelling across
  * requests). Before pairing, terms whose G2 points are equal are
  * merged by summing their scaled G1 points: a BLS batch collapses all
- * signature terms onto the shared g2 generator (N+1 Miller loops for
- * N requests), a KZG batch collapses onto {g2, [tau]g2} (2 Miller
- * loops total), a Groth16 batch with a shared verification key onto
- * N+3. One final exponentiation covers the whole batch either way.
+ * signature terms onto the shared g2 generator (N+1 terms for N
+ * requests), a KZG batch collapses onto {g2, [tau]g2} (2 terms total),
+ * a Groth16 batch with a shared verification key onto N+3. One final exponentiation covers the whole batch either way.
  *
  * When a batch fails, verifyBatch() bisects: each half is re-checked
  * as its own RLC batch, recursing down to single verifications, so
@@ -110,7 +109,7 @@ PairingCheck reduceToCheck(const CurveSystem12 &sys,
 struct BatchVerifyStats
 {
     size_t products = 0;     ///< pairing products evaluated (any size)
-    size_t pairings = 0;     ///< Miller loops across all products
+    size_t pairings = 0;     ///< terms across all products
     size_t singleChecks = 0; ///< per-request fallback verifications
     size_t bisectSplits = 0; ///< batch splits forced by a failure
 };

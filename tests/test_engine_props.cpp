@@ -91,8 +91,8 @@ TEST_P(EngineProps, LineVanishesThroughThePoints)
     const auto Q = s.randomG2(rng);
     Engine::TwistJac T{Q.x, Q.y, Fp2::one(s.tower().ftCtx())};
     const auto P = s.randomG1(rng);
-    const Fp12 l = eng.dblStep(T, P.x, P.y);
-    EXPECT_FALSE(l.isZero());
+    const auto l = eng.dblStep(T, P.x, P.y);
+    EXPECT_FALSE(l.l0.isZero() && l.l3.isZero() && l.lx.isZero());
 }
 
 TEST_P(EngineProps, MillerValueDependsOnBothInputs)

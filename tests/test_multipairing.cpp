@@ -10,6 +10,7 @@
 
 #include "compiler/codegen.h"
 #include "core/framework.h"
+#include "golden.h"
 #include "pairing/cache.h"
 #include "sim/functional.h"
 
@@ -54,6 +55,9 @@ TEST(MultiPairingCompile, TwoPairingProductValidates)
 
     const OptStats stats = optimizeModule(m);
     EXPECT_LT(stats.instrsAfter, stats.instrsBefore);
+    expectGolden("multipairing.BN254N.k2",
+                 goldenFormat("instrs_before=%zu instrs_after=%zu",
+                              stats.instrsBefore, stats.instrsAfter));
 
     const CompileResult res = runBackend(m, PipelineModel{}, true);
 
