@@ -14,8 +14,10 @@
 
 namespace finesse {
 
-/** Maximum supported base-field width: 16 limbs = 1024 bits. */
-inline constexpr size_t kMaxLimbs = 16;
+/** Maximum supported base-field width: 10 limbs = 640 bits, the widest
+ *  catalog prime (BN638, BLS12-638). Every residue stores this many
+ *  limbs, so keep it no wider than the catalog needs. */
+inline constexpr size_t kMaxLimbs = 10;
 
 namespace limbs {
 

@@ -93,7 +93,7 @@ MontCtx::MontCtx(const BigInt &p) : p_(p)
 // Compiled unconditionally (call sites are NDEBUG-gated in the header)
 // so TUs built with and without NDEBUG link against the same library.
 void
-MontCtx::assertTailZero(const Residue &a) const
+MontCtx::assertTailZero(const u64 *a) const
 {
     for (size_t i = n_; i < kMaxLimbs; ++i)
         FINESSE_CHECK(a[i] == 0, "nonzero Residue tail limb ", i,
@@ -185,28 +185,17 @@ MontCtx::mulGeneric(Residue &r, const Residue &a, const Residue &b) const
 }
 
 void
-MontCtx::sumOfProducts(Residue &r, const MontOpTerm *terms,
-                       size_t count) const
-{
-    MontTerm raw[8];
-    FINESSE_CHECK(count <= 8, "sumOfProducts: too many terms");
-    for (size_t i = 0; i < count; ++i) {
-        checkTails(*terms[i].a, *terms[i].b);
-        raw[i] = {terms[i].a->data(), terms[i].b->data(), terms[i].coeff};
-    }
-    vt_->sumOfProducts(r.data(), raw, count, params());
-}
-
-void
-MontCtx::sumOfProductsGeneric(Residue &r, const MontOpTerm *terms,
+MontCtx::sumOfProductsGeneric(Residue &r, const MontTerm *terms,
                               size_t count) const
 {
     // Reduce every product eagerly: the semantics the lazy kernel must
     // reproduce bit-for-bit.
     Residue acc{};
     for (size_t i = 0; i < count; ++i) {
-        Residue prod{};
-        mulGeneric(prod, *terms[i].a, *terms[i].b);
+        Residue a{}, b{}, prod{};
+        limbs::copy(a.data(), terms[i].a, n_);
+        limbs::copy(b.data(), terms[i].b, n_);
+        mulGeneric(prod, a, b);
         i64 c = terms[i].coeff;
         const bool negate = c < 0;
         if (negate)
@@ -246,7 +235,7 @@ MontCtx::invFermat(Residue &r, const Residue &a) const
 void
 MontCtx::inv(Residue &r, const Residue &a) const
 {
-    checkTail(a);
+    checkTail(a.data());
     if (isZero(a)) {
         limbs::zero(r.data(), n_);
         return;

@@ -11,12 +11,13 @@
  * *Generic methods — they are the differential oracle for
  * tests/test_montkernel.cpp and the baseline for bench/micro_field_ops.
  *
- * Residue active-width contract: a Residue carries kMaxLimbs of storage
- * but only the low limbCount() limbs are meaningful; the tail is
- * zero-filled at construction (Residue{} / Fp's member initializer) and
- * no operation ever writes beyond the active width, so the tail stays
- * zero for the lifetime of the value. Debug builds assert this on every
- * operand.
+ * Residue active-width contract: a Residue carries kMaxLimbs (10 limbs,
+ * 640 bits: the widest catalog prime) of storage but only the low
+ * limbCount() limbs are meaningful; the tail is zero-filled at
+ * construction (Residue{} / Fp's member initializer) and no operation
+ * ever writes beyond the active width, so the tail stays zero for the
+ * lifetime of the value. Debug builds assert this on every operand. A
+ * wider modulus is rejected at construction ("modulus too wide").
  */
 #ifndef FINESSE_BIGINT_MONT_H_
 #define FINESSE_BIGINT_MONT_H_
@@ -31,14 +32,6 @@ namespace finesse {
 
 /** Raw residue value: fixed storage, runtime active width. */
 using Residue = std::array<u64, kMaxLimbs>;
-
-/** One term of a lazy sum-of-products: coeff * a * b, small |coeff|. */
-struct MontOpTerm
-{
-    const Residue *a;
-    const Residue *b;
-    i64 coeff;
-};
 
 /**
  * Montgomery multiplication context for an odd modulus p of at most
@@ -71,28 +64,31 @@ class MontCtx
     void
     add(Residue &r, const Residue &a, const Residue &b) const
     {
-        checkTails(a, b);
+        checkTail(a.data());
+        checkTail(b.data());
         vt_->add(r.data(), a.data(), b.data(), params());
     }
 
     void
     sub(Residue &r, const Residue &a, const Residue &b) const
     {
-        checkTails(a, b);
+        checkTail(a.data());
+        checkTail(b.data());
         vt_->sub(r.data(), a.data(), b.data(), params());
     }
 
     void
     neg(Residue &r, const Residue &a) const
     {
-        checkTail(a);
+        checkTail(a.data());
         vt_->neg(r.data(), a.data(), params());
     }
 
     void
     mul(Residue &r, const Residue &a, const Residue &b) const
     {
-        checkTails(a, b);
+        checkTail(a.data());
+        checkTail(b.data());
         // Devirtualized fast path for the dominant pairing-curve width
         // (4 limbs, spare top bit): lets the compiler inline the
         // unrolled kernel straight into Fp call sites, skipping the
@@ -120,7 +116,7 @@ class MontCtx
     void
     sqr(Residue &r, const Residue &a) const
     {
-        checkTail(a);
+        checkTail(a.data());
         switch (fast_) {
 #if FINESSE_HAVE_X86_ADX
           case FastPath::kAdx4:
@@ -138,12 +134,20 @@ class MontCtx
 
     /**
      * r = sum_i coeff_i * a_i * b_i with a single Montgomery reduction
-     * (lazy reduction). Coefficients must be small (|coeff| and their
-     * sum comfortably below 2^60); inputs are fully reduced residues and
-     * the result is fully reduced.
+     * (lazy reduction). Each term points at the limbs of a Residue.
+     * Coefficients must be small (|coeff| and their sum comfortably
+     * below 2^60); inputs are fully reduced residues and the result is
+     * fully reduced.
      */
-    void sumOfProducts(Residue &r, const MontOpTerm *terms,
-                       size_t count) const;
+    void
+    sumOfProducts(Residue &r, const MontTerm *terms, size_t count) const
+    {
+        for (size_t i = 0; i < count; ++i) {
+            checkTail(terms[i].a);
+            checkTail(terms[i].b);
+        }
+        vt_->sumOfProducts(r.data(), terms, count, params());
+    }
 
     /** r = a^e (e is a plain non-negative integer, not a residue). */
     void pow(Residue &r, const Residue &a, const BigInt &e) const;
@@ -185,7 +189,7 @@ class MontCtx
         mulGeneric(r, a, a);
     }
 
-    void sumOfProductsGeneric(Residue &r, const MontOpTerm *terms,
+    void sumOfProductsGeneric(Residue &r, const MontTerm *terms,
                               size_t count) const;
 
     /** Montgomery representation of 1. */
@@ -209,21 +213,16 @@ class MontCtx
         return {pLimbs_.data(), pSquared_.data(), n0inv_};
     }
 
-    void assertTailZero(const Residue &a) const;
-
-#ifndef NDEBUG
-    void checkTail(const Residue &a) const { assertTailZero(a); }
+    /** Check limbs [limbCount(), kMaxLimbs) of the Residue at @p a. */
+    void assertTailZero(const u64 *a) const;
 
     void
-    checkTails(const Residue &a, const Residue &b) const
+    checkTail([[maybe_unused]] const u64 *a) const
     {
+#ifndef NDEBUG
         assertTailZero(a);
-        assertTailZero(b);
-    }
-#else
-    void checkTail(const Residue &) const {}
-    void checkTails(const Residue &, const Residue &) const {}
 #endif
+    }
 
     /** Devirtualized hot paths for 4-limb spare-top-bit moduli. */
     enum class FastPath : u8

@@ -232,7 +232,7 @@ struct MontKernel
     // Lazy-reduction building blocks --------------------------------------
 
     /** t[0..2N) = a * b (plain wide product, no reduction). */
-    static void
+    static FINESSE_FORCE_INLINE void
     wideMul(u64 *t, const u64 *a, const u64 *b)
     {
         for (size_t i = 0; i < 2 * N; ++i)
@@ -399,7 +399,7 @@ struct MontKernel
 
   private:
     /** a < b over N limbs. */
-    static bool
+    static FINESSE_FORCE_INLINE bool
     lessThan(const u64 *a, const u64 *b)
     {
         for (size_t i = N; i-- > 0;) {
@@ -425,7 +425,7 @@ struct MontKernel
     }
 
     /** acc[0..2N+2) += scale * t[0..2N) for a small scale factor. */
-    static void
+    static FINESSE_FORCE_INLINE void
     scaleAdd(u64 *acc, const u64 *t, u64 scale)
     {
         if (scale == 1) {
@@ -727,17 +727,11 @@ kernelVTable(size_t n, u64 topLimb)
       case 8: return detail::pickVTable<8>(spare);
       case 9: return detail::pickVTable<9>(spare);
       case 10: return detail::pickVTable<10>(spare);
-      case 11: return detail::pickVTable<11>(spare);
-      case 12: return detail::pickVTable<12>(spare);
-      case 13: return detail::pickVTable<13>(spare);
-      case 14: return detail::pickVTable<14>(spare);
-      case 15: return detail::pickVTable<15>(spare);
-      case 16: return detail::pickVTable<16>(spare);
       default: return nullptr;
     }
 }
 
-static_assert(kMaxLimbs == 16, "extend kernelVTable when widening");
+static_assert(kMaxLimbs == 10, "extend kernelVTable when widening");
 
 } // namespace finesse
 

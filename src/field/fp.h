@@ -237,11 +237,11 @@ class Fp
     static Fp
     sumOfProducts(const Ctx *ctx, std::initializer_list<Term> terms)
     {
-        MontOpTerm raw[8];
+        MontTerm raw[8];
         size_t k = 0;
         for (const Term &t : terms) {
             FINESSE_CHECK(k < 8, "sumOfProducts: too many terms");
-            raw[k++] = {&t.a->v_, &t.b->v_, t.coeff};
+            raw[k++] = {t.a->v_.data(), t.b->v_.data(), t.coeff};
         }
         Fp r;
         r.ctx_ = ctx;

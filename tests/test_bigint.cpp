@@ -246,16 +246,16 @@ TEST(Mont, PowAndInv)
     }
 }
 
-TEST(Mont, WideModulus1024Bit)
+TEST(Mont, WideModulus640Bit)
 {
-    // 1024-bit prime exercises the full kMaxLimbs width.
-    BigInt p = (BigInt(u64{1}) << 1023);
+    // 640-bit prime exercises the full kMaxLimbs width.
+    BigInt p = (BigInt(u64{1}) << 639);
     // Find the next number == 3 mod 4 that is prime (deterministic search).
     p = p + BigInt(u64{3});
     while (!isProbablePrime(p))
         p = p + BigInt(u64{4});
     MontCtx ctx(p);
-    EXPECT_EQ(ctx.limbCount(), 16u);
+    EXPECT_EQ(ctx.limbCount(), kMaxLimbs);
     Rng rng(31);
     const BigInt a = BigInt::randomBelow(rng, p);
     const BigInt b = BigInt::randomBelow(rng, p);
@@ -268,6 +268,9 @@ TEST(Mont, RejectsBadModulus)
 {
     EXPECT_THROW(MontCtx(BigInt(u64{10})), FatalError);
     EXPECT_THROW(MontCtx(BigInt(u64{1}) << 1030), FatalError);
+    // Odd and one bit past the kMaxLimbs ceiling: too wide.
+    EXPECT_THROW(MontCtx((BigInt(u64{1}) << 640) + BigInt(u64{1})),
+                 FatalError);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pairing/cache.h"
 
 namespace finesse {
@@ -85,6 +87,24 @@ INSTANTIATE_TEST_SUITE_P(Curves, CurveGroupLaw,
                              }
                              return s;
                          });
+
+TEST(CurveSetup, CatalogPrimesFitResidueStorage)
+{
+    // Residue storage is sized to the widest catalog prime: a wider
+    // catalog curve must fail here, not at curve-system setup, and the
+    // cap must not carry limbs no catalog curve uses.
+    size_t widest = 0;
+    for (const CurveDef &def : curveCatalog()) {
+        const size_t n = (deriveCurveInfo(def).logP() + 63) / 64;
+        EXPECT_LE(n, kMaxLimbs)
+            << def.name << " needs " << n << " limbs but kMaxLimbs is "
+            << kMaxLimbs << ": raise kMaxLimbs and extend kernelVTable";
+        widest = std::max(widest, n);
+    }
+    EXPECT_EQ(widest, kMaxLimbs)
+        << "kMaxLimbs (" << kMaxLimbs << ") is wider than the widest "
+        << "catalog prime (" << widest << " limbs)";
+}
 
 TEST(CurveSetup, DeterministicGenerators)
 {

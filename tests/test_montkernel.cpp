@@ -131,24 +131,24 @@ TEST(MontKernel, VTableSelection)
 TEST(MontKernel, SumOfProductsMatchesGeneric)
 {
     Rng rng(103);
-    for (int w : {2, 3, 4, 6, 8, 13, 16}) {
+    for (int w : {2, 3, 4, 6, 7, 8, 10}) {
         for (int spareBits : {0, 2}) {
             const BigInt p = randomOddModulus(rng, 64 * w - spareBits);
             MontCtx ctx(p);
             for (int iter = 0; iter < 40; ++iter) {
                 const size_t count = 1 + rng.below(8);
                 Residue vals[8];
-                MontOpTerm terms[8];
+                MontTerm terms[8];
                 for (size_t i = 0; i < count; ++i)
                     vals[i] = rawResidue(ctx, BigInt::randomBelow(rng, p));
                 for (size_t i = 0; i < count; ++i) {
                     // Coefficients in [-5, 5]: |nu| = 5 type towers, and
                     // zero terms must be skipped identically. a == b
                     // sometimes, to hit the internal squaring path.
-                    terms[i].a = &vals[i];
+                    terms[i].a = vals[i].data();
                     terms[i].b = rng.below(3) == 0
-                                     ? &vals[i]
-                                     : &vals[rng.below(count)];
+                                     ? vals[i].data()
+                                     : vals[rng.below(count)].data();
                     terms[i].coeff = static_cast<i64>(rng.below(11)) - 5;
                 }
                 Residue lazy{}, eager{};
@@ -160,9 +160,9 @@ TEST(MontKernel, SumOfProductsMatchesGeneric)
             // drives the montRedc correction loop through multiple
             // subtractions of p.
             Residue top = rawResidue(ctx, p - BigInt(u64{1}));
-            MontOpTerm worst[8];
+            MontTerm worst[8];
             for (auto &t : worst)
-                t = {&top, &top, -5};
+                t = {top.data(), top.data(), -5};
             Residue lazy{}, eager{};
             ctx.sumOfProducts(lazy, worst, 8);
             ctx.sumOfProductsGeneric(eager, worst, 8);
