@@ -311,7 +311,6 @@ main(int argc, char **argv)
                    static_cast<size_t>(s.redispatches))
             .count(p + "_timeout_kills",
                    static_cast<size_t>(s.timeoutKills))
-            .count(p + "_respawns", static_cast<size_t>(s.respawns))
             .count(p + "_handshake_failures",
                    static_cast<size_t>(s.handshakeFailures))
             .count(p + "_fallback_groups",
@@ -320,8 +319,6 @@ main(int argc, char **argv)
                    static_cast<size_t>(s.remoteConnects))
             .count(p + "_remote_connect_failures",
                    static_cast<size_t>(s.remoteConnectFailures))
-            .count(p + "_host_quarantines",
-                   static_cast<size_t>(s.hostQuarantines))
             .count(p + "_net_faults",
                    static_cast<size_t>(s.networkFaultsInjected))
             .count(p + "_mismatches", leg.mismatches);

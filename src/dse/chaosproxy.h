@@ -10,11 +10,12 @@
  *     trunc@frame:N       swallow frame N's tail, keep streaming
  *     delay_ms=T@frame:N  hold frame N for T ms (slow network)
  *     garbage@frame:N     inject junk bytes ahead of frame N
- *     refuse@connect      (handled at spawn time by the distributor)
+ *     refuse@connect      (handled by the distributor: the slot never
+ *                         connects)
  *
  * The wrapper interposes on ANY Connection -- spawned local workers
  * and remote peers alike -- so the chaos matrix exercises the
- * master's reconnect/poison/re-dispatch paths identically for both.
+ * master's poison/re-dispatch paths identically for both.
  * Faults the worker itself injects
  * (kill/hang/garbage worker-side) desync the stream mid-scan; the
  * proxy detects the unparseable header and degrades to transparent

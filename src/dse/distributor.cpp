@@ -18,15 +18,14 @@
  * what keeps re-dispatch safe), and its in-flight group is re-queued
  * at the FRONT of the pending list under a per-group retry budget with
  * capped exponential backoff. A worker that is slow but heartbeating
- * keeps its group until it answers. Remote hosts that fail to connect
- * are quarantined with the same capped backoff and the slot refills
- * with a local worker (the host is tried again when the slot next
- * respawns after its quarantine), so losing every remote degrades to
- * the all-local path. When a group exhausts its retries or the pool
- * empties for good, fallbackLocal evaluates the remainder in-process
- * via Explorer::evaluateAll. Results are scattered into the output by
- * original request index, so the merge is the same index-ordered
- * reduction as Explorer::evaluateAll.
+ * keeps its group until it answers. A lost worker is never replaced:
+ * a slot whose connect fails (refused remote, failed local spawn)
+ * stays dead, and its share of the work goes to the live workers.
+ * When a group exhausts its retries or the pool empties, the
+ * remainder is evaluated in-process via Explorer::evaluateAll.
+ * Results are scattered into the output by original request index, so
+ * the merge is the same index-ordered reduction as
+ * Explorer::evaluateAll.
  *
  * Worker: sends Hello, then a blocking read loop. Each GroupRequest
  * is evaluated with Explorer::evaluateAll(requests, jobs=1) -- the
@@ -90,8 +89,7 @@ constexpr int kDefaultLivenessMs = 10000;
  *  silent worker before killing it. */
 constexpr int kMaxPingIntervalMs = 1000;
 
-/** Re-dispatch and host-quarantine backoff: base delay, doubling per
- *  consecutive failure, capped. */
+/** Re-dispatch backoff: base delay, doubling per retry, capped. */
 constexpr i64 kRetryBackoffMs = 50;
 constexpr i64 kRetryBackoffCapMs = 2000;
 
@@ -123,11 +121,11 @@ msUntil(Clock::time_point t, Clock::time_point now)
     return std::chrono::duration_cast<milliseconds>(t - now).count();
 }
 
-/** Capped exponential backoff after @p failures consecutive failures. */
+/** Capped exponential backoff before a group's @p retries-th retry. */
 milliseconds
-backoffAfter(int failures)
+backoffAfter(int retries)
 {
-    const int shift = std::min(failures - 1, 20);
+    const int shift = std::min(retries - 1, 20);
     return milliseconds(
         std::min(kRetryBackoffCapMs, kRetryBackoffMs << shift));
 }
@@ -141,20 +139,18 @@ struct Group
     Clock::time_point eligibleAt{}; ///< retry-backoff gate
 };
 
-/** One remote endpoint of the worker pool, with quarantine state. */
+/** One entry of the worker pool: a remote endpoint or a local slot. */
 struct HostState
 {
     HostPort addr;
     bool local = false; ///< the "local" pool token: pin a local slot
-    int failures = 0;   ///< consecutive connect failures
-    Clock::time_point eligibleAt{}; ///< quarantine gate
 };
 
 struct WorkerSlot
 {
     enum class State {
-        Dead,      ///< not running (never spawned / declared dead)
-        Handshake, ///< spawned, Hello not yet validated
+        Dead,      ///< not running (never connected / declared dead)
+        Handshake, ///< connected, Hello not yet validated
         Idle,      ///< admitted, no group in flight
         Busy,      ///< evaluating a group
     };
@@ -165,17 +161,6 @@ struct WorkerSlot
     long group = -1; ///< in-flight group id, -1 = none
     Clock::time_point lastProgress{}; ///< last whole frame read (any type)
     Clock::time_point lastPingAt{};
-    std::vector<std::string> env; ///< respawns reuse the slot's env
-                                  ///< (its pinned fault plan, if any)
-
-    int hostIdx = -1;    ///< index into the host pool; -1 = local slot
-    FaultPlan framePlan; ///< stream-fault template; COPIED per spawn,
-                         ///< so a respawned connection replays its
-                         ///< faults afresh (like worker-side plans)
-    FaultPlan connectPlan;   ///< connect-site actions, persistent so a
-                             ///< scripted refusal fires once per slot,
-                             ///< not once per respawn
-    int connectAttempts = 0; ///< connect-site ordinal
 };
 
 } // namespace
@@ -189,10 +174,8 @@ DistributorStats::describe() const
        << workersSpawned << " died=" << workerDeaths << " (signaled="
        << workersSignaled << " exited=" << workersExited
        << " timeout-kills=" << timeoutKills << " handshake-rejects="
-       << handshakeFailures << ") respawned=" << respawns
-       << " | remote connects=" << remoteConnects << " connect-fails="
-       << remoteConnectFailures << " quarantines=" << hostQuarantines
-       << " degraded-local=" << remoteDegraded << " net-faults="
+       << handshakeFailures << ") | remote connects=" << remoteConnects
+       << " connect-fails=" << remoteConnectFailures << " net-faults="
        << networkFaultsInjected << " | fallback-local="
        << fallbackGroups << " groups/" << fallbackPoints
        << " points | pings=" << pingsSent << " pongs="
@@ -250,9 +233,6 @@ FaultPlan::parse(const std::string &spec)
             fa.site = FaultAction::Site::Hello;
         } else if (site == "connect") {
             fa.site = FaultAction::Site::Connect;
-        } else if (site.rfind("connect:", 0) == 0) {
-            fa.site = FaultAction::Site::Connect;
-            fa.index = parseIndex(site.substr(8), term);
         } else if (site.rfind("group:", 0) == 0) {
             fa.site = FaultAction::Site::Group;
             fa.index = parseIndex(site.substr(6), term);
@@ -362,11 +342,6 @@ distributeEvaluate(const std::string &curve,
         }
     }
 
-    const int n =
-        static_cast<int>(std::min<size_t>(static_cast<size_t>(workers),
-                                          groups.size()));
-    int respawnBudget = opts.maxRespawns >= 0 ? opts.maxRespawns : 2 * n;
-
     std::atomic<int> netFaultsFired{0};
 
     // Network fault plans: an explicit per-slot network plan is
@@ -380,126 +355,82 @@ distributeEvaluate(const std::string &curve,
     const bool explicitWorkerPlans = !opts.workerFaultPlans.empty();
     const char *ambientSpec = std::getenv(kFaultPlanEnv);
 
-    std::vector<WorkerSlot> pool(static_cast<size_t>(n));
-    for (int w = 0; w < n; ++w) {
-        WorkerSlot &ws = pool[static_cast<size_t>(w)];
-        if (!hosts.empty())
-            ws.hostIdx = w % static_cast<int>(hosts.size());
-        // An explicit plan (even an empty one) is always exported so
-        // it shadows any ambient FINESSE_DSE_FAULT: chaos tests pin
-        // exactly which slots fault no matter what CI injects.
-        if (explicitWorkerPlans)
-            ws.env.push_back(
-                std::string(kFaultPlanEnv) + "=" +
-                opts.workerFaultPlans[static_cast<size_t>(w) %
-                                      opts.workerFaultPlans.size()]);
-
+    // Bring slot w up once: its remote host when one is assigned,
+    // else a local worker. A failed connect leaves the slot dead for
+    // the whole sweep; the live slots (or in-process evaluation)
+    // carry its share.
+    const auto connectSlot = [&](WorkerSlot &ws, size_t w) {
         FaultPlan net;
         if (!opts.networkFaultPlans.empty())
             net = FaultPlan::parse(
-                opts.networkFaultPlans[static_cast<size_t>(w) %
-                                       opts.networkFaultPlans.size()]);
+                opts.networkFaultPlans[w % opts.networkFaultPlans.size()]);
         else if (!explicitWorkerPlans && ambientSpec)
             net = FaultPlan::parse(ambientSpec).keep(true);
-        for (const FaultAction &fa : net.actions) {
-            if (fa.site == FaultAction::Site::Connect)
-                ws.connectPlan.actions.push_back(fa);
-            else
-                ws.framePlan.actions.push_back(fa);
-        }
-    }
-
-    const auto quarantineHost = [&](HostState &h,
-                                    Clock::time_point now) {
-        ++h.failures;
-        h.eligibleAt = now + backoffAfter(h.failures);
-        ++stats.hostQuarantines;
-    };
-
-    // Bring a dead slot up: its remote host when one is assigned and
-    // out of quarantine, else a local worker (a quarantined or failed
-    // remote slot degrades to local). False = the attempt was lost,
-    // which consumes respawn budget.
-    const auto trySpawnSlot = [&](WorkerSlot &ws,
-                                  Clock::time_point now) -> bool {
         // Scripted connect refusal (chaos): the failure itself is the
-        // point -- exercise the master's retry/degrade reaction
-        // without needing an actually-unreachable host.
-        if (ws.connectPlan.fire(FaultAction::Site::Connect,
-                                ws.connectAttempts)) {
-            ++ws.connectAttempts;
+        // point -- exercise the master's reaction without needing an
+        // actually-unreachable host.
+        if (net.fire(FaultAction::Site::Connect, 0)) {
             ++stats.networkFaultsInjected;
-            return false;
+            return;
         }
-        ++ws.connectAttempts;
 
         std::unique_ptr<Connection> conn;
-        HostState *host =
-            ws.hostIdx >= 0 ? &hosts[static_cast<size_t>(ws.hostIdx)]
-                            : nullptr;
-        bool degraded = false;
+        std::string err;
+        const HostState *host =
+            hosts.empty() ? nullptr : &hosts[w % hosts.size()];
         if (host && !host->local) {
-            if (msUntil(host->eligibleAt, now) > 0) {
-                degraded = true; // quarantined: refill locally for now
-            } else {
-                std::string err;
-                conn = connectTcpWorker(host->addr, handshakeMs, &err);
-                if (conn) {
-                    ++stats.remoteConnects;
-                    host->failures = 0;
-                } else {
-                    ++stats.remoteConnectFailures;
-                    std::fprintf(stderr, "distributed sweep: %s\n",
-                                 err.c_str());
-                    quarantineHost(*host, now);
-                    degraded = true;
-                }
+            conn = connectTcpWorker(host->addr, handshakeMs, &err);
+            if (!conn) {
+                ++stats.remoteConnectFailures;
+                std::fprintf(stderr, "distributed sweep: %s\n",
+                             err.c_str());
+                return;
             }
-        }
-        if (!conn) {
-            if (degraded)
-                ++stats.remoteDegraded;
-            std::string err;
-            conn = spawnLoopbackTcpConnection(cmd, ws.env, handshakeMs,
-                                              &err);
+            ++stats.remoteConnects;
+        } else {
+            // An explicit plan (even an empty one) is always exported
+            // so it shadows any ambient FINESSE_DSE_FAULT: chaos tests
+            // pin exactly which slots fault no matter what CI injects.
+            std::vector<std::string> env;
+            if (explicitWorkerPlans)
+                env.push_back(std::string(kFaultPlanEnv) + "=" +
+                              opts.workerFaultPlans
+                                  [w % opts.workerFaultPlans.size()]);
+            conn = spawnLoopbackTcpConnection(cmd, env, handshakeMs, &err);
             if (!conn) {
                 std::fprintf(stderr,
                              "distributed sweep: local worker: %s\n",
                              err.c_str());
-                return false;
+                return;
             }
         }
 
         // Stream-level chaos: wrap ANY connection in the fault proxy
-        // when frame-site actions are scripted. The slot's template
-        // is COPIED per connection, so a respawned slot replays its
-        // stream faults afresh (exactly like worker-side plans) --
-        // bounded by the respawn budget, then fallbackLocal.
-        if (!ws.framePlan.empty())
-            conn = wrapWithChaosProxy(std::move(conn), ws.framePlan,
+        // when frame-site actions are scripted.
+        if (!net.empty())
+            conn = wrapWithChaosProxy(std::move(conn), std::move(net),
                                       &netFaultsFired);
 
         ws.conn = std::move(conn);
-        ws.frames = wire::FrameBuffer();
         ws.frames.maxPayload(kPreHelloPayloadCap);
         ws.state = WorkerSlot::State::Handshake;
-        ws.group = -1;
         ws.lastProgress = Clock::now();
         ws.lastPingAt = ws.lastProgress;
         ++stats.workersSpawned;
-        return true;
     };
 
-    for (WorkerSlot &ws : pool)
-        trySpawnSlot(ws, Clock::now()); // failures retry in the loop
+    std::vector<WorkerSlot> pool(
+        std::min(static_cast<size_t>(workers), groups.size()));
+    for (size_t w = 0; w < pool.size(); ++w)
+        connectSlot(pool[w], w);
 
     std::deque<size_t> pending;
     for (size_t g = 0; g < groups.size(); ++g)
         pending.push_back(g);
     size_t completed = 0;
 
-    // Graceful degradation: evaluate a group in-process, on the same
-    // batched engine a worker would use -- identical bits, no fatal.
+    // In-process evaluation of a group nobody is left to run, on the
+    // same batched engine a worker would use -- identical bits.
     std::optional<Explorer> localEx;
     const auto evaluateLocally = [&](size_t g) {
         if (!localEx)
@@ -520,15 +451,11 @@ distributeEvaluate(const std::string &curve,
 
     // An orphaned group (its worker died) re-enters the queue at the
     // FRONT, gated by capped exponential backoff, so a re-dispatched
-    // group is never starved by the backlog. Bounded per group;
-    // exhaustion degrades to local evaluation (or fatal when the
-    // caller opted out).
+    // group is never starved by the backlog. Bounded per group, so a
+    // group that kills every worker it touches ends up in-process.
     const auto requeueOrFallback = [&](size_t g, Clock::time_point now) {
         Group &grp = groups[g];
         if (grp.retries >= opts.maxGroupRetries) {
-            if (!opts.fallbackLocal)
-                fatal("distributed sweep: group ", g, " failed after ",
-                      opts.maxGroupRetries, " re-dispatches");
             evaluateLocally(g);
             return;
         }
@@ -616,28 +543,12 @@ distributeEvaluate(const std::string &curve,
             }
         }
 
-        // (2) Elastic respawn: keep the pool at full width while the
-        // budget lasts and work remains.
-        for (WorkerSlot &ws : pool) {
-            if (completed >= groups.size() || respawnBudget <= 0)
-                break;
-            if (ws.state != WorkerSlot::State::Dead)
-                continue;
-            --respawnBudget;
-            if (trySpawnSlot(ws, now))
-                ++stats.respawns;
-        }
-
-        // (3) Pool empty for good: finish the sweep in-process (or
-        // fail, preserving the pre-fallback contract).
+        // (2) Pool empty: finish the sweep in-process.
         const bool anyAlive = std::any_of(
             pool.begin(), pool.end(), [](const WorkerSlot &ws) {
                 return ws.state != WorkerSlot::State::Dead;
             });
         if (!anyAlive) {
-            if (!opts.fallbackLocal)
-                fatal("distributed sweep: all ", n, " workers died (",
-                      groups.size() - completed, " groups unfinished)");
             for (size_t g = 0; g < groups.size(); ++g) {
                 if (!groups[g].completed)
                     evaluateLocally(g);
@@ -648,7 +559,7 @@ distributeEvaluate(const std::string &curve,
 
         now = Clock::now();
 
-        // (4) Dispatch: hand each idle worker the next
+        // (3) Dispatch: hand each idle worker the next
         // backoff-eligible pending group.
         for (WorkerSlot &ws : pool) {
             if (ws.state != WorkerSlot::State::Idle)
@@ -670,14 +581,14 @@ distributeEvaluate(const std::string &curve,
         if (completed >= groups.size())
             break;
 
-        // (5) Finite poll timeout from the next deadline: liveness
+        // (4) Finite poll timeout from the next deadline: liveness
         // windows, ping due times and retry-backoff gates all wake the
         // loop exactly when they mature.
         i64 timeoutMs = 1000;
         for (const WorkerSlot &ws : pool) {
             switch (ws.state) {
               case WorkerSlot::State::Dead:
-                break; // respawned (or gone for good) at loop top
+                break; // gone for good
               case WorkerSlot::State::Handshake:
                 timeoutMs = std::min(
                     timeoutMs,
@@ -713,8 +624,8 @@ distributeEvaluate(const std::string &curve,
             fdWorker.push_back(w);
         }
         if (fds.empty())
-            continue; // dispatch killed the last worker: respawn or
-                      // fall back at the top of the loop
+            continue; // dispatch killed the last worker: fall back
+                      // at the top of the loop
 
         int rc;
         do {
@@ -726,10 +637,10 @@ distributeEvaluate(const std::string &curve,
         if (rc == 0)
             continue; // a deadline matured; top of loop enforces it
 
-        // (6) Drain readable workers. The try block only PARSES: a
+        // (5) Drain readable workers. The try block only PARSES: a
         // decode failure poisons the stream, nothing more --
-        // declareDead (whose fallback evaluation or fatal must run
-        // outside any frame-parsing context) runs strictly after it.
+        // declareDead (whose fallback evaluation must run outside any
+        // frame-parsing context) runs strictly after it.
         // A WorkerError frame is a DETERMINISTIC failure a retry
         // cannot fix -> propagate.
         for (size_t f = 0; f < fds.size(); ++f) {
@@ -1109,7 +1020,7 @@ runDseWorkerListen(const std::string &listenSpec, int maxAccepts)
     int boundPort = 0;
     // Backlog > 1: a second master can queue while one is served; it
     // waits for this worker's Hello until its handshake window runs
-    // out, then quarantines us -- better than a refused connect.
+    // out, then declares us dead -- better than a refused connect.
     const int listenFd = tcpListen(at, 4, &err, &boundPort);
     if (listenFd < 0) {
         std::fprintf(stderr, "dse-worker: %s\n", err.c_str());

@@ -19,9 +19,9 @@
  * on finite timeouts computed from the next liveness deadline; a
  * worker with no whole frame by its deadline is SIGKILLed and reaped,
  * its group re-queued under a per-group retry budget with capped
- * exponential backoff (50 ms doubling per retry, capped at 2 s). Dead
- * workers are respawned up to a respawn budget, and when retries or
- * the pool run out, fallbackLocal evaluates the remaining groups
+ * exponential backoff (50 ms doubling per retry, capped at 2 s). A
+ * dead worker is never replaced: its group goes to a live worker, and
+ * when retries or the pool run out the remaining groups are evaluated
  * in-process instead of failing the sweep. A slow worker that keeps
  * heartbeating is waited for: each group is in flight on at most one
  * worker, and nothing speculates on stragglers.
@@ -51,7 +51,7 @@ namespace finesse {
  *  the crash/timeout/re-dispatch paths through these). */
 struct DistributorStats
 {
-    int workersSpawned = 0; ///< initial spawns + respawns
+    int workersSpawned = 0; ///< slots that connected (one per slot)
     int workerDeaths = 0;   ///< EOF / decode failure / liveness kill
     int redispatches = 0;   ///< groups re-queued after a death
     size_t groups = 0;      ///< trace-key groups in the sweep
@@ -59,7 +59,6 @@ struct DistributorStats
     int dispatches = 0;         ///< group dispatches (incl. retries)
     int timeoutKills = 0;       ///< deaths caused by a missed deadline
     int handshakeFailures = 0;  ///< workers rejected at/before Hello
-    int respawns = 0;           ///< replacement workers spawned
     int workersExited = 0;      ///< reaped deaths: normal exit
     int workersSignaled = 0;    ///< reaped deaths: killed by signal
     int fallbackGroups = 0;     ///< groups evaluated in-process
@@ -69,8 +68,6 @@ struct DistributorStats
 
     int remoteConnects = 0;        ///< TCP worker connects that succeeded
     int remoteConnectFailures = 0; ///< refused/timed-out/unreachable
-    int hostQuarantines = 0;       ///< hosts benched after a failure
-    int remoteDegraded = 0;        ///< remote slots refilled locally
     int networkFaultsInjected = 0; ///< chaos-proxy faults that fired
 
     /** One-line human-readable rendering (finesse_cli dse). */
@@ -109,27 +106,14 @@ struct DistributorOptions
      */
     int livenessTimeoutMs = 0;
 
-    /** Replacement workers allowed after deaths; -1 = 2x pool width. */
-    int maxRespawns = -1;
-
-    /**
-     * Graceful degradation: when a group exhausts its retries or the
-     * pool empties with no respawn budget left, evaluate the
-     * remaining groups in-process via Explorer::evaluateAll (same
-     * bits) instead of failing the sweep. When false those paths
-     * throw FatalError as before.
-     */
-    bool fallbackLocal = true;
-
     /**
      * Remote worker pool: "host:port" entries naming running
      * `dse-worker --listen` peers, or the token "local" pinning a
      * local slot (mixed pools). Empty = FINESSE_DSE_HOSTS env; both
-     * empty = all-local pool. Slot w uses hosts[w % size]. A failed
-     * connect quarantines its host (capped exponential backoff before
-     * the next attempt) and refills the slot with a local worker, so
-     * losing every remote degrades to the all-local path instead of
-     * failing the sweep.
+     * empty = all-local pool. Slot w uses hosts[w % size]. A slot
+     * whose connect fails stays dead for the sweep; the live slots
+     * carry its share, and a pool that is all dead finishes
+     * in-process.
      */
     std::vector<std::string> hosts;
 
@@ -138,8 +122,7 @@ struct DistributorOptions
      * assigned round-robin (slot w gets plans[w % size]). When
      * non-empty EVERY slot gets an explicit assignment -- an empty
      * string pins the slot fault-free, shielding it from any ambient
-     * FINESSE_DSE_FAULT in the test environment. A respawned slot
-     * reuses its slot's plan.
+     * FINESSE_DSE_FAULT in the test environment.
      */
     std::vector<std::string> workerFaultPlans;
 
@@ -160,8 +143,7 @@ struct DistributorOptions
 
 /**
  * One parsed fault-plan action (see FaultPlan). `fired` makes every
- * action one-shot so a respawned worker replays the plan afresh
- * (each process parses its own copy from the environment).
+ * action one-shot.
  */
 struct FaultAction
 {
@@ -177,13 +159,13 @@ struct FaultAction
         Drop,     ///< close the connection mid-frame (reset)
         Truncate, ///< swallow a frame's tail, keep the stream open
         Delay,    ///< stall a frame stallMs in transit (slow network)
-        Refuse,   ///< fail the connect/spawn outright
+        Refuse,   ///< fail the slot's connect/spawn outright
     };
     enum class Site {
         Group,   ///< on receipt of the index-th GroupRequest
         Frame,   ///< on receipt of the index-th frame of any type
         Hello,   ///< before the handshake is sent
-        Connect, ///< at connection establishment (network kinds)
+        Connect, ///< at the slot's one connect (network kinds; no index)
     };
     Kind kind = Kind::Kill;
     Site site = Site::Group;
@@ -242,10 +224,10 @@ std::string helloRejectReason(const wire::Hello &hello);
 /**
  * Evaluate @p points for @p curve on @p workers subprocesses; the
  * result vector is index-aligned with @p points and bit-identical to
- * Explorer::evaluateAll on the same requests. With fallbackLocal
- * (default) any survivable fault degrades to in-process evaluation;
- * FatalError is reserved for fallbackLocal=false exhaustion and for a
- * worker-reported deterministic error (which a retry cannot fix).
+ * Explorer::evaluateAll on the same requests. Any survivable fault
+ * ends in re-dispatch or in-process evaluation; FatalError is reserved
+ * for a worker-reported deterministic error (which a retry cannot
+ * fix).
  */
 std::vector<DsePoint>
 distributeEvaluate(const std::string &curve,

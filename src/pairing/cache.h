@@ -16,43 +16,42 @@
 
 namespace finesse {
 
+namespace detail {
+
 /**
- * Returns the shared CurveSystem for a k = 12 catalog curve. Guarded
- * by a mutex: parallel sweep workers may race to first use of a
- * curve. Construction happens under the lock (setup is expensive but
- * once per curve per process); references stay valid forever.
+ * Returns the shared @p System for catalog curve @p name. Guarded by
+ * a mutex: parallel sweep workers may race to first use of a curve.
+ * Construction happens under the lock (setup is expensive but once
+ * per curve per process); references stay valid forever.
  */
+template <typename System>
+const System &
+sharedCurveSystem(const std::string &name)
+{
+    static std::mutex mtx;
+    static std::map<std::string, std::unique_ptr<System>> cache;
+    std::lock_guard<std::mutex> lock(mtx);
+    auto it = cache.find(name);
+    if (it == cache.end())
+        it = cache.emplace(name, std::make_unique<System>(findCurve(name)))
+                 .first;
+    return *it->second;
+}
+
+} // namespace detail
+
+/** Returns the shared CurveSystem for a k = 12 catalog curve. */
 inline const CurveSystem12 &
 curveSystem12(const std::string &name)
 {
-    static std::mutex mtx;
-    static std::map<std::string, std::unique_ptr<CurveSystem12>> cache;
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(name, std::make_unique<CurveSystem12>(
-                                    findCurve(name)))
-                 .first;
-    }
-    return *it->second;
+    return detail::sharedCurveSystem<CurveSystem12>(name);
 }
 
 /** Returns the shared CurveSystem for a k = 24 catalog curve. */
 inline const CurveSystem24 &
 curveSystem24(const std::string &name)
 {
-    static std::mutex mtx;
-    static std::map<std::string, std::unique_ptr<CurveSystem24>> cache;
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(name, std::make_unique<CurveSystem24>(
-                                    findCurve(name)))
-                 .first;
-    }
-    return *it->second;
+    return detail::sharedCurveSystem<CurveSystem24>(name);
 }
 
 } // namespace finesse

@@ -13,7 +13,7 @@
  *
  * Error contract: functions return -1 and fill @p err with a
  * human-readable reason; they never throw (the distributor treats a
- * failed connect as a quarantine event, not a fatal), except
+ * failed connect as a dead slot, not a fatal), except
  * parseHostPort, whose malformed input is a configuration error.
  */
 #ifndef FINESSE_SUPPORT_SOCKET_H_

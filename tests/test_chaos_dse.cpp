@@ -3,8 +3,8 @@
  * Chaos-injection suite for the fault-tolerant distributed sweep:
  * scripted worker faults (FINESSE_DSE_FAULT plans -- crash, hang,
  * stream corruption, stalls, handshake mismatches) against the
- * master's liveness deadlines, retry/backoff, elastic respawn and
- * local-fallback machinery. The determinism contract is
+ * master's liveness deadlines, retry/backoff and local-fallback
+ * machinery. The determinism contract is
  * asserted throughout: for any survivable fault plan the sweep
  * returns results BIT-identical to Explorer::evaluateAll.
  *
@@ -102,8 +102,8 @@ TEST(ChaosDse, FaultPlanParsesTheNetworkGrammar)
 {
     const FaultPlan plan = FaultPlan::parse(
         "drop@frame:2;trunc@frame:1;delay_ms=250@frame:0;"
-        "refuse@connect;refuse@connect:3");
-    ASSERT_EQ(plan.actions.size(), 5u);
+        "refuse@connect");
+    ASSERT_EQ(plan.actions.size(), 4u);
 
     EXPECT_EQ(plan.actions[0].kind, FaultAction::Kind::Drop);
     EXPECT_EQ(plan.actions[0].site, FaultAction::Site::Frame);
@@ -116,8 +116,6 @@ TEST(ChaosDse, FaultPlanParsesTheNetworkGrammar)
 
     EXPECT_EQ(plan.actions[3].kind, FaultAction::Kind::Refuse);
     EXPECT_EQ(plan.actions[3].site, FaultAction::Site::Connect);
-    EXPECT_EQ(plan.actions[3].index, 0); // bare connect = attempt 0
-    EXPECT_EQ(plan.actions[4].index, 3);
 
     for (const FaultAction &fa : plan.actions)
         EXPECT_TRUE(fa.isNetworkKind());
@@ -154,6 +152,8 @@ TEST(ChaosDse, FaultPlanRejectsJunk)
     EXPECT_THROW(FaultPlan::parse("kill@nowhere:3"), FatalError);
     EXPECT_THROW(FaultPlan::parse("delay_ms=@frame:0"), FatalError);
     EXPECT_THROW(FaultPlan::parse("refuse@connect:x"), FatalError);
+    // Each slot connects once: an indexed connect site could never fire.
+    EXPECT_THROW(FaultPlan::parse("refuse@connect:3"), FatalError);
     // Out of int range: junk, not a wrapped-around index 0.
     EXPECT_THROW(FaultPlan::parse("kill@group:4294967296"), FatalError);
 }
@@ -184,7 +184,6 @@ TEST(ChaosDse, HungWorkerIsTimedOutKilledAndRedispatched)
     opts.stats = &stats;
     opts.workerFaultPlans = {"hang@group:0", ""};
     opts.livenessTimeoutMs = 1000;
-    opts.maxRespawns = 0;      // a replacement would hang again
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -209,7 +208,6 @@ TEST(ChaosDse, HeartbeatingStragglerIsWaitedFor)
     opts.stats = &stats;
     opts.workerFaultPlans = {"stall_ms=2000@group:0", ""};
     opts.livenessTimeoutMs = 1000;
-    opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -255,9 +253,9 @@ TEST(ChaosDse, MalformedLivenessEnvIsFatal)
 
 TEST(ChaosDse, AllWorkersDeadFallsBackToLocalEvaluation)
 {
-    // Every worker and every replacement crashes on its first group;
-    // retries exhaust. Where PR 5 called fatal(), fallbackLocal now
-    // finishes the sweep in-process -- correct results, no throw.
+    // Every worker crashes on its first group and nothing replaces
+    // it: the sweep finishes in-process -- correct results, no throw,
+    // and no group is re-dispatched past its retry bound.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
@@ -267,12 +265,13 @@ TEST(ChaosDse, AllWorkersDeadFallsBackToLocalEvaluation)
     opts.stats = &stats;
     opts.workerFaultPlans = {"kill@group:0"};
     opts.maxGroupRetries = 1;
-    opts.maxRespawns = 1;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
     EXPECT_GE(stats.fallbackGroups, 1);
-    EXPECT_GE(stats.workerDeaths, 2);
+    EXPECT_EQ(stats.workerDeaths, 2);
+    EXPECT_LE(static_cast<size_t>(stats.redispatches),
+              static_cast<size_t>(opts.maxGroupRetries) * stats.groups);
 }
 
 TEST(ChaosDse, BadHelloVersionIsRejectedAtSpawn)
@@ -288,7 +287,6 @@ TEST(ChaosDse, BadHelloVersionIsRejectedAtSpawn)
     DistributorOptions opts;
     opts.stats = &stats;
     opts.workerFaultPlans = {"bad_version@hello"};
-    opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -310,7 +308,6 @@ TEST(ChaosDse, BadCatalogHashWorkerIsRejectedOthersFinish)
     DistributorOptions opts;
     opts.stats = &stats;
     opts.workerFaultPlans = {"bad_hash@hello", ""};
-    opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -318,24 +315,12 @@ TEST(ChaosDse, BadCatalogHashWorkerIsRejectedOthersFinish)
     EXPECT_EQ(stats.fallbackGroups, 0); // slot 1 carried the sweep
 }
 
-TEST(ChaosDse, MismatchedPoolWithoutFallbackThrows)
+TEST(ChaosDse, CrashedLastWorkerLeavesTheRestInProcess)
 {
-    Explorer ex("BN254N");
-    const std::vector<DseRequest> reqs = smallRequests(ex);
-    DistributorOptions opts;
-    opts.workerFaultPlans = {"bad_version@hello"};
-    opts.maxRespawns = 0;
-    opts.fallbackLocal = false;
-    EXPECT_THROW(ex.evaluateAllDistributed(reqs, 2, opts),
-                 FatalError);
-}
-
-TEST(ChaosDse, CrashedWorkersAreRespawnedAndFinishTheSweep)
-{
-    // A single-slot pool whose worker crashes on its SECOND group:
-    // each incarnation completes one group and dies, so only elastic
-    // respawn (not fallback) can finish the sweep. Deterministic
-    // bookkeeping: 3 groups, each incarnation does one.
+    // A single-slot pool whose worker crashes on its SECOND group: it
+    // completes one group and dies, nothing replaces it, and the two
+    // groups left finish in-process. Deterministic bookkeeping: 3
+    // groups, one done remotely.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
@@ -344,15 +329,14 @@ TEST(ChaosDse, CrashedWorkersAreRespawnedAndFinishTheSweep)
     DistributorOptions opts;
     opts.stats = &stats;
     opts.workerFaultPlans = {"kill@group:1"};
-    opts.maxRespawns = 3;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 1, opts);
     expectSamePoints(ref, got);
-    EXPECT_EQ(stats.respawns, 2);
-    EXPECT_EQ(stats.workerDeaths, 2);
-    EXPECT_EQ(stats.redispatches, 2);
-    EXPECT_EQ(stats.fallbackGroups, 0);
-    EXPECT_EQ(stats.workersSpawned, 3); // 1 initial + 2 respawns
+    EXPECT_EQ(stats.workersSpawned, 1);
+    EXPECT_EQ(stats.workerDeaths, 1);
+    EXPECT_EQ(stats.redispatches, 1); // re-queued, then nobody to run it
+    ASSERT_EQ(stats.groups, 3u);
+    EXPECT_EQ(stats.fallbackGroups, 2);
 }
 
 TEST(ChaosDse, GarbageStreamPoisonsTheWorkerNotTheSweep)
@@ -367,7 +351,6 @@ TEST(ChaosDse, GarbageStreamPoisonsTheWorkerNotTheSweep)
     DistributorOptions opts;
     opts.stats = &stats;
     opts.workerFaultPlans = {"garbage@group:0", ""};
-    opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -415,7 +398,6 @@ TEST(ChaosDse, DroppedConnectionMidFrameIsRedispatched)
     opts.stats = &stats;
     opts.workerFaultPlans = {"", ""};
     opts.networkFaultPlans = {"drop@frame:1", ""};
-    opts.maxRespawns = 0; // a respawn would replay the drop
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -440,7 +422,6 @@ TEST(ChaosDse, TruncatedFrameDesyncsAndPoisonsTheStream)
     opts.workerFaultPlans = {"", ""};
     opts.networkFaultPlans = {"trunc@frame:1", ""};
     opts.livenessTimeoutMs = 1500; // desync may read as silence
-    opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
@@ -462,19 +443,17 @@ TEST(ChaosDse, GarbageOnTheWireIsPoisonNotProtocol)
     opts.stats = &stats;
     opts.workerFaultPlans = {"", ""};
     opts.networkFaultPlans = {"garbage@frame:1", ""};
-    opts.maxRespawns = 0;
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
     EXPECT_GE(stats.workerDeaths, 1);
 }
 
-TEST(ChaosDse, RefusedConnectIsRetriedBySpawnMachinery)
+TEST(ChaosDse, RefusedSlotStaysDeadAndTheOtherCarriesTheSweep)
 {
-    // refuse@connect fires once per SLOT (persistent across
-    // respawns, unlike frame faults): slot 0's first spawn is
-    // refused, its replacement connects fine. No work is lost --
-    // the refusal happens before any dispatch.
+    // refuse@connect fails slot 0's one connect. Nothing retries it:
+    // the slot stays dead and slot 1 carries the whole sweep. No work
+    // is lost -- the refusal happens before any dispatch.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
@@ -488,9 +467,10 @@ TEST(ChaosDse, RefusedConnectIsRetriedBySpawnMachinery)
         ex.evaluateAllDistributed(reqs, 2, opts);
     expectSamePoints(ref, got);
     EXPECT_EQ(stats.networkFaultsInjected, 1);
-    EXPECT_GE(stats.respawns, 1);
+    EXPECT_EQ(stats.workersSpawned, 1);
     EXPECT_EQ(stats.workerDeaths, 0);
     EXPECT_EQ(stats.redispatches, 0);
+    EXPECT_EQ(stats.fallbackGroups, 0);
 }
 
 TEST(ChaosDse, AmbientPlanSplitsAcrossWorkerAndProxy)
@@ -528,8 +508,7 @@ TEST(ChaosDse, NetworkFaultMatrixIsBitIdentical)
 {
     // Every network fault plan must leave the results bit-identical
     // to the in-process engine. Survivability comes from re-dispatch
-    // + respawn + fallbackLocal; determinism from the evaluation
-    // path.
+    // and in-process fallback; determinism from the evaluation path.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
@@ -562,8 +541,8 @@ TEST(ChaosDse, BitIdenticalForWorkerMatrixUnderFaultMatrix)
 {
     // The determinism contract, survivable-fault edition: workers in
     // {1, 2, 4} x a plan matrix covering crash, hang, corruption and
-    // compound faults must all return bit-identical results (elastic
-    // respawn + retries + fallbackLocal guarantee completion).
+    // compound faults must all return bit-identical results
+    // (re-dispatch and in-process fallback guarantee completion).
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
