@@ -21,8 +21,15 @@
  * just on trend (tools/bench_check.py gates the `speedup` field
  * against bench/baselines/BENCH_serve.json).
  *
+ * Scaling share: `<curve>_<kind>_rlc_scale_ms` times the G1 side of
+ * one 16-request RLC pass (rlcMergedTerms: one endomorphism MSM per
+ * G2 base), `<curve>_<kind>_rlc_scale_oracle_ms` the same step done
+ * the way it was before, by 128-bit double-and-add per term. Both are
+ * advisory (no gate).
+ *
  * FINESSE_FAST=1 restricts to BN254N; the full run adds BLS12-381.
  */
+#include <algorithm>
 #include <chrono>
 
 #include "bench_common.h"
@@ -102,6 +109,79 @@ runKind(const CurveSystem12 &sys, WorkloadFactory &factory,
     return res;
 }
 
+/** Median of @p v (which it sorts). */
+double
+median(std::vector<double> &v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * The RLC scaling step as it was before the endomorphism MSM, kept as
+ * the timing reference: each finite term's G1 point times a uniform
+ * 128-bit scalar by double-and-add (scalarMulJac), one batch
+ * to-affine, one mixed addition per term onto its G2 base's sum, and
+ * one batch to-affine of the sums.
+ */
+std::vector<AffinePt<Fp>>
+rlcScaleOracle(const CurveSystem12 &sys,
+               const std::vector<PairingCheck> &checks, Rng &rng)
+{
+    const FpCtx *fp = &sys.fpCtx();
+    std::vector<JacPt<Fp>> scaled;
+    std::vector<const AffinePt<Fp2> *> g2s;
+    for (const PairingCheck &check : checks) {
+        const BigInt r = BigInt::randomBits(rng, 128);
+        for (const PairTerm &t : check.terms) {
+            if (t.g1.infinity || t.g2.infinity)
+                continue;
+            scaled.push_back(scalarMulJac(sys.g1Curve(), t.g1, r));
+            g2s.push_back(&t.g2);
+        }
+    }
+    const std::vector<AffinePt<Fp>> affine = jacToAffineBatch(scaled, fp);
+    std::vector<const AffinePt<Fp2> *> bases;
+    std::vector<JacPt<Fp>> sums;
+    for (size_t i = 0; i < affine.size(); ++i) {
+        size_t k = 0;
+        while (k < bases.size() && !bases[k]->equals(*g2s[i]))
+            ++k;
+        if (k == bases.size()) {
+            bases.push_back(g2s[i]);
+            sums.push_back(JacPt<Fp>::fromAffine(affine[i], fp));
+        } else {
+            sums[k] = jacAddAffine(sums[k], affine[i], fp);
+        }
+    }
+    return jacToAffineBatch(sums, fp);
+}
+
+/** G1 scaling of one clean kBatch-request RLC pass: {new, oracle} ms. */
+std::pair<double, double>
+timeRlcScale(const CurveSystem12 &sys, WorkloadFactory &factory,
+             RequestKind kind)
+{
+    std::vector<PairingCheck> checks;
+    std::vector<const PairingCheck *> ptrs;
+    for (int i = 0; i < kBatch; ++i)
+        checks.push_back(reduceToCheck(sys, factory.make(kind, false)));
+    for (const PairingCheck &c : checks)
+        ptrs.push_back(&c);
+    // The two alternate, so drift of a shared host hits both alike.
+    Rng rng(0x5ca1e);
+    std::vector<double> msm, oracle;
+    for (int rep = 0; rep < 7; ++rep) {
+        auto t0 = std::chrono::steady_clock::now();
+        (void)rlcMergedTerms(sys, ptrs, rng.next());
+        msm.push_back(seconds(t0) * 1e3);
+        t0 = std::chrono::steady_clock::now();
+        (void)rlcScaleOracle(sys, checks, rng);
+        oracle.push_back(seconds(t0) * 1e3);
+    }
+    return {median(msm), median(oracle)};
+}
+
 /** Dirty stream: corrupted requests must be isolated, not mask. */
 int
 runDirtyIdentity(const CurveSystem12 &sys, WorkloadFactory &factory)
@@ -147,7 +227,8 @@ main()
 
     TextTable table;
     table.header({"curve", "kind", "single s", "batched s", "speedup",
-                  "miller single", "miller batched"});
+                  "miller single", "miller batched", "rlc scale ms",
+                  "oracle ms"});
 
     int mismatches = 0;
     // Gate metric: the mixed-stream aggregate per curve (the serving
@@ -156,10 +237,14 @@ main()
     for (const std::string &curve : curves) {
         const auto &sys = curveSystem12(curve);
         WorkloadFactory factory(sys, 0xf15); // one setup per curve
+        WorkloadFactory scaleFactory(sys, 0x5ca1e); // leaves factory's
+                                                    // stream as it was
         double curveSingle = 0, curveBatched = 0;
         for (const RequestKind kind :
              {RequestKind::Bls, RequestKind::Kzg, RequestKind::Zk}) {
             const KindResult res = runKind(sys, factory, kind);
+            const auto [scaleMs, oracleMs] =
+                timeRlcScale(sys, scaleFactory, kind);
             mismatches += res.mismatches;
             curveSingle += res.singleSeconds;
             curveBatched += res.batchedSeconds;
@@ -167,21 +252,24 @@ main()
                        fmt(res.batchedSeconds, 3),
                        fmt(res.speedup(), 2) + "x",
                        std::to_string(res.singlePairings),
-                       std::to_string(res.batchedPairings)});
+                       std::to_string(res.batchedPairings),
+                       fmt(scaleMs, 3), fmt(oracleMs, 3)});
             const std::string prefix =
                 curve + "_" + toString(kind) + "_";
             json.num(prefix + "single_seconds", res.singleSeconds)
                 .num(prefix + "batched_seconds", res.batchedSeconds)
                 .num(prefix + "speedup", res.speedup())
                 .count(prefix + "miller_single", res.singlePairings)
-                .count(prefix + "miller_batched", res.batchedPairings);
+                .count(prefix + "miller_batched", res.batchedPairings)
+                .num(prefix + "rlc_scale_ms", scaleMs)
+                .num(prefix + "rlc_scale_oracle_ms", oracleMs);
         }
         const double curveSpeedup =
             curveBatched > 0 ? curveSingle / curveBatched : 0;
         gateSpeedup = std::max(gateSpeedup, curveSpeedup);
         table.row({curve, "ALL", fmt(curveSingle, 3),
                    fmt(curveBatched, 3), fmt(curveSpeedup, 2) + "x", "",
-                   ""});
+                   "", "", ""});
         json.num(curve + "_mixed_speedup", curveSpeedup);
         mismatches += runDirtyIdentity(sys, factory);
     }

@@ -4,10 +4,16 @@
  * the coordinate field (Fp for G1, Fp2/Fp4 for twists). Curves are short
  * Weierstrass y^2 = x^3 + b (a = 0 throughout: BN and BLS families).
  *
- * These are the *setup/reference* operators: branchy, complete, used for
- * generator derivation, cofactor clearing and test oracles. The
- * branch-free Miller-loop step operators (which are also traced by the
- * compiler) live in pairing/engine.h.
+ * These are the branchy, complete operators. Setup uses them for
+ * generator derivation and cofactor clearing, tests as oracles, and
+ * the serve path too: KZG's reduceToCheck (serve/verify.cpp) runs two
+ * full-width scalarMul calls per request on the submitting thread, and
+ * the batch verifier's endomorphism MSM (curve/msm.h) is built from
+ * jacDouble, jacAddAffine and jacToAffineBatch. A full-width GLV
+ * split for reduceToCheck would need Babai rounding and runs off the
+ * verifier lanes, so it is not done. The branch-free Miller-loop step
+ * operators (which are also traced by the compiler) live in
+ * pairing/engine.h.
  */
 #ifndef FINESSE_CURVE_POINT_H_
 #define FINESSE_CURVE_POINT_H_
@@ -221,7 +227,7 @@ scalarMulJac(const CurveCtx<F> &c, const AffinePt<F> &p, const BigInt &n)
     return acc;
 }
 
-/** Scalar multiplication [n]P (double-and-add; setup/reference only). */
+/** Scalar multiplication [n]P (binary double-and-add). */
 template <typename F>
 AffinePt<F>
 scalarMul(const CurveCtx<F> &c, const AffinePt<F> &p, const BigInt &n)

@@ -4,8 +4,9 @@
  * catalog curve. Construction derives everything from (family, x):
  * field tower (with validated non-residues), curve constant b, twist
  * type and twist constant, cofactors (via the trace recurrence),
- * deterministic subgroup generators, and the pairing plan (with a
- * setup-verified final-exponentiation chain).
+ * deterministic subgroup generators, the G1 endomorphism
+ * phi(x, y) = (beta x, y) = [lambda] (curve/msm.h), and the pairing
+ * plan (with a setup-verified final-exponentiation chain).
  *
  * This plays the role of the paper's reference libraries (RELIC/MCL):
  * the independent computational oracle against which compiled
@@ -17,6 +18,7 @@
 #include <memory>
 
 #include "curve/catalog.h"
+#include "curve/msm.h"
 #include "curve/point.h"
 #include "curve/twist.h"
 #include "pairing/engine.h"
@@ -61,6 +63,7 @@ class CurveSystem
         g1Gen_ = findGenerator(g1Curve_, info_.p, g1Cofactor_,
                                [&](u64 i) { return Fp::fromInt(&fp_, i); },
                                [&] { return randomFpElem(); });
+        deriveG1Endomorphism();
 
         // Twist curve: order from the trace recurrence, then pick D/M.
         const int e = info_.k / 6;
@@ -112,6 +115,15 @@ class CurveSystem
     const BigInt &g1Cofactor() const { return g1Cofactor_; }
     const BigInt &g2Cofactor() const { return g2Cofactor_; }
     const FpCtx &fpCtx() const { return fp_; }
+    /** beta of phi(x, y) = (beta x, y), which acts on G1 as [lambda]. */
+    const Fp &g1Beta() const { return beta_; }
+    const BigInt &g1Lambda() const { return lambda_; }
+    /**
+     * True when no nonzero (u, v) with |u|, |v| < 2^65 has u + v lambda
+     * = 0 mod r, so (a, b) -> a + b lambda mod r is injective on pairs
+     * of 64-bit words.
+     */
+    bool endoScalarsInjective() const { return endoScalarsInjective_; }
 
     // Group sampling -------------------------------------------------------
     // The Jacobian variants defer the affine conversion so batch
@@ -189,6 +201,45 @@ class CurveSystem
     }
 
   private:
+    /**
+     * beta = g^((p-1)/3) != 1 in Fp and lambda = h^((r-1)/3) != 1 mod r
+     * for the smallest such g, h >= 2; then beta is swapped for beta^2
+     * if that is the one that matches [lambda] on g1Gen. One
+     * full-width scalar multiplication checks the match. The lattice
+     * bound makes (a, b) -> a + b lambda mod r injective on pairs of
+     * 64-bit words with room to spare (see curve/msm.h). It holds on
+     * every catalog curve. A toy curve with r below about 2^131 fails
+     * it, and only the RLC batch verifier refuses such a curve.
+     */
+    void
+    deriveG1Endomorphism()
+    {
+        const BigInt one(u64{1}), three(u64{3});
+        const BigInt &p = info_.p;
+        const BigInt &r = info_.r;
+        FINESSE_REQUIRE((p - one) % three == BigInt(u64{0}) &&
+                            (r - one) % three == BigInt(u64{0}),
+                        "no cube roots of unity for ", info_.def.name);
+        for (i64 g = 2;; ++g) {
+            beta_ = powBig(Fp::fromInt(&fp_, g), (p - one) / three);
+            if (!beta_.equals(Fp::one(&fp_)))
+                break;
+        }
+        for (u64 h = 2;; ++h) {
+            lambda_ = BigInt(h).powMod((r - one) / three, r);
+            if (lambda_ != one)
+                break;
+        }
+        const G1Affine lg = scalarMul(g1Curve_, g1Gen_, lambda_);
+        if (!lg.x.equals(g1Gen_.x.mul(beta_)))
+            beta_ = beta_.sqr();
+        FINESSE_REQUIRE(lg.equals(G1Affine::make(g1Gen_.x.mul(beta_),
+                                                 g1Gen_.y)),
+                        "phi(g1) != [lambda] g1 for ", info_.def.name);
+        endoScalarsInjective_ =
+            endoLatticeShortestSq(lambda_, r) >= (BigInt(u64{1}) << 131);
+    }
+
     Fp
     randomFpElem()
     {
@@ -276,6 +327,9 @@ class CurveSystem
     BigInt twistOrder_, g1Cofactor_, g2Cofactor_;
     G1Affine g1Gen_;
     G2Affine g2Gen_;
+    Fp beta_;
+    BigInt lambda_;
+    bool endoScalarsInjective_ = false;
     PairingPlan plan_;
     std::unique_ptr<PairingEngine<TW>> engine_;
 };

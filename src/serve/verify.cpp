@@ -5,54 +5,67 @@ namespace finesse {
 namespace {
 
 /**
- * Evaluate prod e(g1, g2) == 1 for already-scaled terms, merging
- * terms that share a G2 base first: each merge trades one term's
- * doubling/addition steps and line multiplications in the shared
- * Miller loop for one (much cheaper) G1 Jacobian addition. Quadratic
- * scan over the term list — batches are tens of terms, the Miller
- * loop dominates by orders of magnitude.
+ * The finite terms of one pairing product, collected by G2 base
+ * before any scaling; each G1 point carries its RLC scalar as the pair
+ * (a, b) that stands for a + b lambda mod r (curve/msm.h). Quadratic
+ * scan over the bases -- batches are tens of terms, the Miller loop
+ * dominates by orders of magnitude.
  */
-bool
-productIsOne(const CurveSystem12 &sys,
-             const std::vector<PairTerm> &terms, BatchVerifyStats *stats)
+struct BaseGroups
 {
-    std::vector<AffinePt<Fp2>> bases;
-    std::vector<JacPt<Fp>> sums;
-    const FpCtx *fp = &sys.fpCtx();
-    for (const PairTerm &t : terms) {
+    std::vector<const AffinePt<Fp2> *> bases;
+    std::vector<std::vector<EndoTerm<Fp>>> g1;
+
+    void
+    add(const PairTerm &t, u64 a, u64 b)
+    {
         if (t.g1.infinity || t.g2.infinity)
-            continue; // e(O, Q) = e(P, O) = 1
+            return; // e(O, Q) = e(P, O) = 1
         size_t k = 0;
-        for (; k < bases.size(); ++k) {
-            if (bases[k].equals(t.g2))
-                break;
-        }
+        while (k < bases.size() && !bases[k]->equals(t.g2))
+            ++k;
         if (k == bases.size()) {
-            bases.push_back(t.g2);
-            sums.push_back(JacPt<Fp>::fromAffine(t.g1, fp));
-        } else {
-            sums[k] = jacAddAffine(sums[k], t.g1, fp);
+            bases.push_back(&t.g2);
+            g1.emplace_back();
         }
+        g1[k].push_back({t.g1, a, b});
     }
-    const std::vector<AffinePt<Fp>> merged = jacToAffineBatch(sums, fp);
+};
+
+/**
+ * One term per G2 base: the base and S_k, the sum of its scaled G1
+ * terms. Each S_k is one multi-scalar multiplication (msmEndo), so a
+ * merge trades a term's doubling/addition steps and line
+ * multiplications in the shared Miller loop for G1 additions; all the
+ * S_k convert to affine in one batch inversion.
+ */
+std::vector<PairTerm>
+mergeByBase(const CurveSystem12 &sys, const BaseGroups &groups)
+{
+    const std::vector<AffinePt<Fp>> sums = jacToAffineBatch(
+        msmEndo(sys.g1Curve(), sys.g1Beta(), groups.g1), &sys.fpCtx());
+    std::vector<PairTerm> merged;
+    merged.reserve(sums.size());
+    for (size_t k = 0; k < sums.size(); ++k)
+        merged.push_back({sums[k], *groups.bases[k]});
+    return merged;
+}
+
+/** prod e(g1, g2) == 1 over merged terms (infinite sums drop out). */
+bool
+productIsOne(const CurveSystem12 &sys, const std::vector<PairTerm> &merged,
+             BatchVerifyStats *stats)
+{
     std::vector<std::pair<AffinePt<Fp>, AffinePt<Fp2>>> product;
     product.reserve(merged.size());
-    for (size_t k = 0; k < merged.size(); ++k) {
-        if (!merged[k].infinity)
-            product.emplace_back(merged[k], bases[k]);
+    for (const PairTerm &t : merged) {
+        if (!t.g1.infinity)
+            product.emplace_back(t.g1, t.g2);
     }
     if (stats != nullptr)
         stats->pairings += product.size();
     const Fp12 one = Fp12::one(sys.tower().gtCtx());
     return sys.pairProduct(product).equals(one);
-}
-
-/** Nonzero 128-bit RLC scalar (far below any catalog group order). */
-BigInt
-rlcScalar(Rng &rng)
-{
-    const BigInt r = BigInt::randomBits(rng, 128);
-    return r.isZero() ? BigInt(u64{1}) : r;
 }
 
 /** Per-sub-batch seed: decorrelate the recursion's RLC draws. */
@@ -135,7 +148,33 @@ verifySingle(const CurveSystem12 &sys, const PairingCheck &check,
         stats->products++;
         stats->singleChecks++;
     }
-    return productIsOne(sys, check.terms, stats);
+    BaseGroups groups;
+    for (const PairTerm &t : check.terms)
+        groups.add(t, 1, 0);
+    return productIsOne(sys, mergeByBase(sys, groups), stats);
+}
+
+std::vector<PairTerm>
+rlcMergedTerms(const CurveSystem12 &sys,
+               const std::vector<const PairingCheck *> &checks, u64 seed)
+{
+    // Request j's scalar is r_j = a_j + b_j lambda mod r for two
+    // uniform 64-bit words, nonzero as a zero scalar would drop the
+    // request. Grouping before scaling makes each G2 base one MSM.
+    FINESSE_REQUIRE(sys.endoScalarsInjective(),
+                    "RLC scalars a + b lambda are not injective mod r for ",
+                    sys.info().def.name);
+    Rng rng(seed);
+    BaseGroups groups;
+    for (const PairingCheck *check : checks) {
+        u64 a = rng.next();
+        const u64 b = rng.next();
+        if (a == 0 && b == 0)
+            a = 1;
+        for (const PairTerm &t : check->terms)
+            groups.add(t, a, b);
+    }
+    return mergeByBase(sys, groups);
 }
 
 bool
@@ -143,32 +182,9 @@ verifyBatchRLC(const CurveSystem12 &sys,
                const std::vector<const PairingCheck *> &checks, u64 seed,
                BatchVerifyStats *stats)
 {
-    Rng rng(seed);
-    const CurveCtx<Fp> &g1c = sys.g1Curve();
-
-    // Scale every term's G1 point by its request's scalar. The
-    // Jacobian results convert to affine in ONE batch inversion
-    // before the merge (productIsOne consumes affine G1).
-    std::vector<JacPt<Fp>> scaled;
-    std::vector<const AffinePt<Fp2> *> g2s;
-    for (const PairingCheck *check : checks) {
-        const BigInt r = rlcScalar(rng);
-        for (const PairTerm &t : check->terms) {
-            if (t.g1.infinity || t.g2.infinity)
-                continue;
-            scaled.push_back(scalarMulJac(g1c, t.g1, r));
-            g2s.push_back(&t.g2);
-        }
-    }
-    const std::vector<AffinePt<Fp>> affine =
-        jacToAffineBatch(scaled, &sys.fpCtx());
-    std::vector<PairTerm> terms;
-    terms.reserve(affine.size());
-    for (size_t i = 0; i < affine.size(); ++i)
-        terms.push_back({affine[i], *g2s[i]});
     if (stats != nullptr)
         stats->products++;
-    return productIsOne(sys, terms, stats);
+    return productIsOne(sys, rlcMergedTerms(sys, checks, seed), stats);
 }
 
 std::vector<bool>

@@ -11,20 +11,41 @@
  *     accept  <=>  prod_i e(P_i, Q_i) == 1  in GT.
  *
  * Single verification evaluates the product directly (one Miller loop
- * shared by all terms, one final exponentiation — PairingEngine::
- * pairProduct). Batch verification draws an independent 128-bit
- * scalar r_j per request and checks
+ * shared by all terms, one final exponentiation -- PairingEngine::
+ * pairProduct). Batch verification draws an independent scalar r_j
+ * per request and checks
  *
- *     prod_j prod_i e([r_j] P_{j,i}, Q_{j,i}) == 1,
+ *     prod_j prod_i e([r_j] P_{j,i}, Q_{j,i}) == 1.
  *
- * which holds for all-valid batches and fails with probability
- * ~2^-128 when any request is invalid (the r_j prevent an adversary
- * — or an unlucky pair of bad requests — from cancelling across
- * requests). Before pairing, terms whose G2 points are equal are
- * merged by summing their scaled G1 points: a BLS batch collapses all
+ * This holds for all-valid batches. When any request is invalid it
+ * fails except with probability ~2^-128: the r_j prevent an
+ * adversary -- or an unlucky pair of bad requests -- from cancelling
+ * across requests.
+ *
+ * Scalar form. r_j is drawn as two uniform 64-bit words (a_j, b_j)
+ * and stands for a_j + b_j lambda mod r, where phi(x, y) = (beta x, y)
+ * acts on G1 as [lambda] (curve/msm.h), so [r_j] P = [a_j] P +
+ * [b_j] phi(P) and no scalar is ever decomposed. The map (a, b) ->
+ * a + b lambda mod r is injective on 64-bit words: two pairs with the
+ * same image differ by a nonzero lattice vector (u, v), u + v lambda
+ * = 0 mod r, with |u|, |v| < 2^64, and the RLC pass requires
+ * (CurveSystem::endoScalarsInjective, true on every catalog curve)
+ * that the shortest such vector is longer than 2^65.5. So r_j is
+ * uniform over 2^128 residues and the ~2^-128 bound stands. (a, b) =
+ * (0, 0) is redrawn as (1, 0), as a zero scalar would drop the request.
+ *
+ * phi = [lambda] holds only on G1. Like the bound itself, this code
+ * assumes every G1 point lies in the order-r subgroup; nothing on the
+ * serve path checks that yet (ROADMAP: serving trust boundary).
+ *
+ * Merging. Terms whose G2 points are equal are grouped before
+ * scaling, and each group's scaled G1 points are summed as one
+ * multi-scalar multiplication (msmEndo: shared doublings, one batch
+ * inversion for every group's tables). A BLS batch collapses all
  * signature terms onto the shared g2 generator (N+1 terms for N
- * requests), a KZG batch collapses onto {g2, [tau]g2} (2 terms total),
- * a Groth16 batch with a shared verification key onto N+3. One final exponentiation covers the whole batch either way.
+ * requests). A KZG batch collapses onto {g2, [tau]g2} (2 terms total).
+ * A Groth16 batch with a shared verification key collapses onto N+3.
+ * One final exponentiation covers the whole batch either way.
  *
  * When a batch fails, verifyBatch() bisects: each half is re-checked
  * as its own RLC batch, recursing down to single verifications, so
@@ -117,6 +138,16 @@ struct BatchVerifyStats
 /** Single verification: evaluate the product, compare against 1. */
 bool verifySingle(const CurveSystem12 &sys, const PairingCheck &check,
                   BatchVerifyStats *stats = nullptr);
+
+/**
+ * The scaling step of one RLC pass: request j's G1 points scaled by
+ * r_j (drawn from @p seed) and summed per distinct G2 base, one term
+ * per base in order of first appearance. A sum may be infinity.
+ * Exposed so benchmarks can time the step on its own.
+ */
+std::vector<PairTerm> rlcMergedTerms(
+    const CurveSystem12 &sys,
+    const std::vector<const PairingCheck *> &checks, u64 seed);
 
 /**
  * One RLC pass over @p checks: true iff (whp) every check holds.

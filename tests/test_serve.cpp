@@ -3,7 +3,9 @@
  * Batched pairing-verification serving engine (src/serve/):
  * RLC batch correctness (accept iff all valid), bisection isolation
  * of individual bad requests, differential identity against
- * per-request single verification across all three request kinds,
+ * per-request single verification (each request kind alone and mixed,
+ * batch sizes 1 to 16, a corrupted request first, in the middle or
+ * last, eight RLC seeds),
  * G2-base merge economy (Miller-loop counts), and the ServeEngine's
  * serial == concurrent verdict contract plus admission-queue
  * backpressure, and the serve command parser's rejection of malformed
@@ -87,18 +89,33 @@ TEST(ServeVerify, RlcDifferentialAgainstSingles)
 {
     const auto &sys = curveSystem12(kCurve);
     WorkloadFactory factory(sys, 303);
-    for (const RequestKind kind :
-         {RequestKind::Bls, RequestKind::Kzg, RequestKind::Zk}) {
-        const auto checks = makeChecks(factory, kind, 6, {1, 4});
-        std::vector<bool> singles;
-        for (const PairingCheck &c : checks)
-            singles.push_back(verifySingle(sys, c));
-        for (const u64 seed : {1ull, 42ull, 0xdeadbeefull}) {
-            const auto batched = verifyBatch(sys, checks, seed);
-            ASSERT_EQ(batched.size(), singles.size());
-            for (size_t i = 0; i < singles.size(); ++i)
-                EXPECT_EQ(batched[i], singles[i])
-                    << toString(kind) << " #" << i << " seed " << seed;
+    const std::vector<std::vector<RequestKind>> mixes = {
+        {RequestKind::Bls},
+        {RequestKind::Kzg},
+        {RequestKind::Zk},
+        {RequestKind::Bls, RequestKind::Kzg, RequestKind::Zk}};
+    const u64 seeds[] = {1ull, 2ull, 42ull, 0xdeadbeefull,
+                         0x5eedull, 1ull << 63, ~0ull, 0x9e3779b97f4a7c15ull};
+    for (const auto &mix : mixes) {
+        for (const int n : {1, 2, 3, 16}) {
+            // No corrupted request, or one first, in the middle, last.
+            for (const int bad : std::set<int>{-1, 0, n / 2, n - 1}) {
+                std::vector<PairingCheck> checks;
+                std::vector<bool> singles;
+                for (int i = 0; i < n; ++i) {
+                    checks.push_back(reduceToCheck(
+                        sys, factory.make(mix[i % mix.size()], i == bad)));
+                    singles.push_back(verifySingle(sys, checks.back()));
+                    ASSERT_EQ(singles.back(), i != bad);
+                }
+                for (const u64 seed : seeds) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << toString(mix[0]) << "+" << mix.size() - 1
+                                 << " n " << n << " bad " << bad << " seed "
+                                 << seed);
+                    EXPECT_EQ(verifyBatch(sys, checks, seed), singles);
+                }
+            }
         }
     }
 }
