@@ -11,12 +11,10 @@
  *     [a + b lambda] P = [a] P + [b] phi(P)
  *
  * costs one 64-bit ladder instead of a 128-bit one. No scalar is ever
- * decomposed: the RLC draws (a, b) directly. The map (a, b) -> a + b
- * lambda mod r is injective on 64-bit words when the lattice
- * {(u, v) : u + v lambda = 0 mod r} has no nonzero vector with
- * |u|, |v| < 2^64; endoLatticeShortestSq() is the check
- * (CurveSystem::endoScalarsInjective records it, the RLC verifier
- * requires it).
+ * decomposed: the RLC draws (a, b) directly. endoPairsInjective()
+ * decides whether (a, b) -> a + b lambda mod r is injective on pairs
+ * of 64-bit words (CurveSystem::endoScalarsInjective records it at
+ * setup, the RLC verifier requires it).
  *
  * msmEndo() sums many such terms as one Straus multi-scalar
  * multiplication: width-4 NAF digits, one shared doubling per digit
@@ -80,6 +78,20 @@ endoLatticeShortestSq(const BigInt &lambda, const BigInt &r)
             return n1;
         std::swap(b1, b2);
     }
+}
+
+/**
+ * True when (a, b) -> a + b lambda mod r is injective on pairs of
+ * 64-bit words. Two pairs with one image differ by a nonzero vector
+ * (u, v) of the lattice {(u, v) : u + v lambda = 0 mod r} with
+ * |u|, |v| < 2^64, so of length below sqrt(2) 2^64 = 2^64.5. This
+ * requires the shortest lattice vector to be at least 2^65.5 long,
+ * one bit to spare.
+ */
+inline bool
+endoPairsInjective(const BigInt &lambda, const BigInt &r)
+{
+    return endoLatticeShortestSq(lambda, r) >= (BigInt(u64{1}) << 131);
 }
 
 namespace detail {

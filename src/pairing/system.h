@@ -119,9 +119,8 @@ class CurveSystem
     const Fp &g1Beta() const { return beta_; }
     const BigInt &g1Lambda() const { return lambda_; }
     /**
-     * True when no nonzero (u, v) with |u|, |v| < 2^65 has u + v lambda
-     * = 0 mod r, so (a, b) -> a + b lambda mod r is injective on pairs
-     * of 64-bit words.
+     * True when (a, b) -> a + b lambda mod r is injective on pairs of
+     * 64-bit words (endoPairsInjective, curve/msm.h).
      */
     bool endoScalarsInjective() const { return endoScalarsInjective_; }
 
@@ -205,11 +204,10 @@ class CurveSystem
      * beta = g^((p-1)/3) != 1 in Fp and lambda = h^((r-1)/3) != 1 mod r
      * for the smallest such g, h >= 2; then beta is swapped for beta^2
      * if that is the one that matches [lambda] on g1Gen. One
-     * full-width scalar multiplication checks the match. The lattice
-     * bound makes (a, b) -> a + b lambda mod r injective on pairs of
-     * 64-bit words with room to spare (see curve/msm.h). It holds on
-     * every catalog curve. A toy curve with r below about 2^131 fails
-     * it, and only the RLC batch verifier refuses such a curve.
+     * full-width scalar multiplication checks the match. Injectivity
+     * of 64-bit scalar pairs is only recorded: it holds on every
+     * catalog curve, a toy curve with r below about 2^131 fails it,
+     * and only the RLC batch verifier refuses such a curve.
      */
     void
     deriveG1Endomorphism()
@@ -236,8 +234,7 @@ class CurveSystem
         FINESSE_REQUIRE(lg.equals(G1Affine::make(g1Gen_.x.mul(beta_),
                                                  g1Gen_.y)),
                         "phi(g1) != [lambda] g1 for ", info_.def.name);
-        endoScalarsInjective_ =
-            endoLatticeShortestSq(lambda_, r) >= (BigInt(u64{1}) << 131);
+        endoScalarsInjective_ = endoPairsInjective(lambda_, r);
     }
 
     Fp

@@ -25,14 +25,13 @@
  * Scalar form. r_j is drawn as two uniform 64-bit words (a_j, b_j)
  * and stands for a_j + b_j lambda mod r, where phi(x, y) = (beta x, y)
  * acts on G1 as [lambda] (curve/msm.h), so [r_j] P = [a_j] P +
- * [b_j] phi(P) and no scalar is ever decomposed. The map (a, b) ->
- * a + b lambda mod r is injective on 64-bit words: two pairs with the
- * same image differ by a nonzero lattice vector (u, v), u + v lambda
- * = 0 mod r, with |u|, |v| < 2^64, and the RLC pass requires
- * (CurveSystem::endoScalarsInjective, true on every catalog curve)
- * that the shortest such vector is longer than 2^65.5. So r_j is
- * uniform over 2^128 residues and the ~2^-128 bound stands. (a, b) =
- * (0, 0) is redrawn as (1, 0), as a zero scalar would drop the request.
+ * [b_j] phi(P) and no scalar is ever decomposed. The RLC pass
+ * requires the map (a, b) -> a + b lambda mod r to be injective on
+ * 64-bit words (CurveSystem::endoScalarsInjective, true on every
+ * catalog curve; the lattice argument is at endoPairsInjective in
+ * curve/msm.h). So r_j is uniform over 2^128 residues and the
+ * ~2^-128 bound stands. (a, b) = (0, 0) is redrawn as (1, 0), as a
+ * zero scalar would drop the request.
  *
  * phi = [lambda] holds only on G1. Like the bound itself, this code
  * assumes every G1 point lies in the order-r subgroup; nothing on the

@@ -56,8 +56,7 @@ checkConstants(const CurveSystem<TW> &sys, u64 seed)
         EXPECT_TRUE(scalarMul(sys.g1Curve(), p, lambda).equals(phi)) << i;
     }
 
-    // No nonzero (u, v) with |u|, |v| < 2^65 and u + v lambda = 0.
-    EXPECT_GE(endoLatticeShortestSq(lambda, r), BigInt(u64{1}) << 131);
+    EXPECT_TRUE(endoPairsInjective(lambda, r));
     EXPECT_TRUE(sys.endoScalarsInjective());
 }
 
@@ -213,6 +212,7 @@ TEST(Msm, LatticeReductionMatchesBruteForce)
             EXPECT_EQ(endoLatticeShortestSq(BigInt(lambda), BigInt(r)),
                       BigInt(best))
                 << "r " << r << " lambda " << lambda;
+            EXPECT_FALSE(endoPairsInjective(BigInt(lambda), BigInt(r)));
             checked++;
         }
     }

@@ -5,7 +5,7 @@
  * of individual bad requests, differential identity against
  * per-request single verification (each request kind alone and mixed,
  * batch sizes 1 to 16, a corrupted request first, in the middle or
- * last, eight RLC seeds),
+ * last, two corrupted requests in one batch, eight RLC seeds),
  * G2-base merge economy (Miller-loop counts), and the ServeEngine's
  * serial == concurrent verdict contract plus admission-queue
  * backpressure, and the serve command parser's rejection of malformed
@@ -13,6 +13,9 @@
  * -DFINESSE_SANITIZE=thread).
  */
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "serve/engine.h"
 #include "serve/servecli.h"
@@ -98,21 +101,33 @@ TEST(ServeVerify, RlcDifferentialAgainstSingles)
                          0x5eedull, 1ull << 63, ~0ull, 0x9e3779b97f4a7c15ull};
     for (const auto &mix : mixes) {
         for (const int n : {1, 2, 3, 16}) {
-            // No corrupted request, or one first, in the middle, last.
-            for (const int bad : std::set<int>{-1, 0, n / 2, n - 1}) {
+            // No corrupted request; one first, in the middle, last; two
+            // in one batch, which the RLC scalars must keep from
+            // cancelling and bisection must isolate separately.
+            std::set<std::set<int>> patterns = {
+                {}, {0}, {n / 2}, {n - 1}, {0, n - 1}};
+            if (n > 2)
+                patterns.insert({n / 2, n - 1});
+            if (n > 3)
+                patterns.insert({1, n - 2});
+            for (const std::set<int> &bad : patterns) {
                 std::vector<PairingCheck> checks;
                 std::vector<bool> singles;
+                std::string badList;
                 for (int i = 0; i < n; ++i) {
+                    const bool corrupt = bad.count(i) != 0;
+                    if (corrupt)
+                        badList += " " + std::to_string(i);
                     checks.push_back(reduceToCheck(
-                        sys, factory.make(mix[i % mix.size()], i == bad)));
+                        sys, factory.make(mix[i % mix.size()], corrupt)));
                     singles.push_back(verifySingle(sys, checks.back()));
-                    ASSERT_EQ(singles.back(), i != bad);
+                    ASSERT_EQ(singles.back(), !corrupt);
                 }
                 for (const u64 seed : seeds) {
                     SCOPED_TRACE(::testing::Message()
                                  << toString(mix[0]) << "+" << mix.size() - 1
-                                 << " n " << n << " bad " << bad << " seed "
-                                 << seed);
+                                 << " n " << n << " bad" << badList
+                                 << " seed " << seed);
                     EXPECT_EQ(verifyBatch(sys, checks, seed), singles);
                 }
             }
