@@ -276,7 +276,7 @@ main()
     table.print();
 
     // Served-throughput leg: the same requests through the actual
-    // engine (queue + lanes + linger), advisory numbers.
+    // engine (queue + lanes), advisory numbers.
     {
         const auto &sys = curveSystem12(curves[0]);
         WorkloadFactory factory(sys, 0xfee);

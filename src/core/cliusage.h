@@ -85,9 +85,6 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--queue=N",
      "`serve`: admission-queue bound; a submit against a full queue "
      "is bounced with a retry-after hint (default 256)"},
-    {"--linger-ms=N",
-     "`serve`: how long a partial batch waits for stragglers before "
-     "verifying (default 2; 0 = latency-greedy)"},
     {"--serve-port=N",
      "`serve`: accept one TCP client on 127.0.0.1:N instead of "
      "reading stdin (N=0 picks a free port, printed in the banner)"},

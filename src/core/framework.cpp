@@ -28,11 +28,9 @@ namespace finesse {
 namespace {
 
 /** Flatten an affine G1/G2 pair into the module input convention. */
-template <typename TW>
+template <typename G1Affine, typename G2Affine>
 std::vector<BigInt>
-flattenPairInputs(const CurveSystem<TW> &sys,
-                  const typename CurveSystem<TW>::G1Affine &p,
-                  const typename CurveSystem<TW>::G2Affine &q)
+flattenPairInputs(const G1Affine &p, const G2Affine &q)
 {
     std::vector<BigInt> in;
     p.x.toFpCoeffs(in);
@@ -374,7 +372,7 @@ class CurveHandleImpl : public ICurveHandle
         }
         const auto p = sys_.randomG1(rng);
         const auto q = sys_.randomG2(rng);
-        return flattenPairInputs(sys_, p, q);
+        return flattenPairInputs(p, q);
     }
 
     std::vector<std::vector<BigInt>>
@@ -400,7 +398,7 @@ class CurveHandleImpl : public ICurveHandle
         std::vector<std::vector<BigInt>> out;
         out.reserve(static_cast<size_t>(n));
         for (int i = 0; i < n; ++i)
-            out.push_back(flattenPairInputs(sys_, a1[i], a2[i]));
+            out.push_back(flattenPairInputs(a1[i], a2[i]));
         return out;
     }
 

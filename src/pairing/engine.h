@@ -75,9 +75,13 @@ class PairingEngine
         FtT l0, l3, lx;
     };
 
+    /**
+     * @p coords is the twist-point coordinate system of the Miller
+     * loop; @p cycloSqr routes the hard part's squarings through
+     * cyclotomic squaring. Both change the cost, never the pairing.
+     */
     PairingEngine(const TW &tower, const PairingPlan &plan,
-                  CoordSystem coords = CoordSystem::Jacobian,
-                  bool cycloSqr = false)
+                  CoordSystem coords, bool cycloSqr)
         : tower_(tower), plan_(plan), coords_(coords),
           cycloSqr_(cycloSqr)
     {
@@ -94,6 +98,9 @@ class PairingEngine
             cY2_ = load(plan.frobTwY2);
         }
     }
+
+    /** Whether the hard part squares cyclotomically. */
+    bool cycloSqr() const { return cycloSqr_; }
 
     /** Full pairing e(P, Q) for affine inputs. */
     GtT

@@ -97,7 +97,8 @@ class CurveSystem
 
         // Pairing plan + engine.
         plan_ = makePairingPlan(info_, twistType_, tower_);
-        engine_ = std::make_unique<PairingEngine<TW>>(tower_, plan_);
+        engine_ = std::make_unique<PairingEngine<TW>>(
+            tower_, plan_, CoordSystem::Jacobian, /*cycloSqr=*/true);
     }
 
     // Accessors ----------------------------------------------------------

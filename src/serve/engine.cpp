@@ -98,21 +98,6 @@ ServeEngine::laneLoop()
                          [this] { return stop_ || !queue_.empty(); });
             if (queue_.empty())
                 return; // stop_ && drained
-            if (!stop_ &&
-                queue_.size() < static_cast<size_t>(opt_.batchSize) &&
-                opt_.lingerMs > 0) {
-                // Partial batch: give stragglers one linger window to
-                // fill it (batch fusion is where the throughput is).
-                workCv_.wait_for(
-                    lock, std::chrono::milliseconds(opt_.lingerMs),
-                    [this] {
-                        return stop_ ||
-                               queue_.size() >=
-                                   static_cast<size_t>(opt_.batchSize);
-                    });
-                if (queue_.empty())
-                    continue; // another lane took everything
-            }
             const size_t take =
                 std::min(queue_.size(),
                          static_cast<size_t>(opt_.batchSize));

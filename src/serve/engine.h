@@ -14,10 +14,11 @@
  * of letting the queue (and every client's tail latency) grow without
  * limit. Clients are expected to back off and resubmit.
  *
- * Batching policy. A lane takes min(batchSize, queue length)
- * requests; when the queue is shorter than a full batch it waits up
- * to `lingerMs` for stragglers before verifying a partial batch —
- * the classic throughput/latency knob (linger 0 = latency-greedy).
+ * Batching policy. A free lane takes min(batchSize, queue length)
+ * requests at once and never waits for more: an idle lane is spare
+ * capacity, so holding a lone request back for stragglers only adds
+ * latency. Under load the queue fills while every lane is busy, so
+ * batches fill by themselves exactly when fusion pays.
  *
  * Determinism. Verdicts equal per-request single verification for
  * every jobs value and any batch composition; only the
@@ -45,7 +46,6 @@ struct ServeOptions
     int batchSize = 16; ///< max requests fused into one multi-pairing
     int maxQueue = 256; ///< admission bound; beyond it submits bounce
     int jobs = 1;       ///< verifier lanes (resolveJobs semantics)
-    int lingerMs = 2;   ///< partial-batch wait for stragglers
     u64 seed = 0x5e55e; ///< base seed of the per-batch RLC scalars
 };
 

@@ -257,11 +257,9 @@ runServeCommand(const ServeCliOptions &opts)
     const CurveSystem12 &sys = curveSystem12(opts.curve);
     ServeEngine engine(sys, opts.engine);
     WorkloadFactory factory(sys, opts.engine.seed);
-    std::printf("serve ready curve=%s batch=%d queue=%d jobs=%d "
-                "linger_ms=%d\n",
+    std::printf("serve ready curve=%s batch=%d queue=%d jobs=%d\n",
                 opts.curve.c_str(), opts.engine.batchSize,
-                opts.engine.maxQueue, engine.lanes(),
-                opts.engine.lingerMs);
+                opts.engine.maxQueue, engine.lanes());
     std::fflush(stdout);
 
     FILE *in = stdin, *to = stdout;

@@ -47,7 +47,7 @@ namespace finesse {
 struct ServeCliOptions
 {
     std::string curve = "BN254N";
-    ServeOptions engine;       ///< --batch/--queue/--jobs/--linger-ms
+    ServeOptions engine;       ///< --batch/--queue/--jobs
     int servePort = -1;        ///< >= 0: accept one TCP client (serve)
     std::string workload = "bls:16"; ///< verify-batch request mix
     std::string corrupt;       ///< verify-batch indices to corrupt

@@ -201,8 +201,9 @@ TEST(JacobianConversion, BatchMatchesSequential)
     for (size_t i = 0; i < j1.size(); ++i) {
         const auto seq = jacToAffine(j1[i], &s.fpCtx());
         ASSERT_EQ(b1[i].infinity, seq.infinity) << "index " << i;
-        if (!seq.infinity)
+        if (!seq.infinity) {
             EXPECT_TRUE(b1[i].equals(seq)) << "index " << i;
+        }
     }
 
     // G2: tower coordinates drive the generic field-level batch.

@@ -2,9 +2,13 @@
  * @file
  * Cyclotomic squaring tests: agreement with the generic squaring
  * inside the cyclotomic subgroup (both tower shapes), disagreement
- * outside it (the precondition matters), and chain integration.
+ * outside it (the precondition matters), chain integration, and the
+ * native final exponentiation against its generic-squaring twin on
+ * every catalog curve.
  */
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/framework.h"
 #include "pairing/cache.h"
@@ -76,6 +80,65 @@ TEST(Cyclotomic, CycloElemChainMatchesPlainChain)
     const CE wrapped(f, &sys.tower().fp6);
     const Fp12 fast = hardChainBN(wrapped, sys.info().def.x).value();
     EXPECT_TRUE(fast.equals(plain));
+}
+
+/**
+ * sys.engine() squares cyclotomically; its final exponentiation must
+ * equal a generic-squaring engine's on several Miller outputs, for
+ * the curve's own hard part and for the digit fallback. Records the
+ * hard-part kinds exercised in @p covered.
+ */
+template <typename TW>
+void
+expectFinalExpMatchesGeneric(const CurveSystem<TW> &sys, u64 seed,
+                             std::set<HardPartKind> &covered)
+{
+    using GtT = typename TW::GtT;
+    using Engine = PairingEngine<TW>;
+    ASSERT_TRUE(sys.engine().cycloSqr());
+    Rng rng(seed);
+    std::vector<GtT> ms;
+    for (int i = 0; i < 3; ++i) {
+        const auto P = sys.randomG1(rng);
+        const auto Q = sys.randomG2(rng);
+        ms.push_back(sys.engine().miller(P.x, P.y, Q.x, Q.y));
+    }
+
+    const Engine generic(sys.tower(), sys.plan(), CoordSystem::Jacobian,
+                         false);
+    for (size_t i = 0; i < ms.size(); ++i) {
+        EXPECT_TRUE(
+            sys.engine().finalExp(ms[i]).equals(generic.finalExp(ms[i])))
+            << toString(sys.plan().hard) << " sample " << i;
+    }
+    covered.insert(sys.plan().hard);
+
+    PairingPlan digits = sys.plan();
+    digits.hard = HardPartKind::Digits;
+    const Engine cyclo(sys.tower(), digits, CoordSystem::Jacobian, true);
+    const Engine plain(sys.tower(), digits, CoordSystem::Jacobian, false);
+    EXPECT_TRUE(cyclo.finalExp(ms[0]).equals(plain.finalExp(ms[0])))
+        << "digits";
+    covered.insert(HardPartKind::Digits);
+}
+
+TEST(Cyclotomic, NativeFinalExpMatchesGenericOnEveryCurve)
+{
+    std::set<HardPartKind> covered;
+    u64 seed = 61;
+    for (const CurveDef &def : curveCatalog()) {
+        SCOPED_TRACE(def.name);
+        if (def.family == CurveFamily::BLS24)
+            expectFinalExpMatchesGeneric(curveSystem24(def.name), seed++,
+                                         covered);
+        else
+            expectFinalExpMatchesGeneric(curveSystem12(def.name), seed++,
+                                         covered);
+    }
+    EXPECT_EQ(covered,
+              (std::set<HardPartKind>{HardPartKind::BNChain,
+                                      HardPartKind::BLSChain,
+                                      HardPartKind::Digits}));
 }
 
 TEST(Cyclotomic, ReducesLongOpsInTraces)

@@ -25,7 +25,8 @@ TEST_P(EngineProps, DblStepMatchesGroupLaw)
     const auto &s = sys();
     Rng rng(71);
     for (auto coords : {CoordSystem::Jacobian, CoordSystem::Projective}) {
-        PairingEngine<NativeTower12> eng(s.tower(), s.plan(), coords);
+        PairingEngine<NativeTower12> eng(s.tower(), s.plan(), coords,
+                                         false);
         const auto Q = s.randomG2(rng);
         Engine::TwistJac T{Q.x, Q.y, Fp2::one(s.tower().ftCtx())};
         const auto P = s.randomG1(rng);
@@ -53,7 +54,8 @@ TEST_P(EngineProps, AddStepMatchesGroupLaw)
     const auto &s = sys();
     Rng rng(73);
     for (auto coords : {CoordSystem::Jacobian, CoordSystem::Projective}) {
-        PairingEngine<NativeTower12> eng(s.tower(), s.plan(), coords);
+        PairingEngine<NativeTower12> eng(s.tower(), s.plan(), coords,
+                                         false);
         const auto Q1 = s.randomG2(rng);
         const auto Q2 = s.randomG2(rng);
         Engine::TwistJac T{Q1.x, Q1.y, Fp2::one(s.tower().ftCtx())};
@@ -87,7 +89,8 @@ TEST_P(EngineProps, LineVanishesThroughThePoints)
     // the curve points themselves).
     const auto &s = sys();
     Rng rng(79);
-    PairingEngine<NativeTower12> eng(s.tower(), s.plan());
+    PairingEngine<NativeTower12> eng(s.tower(), s.plan(),
+                                     CoordSystem::Jacobian, false);
     const auto Q = s.randomG2(rng);
     Engine::TwistJac T{Q.x, Q.y, Fp2::one(s.tower().ftCtx())};
     const auto P = s.randomG1(rng);
@@ -112,9 +115,9 @@ TEST_P(EngineProps, ProjectiveAndJacobianGiveSamePairing)
     const auto &s = sys();
     Rng rng(89);
     PairingEngine<NativeTower12> jac(s.tower(), s.plan(),
-                                     CoordSystem::Jacobian);
+                                     CoordSystem::Jacobian, false);
     PairingEngine<NativeTower12> proj(s.tower(), s.plan(),
-                                      CoordSystem::Projective);
+                                      CoordSystem::Projective, false);
     const auto P = s.randomG1(rng);
     const auto Q = s.randomG2(rng);
     // Miller values may differ (different line scalings in proper

@@ -63,7 +63,7 @@ checkSparseLineMul(const CurveSystem<TW> &sys, u64 seed)
     for (TwistType twist : {TwistType::D, TwistType::M}) {
         PairingPlan plan = sys.plan();
         plan.twist = twist;
-        const Engine eng(tw, plan);
+        const Engine eng(tw, plan, CoordSystem::Jacobian, false);
         for (int i = 0; i < 8; ++i) {
             const GtT f = randomElem<GtT>(tw.gtCtx(), TW::kEmbedding, p, rng);
             const typename Engine::Line l{

@@ -27,7 +27,7 @@ traceTwoPairingProduct(const CurveSystem12 &sys)
     SymFp::Ctx sctx{&tb};
     Tower12<SymFp> tower;
     buildTower(tower, &sctx, sys.towerParams(), VariantConfig{});
-    SymEngine engine(tower, sys.plan());
+    SymEngine engine(tower, sys.plan(), CoordSystem::Jacobian, false);
 
     auto supply = [&] { return SymFp{tb.input(), &sctx}; };
     using FtS = Tower12<SymFp>::FtT;

@@ -77,7 +77,8 @@ TEST(PairingBN254N, DigitsFallbackAgrees)
 
     PairingPlan alt = sys.plan();
     alt.hard = HardPartKind::Digits;
-    PairingEngine<NativeTower12> eng(sys.tower(), alt);
+    PairingEngine<NativeTower12> eng(sys.tower(), alt,
+                                     CoordSystem::Jacobian, false);
     const auto e = eng.pair(P.x, P.y, Q.x, Q.y);
     EXPECT_FALSE(e.equals(Fp12::one(sys.tower().gtCtx())));
     EXPECT_TRUE(powBig(e, sys.info().r)

@@ -201,7 +201,6 @@ TEST(ServeEngineTest, SerialEqualsConcurrentVerdicts)
         ServeOptions opt;
         opt.jobs = jobs;
         opt.batchSize = 5; // force partial + multi-batch paths
-        opt.lingerMs = 1;
         ServeEngine engine(sys, opt);
         std::vector<std::future<Verdict>> futures;
         for (const VerifyRequest &req : requests) {
@@ -233,7 +232,6 @@ TEST(ServeEngineTest, BackpressureBouncesAndRecovers)
     opt.jobs = 1;
     opt.batchSize = 2;
     opt.maxQueue = 2;
-    opt.lingerMs = 0;
     ServeEngine engine(sys, opt);
     // Submitting is microseconds, verifying a batch is milliseconds:
     // a tight submit loop must overrun a 2-deep queue long before the

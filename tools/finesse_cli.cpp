@@ -132,7 +132,6 @@ main(int argc, char **argv)
         {"--population=", &population, 1, kMax},
         {"--batch=", &serveOpts.engine.batchSize, 1, kMax},
         {"--queue=", &serveOpts.engine.maxQueue, 1, kMax},
-        {"--linger-ms=", &serveOpts.engine.lingerMs, 0, kMax},
         {"--serve-port=", &serveOpts.servePort, 0, 65535},
     };
     for (int i = 1; i < argc; ++i) {
