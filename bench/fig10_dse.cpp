@@ -23,10 +23,8 @@
  */
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "bench_common.h"
-#include "dse/distributor.h"
 #include "dse/explorer.h"
 #include "support/diskcache.h"
 #include "support/threadpool.h"
@@ -46,17 +44,11 @@ wallSeconds(const std::chrono::steady_clock::time_point &t0)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    // This bench is its own distributed-sweep worker pool: the master
-    // re-executes the binary as `<self> dse-worker` for each worker.
-    if (const std::optional<int> rc = maybeRunDseWorkerMain(argc, argv))
-        return *rc;
-
     banner("Figure 10: DSE over variants x pipeline configs");
-    // Every leg up to the warm distributed one must be cache-cold
-    // and deterministic regardless of the ambient environment.
-    unsetenv(kArtifactCacheEnv);
+    // Every leg must be cache-cold and deterministic regardless of
+    // the ambient environment.
     configureArtifactCache("");
     const char *curve = fastMode() ? "BN254N" : "BLS24-509";
     Explorer ex(curve);
@@ -129,78 +121,15 @@ main(int argc, char **argv)
     const double parallelSeconds = wallSeconds(t2);
     const TraceCacheStats cache = traceCacheStats();
 
-    // Distributed legs: the same sweep fanned out over worker
-    // subprocesses that dial back over loopback TCP (multi-process
-    // engine, dse/distributor.h). In the cold leg the worker
-    // processes trace from their own cold caches, so it measures the
-    // full remote cost: wire round trip + per-worker front end +
-    // batched backend. Must be bit-identical like every other leg.
-    const int dseWorkers = 2;
-    struct DistLeg
-    {
-        const char *name;
-        double seconds = 0;
-        size_t mismatches = 0;
-        DistributorStats stats;
-    };
-    std::vector<DistLeg> distLegs = {
-        {"loopback_tcp", 0, 0, {}},
-        {"loopback_tcp_warm", 0, 0, {}},
-    };
-    auto runDistLeg = [&](DistLeg &leg) {
-        DistributorOptions dopts;
-        dopts.stats = &leg.stats;
-        const auto t3 = std::chrono::steady_clock::now();
-        const std::vector<DsePoint> dist =
-            ex.evaluateAllDistributed(reqs, dseWorkers, dopts);
-        leg.seconds = wallSeconds(t3);
-        for (size_t i = 0; i < dist.size(); ++i) {
-            if (dist[i].cycles != serial[i].cycles ||
-                dist[i].instrs != serial[i].instrs ||
-                dist[i].ipc != serial[i].ipc ||
-                dist[i].areaMm2 != serial[i].areaMm2)
-                ++leg.mismatches;
-        }
-    };
-    runDistLeg(distLegs[0]);
-
-    // Warm distributed leg: prime the persistent artifact cache with
-    // every front-end trace from the master process, export the cache
-    // dir so the spawned workers inherit it, and re-run the sweep.
-    // Each worker then loads every trace from disk instead of
-    // re-tracing it, isolating the spawn + handshake + wire + backend
-    // remainder -- the cold leg above keeps the gated trend line, and
-    // the cold/warm split shows how much per-worker front-end
-    // duplication the persistent cache recovers. Results must stay
-    // bit-identical.
-    const std::string artifactDir = "fig10_artifact_cache";
-    setenv(kArtifactCacheEnv, artifactDir.c_str(), 1);
-    configureArtifactCache(artifactDir);
-    clearTraceCache();
-    for (const VariantConfig &cfg : cfgs) {
-        CompileOptions opt;
-        opt.variants = cfg;
-        OptStats stats;
-        (void)ex.framework().traceShared(opt, stats); // writes artifact
-    }
-    runDistLeg(distLegs[1]);
-    unsetenv(kArtifactCacheEnv);
-    configureArtifactCache("");
-
-    // Determinism contract: the parallel and distributed sweeps are
-    // bit-identical to the serial one. Counted per leg (parallel /
-    // warm / cold and warm distributed) so an identity failure in CI
-    // names the engine that diverged.
+    // Determinism contract: the parallel sweep is bit-identical to
+    // the serial one. Counted per leg (parallel / warm) so an
+    // identity failure in CI names the leg that diverged.
     size_t parallelMismatches = 0;
     for (size_t i = 0; i < points.size(); ++i) {
         if (points[i].cycles != serial[i].cycles ||
             points[i].instrs != serial[i].instrs)
             ++parallelMismatches;
     }
-    size_t distributedMismatches = 0;
-    for (const DistLeg &leg : distLegs)
-        distributedMismatches += leg.mismatches;
-    const size_t mismatches = parallelMismatches + distributedMismatches;
 
     TextTable t;
     std::vector<std::string> header = {"Variant combo"};
@@ -263,17 +192,6 @@ main(int argc, char **argv)
         points.size(), serialSeconds, frontendSerialSeconds,
         backendSerialSeconds, parallelSeconds, jobs, speedup,
         parallelMismatches, warmMismatches);
-    for (const DistLeg &leg : distLegs) {
-        std::printf(
-            "Distributed (%s): %.2f s on %d worker processes (%zu "
-            "groups, %d spawned, %d deaths, %d net faults) | speedup "
-            "%.2fx vs serial | %zu mismatches\n",
-            leg.name, leg.seconds, dseWorkers, leg.stats.groups,
-            leg.stats.workersSpawned, leg.stats.workerDeaths,
-            leg.stats.networkFaultsInjected,
-            leg.seconds > 0 ? serialSeconds / leg.seconds : 0.0,
-            leg.mismatches);
-    }
 
     BenchJson json;
     json.str("bench", "fig10_dse")
@@ -285,53 +203,15 @@ main(int argc, char **argv)
         .num("backend_serial_seconds", backendSerialSeconds)
         .num("parallel_seconds", parallelSeconds)
         .num("speedup", speedup)
-        .count("dse_workers", static_cast<size_t>(dseWorkers));
-    // Aggregate keys (cold leg; distributed_speedup is gated), then
-    // one block per leg. The fault-tolerance counters are
-    // informational, not gated: all zero on a healthy run, non-zero
-    // under an ambient FINESSE_DSE_FAULT plan or a loaded machine --
-    // trend tracking only.
-    const DistLeg &coldLeg = distLegs[0];
-    json.num("distributed_seconds", coldLeg.seconds)
-        .num("distributed_speedup",
-             coldLeg.seconds > 0 ? serialSeconds / coldLeg.seconds
-                                 : 0.0)
-        .count("distributed_groups", coldLeg.stats.groups)
-        .count("distributed_worker_deaths",
-               static_cast<size_t>(coldLeg.stats.workerDeaths));
-    for (const DistLeg &leg : distLegs) {
-        const std::string p = std::string("distributed_") + leg.name;
-        const DistributorStats &s = leg.stats;
-        json.num(p + "_seconds", leg.seconds)
-            .num(p + "_speedup",
-                 leg.seconds > 0 ? serialSeconds / leg.seconds : 0.0)
-            .count(p + "_worker_deaths",
-                   static_cast<size_t>(s.workerDeaths))
-            .count(p + "_redispatches",
-                   static_cast<size_t>(s.redispatches))
-            .count(p + "_timeout_kills",
-                   static_cast<size_t>(s.timeoutKills))
-            .count(p + "_handshake_failures",
-                   static_cast<size_t>(s.handshakeFailures))
-            .count(p + "_fallback_groups",
-                   static_cast<size_t>(s.fallbackGroups))
-            .count(p + "_remote_connects",
-                   static_cast<size_t>(s.remoteConnects))
-            .count(p + "_remote_connect_failures",
-                   static_cast<size_t>(s.remoteConnectFailures))
-            .count(p + "_net_faults",
-                   static_cast<size_t>(s.networkFaultsInjected))
-            .count(p + "_mismatches", leg.mismatches);
-    }
-    json.count("parallel_mismatches", parallelMismatches)
+        .count("parallel_mismatches", parallelMismatches)
         .count("warm_mismatches", warmMismatches)
-        .count("distributed_mismatches", distributedMismatches)
         .count("trace_misses", cache.misses)
         .count("trace_hits", cache.hits)
         .count("trace_coalesced", cache.coalesced)
         .count("serial_trace_misses", serialCache.misses)
-        .count("determinism_mismatches", mismatches + warmMismatches);
+        .count("determinism_mismatches",
+               parallelMismatches + warmMismatches);
     json.write("BENCH_dse.json");
 
-    return mismatches + warmMismatches == 0 ? 0 : 1;
+    return parallelMismatches + warmMismatches == 0 ? 0 : 1;
 }

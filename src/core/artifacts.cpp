@@ -8,7 +8,7 @@
  *     u32 inputCount; i32 each
  *     u32 outputCount; i32 each
  *     u32 constCount; (i32 id, BigInt value) each
- *     OptStats (same encoding the DSE wire protocol ships)
+ *     OptStats (same encoding the DsePoint codec, dse/wire.h, uses)
  *
  * Decoding validates as it reads (op bytes range-checked, counts
  * bounded by remaining payload, exact-consumption check at the end)

@@ -9,10 +9,8 @@
  *  - the semantic identity of the artifact (for front-end traces the
  *    canonical `Framework::traceKey`: curve | TracePart | front-end
  *    pipeline | variants),
- *  - the build/catalog fingerprint `catalogHash()` -- the same FNV-1a
- *    hash the distributed sweep's Hello handshake verifies, so a
- *    catalog change invalidates on-disk artifacts exactly as it
- *    rejects mismatched workers, and
+ *  - the build/catalog fingerprint `catalogHash()`, so a catalog
+ *    change invalidates every on-disk artifact, and
  *  - the artifact codec version, bumped on ANY change to the encoded
  *    byte layout OR to compiler behavior that alters traced modules
  *    (stale traces from an older compiler must read as misses, not
@@ -53,8 +51,8 @@ std::string traceArtifactKey(const std::string &traceKey);
 void putBigInt(ByteWriter &w, const BigInt &v);
 BigInt getBigInt(ByteReader &r);
 
-// OptStats <-> bytes. Also reused by the wire protocol's DsePoint
-// codec (dse/wire.cpp) -- one definition, bit-identical everywhere.
+// OptStats <-> bytes. Also reused by the DsePoint codec
+// (dse/wire.cpp) -- one definition, bit-identical everywhere.
 void putOptStats(ByteWriter &w, const OptStats &s);
 OptStats getOptStats(ByteReader &r);
 

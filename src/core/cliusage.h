@@ -5,9 +5,8 @@
  * `--help` renders these tables verbatim, and tests/test_cli_help.cpp
  * audits them two ways — every table entry must appear in the help
  * output, and every `--flag` / command literal parsed by
- * tools/finesse_cli.cpp (and the dse-worker entry point) must have a
- * table entry. Adding a flag without documenting it here is a test
- * failure, not a doc drift.
+ * tools/finesse_cli.cpp must have a table entry. Adding a flag
+ * without documenting it here is a test failure, not a doc drift.
  */
 #ifndef FINESSE_CORE_CLIUSAGE_H_
 #define FINESSE_CORE_CLIUSAGE_H_
@@ -32,9 +31,6 @@ inline constexpr CliDoc kCliCommands[] = {
     {"dse-search",
      "seeded Pareto-frontier search over variants x hardware; "
      "deterministic for a fixed --search-seed"},
-    {"dse-worker",
-     "evaluate DSE groups for a master over TCP: a standing server "
-     "with --listen, or spawned by the sweep with --connect"},
     {"disasm", "compile and print the head of the encoded binary"},
     {"deploy",
      "compile and save a program image: finesse_cli deploy <config> "
@@ -62,23 +58,16 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--jobs=N",
      "worker threads: `dse` sweep fan-out and `serve`/`verify-batch` "
      "verifier lanes (0 = hardware concurrency, 1 = serial)"},
-    {"--dse-workers=N",
-     "run the `dse` sweep on N worker subprocesses (0 = in-process "
-     "on --jobs threads)"},
-    {"--dse-hosts=host:port,...",
-     "pool of running `dse-worker --listen` peers; the token \"local\" "
-     "pins a local slot (default FINESSE_DSE_HOSTS env / all-local)"},
     {"--search-seed=N",
      "RNG seed of the `dse-search` loop (default 1); a fixed seed "
-     "gives a bit-identical frontier for any --jobs/--dse-workers"},
+     "gives a bit-identical frontier for any --jobs"},
     {"--generations=N", "`dse-search` generations (default 8)"},
     {"--population=N", "`dse-search` genomes per generation (default 32)"},
     {"--objective={cycles|throughput|thpt-per-area|area}",
      "scalar winner of `dse-search` (default thpt-per-area)"},
     {"--artifact-cache=DIR",
-     "persistent artifact cache at DIR (exported as "
-     "FINESSE_ARTIFACT_CACHE so spawned workers share it; empty DIR "
-     "disables)"},
+     "persistent artifact cache at DIR (overrides "
+     "FINESSE_ARTIFACT_CACHE; empty DIR disables)"},
     {"--batch=N",
      "`serve`/`verify-batch`: max requests fused into one RLC "
      "multi-pairing (default 16)"},
@@ -97,15 +86,6 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--corrupt=<i,j,...>",
      "`verify-batch`: zero-based indices (into the concatenated "
      "--workload stream) to corrupt; these must verify as Reject"},
-    {"--listen=host:port",
-     "`dse-worker`: serve masters over TCP, one at a time (port 0 = "
-     "ephemeral, announced in the banner)"},
-    {"--connect=host:port",
-     "`dse-worker`: dial back to the master that spawned it over "
-     "loopback TCP (set by the spawner, rarely typed by hand)"},
-    {"--max-accepts=N",
-     "`dse-worker --listen`: exit after serving N masters (-1 = "
-     "forever; keeps chaos tests bounded)"},
     {"--help", "print this help and exit 0"},
 };
 

@@ -65,15 +65,6 @@ struct CompileOptions
     int jobs = 0;
 
     /**
-     * Worker SUBPROCESSES for design-space sweeps (the multi-process
-     * fan-out, dse/distributor.h). 0 = stay in-process on `jobs`
-     * threads; N >= 1 ships trace-key groups to N spawned workers
-     * (config key `dse_workers`, CLI flag --dse-workers=N). Results
-     * are bit-identical either way. Not part of the trace-cache key.
-     */
-    int dseWorkers = 0;
-
-    /**
      * Front-end pass names implied by these options. Fatal on an
      * unregistered name: a typo'd programmatic list must not silently
      * fall back to the standard pipeline.

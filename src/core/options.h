@@ -15,11 +15,6 @@
  *                         true)
  *   jobs                  sweep worker threads (0 = hardware
  *                         concurrency, 1 = serial; default 0)
- *   dse_workers           sweep worker SUBPROCESSES (multi-process
- *                         fan-out; 0 = in-process on `jobs` threads)
- *   dse.hosts             comma-separated host:port remote worker pool
- *                         ("local" pins a local slot; default =
- *                         FINESSE_DSE_HOSTS env / all-local)
  *   hw.long_lat, hw.short_lat, hw.inv_lat        itineraries
  *   hw.issue_width, hw.lin_units, hw.banks       datapath shape
  *   hw.fifo, hw.fifo_depth, hw.beta              write-back / affinity
@@ -35,9 +30,7 @@
 #include <string>
 
 #include "core/framework.h"
-#include "dse/distributor.h"
 #include "support/config.h"
-#include "support/splitlist.h"
 
 namespace finesse {
 
@@ -48,7 +41,7 @@ requireKnownKeys(const Config &cfg)
     static const std::set<std::string> known = [] {
         std::set<std::string> keys = {
             "curve", "optimize", "schedule", "part", "passes",
-            "trace_cache", "jobs", "dse_workers", "dse.hosts",
+            "trace_cache", "jobs",
             "hw.long_lat", "hw.short_lat", "hw.inv_lat",
             "hw.issue_width", "hw.lin_units", "hw.banks", "hw.fifo",
             "hw.fifo_depth", "hw.beta", "variants.g2_coords",
@@ -83,7 +76,6 @@ optionsFromConfig(const Config &cfg)
     opt.passes = parsePassList(cfg.getString("passes", ""));
     opt.useTraceCache = cfg.getBool("trace_cache", true);
     opt.jobs = cfg.getInt("jobs", 0, 0);
-    opt.dseWorkers = cfg.getInt("dse_workers", 0, 0);
 
     const std::string part = cfg.getString("part", "full");
     if (part == "miller")
@@ -140,20 +132,6 @@ optionsFromConfig(const Config &cfg)
                                 : CoordSystem::Jacobian;
     opt.variants.cyclotomicSqr = cfg.getBool("variants.cyclo", true);
     return opt;
-}
-
-/**
- * Overlay the `dse.hosts` pool onto @p dopts (left as is when the key
- * is absent). The other distributor knobs are not config keys: the
- * liveness window comes from FINESSE_DSE_LIVENESS_MS, the rest are
- * fixed defaults.
- */
-inline void
-applyDistributorConfig(const Config &cfg, DistributorOptions &dopts)
-{
-    const std::string hosts = cfg.getString("dse.hosts", "");
-    if (!hosts.empty())
-        dopts.hosts = splitList(hosts);
 }
 
 } // namespace finesse

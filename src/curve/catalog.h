@@ -63,10 +63,9 @@ const CurveDef &findCurve(const std::string &name);
 
 /**
  * FNV-1a fingerprint of the full curve catalog (names, families,
- * family parameters, security estimates). Exchanged in the distributed
- * sweep's Hello handshake so a master never hands work to a worker
- * built from a different catalog: the trace-key grouping and every
- * derived curve constant would silently diverge.
+ * family parameters, security estimates). Part of every artifact-cache
+ * key (core/artifacts.h), so entries written under a different
+ * catalog read as misses instead of serving stale curve constants.
  */
 u64 catalogHash();
 

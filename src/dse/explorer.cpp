@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "compiler/backendprep.h"
-#include "dse/distributor.h"
 #include "support/threadpool.h"
 
 namespace finesse {
@@ -67,8 +66,11 @@ evaluatePoint(const Framework &fw, const Module &m, const TracePrep &prep,
     return p;
 }
 
-} // namespace
-
+/**
+ * Request indices grouped by front-end trace key (traceCacheKey under
+ * @p curve as given): groups in first-appearance order, indices
+ * ascending.
+ */
 std::vector<std::vector<size_t>>
 groupByTraceKey(const std::string &curve,
                 const std::vector<DseRequest> &points)
@@ -84,6 +86,8 @@ groupByTraceKey(const std::string &curve,
     }
     return groups;
 }
+
+} // namespace
 
 void
 fillModelMetrics(DsePoint &p, int fpBits, const CycleStats &sim,
@@ -136,8 +140,7 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
 {
     std::vector<DsePoint> out(points.size());
 
-    // Bucket requests by trace key (the shared grouping definition,
-    // groupByTraceKey).
+    // Bucket requests by trace key.
     struct TraceGroup
     {
         std::shared_ptr<const Module> module;
@@ -179,21 +182,6 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
                                workerScratch());
     });
     return out;
-}
-
-std::vector<DsePoint>
-Explorer::evaluateAllDistributed(const std::vector<DseRequest> &points,
-                                 int workers) const
-{
-    return distributeEvaluate(curve_, points, workers);
-}
-
-std::vector<DsePoint>
-Explorer::evaluateAllDistributed(const std::vector<DseRequest> &points,
-                                 int workers,
-                                 const DistributorOptions &opts) const
-{
-    return distributeEvaluate(curve_, points, workers, opts);
 }
 
 std::vector<DsePoint>
@@ -337,15 +325,6 @@ DsePoint
 Explorer::exploreVariants(const CompileOptions &base, Objective objective,
                           bool mulOnly) const
 {
-    return exploreVariants(base, objective, mulOnly,
-                           DistributorOptions{});
-}
-
-DsePoint
-Explorer::exploreVariants(const CompileOptions &base, Objective objective,
-                          bool mulOnly,
-                          const DistributorOptions &dopts) const
-{
     std::vector<DseRequest> reqs;
     for (const VariantConfig &cfg : variantSpace(mulOnly)) {
         DseRequest req;
@@ -354,13 +333,7 @@ Explorer::exploreVariants(const CompileOptions &base, Objective objective,
         req.label = "explored";
         reqs.push_back(std::move(req));
     }
-    // base.dseWorkers selects the multi-process fan-out; both engines
-    // return bit-identical, index-ordered points, so the reduction
-    // below is oblivious to where the evaluation ran.
-    const std::vector<DsePoint> points =
-        base.dseWorkers > 0
-            ? evaluateAllDistributed(reqs, base.dseWorkers, dopts)
-            : evaluateAll(reqs, base.jobs);
+    const std::vector<DsePoint> points = evaluateAll(reqs, base.jobs);
 
     // Stable index-ordered reduction: identical to the serial loop
     // for every jobs value (strictly-greater keeps the earliest

@@ -18,8 +18,6 @@
 
 namespace finesse {
 
-struct DistributorOptions; // dse/distributor.h
-
 /** One evaluated point of the design space. */
 struct DsePoint
 {
@@ -70,19 +68,6 @@ struct DseRequest
     std::string label;
 };
 
-/**
- * Request indices grouped by front-end trace key (traceCacheKey under
- * @p curve as given): groups in first-appearance order, indices
- * ascending. The ONE grouping definition shared by
- * Explorer::evaluateAll and the multi-process distributor -- a
- * grouping change that reached only one of them would silently break
- * the bit-identity contract. The curve handle is never resolved, so
- * the distributor leaves curve validation to its workers.
- */
-std::vector<std::vector<size_t>>
-groupByTraceKey(const std::string &curve,
-                const std::vector<DseRequest> &points);
-
 /** Explorer: evaluates and exhaustively searches design points. */
 class Explorer
 {
@@ -116,25 +101,6 @@ class Explorer
      */
     std::vector<DsePoint> evaluateAll(const std::vector<DseRequest> &points,
                                       int jobs = 0) const;
-
-    /**
-     * Evaluate many design points on @p workers worker SUBPROCESSES
-     * (the multi-process fan-out, dse/distributor.h): trace-key
-     * groups are shipped whole to workers over the wire protocol, so
-     * the per-trace prep amortizes remotely exactly as it does on a
-     * local worker thread. Bit-identical to evaluateAll on the same
-     * requests for any worker count, including when a worker crashes
-     * mid-group (the group is re-dispatched to a live worker).
-     */
-    std::vector<DsePoint>
-    evaluateAllDistributed(const std::vector<DseRequest> &points,
-                           int workers) const;
-
-    /** As above with explicit distributor knobs (tests/benches). */
-    std::vector<DsePoint>
-    evaluateAllDistributed(const std::vector<DseRequest> &points,
-                           int workers,
-                           const DistributorOptions &opts) const;
 
     /**
      * Reference oracle for the grouped engine: the pre-batching
@@ -189,17 +155,6 @@ class Explorer
     DsePoint exploreVariants(const CompileOptions &base,
                              Objective objective,
                              bool mulOnly = true) const;
-
-    /**
-     * As above with explicit distributor knobs for the
-     * `base.dseWorkers > 0` path (retry/liveness/fallback
-     * policy plus a DistributorStats sink -- finesse_cli uses this to
-     * print fault-tolerance counters after a distributed sweep).
-     * Ignored by the in-process path.
-     */
-    DsePoint exploreVariants(const CompileOptions &base,
-                             Objective objective, bool mulOnly,
-                             const DistributorOptions &dopts) const;
 
     /** Tower extension degrees of this curve (e.g. {2, 6, 12}). */
     std::vector<int> towerDegrees() const;

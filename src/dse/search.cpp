@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -68,7 +69,7 @@ pointArtifactKey(const Framework &fw, const DseRequest &req)
 {
     std::ostringstream os;
     os << "point|" << hex16(artifactFingerprint()) << "|w"
-       << wire::kProtocolVersion << "|" << fw.traceKey(req.opt);
+       << wire::kPointCodecVersion << "|" << fw.traceKey(req.opt);
     const PipelineModel &m = req.opt.hw;
     u64 betaBits = 0;
     static_assert(sizeof betaBits == sizeof m.beta);
@@ -86,7 +87,7 @@ bool
 decodePointArtifact(const std::vector<u8> &bytes, DsePoint &out)
 {
     try {
-        wire::WireReader r(bytes);
+        ByteReader r(bytes);
         out = wire::getPoint(r);
         r.expectEnd();
         return true;
@@ -434,14 +435,11 @@ ParetoSearch::evaluateBatch(const std::vector<Genome> &gs)
         for (size_t i : missIdx)
             missReqs.push_back(reqs[i]);
         const std::vector<DsePoint> fresh =
-            opt_.base.dseWorkers > 0
-                ? ex_.evaluateAllDistributed(missReqs, opt_.base.dseWorkers,
-                                             opt_.dopts)
-                : ex_.evaluateAll(missReqs, opt_.base.jobs);
+            ex_.evaluateAll(missReqs, opt_.base.jobs);
         for (size_t j = 0; j < missIdx.size(); ++j) {
             out[missIdx[j]] = fresh[j];
             if (dc != nullptr) {
-                wire::WireWriter w;
+                ByteWriter w;
                 wire::putPoint(w, fresh[j]);
                 if (dc->put(keys[missIdx[j]], w.bytes()))
                     ++stats_.pointCachePuts;

@@ -11,19 +11,17 @@
  * count x the per-tower-level multiplication mask and squaring
  * selector. Each
  * generation materializes its genomes as `DseRequest`s and dispatches
- * ONE batch through the existing choke points --
- * `Explorer::evaluateAll` (threads) or `evaluateAllDistributed`
- * (worker subprocesses) -- so trace-key grouping, the batched backend
- * engine, and the socket fan-out all apply unchanged. Evaluated
+ * ONE batch through `Explorer::evaluateAll`, so trace-key grouping
+ * and the batched backend engine apply unchanged. Evaluated
  * points feed a 2-D Pareto archive (maximize throughput, minimize
  * area); parent selection is tournament by the scalar objective with
  * an annealed mutation radius.
  *
  * Determinism contract (extends the sweep contract): a fixed
  * SearchOptions::seed yields a BIT-identical frontier for any
- * jobs/dseWorkers count, cold or warm artifact cache. This holds
- * because (a) per-point evaluation is bit-identical across every
- * dispatch path and across cache round trips (raw-bit codecs), and
+ * jobs count, cold or warm artifact cache. This holds because (a)
+ * per-point evaluation is bit-identical for any thread count and
+ * across cache round trips (raw-bit codecs), and
  * (b) every search decision -- selection, dominance, ordering --
  * reads only deterministic point fields (never wall-clock fields) and
  * breaks ties canonically. `frontierFingerprint` hashes exactly the
@@ -33,7 +31,7 @@
  * When the process-wide artifact cache (support/diskcache.h) is
  * enabled, per-point backend results are cached content-addressed
  * (key: trace key + hardware model + cores + backend pipeline +
- * build/catalog fingerprint; payload: the wire codec's DsePoint
+ * build/catalog fingerprint; payload: the dse/wire.h DsePoint
  * encoding) and a warm re-search skips both the frontend traces and
  * the backend evaluations it has seen before.
  */
@@ -44,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "dse/distributor.h"
 #include "dse/explorer.h"
 
 namespace finesse {
@@ -118,14 +115,11 @@ struct SearchOptions
 
     /**
      * Base compile options for every materialized request (part, pass
-     * pipeline, trace-cache flag, jobs, dseWorkers). `variants` and
-     * `hw` are overwritten per genome; jobs/dseWorkers pick the
-     * dispatch path exactly as they do for Explorer sweeps.
+     * pipeline, trace-cache flag, jobs). `variants` and `hw` are
+     * overwritten per genome; `jobs` sets the sweep threads exactly as
+     * it does for Explorer sweeps.
      */
     CompileOptions base;
-
-    /** Distributor knobs for the dseWorkers > 0 path. */
-    DistributorOptions dopts;
 
     /**
      * Seed generation 0 with the full Fig. 10 grid (every variant

@@ -274,7 +274,8 @@ runServeCommand(const ServeCliOptions &opts)
             std::fprintf(stderr, "serve: %s\n", err.c_str());
             return 1;
         }
-        // Banner = port-discovery contract, as with dse-worker.
+        // Banner = port-discovery contract: port 0 binds a free port
+        // and clients read the real one from this line.
         std::printf("serve listening host=127.0.0.1 port=%d\n",
                     boundPort);
         std::fflush(stdout);

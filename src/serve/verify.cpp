@@ -87,6 +87,10 @@ bisect(const CurveSystem12 &sys, const std::vector<PairingCheck> &checks,
        BatchVerifyStats *stats)
 {
     if (hi - lo == 1) {
+        // A batch of one is checked alone from the start; only a leaf
+        // that a split reached is a fallback.
+        if (stats != nullptr && checks.size() > 1)
+            stats->singleChecks++;
         verdicts[lo] = verifySingle(sys, checks[lo], stats);
         return;
     }
@@ -144,10 +148,8 @@ bool
 verifySingle(const CurveSystem12 &sys, const PairingCheck &check,
              BatchVerifyStats *stats)
 {
-    if (stats != nullptr) {
+    if (stats != nullptr)
         stats->products++;
-        stats->singleChecks++;
-    }
     BaseGroups groups;
     for (const PairTerm &t : check.terms)
         groups.add(t, 1, 0);

@@ -130,7 +130,7 @@ struct BatchVerifyStats
 {
     size_t products = 0;     ///< pairing products evaluated (any size)
     size_t pairings = 0;     ///< terms across all products
-    size_t singleChecks = 0; ///< per-request fallback verifications
+    size_t singleChecks = 0; ///< single checks a bisection split reached
     size_t bisectSplits = 0; ///< batch splits forced by a failure
 };
 

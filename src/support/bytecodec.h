@@ -1,7 +1,8 @@
 /**
  * @file
- * Little-endian binary payload codec shared by the DSE wire protocol
- * (dse/wire.h) and the persistent artifact cache (core/artifacts.h).
+ * Little-endian binary payload codec shared by the persistent artifact
+ * cache's trace entries (core/artifacts.h) and its design-point
+ * entries (dse/wire.h).
  *
  * ByteWriter appends fixed-width little-endian integers, doubles as
  * raw IEEE-754 bit patterns (both consumers require BIT-identical

@@ -1,20 +1,16 @@
 /**
  * @file
- * Minimal TCP socket layer for the distributed sweep's network
- * transport: nonblocking connect() with a hard deadline, accept()
- * with a timeout, and listener setup with ephemeral-port support.
- * Every descriptor is created O_CLOEXEC (a worker exec must never
- * inherit a master's sockets), every accepted/connected stream gets
- * TCP_NODELAY (the wire protocol is small request/response frames;
- * Nagle would serialize dispatch round trips) and SO_KEEPALIVE (a
- * peer that vanishes without FIN eventually surfaces as an error
- * instead of a silent forever-hang), and every call retries EINTR
- * against its deadline instead of failing.
+ * Minimal TCP socket layer for `serve --serve-port`: listener setup
+ * with ephemeral-port support and accept() with a timeout. Every
+ * descriptor is created O_CLOEXEC, every accepted stream gets
+ * TCP_NODELAY (the serve protocol is small request/response lines;
+ * Nagle would delay each reply) and SO_KEEPALIVE (a peer that
+ * vanishes without FIN eventually surfaces as an error instead of a
+ * silent forever-hang), and accept retries EINTR against its
+ * deadline instead of failing.
  *
  * Error contract: functions return -1 and fill @p err with a
- * human-readable reason; they never throw (the distributor treats a
- * failed connect as a dead slot, not a fatal), except
- * parseHostPort, whose malformed input is a configuration error.
+ * human-readable reason; they never throw.
  */
 #ifndef FINESSE_SUPPORT_SOCKET_H_
 #define FINESSE_SUPPORT_SOCKET_H_
@@ -25,7 +21,7 @@
 
 namespace finesse {
 
-/** One "host:port" endpoint of the remote worker pool. */
+/** One "host:port" endpoint. */
 struct HostPort
 {
     std::string host;
@@ -35,19 +31,12 @@ struct HostPort
 };
 
 /**
- * Parse "host:port" (port required, 0..65535; "[v6::addr]:port" for
- * IPv6 literals). Throws FatalError on malformed input -- a typo in a
- * host list must fail loudly, not silently shrink the pool.
- */
-HostPort parseHostPort(const std::string &spec);
-
-/**
- * Create a listening TCP socket bound to @p at (SO_REUSEADDR so
- * restarted workers rebind immediately; port 0 binds an ephemeral
+ * Create a listening TCP socket bound to @p at (SO_REUSEADDR so a
+ * restarted server rebinds immediately; port 0 binds an ephemeral
  * port). Returns the listener fd, or -1 with @p err set. When
  * @p boundPort is non-null it receives the actual bound port --
- * the ephemeral-port answer tests and the worker's "listening on"
- * banner need.
+ * the ephemeral-port answer tests and serve's "listening" banner
+ * need.
  */
 int tcpListen(const HostPort &at, int backlog, std::string *err,
               int *boundPort = nullptr);
@@ -59,15 +48,6 @@ int tcpListen(const HostPort &at, int backlog, std::string *err,
  * @p err set on a real error.
  */
 int tcpAccept(int listenFd, int timeoutMs, std::string *err);
-
-/**
- * Connect to @p to with a hard deadline of @p timeoutMs: the socket
- * is nonblocking during connect (a black-holed host costs the
- * deadline, not the kernel's multi-minute SYN retry budget) and
- * switched back to blocking once established. Returns the tuned
- * stream fd, or -1 with @p err set (timeout included).
- */
-int tcpConnect(const HostPort &to, int timeoutMs, std::string *err);
 
 } // namespace finesse
 

@@ -1,7 +1,6 @@
 /**
  * @file
- * The one parser of the comma lists in flags, config keys and env vars
- * (`--dse-hosts`, `dse.hosts`, FINESSE_DSE_HOSTS, serve's index and
+ * The one parser of the comma lists in flags (serve's index and
  * workload lists).
  */
 #ifndef FINESSE_SUPPORT_SPLITLIST_H_

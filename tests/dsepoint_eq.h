@@ -1,7 +1,7 @@
 /**
  * @file
  * The one strict DsePoint comparator of the sweep identity suites
- * (test_parallel_dse, test_distributed_dse, test_chaos_dse).
+ * (test_parallel_dse).
  */
 #ifndef FINESSE_TESTS_DSEPOINT_EQ_H_
 #define FINESSE_TESTS_DSEPOINT_EQ_H_
@@ -17,9 +17,9 @@ namespace finesse {
 
 /**
  * All deterministic DsePoint fields. Doubles compared EXACTLY (==,
- * not near): every engine -- grouped, per-point, threaded, or a
- * worker process whose results cross the wire as raw bit patterns --
- * runs the same code on the same inputs, so every bit must match.
+ * not near): every engine -- grouped, per-point, threaded, or the
+ * artifact cache replaying raw bit patterns -- runs the same code on
+ * the same inputs, so every bit must match.
  * Wall times (compileSeconds, per-pass seconds) are exempt -- they
  * are measurements, not results.
  */

@@ -4,22 +4,28 @@
  * core/cliusage.h tables, and this test closes the loop from both
  * sides. Table -> help: every documented command and flag must be
  * printed. Source -> help: every `--flag` string literal the CLI
- * sources actually parse (tools/finesse_cli.cpp plus the dse-worker
- * entry point in src/dse/distributor.cpp) must appear in the help
- * output — so adding a flag without documenting it is a test
+ * source actually parses (tools/finesse_cli.cpp) must appear in the
+ * help output — so adding a flag without documenting it is a test
  * failure, not silent drift.
  *
  * The audited binary is the real installed target
  * ($<TARGET_FILE:finesse_cli> via FINESSE_CLI_PATH), not a re-link
- * of the parser.
+ * of the parser. The same binary is driven end to end as a TCP
+ * server (`serve --serve-port=0`).
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "core/cliusage.h"
 
@@ -135,15 +141,10 @@ TEST(CliHelp, EveryDocumentedFlagIsPrinted)
 TEST(CliHelp, EveryParsedFlagIsDocumented)
 {
     const std::string help = helpOutput();
-    const std::set<std::string> parsed = [&] {
-        std::set<std::string> all =
-            extractFlagLiterals(readFile(FINESSE_CLI_SOURCE));
-        for (const std::string &f :
-             extractFlagLiterals(readFile(FINESSE_DSE_WORKER_SOURCE)))
-            all.insert(f);
-        return all;
-    }();
-    ASSERT_GE(parsed.size(), 20u) << "flag extraction went blind";
+    const std::set<std::string> parsed =
+        extractFlagLiterals(readFile(FINESSE_CLI_SOURCE));
+    ASSERT_GE(parsed.size(), std::size(kCliFlags))
+        << "flag extraction went blind";
     for (const std::string &flag : parsed) {
         if (flag == "--") // the unknown-flag catch-all prefix test
             continue;
@@ -181,4 +182,64 @@ TEST(CliHelp, UsageErrorsAndHelpExitCodes)
     EXPECT_EQ(rc, 2) << "bare invocation prints usage, exits 2";
     EXPECT_NE(err.find("usage: finesse_cli"), std::string::npos);
     EXPECT_NE(err.find("--help"), std::string::npos);
+}
+
+TEST(CliServe, ServesOneTcpClient)
+{
+    // `timeout` bounds the server if the test fails before it sends
+    // quit; stderr joins stdout so a startup error shows in the log.
+    FILE *server = popen(("timeout 300 " + std::string(FINESSE_CLI_PATH) +
+                          " serve --serve-port=0 --jobs=1 2>&1")
+                             .c_str(),
+                         "r");
+    ASSERT_NE(server, nullptr);
+    std::string log;
+    int port = 0;
+    char line[512];
+    while (port == 0 && std::fgets(line, sizeof line, server)) {
+        log += line;
+        std::sscanf(line, "serve listening host=127.0.0.1 port=%d", &port);
+    }
+    ASSERT_GT(port, 0) << "no listening banner:\n" << log;
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const timeval recvTimeout = {120, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recvTimeout,
+                 sizeof recvTimeout);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof addr),
+              0)
+        << std::strerror(errno);
+    const std::string script = "bls 2 corrupt=1\nstats\nquit\n";
+    ASSERT_EQ(::send(fd, script.data(), script.size(), 0),
+              static_cast<ssize_t>(script.size()));
+    std::string replies;
+    char buf[4096];
+    for (ssize_t got; (got = ::recv(fd, buf, sizeof buf, 0)) > 0;)
+        replies.append(buf, static_cast<size_t>(got));
+    ::close(fd);
+
+    while (std::fgets(line, sizeof line, server))
+        log += line;
+    const int status = pclose(server);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "status " << status << "\n" << log;
+
+    EXPECT_NE(replies.find("ok kind=bls n=2 accepted=1 rejected=1 "),
+              std::string::npos)
+        << replies;
+    EXPECT_NE(replies.find(" verdicts=10\n"), std::string::npos)
+        << replies;
+    // The `stats` reply, then the final snapshot after quit.
+    const size_t stats = replies.find("stats submitted=2 ");
+    ASSERT_NE(stats, std::string::npos) << replies;
+    EXPECT_NE(replies.find("stats submitted=2 ", stats + 1),
+              std::string::npos)
+        << replies;
+    EXPECT_NE(log.find("serve exit"), std::string::npos) << log;
 }

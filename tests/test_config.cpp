@@ -58,14 +58,16 @@ TEST(Config, RejectsMalformed)
                              "hw.issue_width = 65\n",
                              "hw.lin_units = 65\n",
                              "hw.fifo = true\nhw.fifo_depth = 4097\n",
-                             // dse.hosts is the only dse.* key: the
-                             // rest are unknown, whatever the value.
+                             // No dse.* key exists, whatever the
+                             // value; neither does dse_workers.
                              "dse.liveness_ms = -1\n",
                              "dse.group_deadline_ms = -5\n",
                              "dse.hedge_ms = -1\n",
                              "dse.connect_ms = -100\n",
                              "dse.respawns = -7\n", "dse.hedge_ms = 0\n",
                              "dse.fallback_local = true\n",
+                             "dse.hosts = 127.0.0.1:7001,local\n",
+                             "dse_workers = 2\n", "dse_workers = 0\n",
                              // Unknown keys: a typo must not run the
                              // default.
                              "hw.isue_width = 7\n", "curv = BN254N\n",
@@ -77,8 +79,6 @@ TEST(Config, RejectsMalformed)
         const std::string key = bad.entries().begin()->first;
         try {
             optionsFromConfig(bad);
-            DistributorOptions dopts;
-            applyDistributorConfig(bad, dopts);
             ADD_FAILURE() << "accepted";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
@@ -129,7 +129,6 @@ variants.sqr6 = ch-sqr2
 variants.mul12 = karatsuba
 variants.g2_coords = projective
 variants.cyclo = false
-dse.hosts = 127.0.0.1:7001,local
 )");
     EXPECT_EQ(curveFromConfig(cfg), "BLS12-446");
     const CompileOptions opt = optionsFromConfig(cfg);
@@ -144,10 +143,6 @@ dse.hosts = 127.0.0.1:7001,local
     EXPECT_EQ(opt.variants.level(12).mul, MulVariant::Karatsuba);
     EXPECT_EQ(opt.variants.g2Coords, CoordSystem::Projective);
     EXPECT_FALSE(opt.variants.cyclotomicSqr);
-    DistributorOptions dopts;
-    applyDistributorConfig(cfg, dopts);
-    EXPECT_EQ(dopts.hosts,
-              (std::vector<std::string>{"127.0.0.1:7001", "local"}));
 }
 
 TEST(ConfigBridge, DefaultsMatchPaperModel)

@@ -2,15 +2,10 @@
  * @file
  * Determinism contract of the seeded Pareto search (dse/search.h):
  * a fixed --search-seed must yield a BIT-identical frontier for any
- * jobs / dse-workers split and for cold vs warm artifact cache. Also
- * covers the frontier's structural invariants (mutual non-dominance,
+ * jobs count and for cold vs warm artifact cache. Also covers the
+ * frontier's structural invariants (mutual non-dominance,
  * genome/point pairing) and the warm-run "no front-end trace"
  * guarantee.
- *
- * Like test_distributed_dse, this binary is its own worker pool:
- * main() dispatches argv[1] == "dse-worker" into the worker loop
- * before gtest sees the command line, so the distributor's default
- * self-re-exec worker command works unchanged.
  */
 #include <gtest/gtest.h>
 
@@ -19,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "dse/distributor.h"
 #include "dse/explorer.h"
 #include "dse/search.h"
 #include "golden.h"
@@ -40,13 +34,12 @@ quickOptions()
     return sopt;
 }
 
-/** Runs the quick search with the given dispatch knobs. */
+/** Runs the quick search on @p jobs threads. */
 SearchResult
-runQuick(Explorer &ex, int jobs, int dseWorkers)
+runQuick(Explorer &ex, int jobs)
 {
     SearchOptions sopt = quickOptions();
     sopt.base.jobs = jobs;
-    sopt.base.dseWorkers = dseWorkers;
     ParetoSearch search(ex, SearchSpace::standard(ex), sopt);
     return search.run();
 }
@@ -62,8 +55,8 @@ expectSameFrontier(const SearchResult &a, const SearchResult &b)
         const DsePoint &pb = b.frontier[i];
         EXPECT_EQ(pa.label, pb.label);
         EXPECT_EQ(pa.cycles, pb.cycles);
-        // Doubles exactly: same code, same inputs, raw bits on the
-        // wire and in the cache -- every bit must match.
+        // Doubles exactly: same code, same inputs, raw bits in the
+        // cache -- every bit must match.
         EXPECT_EQ(pa.areaMm2, pb.areaMm2);
         EXPECT_EQ(pa.throughputOps, pb.throughputOps);
         EXPECT_EQ(pa.thptPerArea, pb.thptPerArea);
@@ -98,9 +91,9 @@ TEST(SearchDeterminism, BitIdenticalAcrossJobs)
     CacheOff off;
     Explorer ex("BN254N");
     clearTraceCache();
-    const SearchResult r1 = runQuick(ex, 1, 0);
-    const SearchResult r2 = runQuick(ex, 2, 0);
-    const SearchResult r8 = runQuick(ex, 8, 0);
+    const SearchResult r1 = runQuick(ex, 1);
+    const SearchResult r2 = runQuick(ex, 2);
+    const SearchResult r8 = runQuick(ex, 8);
     ASSERT_FALSE(r1.frontier.empty());
     expectSameFrontier(r1, r2);
     expectSameFrontier(r1, r8);
@@ -111,18 +104,6 @@ TEST(SearchDeterminism, BitIdenticalAcrossJobs)
                               r1.stats.evaluatedUnique));
 }
 
-TEST(SearchDeterminism, BitIdenticalAcrossDseWorkers)
-{
-    CacheOff off;
-    Explorer ex("BN254N");
-    clearTraceCache();
-    const SearchResult inproc = runQuick(ex, 1, 0);
-    for (const int workers : {1, 2, 4}) {
-        const SearchResult dist = runQuick(ex, 1, workers);
-        expectSameFrontier(inproc, dist);
-    }
-}
-
 TEST(SearchDeterminism, WarmCacheIsIdenticalAndTraceFree)
 {
     CacheOff off;
@@ -131,11 +112,11 @@ TEST(SearchDeterminism, WarmCacheIsIdenticalAndTraceFree)
     Explorer ex("BN254N");
 
     clearTraceCache();
-    const SearchResult cold = runQuick(ex, 1, 0); // cache disabled
+    const SearchResult cold = runQuick(ex, 1); // cache disabled
 
     configureArtifactCache(dir);
     clearTraceCache();
-    const SearchResult prime = runQuick(ex, 1, 0);
+    const SearchResult prime = runQuick(ex, 1);
     EXPECT_EQ(prime.stats.pointCacheHits, 0u);
     EXPECT_EQ(prime.stats.pointCachePuts, prime.stats.evaluatedUnique);
     expectSameFrontier(cold, prime);
@@ -143,7 +124,7 @@ TEST(SearchDeterminism, WarmCacheIsIdenticalAndTraceFree)
     // Warm: every point is an artifact hit, so the front end never
     // runs -- no traces, no disk writes, zero point misses.
     clearTraceCache();
-    const SearchResult warm = runQuick(ex, 1, 0);
+    const SearchResult warm = runQuick(ex, 1);
     expectSameFrontier(cold, warm);
     EXPECT_EQ(warm.stats.pointCacheHits, warm.stats.evaluatedUnique);
     EXPECT_EQ(warm.stats.pointCachePuts, 0u);
@@ -160,7 +141,7 @@ TEST(SearchFrontier, MutuallyNonDominatedAndPaired)
     CacheOff off;
     Explorer ex("BN254N");
     clearTraceCache();
-    const SearchResult r = runQuick(ex, 1, 0);
+    const SearchResult r = runQuick(ex, 1);
     ASSERT_FALSE(r.frontier.empty());
     ASSERT_EQ(r.frontier.size(), r.frontierGenomes.size());
     for (size_t i = 0; i < r.frontier.size(); ++i) {
@@ -206,13 +187,3 @@ TEST(SearchFrontier, CoversSeededGridCorners)
 
 } // namespace
 } // namespace finesse
-
-int
-main(int argc, char **argv)
-{
-    if (const std::optional<int> rc =
-            finesse::maybeRunDseWorkerMain(argc, argv))
-        return *rc;
-    ::testing::InitGoogleTest(&argc, argv);
-    return RUN_ALL_TESTS();
-}

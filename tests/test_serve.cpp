@@ -2,10 +2,11 @@
  * @file
  * Batched pairing-verification serving engine (src/serve/):
  * RLC batch correctness (accept iff all valid), bisection isolation
- * of individual bad requests, differential identity against
- * per-request single verification (each request kind alone and mixed,
- * batch sizes 1 to 16, a corrupted request first, in the middle or
- * last, two corrupted requests in one batch, eight RLC seeds),
+ * of individual bad requests and its fallback count, differential
+ * identity against per-request single verification (each request
+ * kind alone and mixed, batch sizes 1 to 16, a corrupted request
+ * first, in the middle or last, two corrupted requests in one batch,
+ * eight RLC seeds),
  * G2-base merge economy (Miller-loop counts), and the ServeEngine's
  * serial == concurrent verdict contract plus admission-queue
  * backpressure, and the serve command parser's rejection of malformed
@@ -86,6 +87,48 @@ TEST(ServeVerify, BisectionIsolatesSingleBadRequest)
     // well under the 8 singles a naive fallback would run.
     EXPECT_GE(stats.bisectSplits, 3u);
     EXPECT_LE(stats.singleChecks, 2u);
+}
+
+TEST(ServeVerify, FallbacksCountOnlySplitLeaves)
+{
+    const auto &sys = curveSystem12(kCurve);
+    WorkloadFactory factory(sys, 212);
+    // A batch of one is verified alone from the start: no fallback,
+    // good request or bad.
+    for (const bool bad : {false, true}) {
+        BatchVerifyStats stats;
+        const auto checks = makeChecks(factory, RequestKind::Bls, 1,
+                                       bad ? std::vector<int>{0}
+                                           : std::vector<int>{});
+        EXPECT_EQ(verifyBatch(sys, checks, 5, &stats)[0], !bad);
+        EXPECT_EQ(stats.products, 1u);
+        EXPECT_EQ(stats.singleChecks, 0u);
+        EXPECT_EQ(stats.bisectSplits, 0u);
+    }
+    // One bad request of two: the root fails, one split, and both
+    // halves are single checks the split reached.
+    BatchVerifyStats stats;
+    const auto checks = makeChecks(factory, RequestKind::Bls, 2, {1});
+    const auto verdicts = verifyBatch(sys, checks, 5, &stats);
+    EXPECT_TRUE(verdicts[0]);
+    EXPECT_FALSE(verdicts[1]);
+    EXPECT_EQ(stats.bisectSplits, 1u);
+    EXPECT_EQ(stats.singleChecks, 2u);
+
+    // The engine reports the same count as single_fallbacks: lone
+    // requests (batch size 1) never register as fallbacks.
+    ServeOptions opt;
+    opt.batchSize = 1;
+    ServeEngine engine(sys, opt);
+    for (int i = 0; i < 3; ++i) {
+        Admission adm =
+            engine.submit(factory.make(RequestKind::Bls, i == 1));
+        ASSERT_TRUE(adm.admitted);
+        EXPECT_EQ(adm.verdict.get() == Verdict::Accept, i != 1);
+    }
+    engine.drain();
+    EXPECT_EQ(engine.counters().batches, 3u);
+    EXPECT_EQ(engine.counters().singleFallbacks, 0u);
 }
 
 TEST(ServeVerify, RlcDifferentialAgainstSingles)

@@ -37,7 +37,6 @@ import sys
 GATED_FIELDS = {
     "speedup",
     "largest_speedup",
-    "distributed_speedup",
     "warm_speedup",
 }
 

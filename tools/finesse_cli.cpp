@@ -19,7 +19,6 @@
 #include <limits>
 #include <sstream>
 
-#include "dse/distributor.h"
 #include "dse/explorer.h"
 #include "dse/search.h"
 #include "core/cliusage.h"
@@ -29,7 +28,6 @@
 #include "sim/binary.h"
 #include "support/diskcache.h"
 #include "support/numparse.h"
-#include "support/splitlist.h"
 #include "support/threadpool.h"
 
 using namespace finesse;
@@ -96,20 +94,11 @@ badFlag(const std::string &arg)
 int
 main(int argc, char **argv)
 {
-    // Worker mode: the master re-executes this binary as
-    // `finesse_cli dse-worker --connect=...` and speaks the wire
-    // protocol over the socket; nothing else on the command line
-    // applies.
-    if (const std::optional<int> rc = maybeRunDseWorkerMain(argc, argv))
-        return *rc;
-
     std::vector<std::string> positional;
     bool passStats = false;
     bool noTraceCache = false;
     int jobs = -1; // -1 = not on the command line; config/default wins
-    int dseWorkers = -1;
     std::string passList;
-    std::string dseHosts;
     u64 searchSeed = 1;
     int generations = 8;
     int population = 32;
@@ -127,7 +116,6 @@ main(int argc, char **argv)
     constexpr int kMax = std::numeric_limits<int>::max();
     const IntFlag intFlags[] = {
         {"--jobs=", &jobs, 0, kMax},
-        {"--dse-workers=", &dseWorkers, 0, kMax},
         {"--generations=", &generations, 1, kMax},
         {"--population=", &population, 1, kMax},
         {"--batch=", &serveOpts.engine.batchSize, 1, kMax},
@@ -157,8 +145,6 @@ main(int argc, char **argv)
             noTraceCache = true;
         } else if (arg.rfind("--passes=", 0) == 0) {
             passList = arg.substr(9);
-        } else if (arg.rfind("--dse-hosts=", 0) == 0) {
-            dseHosts = arg.substr(12);
         } else if (arg.rfind("--search-seed=", 0) == 0) {
             const std::optional<u64> v = parseU64(flagText(arg));
             if (!v)
@@ -200,15 +186,9 @@ main(int argc, char **argv)
         return usage();
     const std::string command = positional[0];
 
-    if (haveArtifactCache) {
-        // Export before anything spawns so dse workers inherit it;
-        // an empty DIR explicitly disables the cache.
-        if (artifactCacheDir.empty())
-            unsetenv(kArtifactCacheEnv);
-        else
-            setenv(kArtifactCacheEnv, artifactCacheDir.c_str(), 1);
+    // An empty DIR explicitly disables the cache.
+    if (haveArtifactCache)
         configureArtifactCache(artifactCacheDir);
-    }
 
     Config cfg;
     if (positional.size() > 1 && command != "exec") {
@@ -248,8 +228,6 @@ main(int argc, char **argv)
             opt.useTraceCache = false;
         if (jobs >= 0)
             opt.jobs = jobs;
-        if (dseWorkers >= 0)
-            opt.dseWorkers = dseWorkers;
         Framework fw(curve);
         std::printf("curve %s | hw %s\n", curve.c_str(),
                     opt.hw.describe().c_str());
@@ -264,13 +242,6 @@ main(int argc, char **argv)
                        : runVerifyBatchCommand(serveOpts);
         }
 
-        DistributorStats dstats;
-        DistributorOptions dopts;
-        applyDistributorConfig(cfg, dopts);
-        if (!dseHosts.empty())
-            dopts.hosts = splitList(dseHosts);
-        dopts.stats = &dstats;
-
         if (command == "dse") {
             Explorer ex(curve);
             // The sweep inherits the configured pipeline/cache options;
@@ -278,25 +249,15 @@ main(int argc, char **argv)
             // opt.jobs worker threads (identical result for any value).
             const auto t0 = std::chrono::steady_clock::now();
             const DsePoint best =
-                ex.exploreVariants(opt, Objective::MinCycles, true,
-                                   dopts);
+                ex.exploreVariants(opt, Objective::MinCycles, true);
             const double sweepSeconds = secondsSince(t0);
             const TraceCacheStats cache = traceCacheStats();
-            if (opt.dseWorkers > 0) {
-                std::printf("swept %zu combos on %d worker processes "
-                            "in %.2f s\n",
-                            ex.variantSpace(true).size(),
-                            opt.dseWorkers, sweepSeconds);
-                std::printf("distributor: %s\n",
-                            dstats.describe().c_str());
-            } else {
-                std::printf("swept %zu combos on %d workers in %.2f s "
-                            "(trace cache: %zu miss, %zu hit, "
-                            "%zu coalesced)\n",
-                            ex.variantSpace(true).size(),
-                            resolveJobs(opt.jobs), sweepSeconds,
-                            cache.misses, cache.hits, cache.coalesced);
-            }
+            std::printf("swept %zu combos on %d workers in %.2f s "
+                        "(trace cache: %zu miss, %zu hit, "
+                        "%zu coalesced)\n",
+                        ex.variantSpace(true).size(),
+                        resolveJobs(opt.jobs), sweepSeconds,
+                        cache.misses, cache.hits, cache.coalesced);
             std::printf("best combo: %lld cycles, IPC %.2f, %.2f mm^2, "
                         "%.1f us\n",
                         static_cast<long long>(best.cycles), best.ipc,
@@ -318,7 +279,6 @@ main(int argc, char **argv)
             sopt.population = population;
             sopt.objective = objective;
             sopt.base = opt;
-            sopt.dopts = dopts;
             const auto t0 = std::chrono::steady_clock::now();
             ParetoSearch search(ex, SearchSpace::standard(ex), sopt);
             const SearchResult sres = search.run();
@@ -342,9 +302,6 @@ main(int argc, char **argv)
                             sres.stats.pointCacheHits,
                             sres.stats.pointCachePuts);
             }
-            if (opt.dseWorkers > 0)
-                std::printf("distributor: %s\n",
-                            dstats.describe().c_str());
             std::printf("Pareto frontier (%zu points, fingerprint "
                         "%016llx):\n",
                         sres.frontier.size(),
