@@ -126,7 +126,8 @@ main()
 
     // The batched verifier workload stays 2 Miller loops no matter the
     // batch size (both terms merge onto {g2, [tau]g2}); the bisection
-    // fallback here re-checks the halves, still on 2 bases each.
+    // here evaluates only the honest half, still on 2 bases, and
+    // derives the forged half's value from the batch's.
     std::printf("batch stats: %zu products, %zu Miller loops, "
                 "%zu bisect splits\n",
                 stats.products, stats.pairings, stats.bisectSplits);

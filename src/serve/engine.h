@@ -67,7 +67,9 @@ struct ServeCounters
     size_t batches = 0;        ///< batches executed
     size_t products = 0;       ///< pairing products evaluated
     size_t pairings = 0;       ///< terms across all products
-    size_t singleFallbacks = 0; ///< bisection-leaf single checks
+    /// one-request halves a bisection split reached (computed or
+    /// derived; a batch of one is not counted)
+    size_t singleFallbacks = 0;
     size_t bisectSplits = 0;   ///< batch splits forced by failures
     double totalLatencyMs = 0; ///< submit -> verdict, summed
     double maxLatencyMs = 0;   ///< worst single request

@@ -1,5 +1,7 @@
 #include "serve/verify.h"
 
+#include <algorithm>
+
 namespace finesse {
 
 namespace {
@@ -51,9 +53,12 @@ mergeByBase(const CurveSystem12 &sys, const BaseGroups &groups)
     return merged;
 }
 
-/** prod e(g1, g2) == 1 over merged terms (infinite sums drop out). */
-bool
-productIsOne(const CurveSystem12 &sys, const std::vector<PairTerm> &merged,
+/**
+ * prod e(g1, g2) over merged terms (infinite sums drop out): one
+ * pairing product, one final exponentiation.
+ */
+Fp12
+productValue(const CurveSystem12 &sys, const std::vector<PairTerm> &merged,
              BatchVerifyStats *stats)
 {
     std::vector<std::pair<AffinePt<Fp>, AffinePt<Fp2>>> product;
@@ -62,53 +67,114 @@ productIsOne(const CurveSystem12 &sys, const std::vector<PairTerm> &merged,
         if (!t.g1.infinity)
             product.emplace_back(t.g1, t.g2);
     }
-    if (stats != nullptr)
+    if (stats != nullptr) {
+        stats->products++;
         stats->pairings += product.size();
+    }
+    return sys.pairProduct(product);
+}
+
+/** Request j's RLC scalar r_j = a + b lambda mod r (curve/msm.h). */
+struct RlcScalar
+{
+    u64 a, b;
+};
+
+/**
+ * One scalar per request, drawn in index order from @p seed as two
+ * uniform 64-bit words; (0, 0) is redrawn as (1, 0), as a zero scalar
+ * would drop the request.
+ */
+std::vector<RlcScalar>
+drawScalars(const CurveSystem12 &sys, size_t n, u64 seed)
+{
+    FINESSE_REQUIRE(sys.endoScalarsInjective(),
+                    "RLC scalars a + b lambda are not injective mod r for ",
+                    sys.info().def.name);
+    Rng rng(seed);
+    std::vector<RlcScalar> scalars(n);
+    for (RlcScalar &s : scalars) {
+        s.a = rng.next();
+        s.b = rng.next();
+        if (s.a == 0 && s.b == 0)
+            s.a = 1;
+    }
+    return scalars;
+}
+
+/**
+ * The merged terms of requests [lo, hi) under their scalars. Grouping
+ * before scaling makes each G2 base one MSM.
+ */
+std::vector<PairTerm>
+mergeRange(const CurveSystem12 &sys,
+           const std::vector<const PairingCheck *> &checks,
+           const std::vector<RlcScalar> &scalars, size_t lo, size_t hi)
+{
+    BaseGroups groups;
+    for (size_t j = lo; j < hi; ++j) {
+        for (const PairTerm &t : checks[j]->terms)
+            groups.add(t, scalars[j].a, scalars[j].b);
+    }
+    return mergeByBase(sys, groups);
+}
+
+/**
+ * Bisection of one batch over GT values under one scalar draw. A node
+ * [lo, hi) has the value V = prod_{j in [lo, hi)} e_j^{r_j}, where e_j
+ * is request j's own product; a node with V = 1 accepts its range.
+ */
+struct Bisection
+{
+    const CurveSystem12 &sys;
+    const std::vector<const PairingCheck *> &checks;
+    const std::vector<RlcScalar> scalars;
+    std::vector<bool> &verdicts;
+    BatchVerifyStats *stats;
     const Fp12 one = Fp12::one(sys.tower().gtCtx());
-    return sys.pairProduct(product).equals(one);
-}
 
-/** Per-sub-batch seed: decorrelate the recursion's RLC draws. */
-u64
-mixSeed(u64 seed, u64 lo, u64 hi)
-{
-    u64 x = seed ^ (lo * 0x9e3779b97f4a7c15ull) ^
-            (hi * 0xc2b2ae3d27d4eb4full);
-    x ^= x >> 29;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 32;
-    return x;
-}
+    Fp12
+    value(size_t lo, size_t hi) const
+    {
+        return productValue(sys, mergeRange(sys, checks, scalars, lo, hi),
+                            stats);
+    }
 
-/** Bisection: fill verdicts[lo, hi) matching single verification. */
-void
-bisect(const CurveSystem12 &sys, const std::vector<PairingCheck> &checks,
-       size_t lo, size_t hi, u64 seed, std::vector<bool> &verdicts,
-       BatchVerifyStats *stats)
-{
-    if (hi - lo == 1) {
-        // A batch of one is checked alone from the start; only a leaf
-        // that a split reached is a fallback.
-        if (stats != nullptr && checks.size() > 1)
+    /**
+     * Fill verdicts[lo, hi) from the node's value @p v. A one-request
+     * node counts as a single check whether its value was computed or
+     * derived; with V != 1 it rejects (its verdict stays false) at no
+     * further cost, as V = e_j^{r_j} and r_j != 0 mod r.
+     */
+    void
+    settle(size_t lo, size_t hi, const Fp12 &v)
+    {
+        if (v.equals(one)) {
+            std::fill(verdicts.begin() + lo, verdicts.begin() + hi, true);
+        } else if (hi - lo > 1) {
+            split(lo, hi, v);
+        }
+        if (hi - lo == 1 && stats != nullptr)
             stats->singleChecks++;
-        verdicts[lo] = verifySingle(sys, checks[lo], stats);
-        return;
     }
-    std::vector<const PairingCheck *> sub;
-    sub.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i)
-        sub.push_back(&checks[i]);
-    if (verifyBatchRLC(sys, sub, mixSeed(seed, lo, hi), stats)) {
-        for (size_t i = lo; i < hi; ++i)
-            verdicts[i] = true;
-        return;
+
+    /**
+     * A failed node costs one product: only the left half is
+     * evaluated, and the right half is V / V_L = V conj(V_L), as a
+     * final-exponentiation output lies in the cyclotomic subgroup,
+     * where conjugation inverts.
+     */
+    void
+    split(size_t lo, size_t hi, const Fp12 &v)
+    {
+        if (stats != nullptr)
+            stats->bisectSplits++;
+        const size_t mid = lo + (hi - lo) / 2;
+        const Fp12 left = value(lo, mid);
+        settle(lo, mid, left);
+        settle(mid, hi, v.mul(left.conj()));
     }
-    if (stats != nullptr)
-        stats->bisectSplits++;
-    const size_t mid = lo + (hi - lo) / 2;
-    bisect(sys, checks, lo, mid, seed, verdicts, stats);
-    bisect(sys, checks, mid, hi, seed, verdicts, stats);
-}
+};
 
 } // namespace
 
@@ -148,45 +214,19 @@ bool
 verifySingle(const CurveSystem12 &sys, const PairingCheck &check,
              BatchVerifyStats *stats)
 {
-    if (stats != nullptr)
-        stats->products++;
     BaseGroups groups;
     for (const PairTerm &t : check.terms)
         groups.add(t, 1, 0);
-    return productIsOne(sys, mergeByBase(sys, groups), stats);
+    return productValue(sys, mergeByBase(sys, groups), stats)
+        .equals(Fp12::one(sys.tower().gtCtx()));
 }
 
 std::vector<PairTerm>
 rlcMergedTerms(const CurveSystem12 &sys,
                const std::vector<const PairingCheck *> &checks, u64 seed)
 {
-    // Request j's scalar is r_j = a_j + b_j lambda mod r for two
-    // uniform 64-bit words, nonzero as a zero scalar would drop the
-    // request. Grouping before scaling makes each G2 base one MSM.
-    FINESSE_REQUIRE(sys.endoScalarsInjective(),
-                    "RLC scalars a + b lambda are not injective mod r for ",
-                    sys.info().def.name);
-    Rng rng(seed);
-    BaseGroups groups;
-    for (const PairingCheck *check : checks) {
-        u64 a = rng.next();
-        const u64 b = rng.next();
-        if (a == 0 && b == 0)
-            a = 1;
-        for (const PairTerm &t : check->terms)
-            groups.add(t, a, b);
-    }
-    return mergeByBase(sys, groups);
-}
-
-bool
-verifyBatchRLC(const CurveSystem12 &sys,
-               const std::vector<const PairingCheck *> &checks, u64 seed,
-               BatchVerifyStats *stats)
-{
-    if (stats != nullptr)
-        stats->products++;
-    return productIsOne(sys, rlcMergedTerms(sys, checks, seed), stats);
+    return mergeRange(sys, checks, drawScalars(sys, checks.size(), seed), 0,
+                      checks.size());
 }
 
 std::vector<bool>
@@ -195,9 +235,19 @@ verifyBatch(const CurveSystem12 &sys,
             BatchVerifyStats *stats)
 {
     std::vector<bool> verdicts(checks.size(), false);
-    if (checks.empty())
+    if (checks.size() < 2) {
+        // A batch of one is verified alone: no draw, no fallback.
+        if (!checks.empty())
+            verdicts[0] = verifySingle(sys, checks[0], stats);
         return verdicts;
-    bisect(sys, checks, 0, checks.size(), seed, verdicts, stats);
+    }
+    std::vector<const PairingCheck *> ptrs;
+    ptrs.reserve(checks.size());
+    for (const PairingCheck &c : checks)
+        ptrs.push_back(&c);
+    Bisection b{sys, ptrs, drawScalars(sys, checks.size(), seed), verdicts,
+                stats};
+    b.settle(0, checks.size(), b.value(0, checks.size()));
     return verdicts;
 }
 

@@ -46,12 +46,29 @@
  * A Groth16 batch with a shared verification key collapses onto N+3.
  * One final exponentiation covers the whole batch either way.
  *
- * When a batch fails, verifyBatch() bisects: each half is re-checked
- * as its own RLC batch, recursing down to single verifications, so
- * individual bad requests are pinpointed while all-valid subtrees
- * cost one product each. Verdicts are deterministic and identical to
- * per-request single verification (differential-tested in
- * tests/test_serve.cpp).
+ * Bisection. When a batch fails, verifyBatch() bisects over GT values
+ * (Law & Matt, "Finding invalid signatures in pairing-based batches",
+ * 2007). The scalars are drawn once per batch, in request order from
+ * the seed, and a node [lo, hi) has the value
+ *
+ *     V = prod_{j in [lo, hi)} e_j^{r_j},   e_j = request j's product.
+ *
+ * A node with V = 1 accepts its whole range. A failed node costs one
+ * product: only its left half V_L is evaluated, and the right half is
+ * derived as V_R = V conj(V_L) (a final-exponentiation output lies in
+ * the cyclotomic subgroup, where conjugation inverts). A one-request
+ * node with V != 1 rejects at no further cost, since V = e_j^{r_j}
+ * with r_j != 0 mod r. One bad request in N = 2^k costs 1 + k
+ * products, and a node whose value is 1 is never split.
+ *
+ * Soundness is that of one RLC pass. A derived value is exact GT
+ * algebra, under the same G1/G2 subgroup assumption that the RLC pass
+ * and phi already make. Only "V = 1 => every request in the node is
+ * valid" is probabilistic: over the one draw per batch it fails with
+ * probability at most (2N - 1) 2^-128, union-bounded over the 2N - 1
+ * nodes of the tree. Verdicts are deterministic for a fixed seed and
+ * identical to per-request single verification (differential-tested
+ * in tests/test_serve.cpp).
  */
 #ifndef FINESSE_SERVE_VERIFY_H_
 #define FINESSE_SERVE_VERIFY_H_
@@ -130,7 +147,8 @@ struct BatchVerifyStats
 {
     size_t products = 0;     ///< pairing products evaluated (any size)
     size_t pairings = 0;     ///< terms across all products
-    size_t singleChecks = 0; ///< single checks a bisection split reached
+    /// one-request nodes a bisection split reached, computed or derived
+    size_t singleChecks = 0;
     size_t bisectSplits = 0; ///< batch splits forced by a failure
 };
 
@@ -140,27 +158,19 @@ bool verifySingle(const CurveSystem12 &sys, const PairingCheck &check,
 
 /**
  * The scaling step of one RLC pass: request j's G1 points scaled by
- * r_j (drawn from @p seed) and summed per distinct G2 base, one term
- * per base in order of first appearance. A sum may be infinity.
- * Exposed so benchmarks can time the step on its own.
+ * r_j (drawn in request order from @p seed, as verifyBatch() draws
+ * them) and summed per distinct G2 base, one term per base in order
+ * of first appearance. A sum may be infinity. Exposed so benchmarks
+ * can time the step on its own.
  */
 std::vector<PairTerm> rlcMergedTerms(
     const CurveSystem12 &sys,
     const std::vector<const PairingCheck *> &checks, u64 seed);
 
 /**
- * One RLC pass over @p checks: true iff (whp) every check holds.
- * @p seed determines the random scalars; any seed yields correct
- * verdicts, a fixed seed yields a reproducible pairing schedule.
- */
-bool verifyBatchRLC(const CurveSystem12 &sys,
-                    const std::vector<const PairingCheck *> &checks,
-                    u64 seed, BatchVerifyStats *stats = nullptr);
-
-/**
  * Per-request verdicts for a batch: one RLC product when all pass,
- * bisection + single-verification fallback otherwise. Verdict i is
- * exactly verifySingle(checks[i]).
+ * bisection over GT values otherwise; a batch of one is verified
+ * singly. Verdict i equals verifySingle(checks[i]).
  */
 std::vector<bool> verifyBatch(const CurveSystem12 &sys,
                               const std::vector<PairingCheck> &checks,

@@ -184,6 +184,21 @@ TEST(CliHelp, UsageErrorsAndHelpExitCodes)
     EXPECT_NE(err.find("--help"), std::string::npos);
 }
 
+TEST(CliHelp, BadCommandLineFailsBeforeCompiling)
+{
+    // An unknown command (dse-worker was removed) and a deploy without
+    // its image file are usage errors found before any compile.
+    for (const char *args : {" dse-worker", " deploy"}) {
+        SCOPED_TRACE(args);
+        int rc = -1;
+        const std::string out = runCommand(
+            std::string(FINESSE_CLI_PATH) + args + " 2>&1", &rc);
+        EXPECT_EQ(rc, 2);
+        EXPECT_NE(out.find("usage: finesse_cli"), std::string::npos);
+        EXPECT_EQ(out.find("compiled"), std::string::npos) << out;
+    }
+}
+
 TEST(CliServe, ServesOneTcpClient)
 {
     // `timeout` bounds the server if the test fails before it sends

@@ -2,11 +2,13 @@
  * @file
  * Batched pairing-verification serving engine (src/serve/):
  * RLC batch correctness (accept iff all valid), bisection isolation
- * of individual bad requests and its fallback count, differential
- * identity against per-request single verification (each request
- * kind alone and mixed, batch sizes 1 to 16, a corrupted request
- * first, in the middle or last, two corrupted requests in one batch,
- * eight RLC seeds),
+ * of individual bad requests, its fallback count and its cost (one
+ * pairing product per split), differential identity against
+ * per-request single verification (on BN254N each request kind alone
+ * and mixed, batch sizes 1 to 16, a corrupted request first, in the
+ * middle or last, two corrupted requests in one batch, eight RLC
+ * seeds; on BLS12-381 a mixed batch of 16 with one to three corrupted
+ * requests, two seeds),
  * G2-base merge economy (Miller-loop counts), and the ServeEngine's
  * serial == concurrent verdict contract plus admission-queue
  * backpressure, and the serve command parser's rejection of malformed
@@ -131,6 +133,37 @@ TEST(ServeVerify, FallbacksCountOnlySplitLeaves)
     EXPECT_EQ(engine.counters().singleFallbacks, 0u);
 }
 
+TEST(ServeVerify, BisectionCostsOneProductPerSplit)
+{
+    const auto &sys = curveSystem12(kCurve);
+    WorkloadFactory factory(sys, 222);
+    // All valid: the root product alone.
+    {
+        BatchVerifyStats stats;
+        const auto checks = makeChecks(factory, RequestKind::Bls, 16, {});
+        EXPECT_EQ(verifyBatch(sys, checks, 9, &stats),
+                  std::vector<bool>(16, true));
+        EXPECT_EQ(stats.products, 1u);
+        EXPECT_EQ(stats.bisectSplits, 0u);
+        EXPECT_EQ(stats.singleChecks, 0u);
+    }
+    // One bad request in 16, at every position: the root, then one
+    // product per split (the left half; the right half is derived),
+    // log2(16) splits, and the two leaves of the last split.
+    for (int bad = 0; bad < 16; ++bad) {
+        SCOPED_TRACE(::testing::Message() << "bad #" << bad);
+        BatchVerifyStats stats;
+        const auto checks =
+            makeChecks(factory, RequestKind::Bls, 16, {bad});
+        const auto verdicts = verifyBatch(sys, checks, 9, &stats);
+        for (int i = 0; i < 16; ++i)
+            EXPECT_EQ(verdicts[i], i != bad) << "#" << i;
+        EXPECT_EQ(stats.products, 5u);
+        EXPECT_EQ(stats.bisectSplits, 4u);
+        EXPECT_EQ(stats.singleChecks, 2u);
+    }
+}
+
 TEST(ServeVerify, RlcDifferentialAgainstSingles)
 {
     const auto &sys = curveSystem12(kCurve);
@@ -174,6 +207,39 @@ TEST(ServeVerify, RlcDifferentialAgainstSingles)
                     EXPECT_EQ(verifyBatch(sys, checks, seed), singles);
                 }
             }
+        }
+    }
+}
+
+TEST(ServeVerify, RlcDifferentialAgainstSinglesBls12)
+{
+    // The 6-limb field: derived right halves and leaf rejections on
+    // BLS12-381, each kind in turn in one batch of 16.
+    const auto &sys = curveSystem12("BLS12-381");
+    WorkloadFactory factory(sys, 313);
+    const RequestKind kinds[] = {RequestKind::Bls, RequestKind::Kzg,
+                                 RequestKind::Zk};
+    const int n = 16;
+    // One bad; two in one half; two across the halves; three spread.
+    const std::vector<std::set<int>> patterns = {
+        {5}, {2, 6}, {0, n - 1}, {1, 8, 13}};
+    for (const std::set<int> &bad : patterns) {
+        std::vector<PairingCheck> checks;
+        std::vector<bool> singles;
+        std::string badList;
+        for (int i = 0; i < n; ++i) {
+            const bool corrupt = bad.count(i) != 0;
+            if (corrupt)
+                badList += " " + std::to_string(i);
+            checks.push_back(
+                reduceToCheck(sys, factory.make(kinds[i % 3], corrupt)));
+            singles.push_back(verifySingle(sys, checks.back()));
+            ASSERT_EQ(singles.back(), !corrupt);
+        }
+        for (const u64 seed : {3ull, 0xfeedfaceull}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "bad" << badList << " seed " << seed);
+            EXPECT_EQ(verifyBatch(sys, checks, seed), singles);
         }
     }
 }

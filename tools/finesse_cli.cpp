@@ -185,6 +185,12 @@ main(int argc, char **argv)
     if (positional.empty())
         return usage();
     const std::string command = positional[0];
+    // Reject a bad command line before any config load or compile.
+    bool known = false;
+    for (const CliDoc &d : kCliCommands)
+        known = known || command == d.name;
+    if (!known || (command == "deploy" && positional.size() < 3))
+        return usage();
 
     // An empty DIR explicitly disables the cache.
     if (haveArtifactCache)
@@ -371,8 +377,6 @@ main(int argc, char **argv)
             std::printf("%s", res.binary.disassemble(24).c_str());
             return 0;
         } else if (command == "deploy") {
-            if (positional.size() < 3)
-                return usage();
             saveProgramFile(positional[2], res.binary, fw.info().p);
             std::printf("program image written to %s (%zu words, "
                         "%zu constants)\n",
