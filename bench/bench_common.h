@@ -2,16 +2,13 @@
  * @file
  * Shared helpers for the paper-reproduction benchmark harnesses.
  */
-#ifndef FINESSE_BENCH_BENCH_COMMON_H_
-#define FINESSE_BENCH_BENCH_COMMON_H_
+#ifndef FINESSE_BENCHCOMMON_H_
+#define FINESSE_BENCHCOMMON_H_
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "support/table.h"
 
@@ -51,75 +48,18 @@ banner(const char *title)
 }
 
 /**
- * Flat JSON emitter for machine-readable bench results (BENCH_*.json):
- * insertion-ordered keys, number/string values, no dependencies. Used
- * to track the perf trajectory (e.g. serial vs parallel sweep wall
- * time) across PRs.
+ * A bench's speedup floor: prints the ratio against @p floor and
+ * returns false (the bench then exits non-zero) when it falls below.
  */
-class BenchJson
+inline bool
+meetsFloor(const char *metric, double speedup, double floor)
 {
-  public:
-    BenchJson &
-    num(const std::string &key, double value)
-    {
-        std::ostringstream os;
-        os << value; // shortest round-trippable-enough form
-        fields_.emplace_back(key, os.str());
-        return *this;
-    }
-
-    BenchJson &
-    count(const std::string &key, size_t value)
-    {
-        fields_.emplace_back(key, std::to_string(value));
-        return *this;
-    }
-
-    BenchJson &
-    str(const std::string &key, const std::string &value)
-    {
-        std::string quoted = "\"";
-        for (char c : value) {
-            if (c == '"' || c == '\\')
-                quoted += '\\';
-            quoted += c;
-        }
-        quoted += '"';
-        fields_.emplace_back(key, quoted);
-        return *this;
-    }
-
-    std::string
-    dump() const
-    {
-        std::string out = "{";
-        for (size_t i = 0; i < fields_.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += "\"" + fields_[i].first + "\": " + fields_[i].second;
-        }
-        out += "}\n";
-        return out;
-    }
-
-    /** Write to @p path; prints a note, warns (non-fatal) on failure. */
-    void
-    write(const std::string &path) const
-    {
-        std::ofstream out(path);
-        if (!out) {
-            std::fprintf(stderr, "warning: cannot write %s\n",
-                         path.c_str());
-            return;
-        }
-        out << dump();
-        std::printf("wrote %s\n", path.c_str());
-    }
-
-  private:
-    std::vector<std::pair<std::string, std::string>> fields_;
-};
+    const bool ok = speedup >= floor;
+    std::fprintf(ok ? stdout : stderr, "%s %s %.2fx, floor %.2fx\n",
+                 ok ? "ok:" : "FAIL:", metric, speedup, floor);
+    return ok;
+}
 
 } // namespace finesse
 
-#endif // FINESSE_BENCH_BENCH_COMMON_H_
+#endif // FINESSE_BENCHCOMMON_H_

@@ -7,9 +7,10 @@
  *
  * For the largest traced curve the comparison is repeated for every
  * single-pass ablation, since the contract is identical final modules
- * for ANY `--passes` subset, not just the default pipeline. Results
- * go to BENCH_opt.json so the front-end speedup is tracked across
- * PRs alongside BENCH_dse.json.
+ * for ANY `--passes` subset, not just the default pipeline.
+ *
+ * Exits non-zero on any module mismatch, and, on the full catalog,
+ * when the largest curve's speedup falls below kSpeedupFloor.
  */
 #include <chrono>
 
@@ -20,6 +21,13 @@
 using namespace finesse;
 
 namespace {
+
+/**
+ * 80 % of the BLS24-509 speedup (4.603x) measured on a 1-core
+ * container. The margin is thin: that curve measures about 3.9x on a
+ * 4-vCPU VM.
+ */
+constexpr double kSpeedupFloor = 0.8 * 4.60334;
 
 struct EngineRun
 {
@@ -61,9 +69,6 @@ main()
                 "instrs", "after", "iters", "sweep s", "worklist s",
                 "speedup", "same");
 
-    BenchJson json;
-    json.count("curves", curves.size());
-
     std::string largest;
     size_t largestInstrs = 0;
     double largestSpeedup = 0.0;
@@ -91,11 +96,6 @@ main()
                     worklist.seconds, speedup,
                     identical ? "yes" : "NO");
 
-        json.num(name + "_sweep_s", sweep.seconds)
-            .num(name + "_worklist_s", worklist.seconds)
-            .num(name + "_speedup", speedup)
-            .count(name + "_identical", identical ? 1 : 0);
-
         if (raw.size() > largestInstrs) {
             largestInstrs = raw.size();
             largest = name;
@@ -105,7 +105,6 @@ main()
 
     // Ablation identity on the largest curve: the worklist engine must
     // match the sweep engine for every single-pass pipeline too.
-    size_t ablationsIdentical = 0;
     if (!largest.empty()) {
         const ICurveHandle &h = curveHandle(largest);
         const Module raw = h.trace(VariantConfig{}, TracePart::Full, false);
@@ -118,7 +117,6 @@ main()
             const bool identical = sweep.module == worklist.module;
             ++totalRuns;
             identicalRuns += identical;
-            ablationsIdentical += identical;
             std::printf("  %-16s %9zu -> %9zu  %6.3fs vs %6.3fs  %s\n",
                         pass.c_str(), raw.size(),
                         worklist.module.size(), sweep.seconds,
@@ -131,12 +129,10 @@ main()
                 largest.c_str(), largestSpeedup, identicalRuns,
                 totalRuns);
 
-    json.str("largest", largest)
-        .num("largest_speedup", largestSpeedup)
-        .count("ablations_identical", ablationsIdentical)
-        .count("identical_runs", identicalRuns)
-        .count("total_runs", totalRuns);
-    json.write("BENCH_opt.json");
-
-    return identicalRuns == totalRuns ? 0 : 1;
+    // The floor binds on the full catalog only: the fast run's largest
+    // curve is BLS12-381, a different ratio.
+    const bool floorOk =
+        fastMode() || meetsFloor("largest-curve speedup",
+                                 largestSpeedup, kSpeedupFloor);
+    return identicalRuns == totalRuns && floorOk ? 0 : 1;
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * Search-based Pareto DSE against the exhaustive Fig. 10 grid, plus
- * the persistent artifact cache's warm-vs-cold trajectory
- * (BENCH_search.json).
+ * the persistent artifact cache's warm-vs-cold speedup.
  *
  * Four legs on BN254N (three tower levels -> the paper-shaped
  * 55-point grid: 3 preset + 8 mul-variant combos x 5 pipeline
@@ -20,20 +19,18 @@
  *              On the first invocation this populates the cache; from
  *              the second invocation on, every design point is a
  *              point-artifact hit, so NO front-end trace is performed
- *              (trace_hit_rate 1.0, frontend_traces_performed 0 --
- *              the CI double-run gate).
+ *              (prints "trace hit rate 1.00 | 0 traces performed",
+ *              which the CI double-run gate greps for).
  *  4. warm  -- the search once more in the same process against the
- *              now-hot cache: wall time is pure cache replay.
- *              warm_speedup = cold/warm is gated by bench_check; the
- *              emitted value is capped (the raw ratio's denominator
- *              is milliseconds and would make the 20%-drop gate
- *              flaky; the cap keeps the gate meaningful at the scale
- *              the acceptance bar cares about).
+ *              now-hot cache: wall time is pure cache replay. The
+ *              cold/warm speedup must reach kWarmSpeedupFloor.
  *
  * Determinism: all three search legs must produce the SAME frontier
- * fingerprint (dse/search.h contract); any divergence fails the run.
+ * fingerprint (dse/search.h contract); any divergence fails the run,
+ * as does a searched frontier that misses a grid-frontier point or a
+ * search that evaluates under 10x the grid. FINESSE_FAST changes
+ * nothing here.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -46,6 +43,13 @@
 using namespace finesse;
 
 namespace {
+
+/**
+ * 80 % of 25x. A warm re-search is pure cache replay, thousands of
+ * times faster than cold; the floor fails only when replay stops being
+ * orders of magnitude faster.
+ */
+constexpr double kWarmSpeedupFloor = 0.8 * 25.0;
 
 double
 wallSeconds(const std::chrono::steady_clock::time_point &t0)
@@ -82,24 +86,9 @@ main()
                                                : "fig_search_cache";
     configureArtifactCache("");
 
-    // Leg 1: the exhaustive Fig. 10 grid (presets + mul-variant
-    // space x pipeline models), exactly the enumeration the search
-    // replaces.
-    std::vector<VariantConfig> cfgs = {ex.manualHeuristic(),
-                                       ex.allSchoolbook(),
-                                       ex.allKaratsuba()};
-    const auto space = ex.variantSpace(true);
-    cfgs.insert(cfgs.end(), space.begin(), space.end());
-    std::vector<DseRequest> reqs;
-    for (const PipelineModel &hw : fig10HardwareModels()) {
-        for (const VariantConfig &cfg : cfgs) {
-            DseRequest req;
-            req.opt.variants = cfg;
-            req.opt.hw = hw;
-            req.label = "grid";
-            reqs.push_back(std::move(req));
-        }
-    }
+    // Leg 1: the exhaustive Fig. 10 grid, exactly the enumeration the
+    // search replaces.
+    const std::vector<DseRequest> reqs = fig10Grid(ex);
     clearTraceCache();
     const auto tGrid = std::chrono::steady_clock::now();
     const std::vector<DsePoint> grid = ex.evaluateAll(reqs, jobs);
@@ -145,9 +134,8 @@ main()
     const double warmSeconds = wallSeconds(tWarm);
     const u64 fpWarm = frontierFingerprint(warm.frontier);
 
-    const double warmSpeedupRaw =
+    const double warmSpeedup =
         warmSeconds > 0 ? coldSeconds / warmSeconds : 0.0;
-    const double warmSpeedup = std::min(warmSpeedupRaw, 25.0);
 
     // Acceptance checks ------------------------------------------------
     size_t failures = 0;
@@ -191,12 +179,9 @@ main()
                      coverageX, cold.stats.evaluatedUnique, grid.size());
         ++failures;
     }
-    if (warmSpeedup <= 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: warm re-search speedup %.2fx (need > 2x)\n",
-                     warmSpeedup);
+    if (!meetsFloor("warm re-search speedup", warmSpeedup,
+                    kWarmSpeedupFloor))
         ++failures;
-    }
 
     std::printf("grid: %zu points in %.2f s -> %zu-point frontier\n",
                 grid.size(), gridSeconds, gridFrontier.size());
@@ -207,11 +192,11 @@ main()
                 static_cast<unsigned long long>(cold.stats.spaceSize),
                 cold.frontier.size(), hex16(fpCold).c_str());
     std::printf("frontier covers grid: %s\n", covers ? "yes" : "NO");
-    std::printf("cold %.2f s | warm %.3f s | speedup %.1fx "
-                "(raw %.1fx) | trace hit rate %.2f | %zu traces "
-                "performed | point cache: %zu hits, %zu puts\n",
-                coldSeconds, warmSeconds, warmSpeedup, warmSpeedupRaw,
-                traceHitRate, tracesPerformed,
+    std::printf("cold %.2f s | warm %.3f s | speedup %.1fx | trace "
+                "hit rate %.2f | %zu traces performed | point cache: "
+                "%zu hits, %zu puts\n",
+                coldSeconds, warmSeconds, warmSpeedup, traceHitRate,
+                tracesPerformed,
                 prime.stats.pointCacheHits, prime.stats.pointCachePuts);
 
     TextTable t;
@@ -222,31 +207,6 @@ main()
                fmtK(p.thptPerArea)});
     }
     t.print();
-
-    BenchJson json;
-    json.str("bench", "fig_search")
-        .str("curve", curve)
-        .str("mode", fastMode() ? "fast" : "full")
-        .count("space_size", static_cast<size_t>(cold.stats.spaceSize))
-        .count("grid_points", grid.size())
-        .count("grid_frontier_points", gridFrontier.size())
-        .count("searched_unique", cold.stats.evaluatedUnique)
-        .num("coverage_x", coverageX)
-        .count("frontier_points", cold.frontier.size())
-        .count("frontier_covers_grid", covers ? 1 : 0)
-        .count("determinism_mismatches", determinismMismatches)
-        .str("frontier_fingerprint", hex16(fpCold))
-        .num("grid_seconds", gridSeconds)
-        .num("cold_seconds", coldSeconds)
-        .num("warm_seconds", warmSeconds)
-        .num("warm_speedup", warmSpeedup)
-        .num("warm_speedup_raw", warmSpeedupRaw)
-        .num("trace_hit_rate", traceHitRate)
-        .count("frontend_traces_performed", tracesPerformed)
-        .count("point_cache_hits", prime.stats.pointCacheHits)
-        .count("point_cache_puts", prime.stats.pointCachePuts)
-        .count("jobs", static_cast<size_t>(jobs));
-    json.write("BENCH_search.json");
 
     return failures == 0 ? 0 : 1;
 }

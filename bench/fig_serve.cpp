@@ -16,16 +16,13 @@
  * Identity gate: every batched verdict is differential-checked
  * against per-request single verification (clean streams AND a dirty
  * stream with corrupted requests that the bisection fallback must
- *isolate). Any mismatch — or a best batched speedup below the 2x
- * acceptance bar — exits non-zero, so CI fails on correctness, not
- * just on trend (tools/bench_check.py gates the `speedup` field
- * against bench/baselines/BENCH_serve.json).
+ * isolate). Any mismatch — or a best mixed-stream batched speedup
+ * below kSpeedupFloor, in either mode — exits non-zero.
  *
- * Scaling share: `<curve>_<kind>_rlc_scale_ms` times the G1 side of
- * one 16-request RLC pass (rlcMergedTerms: one endomorphism MSM per
- * G2 base), `<curve>_<kind>_rlc_scale_oracle_ms` the same step done
- * the way it was before, by 128-bit double-and-add per term. Both are
- * advisory (no gate).
+ * Scaling share: the "rlc scale ms" column times the G1 side of one
+ * 16-request RLC pass (rlcMergedTerms: one endomorphism MSM per G2
+ * base), "oracle ms" the same step done the way it was before, by
+ * 128-bit double-and-add per term. Both are advisory (no gate).
  *
  * FINESSE_FAST=1 restricts to BN254N; the full run adds BLS12-381.
  */
@@ -39,6 +36,12 @@
 using namespace finesse;
 
 namespace {
+
+/**
+ * 80 % of the BN254N mixed-stream speedup (3.303x) measured in fast
+ * mode on a 1-core container.
+ */
+constexpr double kSpeedupFloor = 0.8 * 3.30254;
 
 constexpr int kBatch = 16;
 constexpr int kRequests = 32; // per kind, per curve
@@ -218,13 +221,6 @@ main()
     if (!fastMode())
         curves.push_back("BLS12-381");
 
-    BenchJson json;
-    json.str("bench", "fig_serve")
-        .str("mode", fastMode() ? "fast" : "full")
-        .count("curves", curves.size())
-        .count("batch", kBatch)
-        .count("requests_per_kind", kRequests);
-
     TextTable table;
     table.header({"curve", "kind", "single s", "batched s", "speedup",
                   "miller single", "miller batched", "rlc scale ms",
@@ -254,15 +250,6 @@ main()
                        std::to_string(res.singlePairings),
                        std::to_string(res.batchedPairings),
                        fmt(scaleMs, 3), fmt(oracleMs, 3)});
-            const std::string prefix =
-                curve + "_" + toString(kind) + "_";
-            json.num(prefix + "single_seconds", res.singleSeconds)
-                .num(prefix + "batched_seconds", res.batchedSeconds)
-                .num(prefix + "speedup", res.speedup())
-                .count(prefix + "miller_single", res.singlePairings)
-                .count(prefix + "miller_batched", res.batchedPairings)
-                .num(prefix + "rlc_scale_ms", scaleMs)
-                .num(prefix + "rlc_scale_oracle_ms", oracleMs);
         }
         const double curveSpeedup =
             curveBatched > 0 ? curveSingle / curveBatched : 0;
@@ -270,7 +257,6 @@ main()
         table.row({curve, "ALL", fmt(curveSingle, 3),
                    fmt(curveBatched, 3), fmt(curveSpeedup, 2) + "x", "",
                    "", "", ""});
-        json.num(curve + "_mixed_speedup", curveSpeedup);
         mismatches += runDirtyIdentity(sys, factory);
     }
     table.print();
@@ -299,25 +285,16 @@ main()
                     "%zu batches, avg latency %.2f ms)\n",
                     c.completed, served, double(c.completed) / served,
                     c.batches, c.avgLatencyMs());
-        json.num("serve_rps", double(c.completed) / served)
-            .count("serve_batches", c.batches)
-            .num("serve_avg_latency_ms", c.avgLatencyMs());
     }
 
-    json.num("speedup", gateSpeedup).count(
-        "identity_mismatches", static_cast<size_t>(mismatches));
-    json.write("BENCH_serve.json");
-
-    std::printf("\nmixed-stream batched speedup at batch %d: %.2fx "
-                "(acceptance bar 2x); identity mismatches: %d\n",
+    std::printf("\nmixed-stream batched speedup at batch %d: %.2fx; "
+                "identity mismatches: %d\n",
                 kBatch, gateSpeedup, mismatches);
     if (mismatches > 0) {
         std::fprintf(stderr, "FAIL: batched verdicts diverged\n");
         return 1;
     }
-    if (gateSpeedup < 2.0) {
-        std::fprintf(stderr, "FAIL: batched speedup below 2x\n");
-        return 1;
-    }
-    return 0;
+    const bool floorOk = meetsFloor("mixed-stream batched speedup",
+                                    gateSpeedup, kSpeedupFloor);
+    return floorOk ? 0 : 1;
 }

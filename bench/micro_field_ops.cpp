@@ -3,8 +3,9 @@
  * Microbenchmark of the fixed-limb Montgomery kernels (bigint/montkernel.h)
  * against the generic runtime-width CIOS oracle, across the catalog
  * curves' base fields: mul/sqr/inv latency and kernel-vs-generic speedup
- * per curve, plus the aggregate gated `speedup` (mul+sqr throughput
- * ratio on the 4-limb BN254N field, the dominant pairing width).
+ * per curve, plus the aggregate speedup (mul+sqr throughput ratio on
+ * the 4-limb BN254N field, the dominant pairing width), which must
+ * reach kSpeedupFloor in either mode.
  *
  * Measurement methodology: this machine's clock drifts enough between
  * runs to swamp a 2x ratio, so each kernel/generic pair is measured in
@@ -24,6 +25,13 @@
 
 namespace finesse {
 namespace {
+
+/**
+ * 80 % of the aggregate (3.234x) measured on a 1-core container with
+ * the BMI2+ADX asm kernel; a CPU without ADX lands nearer 2x and
+ * fails it.
+ */
+constexpr double kSpeedupFloor = 0.8 * 3.23355;
 
 /**
  * Time two operations in interleaved adjacent batches over four
@@ -141,9 +149,6 @@ main()
                 "inv", "fermat", "x");
     bool allIdentical = true;
     double aggregate = 0;
-    BenchJson json;
-    json.str("bench", "micro_field_ops");
-    json.count("curves", results.size());
     for (const CurveResult &r : results) {
         std::printf("%-11s %5zu  %6.1fns %6.1fns %6.2fx  %6.1fns %6.1fns "
                     "%6.2fx  %7.2fus %7.2fus %6.2fx\n",
@@ -151,13 +156,6 @@ main()
                     r.mulGeneric / r.mulKernel, r.sqrKernel, r.sqrGeneric,
                     r.sqrGeneric / r.sqrKernel, r.invXgcd / 1e3,
                     r.invFermat / 1e3, r.invFermat / r.invXgcd);
-        json.num(r.name + "_mul_ns", r.mulKernel);
-        json.num(r.name + "_sqr_ns", r.sqrKernel);
-        json.num(r.name + "_inv_ns", r.invXgcd);
-        json.num(r.name + "_mul_speedup", r.mulGeneric / r.mulKernel);
-        json.num(r.name + "_sqr_speedup", r.sqrGeneric / r.sqrKernel);
-        json.num(r.name + "_inv_speedup", r.invFermat / r.invXgcd);
-        json.count(r.name + "_identical", r.identical ? 1 : 0);
         allIdentical = allIdentical && r.identical;
         if (r.name == "BN254N") {
             aggregate = (r.mulGeneric + r.sqrGeneric) /
@@ -166,11 +164,9 @@ main()
     }
     // The gated aggregate: mul+sqr throughput ratio on the 4-limb BN254N
     // base field (spare-top-bit fast path; ADX asm where the CPU has it).
-    json.num("speedup", aggregate);
-    json.count("identical_curves", allIdentical ? results.size() : 0);
-    json.write("BENCH_field.json");
-
     std::printf("\nBN254N mul+sqr throughput speedup: %.2fx%s\n", aggregate,
                 allIdentical ? "" : "  [IDENTITY MISMATCH]");
-    return allIdentical ? 0 : 1;
+    const bool floorOk =
+        meetsFloor("BN254N mul+sqr speedup", aggregate, kSpeedupFloor);
+    return allIdentical && floorOk ? 0 : 1;
 }

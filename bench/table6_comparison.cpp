@@ -5,7 +5,9 @@
  * (Ikeda et al. [10]). Baseline rows are the published numbers
  * (recorded constants); our rows are produced by the full Finesse
  * flow: compile -> cycle simulation -> area/timing models -> FPGA
- * mapping / 65 nm technology scaling.
+ * mapping / 65 nm technology scaling. The four headline ratios come
+ * from table6Ratios() (hwmodel/area.h), which the table6.BN254N
+ * golden pins.
  */
 #include "bench_common.h"
 #include "dse/explorer.h"
@@ -73,19 +75,13 @@ main()
     t.print();
 
     // Headline ratios (paper: 34x / 6.2x vs FlexiPair; 3x / 3.2x vs
-    // the fixed ASIC at 65nm-equivalent).
-    const double oursFpgaOps = fpgaMHz * 1e6 / cycles;
-    const double oursFpgaEff = oursFpgaOps / FpgaModel::slices(a1);
-    const double mhz65 =
-        TechScale::scaleFreq(asicMHz, TechNode::N40LP, TechNode::N65);
-    const double area65 =
-        TechScale::scaleArea(a8.totalArea, TechNode::N40LP, TechNode::N65);
-    const double ours65kops = 8 * mhz65 * 1e3 / cycles;
+    // the fixed ASIC at 65nm-equivalent), pinned by test_hwmodel.
+    const Table6Ratios r = table6Ratios(bits, 38, cycles, a1, a8);
     std::printf("\nHeadline ratios (ours vs baselines):\n");
     std::printf("  vs FlexiPair:  throughput %.1fx, ops/slice %.1fx\n",
-                oursFpgaOps / 70.7, oursFpgaEff / 0.028);
+                r.flexiPairThpt, r.flexiPairOpsPerSlice);
     std::printf("  vs Ikeda ASIC: throughput %.1fx, kops/mm^2 %.1fx "
                 "(65nm equiv.)\n",
-                ours65kops / 17.8, (ours65kops / area65) / 1.39);
+                r.ikedaThpt, r.ikedaKopsPerMm2);
     return 0;
 }

@@ -56,8 +56,8 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--pass-stats", "print the per-pass instruction/time attribution"},
     {"--no-trace-cache", "disable the front-end trace cache"},
     {"--jobs=N",
-     "worker threads: `dse` sweep fan-out and `serve`/`verify-batch` "
-     "verifier lanes (0 = hardware concurrency, 1 = serial)"},
+     "worker threads: `dse` sweep fan-out and `serve` verifier lanes "
+     "(0 = hardware concurrency, 1 = serial)"},
     {"--search-seed=N",
      "RNG seed of the `dse-search` loop (default 1); a fixed seed "
      "gives a bit-identical frontier for any --jobs"},

@@ -371,4 +371,28 @@ fig10HardwareModels()
     return models;
 }
 
+std::vector<DseRequest>
+fig10Grid(const Explorer &ex)
+{
+    std::vector<VariantConfig> cfgs = {ex.manualHeuristic(),
+                                       ex.allSchoolbook(),
+                                       ex.allKaratsuba()};
+    const char *const presetLabels[kFig10Presets] = {"Manual", "All sch.",
+                                                     "All karat."};
+    const std::vector<VariantConfig> space = ex.variantSpace(true);
+    cfgs.insert(cfgs.end(), space.begin(), space.end());
+
+    std::vector<DseRequest> reqs;
+    for (const PipelineModel &hw : fig10HardwareModels()) {
+        for (size_t c = 0; c < cfgs.size(); ++c) {
+            DseRequest req;
+            req.opt.variants = cfgs[c];
+            req.opt.hw = hw;
+            req.label = c < kFig10Presets ? presetLabels[c] : "probe";
+            reqs.push_back(std::move(req));
+        }
+    }
+    return reqs;
+}
+
 } // namespace finesse

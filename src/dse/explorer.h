@@ -175,6 +175,19 @@ class Explorer
  */
 std::vector<PipelineModel> fig10HardwareModels();
 
+/** Preset rows leading each model's block of fig10Grid(). */
+inline constexpr size_t kFig10Presets = 3;
+
+/**
+ * The Fig. 10 grid: the Manual, All-Schoolbook and All-Karatsuba
+ * presets (labeled "Manual", "All sch.", "All karat.") then the
+ * mul-variant space (labeled "probe"), on every fig10HardwareModels()
+ * model. Model-major, so ADJACENT requests carry DISTINCT trace keys
+ * and a parallel sweep traces different keys concurrently instead of
+ * piling onto one in-flight trace.
+ */
+std::vector<DseRequest> fig10Grid(const Explorer &ex);
+
 } // namespace finesse
 
 #endif // FINESSE_DSE_EXPLORER_H_

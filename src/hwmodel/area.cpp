@@ -81,4 +81,25 @@ AreaModel::report(const DesignPoint &dp) const
     return r;
 }
 
+Table6Ratios
+table6Ratios(int fpBits, int longDepth, double cycles,
+             const AreaReport &oneCore, const AreaReport &eightCore)
+{
+    const double fpgaOps =
+        FpgaModel::frequencyMHz(fpBits, longDepth) * 1e6 / cycles;
+    const double mhz65 =
+        TechScale::scaleFreq(TimingModel().frequencyMHz(fpBits, longDepth),
+                             TechNode::N40LP, TechNode::N65);
+    const double area65 = TechScale::scaleArea(
+        eightCore.totalArea, TechNode::N40LP, TechNode::N65);
+    const double kops65 = 8 * mhz65 * 1e3 / cycles;
+
+    Table6Ratios r;
+    r.flexiPairThpt = fpgaOps / 70.7;
+    r.flexiPairOpsPerSlice = fpgaOps / FpgaModel::slices(oneCore) / 0.028;
+    r.ikedaThpt = kops65 / 17.8;
+    r.ikedaKopsPerMm2 = kops65 / area65 / 1.39;
+    return r;
+}
+
 } // namespace finesse

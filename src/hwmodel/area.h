@@ -186,6 +186,29 @@ struct TechScale
     }
 };
 
+/**
+ * Table 6 headline ratios of one design against the published
+ * baselines: its 1-core FPGA mapping against FlexiPair [17] (Virtex-7,
+ * 70.7 ops/s, 0.028 ops/slice), and its 8-core ASIC at 65 nm
+ * equivalent against Ikeda et al. [10] (17.8 kops/s, 1.39 kops/mm^2).
+ */
+struct Table6Ratios
+{
+    double flexiPairThpt = 0;
+    double flexiPairOpsPerSlice = 0;
+    double ikedaThpt = 0;
+    double ikedaKopsPerMm2 = 0;
+};
+
+/**
+ * The ratios for a pairing of @p cycles cycles on a @p fpBits-bit
+ * datapath with a @p longDepth-stage multiplier; @p oneCore and
+ * @p eightCore are its 40 nm LP area reports.
+ */
+Table6Ratios table6Ratios(int fpBits, int longDepth, double cycles,
+                          const AreaReport &oneCore,
+                          const AreaReport &eightCore);
+
 } // namespace finesse
 
 #endif // FINESSE_HWMODEL_AREA_H_

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -89,14 +90,13 @@ printStats(FILE *to, const ServeCounters &c)
 /** Submit with client-side backoff: honor retry-after and resubmit. */
 Admission
 submitWithRetry(ServeEngine &engine, const VerifyRequest &req,
-                int *retries)
+                int &retries)
 {
     for (;;) {
         Admission adm = engine.submit(req);
         if (adm.admitted)
             return adm;
-        if (retries)
-            ++*retries;
+        ++retries;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(adm.retryAfterMs));
     }
@@ -115,7 +115,7 @@ runKindCommand(ServeEngine &engine, WorkloadFactory &factory,
         futures.push_back(
             submitWithRetry(engine,
                             factory.make(c.kind, c.corrupt.count(i) > 0),
-                            &retries)
+                            retries)
                 .verdict);
     }
     std::string verdicts;
@@ -324,51 +324,57 @@ runVerifyBatchCommand(const ServeCliOptions &opts)
                              : parseIndexList(opts.corrupt, total);
 
     WorkloadFactory factory(sys, opts.engine.seed);
-    std::vector<VerifyRequest> requests;
+    std::vector<PairingCheck> checks;
     std::vector<RequestKind> kinds;
     for (const auto &[kind, count] : mix) {
         for (int i = 0; i < count; ++i) {
-            const int global = static_cast<int>(requests.size());
-            requests.push_back(
-                factory.make(kind, corrupt.count(global) > 0));
+            const int global = static_cast<int>(checks.size());
+            checks.push_back(reduceToCheck(
+                sys, factory.make(kind, corrupt.count(global) > 0)));
             kinds.push_back(kind);
         }
     }
 
-    // Reference verdicts: per-request single verification.
-    std::vector<bool> single;
-    for (const VerifyRequest &req : requests)
-        single.push_back(verifySingle(sys, reduceToCheck(sys, req)));
-
-    ServeEngine engine(sys, opts.engine);
-    std::vector<std::future<Verdict>> futures;
-    for (const VerifyRequest &req : requests)
-        futures.push_back(
-            submitWithRetry(engine, req, nullptr).verdict);
+    // Consecutive --batch chunks, chunk i under the seed the engine
+    // gives its i-th batch.
+    BatchVerifyStats stats;
+    std::vector<bool> batched;
+    const size_t batch = static_cast<size_t>(opts.engine.batchSize);
+    for (size_t from = 0; from < checks.size(); from += batch) {
+        const std::vector<PairingCheck> chunk(
+            checks.begin() + from,
+            checks.begin() + std::min(checks.size(), from + batch));
+        const u64 i = from / batch;
+        const std::vector<bool> verdicts =
+            verifyBatch(sys, chunk, opts.engine.seed ^ (i * 2 + 1), &stats);
+        batched.insert(batched.end(), verdicts.begin(), verdicts.end());
+    }
 
     int mismatches = 0;
     size_t accepted = 0;
-    for (size_t i = 0; i < futures.size(); ++i) {
-        const bool engineOk = futures[i].get() == Verdict::Accept;
+    for (size_t i = 0; i < checks.size(); ++i) {
+        const bool single = verifySingle(sys, checks[i]);
         const bool expected = corrupt.count(static_cast<int>(i)) == 0;
-        accepted += engineOk;
-        if (engineOk != single[i] || engineOk != expected) {
+        accepted += batched[i];
+        if (batched[i] != single || batched[i] != expected) {
             mismatches++;
             std::fprintf(stderr,
-                         "MISMATCH #%zu kind=%s engine=%s single=%s "
+                         "MISMATCH #%zu kind=%s batch=%s single=%s "
                          "expected=%s\n",
                          i, toString(kinds[i]),
-                         engineOk ? "accept" : "reject",
-                         single[i] ? "accept" : "reject",
+                         batched[i] ? "accept" : "reject",
+                         single ? "accept" : "reject",
                          expected ? "accept" : "reject");
         }
     }
-    engine.drain();
-    printStats(stdout, engine.counters());
+    std::printf("batches=%zu products=%zu pairings=%zu "
+                "single_fallbacks=%zu bisect_splits=%zu\n",
+                (checks.size() + batch - 1) / batch, stats.products,
+                stats.pairings, stats.singleChecks, stats.bisectSplits);
     std::printf("verify-batch %s n=%zu accepted=%zu rejected=%zu "
                 "corrupted=%zu\n",
-                mismatches ? "MISMATCH" : "OK", requests.size(),
-                accepted, requests.size() - accepted, corrupt.size());
+                mismatches ? "MISMATCH" : "OK", checks.size(), accepted,
+                checks.size() - accepted, corrupt.size());
     return mismatches ? 1 : 0;
 }
 

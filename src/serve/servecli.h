@@ -25,11 +25,13 @@
  * `flood` or `err` — greppable from CI and scriptable over a socket.
  *
  * verify-batch — one-shot synchronous mode: build the --workload
- * request mix, run it through the engine, and differential-check
- * every engine verdict against per-request single verification AND
- * against the --corrupt expectation. Any disagreement exits
- * non-zero. This is the identity gate `bench/fig_serve` and CI rely
- * on.
+ * request mix, verify it with verifyBatch in consecutive chunks of
+ * --batch requests (chunk i under the seed the engine gives its i-th
+ * batch), and differential-check every verdict against per-request
+ * single verification AND against the --corrupt expectation. Any
+ * disagreement exits non-zero. No engine runs, so the batch count and
+ * the printed product count are exact for a given mix, which CI
+ * asserts.
  */
 #ifndef FINESSE_SERVE_SERVECLI_H_
 #define FINESSE_SERVE_SERVECLI_H_
@@ -47,7 +49,7 @@ namespace finesse {
 struct ServeCliOptions
 {
     std::string curve = "BN254N";
-    ServeOptions engine;       ///< --batch/--queue/--jobs
+    ServeOptions engine; ///< --batch/--queue/--jobs (verify-batch: --batch)
     int servePort = -1;        ///< >= 0: accept one TCP client (serve)
     std::string workload = "bls:16"; ///< verify-batch request mix
     std::string corrupt;       ///< verify-batch indices to corrupt

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "dse/explorer.h"
+#include "dse/search.h"
 #include "golden.h"
 
 namespace finesse {
@@ -133,6 +134,22 @@ TEST(Dse, Fig10ModelsValid)
     expectGolden("fig10.BN254N.init",
                  goldenFormat("cycles=%lld", static_cast<long long>(
                                                  pts.back().cycles)));
+}
+
+TEST(Dse, Fig10GridFrontierGolden)
+{
+    // The Pareto frontier of the full Fig. 10 grid (the 55 points
+    // bench_fig10_dse and bench_fig_search sweep) on BN254N.
+    Explorer ex("BN254N");
+    const std::vector<DseRequest> grid = fig10Grid(ex);
+    ASSERT_EQ(grid.size(), 55u);
+    const std::vector<DsePoint> frontier =
+        paretoFrontier(ex.evaluateAll(grid, 1));
+    expectGolden("fig10.BN254N.frontier",
+                 goldenFormat("points=%zu fingerprint=%016llx",
+                              frontier.size(),
+                              static_cast<unsigned long long>(
+                                  frontierFingerprint(frontier))));
 }
 
 } // namespace

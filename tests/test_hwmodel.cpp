@@ -8,6 +8,8 @@
 
 #include <climits>
 
+#include "core/framework.h"
+#include "golden.h"
 #include "hwmodel/area.h"
 
 namespace finesse {
@@ -121,6 +123,23 @@ TEST(FpgaModel, SliceCalibration)
     EXPECT_GT(slices, 8000);
     EXPECT_LT(slices, 22000);
     EXPECT_NEAR(FpgaModel::frequencyMHz(254, 38), 160.0, 30.0);
+}
+
+TEST(Table6, HeadlineRatiosGolden)
+{
+    // The default BN254N compile, as bench_table6_comparison reports it.
+    Framework fw("BN254N");
+    const CompileResult res = fw.compile(CompileOptions{});
+    const double cycles =
+        static_cast<double>(simulateCycles(res.prog).totalCycles);
+    const Table6Ratios r = table6Ratios(fw.info().logP(), 38, cycles,
+                                        fw.area(res, 1), fw.area(res, 8));
+    expectGolden("table6.BN254N",
+                 goldenFormat("flexipair_thpt=%.17g "
+                              "flexipair_ops_per_slice=%.17g "
+                              "ikeda_thpt=%.17g ikeda_kops_per_mm2=%.17g",
+                              r.flexiPairThpt, r.flexiPairOpsPerSlice,
+                              r.ikedaThpt, r.ikedaKopsPerMm2));
 }
 
 TEST(PipelineModelChecks, LatencyTable)
