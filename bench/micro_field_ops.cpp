@@ -16,11 +16,17 @@
  *
  * Also a correctness gate: kernel and generic results are compared on
  * every stream at the end; any mismatch exits non-zero.
+ *
+ * A BN254N Fp2 row times the base field's Fp2 kernels
+ * (MontCtx::fp2Mul/fp2Sqr) against the eager schoolbook formulas on
+ * the generic oracle, interleaved the same way, and gates on their
+ * results matching. It has no speedup floor.
  */
 #include "bench_common.h"
 
 #include "bigint/mont.h"
 #include "curve/catalog.h"
+#include "field/tower.h"
 #include "support/rng.h"
 
 namespace finesse {
@@ -37,10 +43,10 @@ constexpr double kSpeedupFloor = 0.8 * 3.23355;
  * Time two operations in interleaved adjacent batches over four
  * independent dependency streams; returns per-op nanoseconds for each.
  */
-template <typename FA, typename FB>
+template <typename T, typename FA, typename FB>
 void
-pairNs(Residue *s, const Residue &b, int batch, int reps, FA opA, FB opB,
-       double &nsA, double &nsB)
+pairNs(T *s, const T &b, int batch, int reps, FA opA, FB opB, double &nsA,
+       double &nsB)
 {
     double ta = 0, tb = 0;
     for (int r = 0; r < reps; ++r) {
@@ -127,6 +133,114 @@ benchCurve(const CurveInfo &info)
     return res;
 }
 
+/** An Fp2 element (c0, c1) as raw Montgomery residues. */
+using Fp2Raw = std::array<Residue, 2>;
+
+struct Fp2Result
+{
+    i64 q = 0;
+    double mulKernel = 0, mulEager = 0;
+    double sqrKernel = 0, sqrEager = 0;
+    bool identical = true;
+};
+
+/** The eager oracle: schoolbook Fp2 formulas on the generic ops. */
+struct EagerFp2
+{
+    const MontCtx &ctx;
+    i64 q;
+
+    /** q * x by repeated generic add/sub. */
+    Residue
+    timesQ(const Residue &x) const
+    {
+        Residue acc{};
+        for (i64 i = 0; i < (q < 0 ? -q : q); ++i) {
+            if (q < 0)
+                ctx.subGeneric(acc, acc, x);
+            else
+                ctx.addGeneric(acc, acc, x);
+        }
+        return acc;
+    }
+
+    void
+    mul(Fp2Raw &r, const Fp2Raw &a, const Fp2Raw &b) const
+    {
+        Residue t00{}, t11{}, t01{}, t10{};
+        ctx.mulGeneric(t00, a[0], b[0]);
+        ctx.mulGeneric(t11, a[1], b[1]);
+        ctx.mulGeneric(t01, a[0], b[1]);
+        ctx.mulGeneric(t10, a[1], b[0]);
+        ctx.addGeneric(r[0], t00, timesQ(t11));
+        ctx.addGeneric(r[1], t01, t10);
+    }
+
+    void
+    sqr(Fp2Raw &r, const Fp2Raw &a) const
+    {
+        Residue s0{}, s1{}, m{};
+        ctx.sqrGeneric(s0, a[0]);
+        ctx.sqrGeneric(s1, a[1]);
+        ctx.mulGeneric(m, a[0], a[1]);
+        ctx.addGeneric(r[0], s0, timesQ(s1));
+        ctx.addGeneric(r[1], m, m);
+    }
+};
+
+/** BN254N's Fp2 kernels against the eager oracle. */
+Fp2Result
+benchFp2(const CurveInfo &info)
+{
+    Fp2Result res;
+    i64 xi0, xi1;
+    searchTowerNonResidues(info.p, res.q, xi0, xi1);
+    const MontCtx ctx(info.p);
+    const EagerFp2 eager{ctx, res.q};
+    const i64 q = res.q;
+
+    Rng rng(79);
+    auto randElem = [&] {
+        return Fp2Raw{ctx.toMont(BigInt::randomBelow(rng, info.p)),
+                      ctx.toMont(BigInt::randomBelow(rng, info.p))};
+    };
+    Fp2Raw s[4];
+    for (auto &x : s)
+        x = randElem();
+    const Fp2Raw b = randElem();
+
+    const bool fast = fastMode();
+    const int batch = fast ? 500 : 5000;
+    const int reps = fast ? 5 : 15;
+    pairNs(
+        s, b, batch, reps,
+        [&](Fp2Raw &r, const Fp2Raw &o) {
+            ctx.fp2Mul(r[0], r[1], r[0], r[1], o[0], o[1], q);
+        },
+        [&](Fp2Raw &r, const Fp2Raw &o) { eager.mul(r, r, o); },
+        res.mulKernel, res.mulEager);
+    pairNs(
+        s, b, batch, reps,
+        [&](Fp2Raw &r, const Fp2Raw &) {
+            ctx.fp2Sqr(r[0], r[1], r[0], r[1], q);
+        },
+        [&](Fp2Raw &r, const Fp2Raw &) { eager.sqr(r, r); },
+        res.sqrKernel, res.sqrEager);
+
+    // Identity gate: replay mul and sqr on both sides from each stream.
+    for (const Fp2Raw &start : s) {
+        Fp2Raw k = start, g = start;
+        for (int i = 0; i < 64; ++i) {
+            ctx.fp2Mul(k[0], k[1], k[0], k[1], b[0], b[1], q);
+            eager.mul(g, g, b);
+            ctx.fp2Sqr(k[0], k[1], k[0], k[1], q);
+            eager.sqr(g, g);
+        }
+        res.identical = res.identical && k == g;
+    }
+    return res;
+}
+
 } // namespace
 } // namespace finesse
 
@@ -162,6 +276,16 @@ main()
                         (r.mulKernel + r.sqrKernel);
         }
     }
+    // BN254N Fp2: the kernels against the eager oracle (no floor).
+    const Fp2Result fp2 = benchFp2(deriveCurveInfo(findCurve("BN254N")));
+    std::printf("\nBN254N Fp2 (u^2 = %lld)  mul %6.1fns eager %6.1fns "
+                "%5.2fx  sqr %6.1fns eager %6.1fns %5.2fx%s\n",
+                static_cast<long long>(fp2.q), fp2.mulKernel, fp2.mulEager,
+                fp2.mulEager / fp2.mulKernel, fp2.sqrKernel, fp2.sqrEager,
+                fp2.sqrEager / fp2.sqrKernel,
+                fp2.identical ? "" : "  [IDENTITY MISMATCH]");
+    allIdentical = allIdentical && fp2.identical;
+
     // The gated aggregate: mul+sqr throughput ratio on the 4-limb BN254N
     // base field (spare-top-bit fast path; ADX asm where the CPU has it).
     std::printf("\nBN254N mul+sqr throughput speedup: %.2fx%s\n", aggregate,

@@ -185,32 +185,6 @@ MontCtx::mulGeneric(Residue &r, const Residue &a, const Residue &b) const
 }
 
 void
-MontCtx::sumOfProductsGeneric(Residue &r, const MontTerm *terms,
-                              size_t count) const
-{
-    // Reduce every product eagerly: the semantics the lazy kernel must
-    // reproduce bit-for-bit.
-    Residue acc{};
-    for (size_t i = 0; i < count; ++i) {
-        Residue a{}, b{}, prod{};
-        limbs::copy(a.data(), terms[i].a, n_);
-        limbs::copy(b.data(), terms[i].b, n_);
-        mulGeneric(prod, a, b);
-        i64 c = terms[i].coeff;
-        const bool negate = c < 0;
-        if (negate)
-            c = -c;
-        for (i64 rep = 0; rep < c; ++rep) {
-            if (negate)
-                subGeneric(acc, acc, prod);
-            else
-                addGeneric(acc, acc, prod);
-        }
-    }
-    r = acc;
-}
-
-void
 MontCtx::pow(Residue &r, const Residue &a, const BigInt &e) const
 {
     FINESSE_REQUIRE(!e.isNegative(), "negative exponent in MontCtx::pow");

@@ -133,20 +133,53 @@ class MontCtx
     }
 
     /**
-     * r = sum_i coeff_i * a_i * b_i with a single Montgomery reduction
-     * (lazy reduction). Each term points at the limbs of a Residue.
-     * Coefficients must be small (|coeff| and their sum comfortably
-     * below 2^60); inputs are fully reduced residues and the result is
-     * fully reduced.
+     * (r0 + r1 u) = (a0 + a1 u)(b0 + b1 u) in Fp2 = Fp[u]/(u^2 - q) for
+     * a small integer non-residue q: the context's one Fp2 multiply
+     * (Karatsuba), picked at construction with the multiplier: the
+     * ADX one on montMulAdx4 is inlined like mul (through the table it
+     * took about 1.5x as long on BN254N); other contexts take their
+     * table's kernel. Outputs may alias inputs but not each other.
      */
     void
-    sumOfProducts(Residue &r, const MontTerm *terms, size_t count) const
+    fp2Mul(Residue &r0, Residue &r1, const Residue &a0, const Residue &a1,
+           const Residue &b0, const Residue &b1, i64 q) const
     {
-        for (size_t i = 0; i < count; ++i) {
-            checkTail(terms[i].a);
-            checkTail(terms[i].b);
+        checkTail(a0.data());
+        checkTail(a1.data());
+        checkTail(b0.data());
+        checkTail(b1.data());
+        switch (fast_) {
+#if FINESSE_HAVE_X86_ADX
+          case FastPath::kAdx4:
+            fp2MulAdx4(r0.data(), r1.data(), a0.data(), a1.data(),
+                       b0.data(), b1.data(), q, params());
+            return;
+#endif
+          default:
+            vt_->fp2Mul(r0.data(), r1.data(), a0.data(), a1.data(),
+                        b0.data(), b1.data(), q, params());
         }
-        vt_->sumOfProducts(r.data(), terms, count, params());
+    }
+
+    /** (r0 + r1 u) = (a0 + a1 u)^2 in Fp[u]/(u^2 - q): complex
+     *  squaring, two products. Dispatch and aliasing as fp2Mul. */
+    void
+    fp2Sqr(Residue &r0, Residue &r1, const Residue &a0, const Residue &a1,
+           i64 q) const
+    {
+        checkTail(a0.data());
+        checkTail(a1.data());
+        switch (fast_) {
+#if FINESSE_HAVE_X86_ADX
+          case FastPath::kAdx4:
+            fp2SqrAdx4(r0.data(), r1.data(), a0.data(), a1.data(), q,
+                       params());
+            return;
+#endif
+          default:
+            vt_->fp2Sqr(r0.data(), r1.data(), a0.data(), a1.data(), q,
+                        params());
+        }
     }
 
     /** r = a^e (e is a plain non-negative integer, not a residue). */
@@ -188,9 +221,6 @@ class MontCtx
     {
         mulGeneric(r, a, a);
     }
-
-    void sumOfProductsGeneric(Residue &r, const MontTerm *terms,
-                              size_t count) const;
 
     /** Montgomery representation of 1. */
     const Residue &one() const { return rModP_; }
@@ -241,7 +271,7 @@ class MontCtx
     Residue pLimbs_{};   ///< modulus limbs
     Residue rModP_{};    ///< R mod p (Montgomery one)
     Residue r2ModP_{};   ///< R^2 mod p (for toMont)
-    std::array<u64, 2 * kMaxLimbs> pSquared_{}; ///< p^2 (lazy negatives)
+    std::array<u64, 2 * kMaxLimbs> pSquared_{}; ///< p^2 (lazy Fp2 c0)
 };
 
 } // namespace finesse

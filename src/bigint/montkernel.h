@@ -3,9 +3,10 @@
  * Fixed-limb Montgomery kernels: a MontKernel<N> template family whose
  * loop bounds are compile-time constants, so every curve width gets fully
  * unrolled, allocation-free CIOS multiplication, a dedicated squaring
- * kernel (cross-product doubling), unrolled linear ops, and a split
- * wideMul / montRedc pair that enables lazy (single-reduction)
- * sum-of-products accumulation in the extension tower.
+ * kernel (cross-product doubling), unrolled linear ops, and the base
+ * field's one Fp2 multiply and square (Fp[u]/(u^2 - q)): Karatsuba and
+ * complex squaring over a split wideMul / redc pair, so each Fp2
+ * coefficient takes a single Montgomery reduction.
  *
  * MontCtx (bigint/mont.h) selects one KernelVTable per context at
  * construction — a single indirect call per operation replaces the
@@ -13,9 +14,10 @@
  * whose top limb is <= kSpareBitTopLimbMax (every catalog curve) get
  * the spare-top-bit table, whose fused single-scratch CIOS multiply
  * (mulSpareBit, the gnark "no-carry" shape) drops the overflow-limb
- * bookkeeping entirely. On x86-64 with BMI2+ADX, 4-limb spare-bit
- * contexts additionally bypass the vtable for a hand-scheduled
- * mulx/adcx/adox dual-carry-chain asm kernel (montMulAdx4), selected at
+ * bookkeeping entirely and whose Fp2 kernels reduce lazily. On x86-64
+ * with BMI2+ADX, 4-limb spare-bit contexts additionally bypass the
+ * vtable for a hand-scheduled mulx/adcx/adox dual-carry-chain asm
+ * kernel (montMulAdx4) and the Fp2 kernels built on it, selected at
  * context construction via cpuHasAdx(). The generic runtime-width
  * implementation stays in MontCtx as the differential oracle
  * (mulGeneric/sqrGeneric/...); tests/test_montkernel.cpp checks every
@@ -24,14 +26,15 @@
  *
  * Value contract: all kernel entry points take fully reduced Montgomery
  * residues (< p) and produce fully reduced residues, touching only the
- * low N limbs of their destination. Intermediate values inside
- * sumOfProducts may exceed p (that is the point of lazy reduction); the
- * final conditional-subtract loop restores the invariant before the
- * value escapes.
+ * low N limbs of their destination. Intermediate values inside the Fp2
+ * kernels may exceed p (that is the point of lazy reduction); the
+ * final conditional subtract restores the invariant before the value
+ * escapes.
  */
 #ifndef FINESSE_BIGINT_MONTKERNEL_H_
 #define FINESSE_BIGINT_MONTKERNEL_H_
 
+#include <bit>
 #include <cstddef>
 
 #include "bigint/limbs.h"
@@ -42,22 +45,14 @@ namespace finesse {
 /**
  * Per-modulus constants a kernel needs, passed by reference so the same
  * instantiation serves every context of its width. pSquared (2N limbs,
- * p^2) turns negatively-signed lazy terms into non-negative ones:
- * c * (p^2 - a*b) == -c * a*b (mod p) for residues a, b < p.
+ * p^2) turns the lazy Fp2 difference a0*b0 - a1*b1 non-negative when
+ * it borrows.
  */
 struct MontParams
 {
     const u64 *p;        ///< modulus, N limbs
     const u64 *pSquared; ///< p^2, 2N limbs
     u64 n0inv;           ///< -p^-1 mod 2^64
-};
-
-/** One lazy term: coeff * a * b with a small signed integer coeff. */
-struct MontTerm
-{
-    const u64 *a;
-    const u64 *b;
-    i64 coeff;
 };
 
 /**
@@ -196,37 +191,14 @@ struct MontKernel
      * r = a^2 * R^-1 mod p: dedicated squaring, valid for any modulus.
      * The wide square needs only N(N+1)/2 word products (off-diagonal
      * cross products are doubled by a shift) instead of the N^2 of
-     * wideMul, then one streamlined Montgomery reduction whose per-round
-     * carry is deferred to the next round's high-limb write (no ripple).
+     * wideMul, then one Montgomery reduction.
      */
     static FINESSE_FORCE_INLINE void
     sqr(u64 *r, const u64 *a, const MontParams &prm)
     {
         u64 t[2 * N];
         wideSqr(t, a);
-        u64 carry2 = 0;
-        for (size_t i = 0; i < N; ++i) {
-            const u64 m = t[i] * prm.n0inv;
-            // j = 0: the low word of m*p[0] + t[i] is zero by choice of
-            // m and t[i] is never read again — only the carry matters.
-            u64 carry = static_cast<u64>(
-                (static_cast<u128>(m) * prm.p[0] + t[i]) >> 64);
-            for (size_t j = 1; j < N; ++j) {
-                const u128 s =
-                    static_cast<u128>(m) * prm.p[j] + t[i + j] + carry;
-                t[i + j] = static_cast<u64>(s);
-                carry = static_cast<u64>(s >> 64);
-            }
-            const u128 s =
-                static_cast<u128>(t[i + N]) + carry + carry2;
-            t[i + N] = static_cast<u64>(s);
-            carry2 = static_cast<u64>(s >> 64);
-        }
-        // Result = t[N..2N) + carry2 * R, and it is < 2p: one
-        // conditional subtract restores full reduction.
-        for (size_t i = 0; i < N; ++i)
-            r[i] = t[i + N];
-        condSub(r, prm.p, carry2);
+        redc(r, t, prm);
     }
 
     // Lazy-reduction building blocks --------------------------------------
@@ -302,24 +274,20 @@ struct MontKernel
     }
 
     /**
-     * Montgomery-reduce a (2N+2)-limb accumulator in place:
-     * r = t * R^-1 mod p, fully reduced. The accumulator may hold any
-     * value below 2^64 * p * R (ample for small-coefficient
-     * sums-of-products); the trailing conditional-subtract loop runs
-     * once per multiple of p left over, i.e. at most sum(|coeff|)+1
-     * times.
+     * r = t * R^-1 mod p, fully reduced, for a 2N-limb t < p * R (t is
+     * clobbered). The result is below t / R + p < 2p, so one
+     * conditional subtract finishes it. Each round's carry out of the
+     * t[i+N] write is deferred to the next round's write one limb up
+     * (carry2) instead of rippling through t.
      */
     static FINESSE_FORCE_INLINE void
-    montRedc(u64 *r, u64 *t, const MontParams &prm)
+    redc(u64 *r, u64 *t, const MontParams &prm)
     {
-        // Per-round carry out of the t[i+N] write lands exactly where
-        // the next round writes (t[i+1+N]), so it is deferred in carry2
-        // instead of rippling through the accumulator.
         u64 carry2 = 0;
         for (size_t i = 0; i < N; ++i) {
             const u64 m = t[i] * prm.n0inv;
-            // j = 0: only the carry of m*p[0] + t[i] matters (low word
-            // is zero by choice of m; t[i] is never read again).
+            // j = 0: the low word of m*p[0] + t[i] is zero by choice of
+            // m and t[i] is never read again — only the carry matters.
             u64 carry = static_cast<u64>(
                 (static_cast<u128>(m) * prm.p[0] + t[i]) >> 64);
             for (size_t j = 1; j < N; ++j) {
@@ -333,71 +301,233 @@ struct MontKernel
             t[i + N] = static_cast<u64>(s);
             carry2 = static_cast<u64>(s >> 64);
         }
-        const u128 sTop = static_cast<u128>(t[2 * N]) + carry2;
-        t[2 * N] = static_cast<u64>(sTop);
-        t[2 * N + 1] += static_cast<u64>(sTop >> 64);
-        // Result = t[N .. 2N+1]; extra limbs hold the multiple-of-p
-        // excess. Subtract p until the value drops below p — note the
-        // overflow limbs reaching zero does NOT mean the value is
-        // reduced (it may still be several multiples of p that happen to
-        // fit in N limbs), so the loop must also compare against p. It
-        // runs at most sum(|coeff|)+1 times.
-        u64 *hi = t + N;
-        while ((hi[N] | hi[N + 1]) != 0 || !lessThan(hi, prm.p)) {
-            u64 borrow = 0;
-            for (size_t i = 0; i < N; ++i) {
-                const u128 s =
-                    static_cast<u128>(hi[i]) - prm.p[i] - borrow;
-                hi[i] = static_cast<u64>(s);
-                borrow = static_cast<u64>(-(s >> 64)) & 1;
-            }
-            const u128 s0 = static_cast<u128>(hi[N]) - borrow;
-            hi[N] = static_cast<u64>(s0);
-            hi[N + 1] -= static_cast<u64>(-(s0 >> 64)) & 1;
-        }
+        // Result = t[N..2N) + carry2 * R.
         for (size_t i = 0; i < N; ++i)
-            r[i] = hi[i];
+            r[i] = t[i + N];
+        condSub(r, prm.p, carry2);
+    }
+
+    // Fp2 = Fp[u]/(u^2 - q) ----------------------------------------------
+    //
+    // kSpareBit says the modulus leaves its top bit free (2p < R; the
+    // spare-bit vtable). Then a sum of two residues fits N limbs and,
+    // for q = -1, the Fp2 kernels keep their products wide with one
+    // reduction per output coefficient: every wide value reduced below
+    // is < 2p^2 < p * R, the bound redc needs. Otherwise (no spare bit,
+    // or q != -1) they run the reduced forms, which take fully reduced
+    // Montgomery products. Outputs may alias inputs: all products are
+    // formed before r0 or r1 is written. r0 and r1 must not alias each
+    // other.
+
+    /** Montgomery multiply and modular add/sub, as the reduced forms
+     *  take them. */
+    using MulFn = void (*)(u64 *, const u64 *, const u64 *,
+                           const MontParams &);
+    using LinFn = void (*)(u64 *, const u64 *, const u64 *, const u64 *);
+
+    /**
+     * (r0 + r1 u) = (a0 + a1 u)(b0 + b1 u): Karatsuba, three products.
+     * c1 = (a0+a1)(b0+b1) - a0 b0 - a1 b1, c0 = a0 b0 + q a1 b1.
+     */
+    template <bool kSpareBit>
+    static void
+    fp2Mul(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, const u64 *b0,
+           const u64 *b1, i64 q, const MontParams &prm)
+    {
+        if constexpr (kSpareBit) {
+            if (q == -1) {
+                u64 sa[N], sb[N], v0[2 * N], v1[2 * N], t[2 * N];
+                addWide<N>(sa, a0, a1);
+                addWide<N>(sb, b0, b1);
+                wideMul(v0, a0, b0);
+                wideMul(v1, a1, b1);
+                wideMul(t, sa, sb);
+                // a0 b1 + a1 b0 in [0, 2p^2): the subtractions never
+                // borrow out.
+                subWide<2 * N>(t, t, v0);
+                subWide<2 * N>(t, t, v1);
+                // a0 b0 - a1 b1, lifted by p^2 when negative: [0, p^2).
+                const u64 borrow = subWide<2 * N>(v0, v0, v1);
+                addMasked<2 * N>(v0, prm.pSquared, u64{0} - borrow);
+                redc(r0, v0, prm);
+                redc(r1, t, prm);
+                return;
+            }
+        }
+        fp2MulReduced<&mulFor<kSpareBit>, &addMod, &subMod>(
+            r0, r1, a0, a1, b0, b1, q, prm);
     }
 
     /**
-     * r = (sum_i coeff_i * a_i * b_i) * R^-1 mod p with ONE Montgomery
-     * reduction. Negative coefficients are folded through
-     * |c| * (p^2 - a*b), which is congruent and non-negative. This is
-     * the lazy-reduction hook behind Fp::sumOfProducts and the tower's
-     * 2-reduction Fp2 multiplication.
+     * (r0 + r1 u) = (a0 + a1 u)^2: complex squaring, two products.
+     * c1 = 2 a0 a1, c0 = (a0 + a1)(a0 + q a1) - (1 + q) a0 a1, which for
+     * q = -1 is (a0 + a1)(a0 - a1).
      */
+    template <bool kSpareBit>
     static void
-    sumOfProducts(u64 *r, const MontTerm *terms, size_t k,
+    fp2Sqr(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
+           const MontParams &prm)
+    {
+        if constexpr (kSpareBit) {
+            if (q == -1) {
+                u64 s[N], d[N], a0x2[N], t[2 * N], u[2 * N];
+                addWide<N>(s, a0, a1);    // < 2p
+                addWide<N>(a0x2, a0, a0); // < 2p
+                subMod(d, a0, a1, prm.p);
+                wideMul(t, s, d);
+                wideMul(u, a0x2, a1);
+                redc(r0, t, prm);
+                redc(r1, u, prm);
+                return;
+            }
+        }
+        fp2SqrReduced<&mulFor<kSpareBit>, &addMod, &subMod>(r0, r1, a0, a1,
+                                                            q, prm);
+    }
+
+    /** fp2Mul on fully reduced products: 3 kMul, mod add/sub. */
+    template <MulFn kMul, LinFn kAdd, LinFn kSub>
+    static FINESSE_FORCE_INLINE void
+    fp2MulReduced(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1,
+                  const u64 *b0, const u64 *b1, i64 q,
                   const MontParams &prm)
     {
-        u64 acc[2 * N + 2] = {0};
-        u64 t[2 * N];
-        for (size_t term = 0; term < k; ++term) {
-            const i64 c = terms[term].coeff;
-            if (c == 0)
-                continue;
-            if (terms[term].a == terms[term].b)
-                wideSqr(t, terms[term].a);
-            else
-                wideMul(t, terms[term].a, terms[term].b);
-            if (c < 0) {
-                // t := p^2 - t (non-negative since a, b < p).
-                u64 borrow = 0;
-                for (size_t i = 0; i < 2 * N; ++i) {
-                    const u128 s = static_cast<u128>(prm.pSquared[i]) -
-                                   t[i] - borrow;
-                    t[i] = static_cast<u64>(s);
-                    borrow = static_cast<u64>(-(s >> 64)) & 1;
-                }
-            }
-            const u64 scale =
-                c < 0 ? static_cast<u64>(-(c + 1)) + 1 : static_cast<u64>(c);
-            scaleAdd(acc, t, scale);
+        u64 sa[N], sb[N], v0[N], v1[N], t[N];
+        kAdd(sa, a0, a1, prm.p);
+        kAdd(sb, b0, b1, prm.p);
+        kMul(v0, a0, b0, prm);
+        kMul(v1, a1, b1, prm);
+        kMul(t, sa, sb, prm);
+        kSub(t, t, v0, prm.p);
+        kSub(r1, t, v1, prm.p);
+        // c0 = v0 - (-q) v1.
+        if (q != -1)
+            mulSmall(v1, v1, -q, prm.p);
+        kSub(r0, v0, v1, prm.p);
+    }
+
+    /** fp2Sqr on fully reduced products: 2 kMul, mod add/sub. */
+    template <MulFn kMul, LinFn kAdd, LinFn kSub>
+    static FINESSE_FORCE_INLINE void
+    fp2SqrReduced(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
+                  const MontParams &prm)
+    {
+        u64 s[N], d[N], v[N];
+        kAdd(s, a0, a1, prm.p);
+        if (q == -1) {
+            kSub(d, a0, a1, prm.p);
+        } else {
+            mulSmall(d, a1, q, prm.p);
+            kAdd(d, a0, d, prm.p);
         }
-        montRedc(r, acc, prm);
+        kMul(v, a0, a1, prm);
+        kMul(d, s, d, prm);
+        if (q != -1) {
+            mulSmall(s, v, q + 1, prm.p);
+            kSub(d, d, s, prm.p);
+        }
+        for (size_t i = 0; i < N; ++i)
+            r0[i] = d[i];
+        kAdd(r1, v, v, prm.p);
     }
 
   private:
+    // Branch-free modular linear ops for the Fp2 kernels ---------------
+
+    /** r = a + b mod p, selected by mask (no branch on the data). */
+    static FINESSE_FORCE_INLINE void
+    addMod(u64 *r, const u64 *a, const u64 *b, const u64 *p)
+    {
+        u64 s[N];
+        const u64 carry = addWide<N>(s, a, b);
+        u64 d[N];
+        const u64 borrow = subWide<N>(d, s, p);
+        // Keep s only when it neither carried out nor reached p.
+        const u64 keepS = u64{0} - (borrow & (carry ^ 1));
+        for (size_t i = 0; i < N; ++i)
+            r[i] = (s[i] & keepS) | (d[i] & ~keepS);
+    }
+
+    /** r = a - b mod p: adds p back under a borrow mask. */
+    static FINESSE_FORCE_INLINE void
+    subMod(u64 *r, const u64 *a, const u64 *b, const u64 *p)
+    {
+        const u64 borrow = subWide<N>(r, a, b);
+        addMasked<N>(r, p, u64{0} - borrow);
+    }
+
+    /** r = q * a mod p for a small integer q: double-and-add on |q|. */
+    static void
+    mulSmall(u64 *r, const u64 *a, i64 q, const u64 *p)
+    {
+        const u64 k = q < 0 ? u64{0} - static_cast<u64>(q)
+                            : static_cast<u64>(q);
+        u64 acc[N] = {0};
+        for (int bit = std::bit_width(k); bit-- > 0;) {
+            addMod(acc, acc, acc, p);
+            if ((k >> bit) & 1)
+                addMod(acc, acc, a, p);
+        }
+        if (q < 0) {
+            u64 zero[N] = {0};
+            subMod(acc, zero, acc, p);
+        }
+        for (size_t i = 0; i < N; ++i)
+            r[i] = acc[i];
+    }
+
+    /** The width's Montgomery multiply for the modulus class. */
+    template <bool kSpareBit>
+    static FINESSE_FORCE_INLINE void
+    mulFor(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
+    {
+        if constexpr (kSpareBit)
+            mulSpareBit(r, a, b, prm);
+        else
+            mul(r, a, b, prm);
+    }
+
+    /** r = a + b over M limbs; returns the carry out. */
+    template <size_t M>
+    static FINESSE_FORCE_INLINE u64
+    addWide(u64 *r, const u64 *a, const u64 *b)
+    {
+        u64 carry = 0;
+        for (size_t i = 0; i < M; ++i) {
+            const u128 t = static_cast<u128>(a[i]) + b[i] + carry;
+            r[i] = static_cast<u64>(t);
+            carry = static_cast<u64>(t >> 64);
+        }
+        return carry;
+    }
+
+    /** r = a - b over M limbs; returns the borrow out. */
+    template <size_t M>
+    static FINESSE_FORCE_INLINE u64
+    subWide(u64 *r, const u64 *a, const u64 *b)
+    {
+        u64 borrow = 0;
+        for (size_t i = 0; i < M; ++i) {
+            const u128 t = static_cast<u128>(a[i]) - b[i] - borrow;
+            r[i] = static_cast<u64>(t);
+            borrow = static_cast<u64>(-(t >> 64)) & 1;
+        }
+        return borrow;
+    }
+
+    /** r += b & mask over M limbs (mask is 0 or all ones). */
+    template <size_t M>
+    static FINESSE_FORCE_INLINE void
+    addMasked(u64 *r, const u64 *b, u64 mask)
+    {
+        u64 carry = 0;
+        for (size_t i = 0; i < M; ++i) {
+            const u128 t = static_cast<u128>(r[i]) + (b[i] & mask) + carry;
+            r[i] = static_cast<u64>(t);
+            carry = static_cast<u64>(t >> 64);
+        }
+    }
+
     /** a < b over N limbs. */
     static FINESSE_FORCE_INLINE bool
     lessThan(const u64 *a, const u64 *b)
@@ -422,39 +552,6 @@ struct MontKernel
                 borrow = static_cast<u64>(-(s >> 64)) & 1;
             }
         }
-    }
-
-    /** acc[0..2N+2) += scale * t[0..2N) for a small scale factor. */
-    static FINESSE_FORCE_INLINE void
-    scaleAdd(u64 *acc, const u64 *t, u64 scale)
-    {
-        if (scale == 1) {
-            u64 carry = 0;
-            for (size_t i = 0; i < 2 * N; ++i) {
-                const u128 s = static_cast<u128>(acc[i]) + t[i] + carry;
-                acc[i] = static_cast<u64>(s);
-                carry = static_cast<u64>(s >> 64);
-            }
-            for (size_t i = 2 * N; carry && i < 2 * N + 2; ++i) {
-                const u128 s = static_cast<u128>(acc[i]) + carry;
-                acc[i] = static_cast<u64>(s);
-                carry = static_cast<u64>(s >> 64);
-            }
-            return;
-        }
-        u64 mulCarry = 0;
-        u64 addCarry = 0;
-        for (size_t i = 0; i < 2 * N; ++i) {
-            const u128 pm = static_cast<u128>(t[i]) * scale + mulCarry;
-            mulCarry = static_cast<u64>(pm >> 64);
-            const u128 s = static_cast<u128>(acc[i]) +
-                           static_cast<u64>(pm) + addCarry;
-            acc[i] = static_cast<u64>(s);
-            addCarry = static_cast<u64>(s >> 64);
-        }
-        u128 s = static_cast<u128>(acc[2 * N]) + mulCarry + addCarry;
-        acc[2 * N] = static_cast<u64>(s);
-        acc[2 * N + 1] += static_cast<u64>(s >> 64);
     }
 };
 
@@ -652,6 +749,113 @@ montMulAdx4(u64 *r, const u64 *a, const u64 *b, const u64 *p, u64 n0inv)
           "cc", "memory");
 }
 
+/**
+ * r = a + b mod p for 4 limbs (a, b < p, 2p < R): the sum, replaced by
+ * sum - p unless that borrows (cmov, no branch on the data). Scalar asm
+ * keeps every limb in a register: compiled C++ vectorizes the select and
+ * then stalls reloading limbs the multiplier stored one at a time.
+ */
+FINESSE_FORCE_INLINE void
+addMod4Asm(u64 *r, const u64 *a, const u64 *b, const u64 *p)
+{
+    u64 s0, s1, s2, s3, d0, d1, d2, d3;
+    __asm__("movq 0(%[a]), %[s0]\n\t"
+            "addq 0(%[b]), %[s0]\n\t"
+            "movq 8(%[a]), %[s1]\n\t"
+            "adcq 8(%[b]), %[s1]\n\t"
+            "movq 16(%[a]), %[s2]\n\t"
+            "adcq 16(%[b]), %[s2]\n\t"
+            "movq 24(%[a]), %[s3]\n\t"
+            "adcq 24(%[b]), %[s3]\n\t"
+            "movq %[s0], %[d0]\n\t"
+            "subq 0(%[p]), %[d0]\n\t"
+            "movq %[s1], %[d1]\n\t"
+            "sbbq 8(%[p]), %[d1]\n\t"
+            "movq %[s2], %[d2]\n\t"
+            "sbbq 16(%[p]), %[d2]\n\t"
+            "movq %[s3], %[d3]\n\t"
+            "sbbq 24(%[p]), %[d3]\n\t"
+            "cmovncq %[d0], %[s0]\n\t"
+            "cmovncq %[d1], %[s1]\n\t"
+            "cmovncq %[d2], %[s2]\n\t"
+            "cmovncq %[d3], %[s3]\n\t"
+            : [s0] "=&r"(s0), [s1] "=&r"(s1), [s2] "=&r"(s2),
+              [s3] "=&r"(s3), [d0] "=&r"(d0), [d1] "=&r"(d1),
+              [d2] "=&r"(d2), [d3] "=&r"(d3)
+            : [a] "r"(a), [b] "r"(b), [p] "r"(p)
+            : "cc", "memory");
+    r[0] = s0;
+    r[1] = s1;
+    r[2] = s2;
+    r[3] = s3;
+}
+
+/** r = a - b mod p for 4 limbs: the difference, plus p masked by the
+ *  borrow (no branch on the data). */
+FINESSE_FORCE_INLINE void
+subMod4Asm(u64 *r, const u64 *a, const u64 *b, const u64 *p)
+{
+    u64 d0, d1, d2, d3, mask, m0, m1, m2, m3;
+    __asm__("movq 0(%[a]), %[d0]\n\t"
+            "subq 0(%[b]), %[d0]\n\t"
+            "movq 8(%[a]), %[d1]\n\t"
+            "sbbq 8(%[b]), %[d1]\n\t"
+            "movq 16(%[a]), %[d2]\n\t"
+            "sbbq 16(%[b]), %[d2]\n\t"
+            "movq 24(%[a]), %[d3]\n\t"
+            "sbbq 24(%[b]), %[d3]\n\t"
+            "sbbq %[mask], %[mask]\n\t" // all ones on borrow
+            "movq 0(%[p]), %[m0]\n\t"
+            "andq %[mask], %[m0]\n\t"
+            "movq 8(%[p]), %[m1]\n\t"
+            "andq %[mask], %[m1]\n\t"
+            "movq 16(%[p]), %[m2]\n\t"
+            "andq %[mask], %[m2]\n\t"
+            "movq 24(%[p]), %[m3]\n\t"
+            "andq %[mask], %[m3]\n\t"
+            "addq %[m0], %[d0]\n\t"
+            "adcq %[m1], %[d1]\n\t"
+            "adcq %[m2], %[d2]\n\t"
+            "adcq %[m3], %[d3]\n\t"
+            : [d0] "=&r"(d0), [d1] "=&r"(d1), [d2] "=&r"(d2),
+              [d3] "=&r"(d3), [mask] "=&r"(mask), [m0] "=&r"(m0),
+              [m1] "=&r"(m1), [m2] "=&r"(m2), [m3] "=&r"(m3)
+            : [a] "r"(a), [b] "r"(b), [p] "r"(p)
+            : "cc", "memory");
+    r[0] = d0;
+    r[1] = d1;
+    r[2] = d2;
+    r[3] = d3;
+}
+
+/** montMulAdx4 in the MontKernel multiply shape. */
+inline void
+mulAdx4(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
+{
+    montMulAdx4(r, a, b, prm.p, prm.n0inv);
+}
+
+/**
+ * Fp2 multiply for ADX contexts (MontCtx's kAdx4 fast path): Karatsuba
+ * on three montMulAdx4 products with the mask-select add/sub above.
+ */
+inline void
+fp2MulAdx4(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, const u64 *b0,
+           const u64 *b1, i64 q, const MontParams &prm)
+{
+    MontKernel<4>::fp2MulReduced<&mulAdx4, &addMod4Asm, &subMod4Asm>(
+        r0, r1, a0, a1, b0, b1, q, prm);
+}
+
+/** Fp2 square for ADX contexts: complex squaring, two montMulAdx4. */
+inline void
+fp2SqrAdx4(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
+           const MontParams &prm)
+{
+    MontKernel<4>::fp2SqrReduced<&mulAdx4, &addMod4Asm, &subMod4Asm>(
+        r0, r1, a0, a1, q, prm);
+}
+
 #else
 #define FINESSE_HAVE_X86_ADX 0
 #endif
@@ -669,8 +873,12 @@ struct KernelVTable
     void (*neg)(u64 *, const u64 *, const MontParams &);
     void (*mul)(u64 *, const u64 *, const u64 *, const MontParams &);
     void (*sqr)(u64 *, const u64 *, const MontParams &);
-    void (*sumOfProducts)(u64 *, const MontTerm *, size_t,
-                          const MontParams &);
+    /** Fp2 multiply over u^2 = q: (r0, r1, a0, a1, b0, b1, q). */
+    void (*fp2Mul)(u64 *, u64 *, const u64 *, const u64 *, const u64 *,
+                   const u64 *, i64, const MontParams &);
+    /** Fp2 square over u^2 = q: (r0, r1, a0, a1, q). */
+    void (*fp2Sqr)(u64 *, u64 *, const u64 *, const u64 *, i64,
+                   const MontParams &);
 };
 
 /**
@@ -686,16 +894,24 @@ namespace detail {
 
 template <size_t N>
 inline constexpr KernelVTable kKernelVTable = {
-    &MontKernel<N>::add,          &MontKernel<N>::sub,
-    &MontKernel<N>::neg,          &MontKernel<N>::mul,
-    &MontKernel<N>::sqr,          &MontKernel<N>::sumOfProducts,
+    &MontKernel<N>::add,
+    &MontKernel<N>::sub,
+    &MontKernel<N>::neg,
+    &MontKernel<N>::mul,
+    &MontKernel<N>::sqr,
+    &MontKernel<N>::template fp2Mul<false>,
+    &MontKernel<N>::template fp2Sqr<false>,
 };
 
 template <size_t N>
 inline constexpr KernelVTable kKernelVTableSpareBit = {
-    &MontKernel<N>::add,          &MontKernel<N>::sub,
-    &MontKernel<N>::neg,          &MontKernel<N>::mulSpareBit,
-    &MontKernel<N>::sqr,          &MontKernel<N>::sumOfProducts,
+    &MontKernel<N>::add,
+    &MontKernel<N>::sub,
+    &MontKernel<N>::neg,
+    &MontKernel<N>::mulSpareBit,
+    &MontKernel<N>::sqr,
+    &MontKernel<N>::template fp2Mul<true>,
+    &MontKernel<N>::template fp2Sqr<true>,
 };
 
 template <size_t N>

@@ -210,24 +210,17 @@ class QuadExt
     QuadExt
     mul(const QuadExt &o) const
     {
-        // Lazy reduction: when the base is the prime field and nu is a
-        // small integer (the bottom tower level, where every Fp
-        // multiplication in the system ultimately lands), fold each
-        // output coefficient into one sum-of-products with a single
-        // Montgomery reduction:
-        //   c0 = a0 b0 + nu a1 b1 ; c1 = a0 b1 + a1 b0
-        // 4 wide products + 2 reductions instead of the 3-4 of the
-        // variant formulas. Values are identical; the symbolic twin
-        // (no kHasSumOfProducts) keeps the variant-dispatched path.
-        if constexpr (requires { Base::kHasSumOfProducts; }) {
-            if (ctx_->nu.kind == NuDesc::Kind::kSmallInt) {
-                const i64 q = ctx_->nu.n0;
-                Base r0 = Base::sumOfProducts(
-                    ctx_->base, {{&c0_, &o.c0_, 1}, {&c1_, &o.c1_, q}});
-                Base r1 = Base::sumOfProducts(
-                    ctx_->base, {{&c0_, &o.c1_, 1}, {&c1_, &o.c0_, 1}});
-                return {std::move(r0), std::move(r1), ctx_};
-            }
+        // Over the native prime field (always u^2 = q, a small integer)
+        // every Fp2 product is one call into the base field's Fp2
+        // kernel (Karatsuba), whatever the variant config says. The
+        // symbolic twin has no kernel and keeps the variant-dispatched
+        // formulas below.
+        if constexpr (kFp2Kernel) {
+            QuadExt r;
+            r.ctx_ = ctx_;
+            Base::fp2Mul(r.c0_, r.c1_, c0_, c1_, o.c0_, o.c1_,
+                         ctx_->nu.n0);
+            return r;
         }
         switch (ctx_->variants.mul) {
           case MulVariant::Schoolbook: {
@@ -252,16 +245,12 @@ class QuadExt
     QuadExt
     sqr() const
     {
-        // Lazy squaring at the bottom level: c0 = a0^2 + nu a1^2 is one
-        // sum of two wide *squares* (cheaper than wide products) with a
-        // single reduction; c1 = 2 a0 a1 is one multiplication.
-        if constexpr (requires { Base::kHasSumOfProducts; }) {
-            if (ctx_->nu.kind == NuDesc::Kind::kSmallInt) {
-                const i64 q = ctx_->nu.n0;
-                Base r0 = Base::sumOfProducts(
-                    ctx_->base, {{&c0_, &c0_, 1}, {&c1_, &c1_, q}});
-                return {std::move(r0), c0_.mul(c1_).dbl(), ctx_};
-            }
+        // Complex squaring in the base field's Fp2 kernel (see mul).
+        if constexpr (kFp2Kernel) {
+            QuadExt r;
+            r.ctx_ = ctx_;
+            Base::fp2Sqr(r.c0_, r.c1_, c0_, c1_, ctx_->nu.n0);
+            return r;
         }
         switch (ctx_->variants.sqr) {
           case SqrVariant::Complex: {
@@ -364,6 +353,12 @@ class QuadExt
     }
 
   private:
+    /** Base is the native prime field, which carries the Fp2 kernels. */
+    static constexpr bool kFp2Kernel = requires(Base &r, const Base &a) {
+        Base::fp2Mul(r, r, a, a, a, a, i64{0});
+        Base::fp2Sqr(r, r, a, a, i64{0});
+    };
+
     Base c0_, c1_;
     const Ctx *ctx_ = nullptr;
 };
@@ -441,29 +436,6 @@ class CubicExt
     CubicExt
     mul(const CubicExt &o) const
     {
-        // Lazy reduction over a prime-field base with small-integer nu
-        // (v^3 = nu): each output coefficient is one sum-of-products
-        // with a single Montgomery reduction (3 reductions total
-        // instead of 6-9).
-        if constexpr (requires { Base::kHasSumOfProducts; }) {
-            if (ctx_->nu.kind == NuDesc::Kind::kSmallInt) {
-                const i64 q = ctx_->nu.n0;
-                Base r0 = Base::sumOfProducts(ctx_->base,
-                                              {{&c0_, &o.c0_, 1},
-                                               {&c1_, &o.c2_, q},
-                                               {&c2_, &o.c1_, q}});
-                Base r1 = Base::sumOfProducts(ctx_->base,
-                                              {{&c0_, &o.c1_, 1},
-                                               {&c1_, &o.c0_, 1},
-                                               {&c2_, &o.c2_, q}});
-                Base r2 = Base::sumOfProducts(ctx_->base,
-                                              {{&c0_, &o.c2_, 1},
-                                               {&c1_, &o.c1_, 1},
-                                               {&c2_, &o.c0_, 1}});
-                return {std::move(r0), std::move(r1), std::move(r2),
-                        ctx_};
-            }
-        }
         switch (ctx_->variants.mul) {
           case MulVariant::Schoolbook: {
             // 9M with reduction v^3 = nu.
@@ -503,21 +475,6 @@ class CubicExt
     CubicExt
     sqr() const
     {
-        // Lazy squaring: diagonal terms become wide squares, cross terms
-        // carry their doubling in the lazy coefficient; 3 reductions.
-        if constexpr (requires { Base::kHasSumOfProducts; }) {
-            if (ctx_->nu.kind == NuDesc::Kind::kSmallInt) {
-                const i64 q = ctx_->nu.n0;
-                Base r0 = Base::sumOfProducts(
-                    ctx_->base, {{&c0_, &c0_, 1}, {&c1_, &c2_, 2 * q}});
-                Base r1 = Base::sumOfProducts(
-                    ctx_->base, {{&c0_, &c1_, 2}, {&c2_, &c2_, q}});
-                Base r2 = Base::sumOfProducts(
-                    ctx_->base, {{&c0_, &c2_, 2}, {&c1_, &c1_, 1}});
-                return {std::move(r0), std::move(r1), std::move(r2),
-                        ctx_};
-            }
-        }
         switch (ctx_->variants.sqr) {
           case SqrVariant::CHSqr3: {
             // Chung-Hasan SQR3: 2M + 3S.

@@ -210,43 +210,27 @@ class Fp
     /** Frobenius on the prime field is the identity. */
     Fp frob() const { return *this; }
 
-    // Lazy reduction ------------------------------------------------------
+    // Fp2 kernels ---------------------------------------------------------
     /**
-     * Marker consumed by the extension templates (field/ext.h): when the
-     * base element type advertises this, quadratic/cubic mul and sqr use
-     * sumOfProducts to fold several base multiplications into a single
-     * Montgomery reduction. The symbolic twin (SymFp) deliberately does
-     * NOT define it — IR emission keeps the variant-dispatched formulas.
+     * (r0 + r1 u) = (a0 + a1 u)(b0 + b1 u) in Fp[u]/(u^2 - q): one call
+     * into the context's Fp2 multiply (MontCtx::fp2Mul). QuadExt<Fp>
+     * uses it for every Fp2 product. The symbolic twin (SymFp) has no
+     * such member, so IR emission keeps the variant-dispatched formulas.
      */
-    static constexpr bool kHasSumOfProducts = true;
-
-    /** One lazy term: coeff * a * b with a small integer coefficient. */
-    struct Term
+    static void
+    fp2Mul(Fp &r0, Fp &r1, const Fp &a0, const Fp &a1, const Fp &b0,
+           const Fp &b1, i64 q)
     {
-        const Fp *a;
-        const Fp *b;
-        i64 coeff;
-    };
+        r0.ctx_ = r1.ctx_ = a0.ctx_;
+        a0.ctx_->mont.fp2Mul(r0.v_, r1.v_, a0.v_, a1.v_, b0.v_, b1.v_, q);
+    }
 
-    /**
-     * sum_i coeff_i * a_i * b_i with ONE Montgomery reduction instead of
-     * one per product (backed by MontKernel wideMul + montRedc). Result
-     * is fully reduced; observable values are identical to the eager
-     * formula.
-     */
-    static Fp
-    sumOfProducts(const Ctx *ctx, std::initializer_list<Term> terms)
+    /** (r0 + r1 u) = (a0 + a1 u)^2 in Fp[u]/(u^2 - q) (MontCtx::fp2Sqr). */
+    static void
+    fp2Sqr(Fp &r0, Fp &r1, const Fp &a0, const Fp &a1, i64 q)
     {
-        MontTerm raw[8];
-        size_t k = 0;
-        for (const Term &t : terms) {
-            FINESSE_CHECK(k < 8, "sumOfProducts: too many terms");
-            raw[k++] = {t.a->v_.data(), t.b->v_.data(), t.coeff};
-        }
-        Fp r;
-        r.ctx_ = ctx;
-        ctx->mont.sumOfProducts(r.v_, raw, k);
-        return r;
+        r0.ctx_ = r1.ctx_ = a0.ctx_;
+        a0.ctx_->mont.fp2Sqr(r0.v_, r1.v_, a0.v_, a1.v_, q);
     }
 
     /** Fp-scalar multiplication (bottom of the scaleScalar recursion). */

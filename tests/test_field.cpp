@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "curve/catalog.h"
 #include "field/fieldops.h"
 #include "field/sqrt.h"
 #include "field/tower.h"
@@ -173,26 +174,67 @@ TEST_F(FieldTest, Fp12Axioms)
         checkFieldAxioms(randFp12(), randFp12(), randFp12());
 }
 
+/**
+ * Native Fp2 mul/sqr (the base field's Fp2 kernel) against the eager
+ * schoolbook formulas built from Fp::mul/add/sub and mulByNu, on 0, 1,
+ * p-1 and random coefficients. The native tower ignores the level-2
+ * variant config, so a second config must not change a result either.
+ */
+void
+checkFp2AgainstEager(const BigInt &p, Rng &rng)
+{
+    const FpCtx fp(p);
+    i64 q, x0, x1;
+    searchTowerNonResidues(p, q, x0, x1);
+    QuadCtx<Fp> ctxs[2];
+    ctxs[1].variants = {MulVariant::Schoolbook, SqrVariant::Schoolbook};
+    for (QuadCtx<Fp> &c : ctxs) {
+        c.base = &fp;
+        c.nu = NuDesc::smallInt(q);
+        c.degree = 2;
+    }
+    const QuadCtx<Fp> &ctx = ctxs[0];
+    std::vector<Fp> vals = {Fp::zero(&fp), Fp::one(&fp),
+                            Fp::fromBig(&fp, p - BigInt(u64{1}))};
+    for (int i = 0; i < 6; ++i)
+        vals.push_back(Fp::fromBig(&fp, BigInt::randomBelow(rng, p)));
+    const std::string where = p.toHexString() + " q " + std::to_string(q);
+    const size_t n = vals.size();
+    for (size_t i = 0; i < n; ++i) {
+        for (size_t k = 0; k < n; ++k) {
+            const Fp &a0 = vals[i], &a1 = vals[k];
+            const Fp &b0 = vals[k], &b1 = vals[(i + 2) % n];
+            const Fp want0 = a0.mul(b0).add(ctx.mulByNu(a1.mul(b1)));
+            const Fp want1 = a0.mul(b1).add(a1.mul(b0));
+            const Fp sq0 = a0.sqr().add(ctx.mulByNu(a1.sqr()));
+            const Fp sq1 = a0.mul(a1).dbl();
+            for (const QuadCtx<Fp> &c : ctxs) {
+                const Fp2 a{a0, a1, &c};
+                const Fp2 b{b0, b1, &c};
+                const Fp2 m = a.mul(b);
+                EXPECT_TRUE(m.c0().equals(want0)) << where;
+                EXPECT_TRUE(m.c1().equals(want1)) << where;
+                const Fp2 s = a.sqr();
+                EXPECT_TRUE(s.c0().equals(sq0)) << where;
+                EXPECT_TRUE(s.c1().equals(sq1)) << where;
+                EXPECT_TRUE(a.sub(b).add(b).mul(a).equals(s)) << where;
+            }
+        }
+    }
+}
+
 TEST_F(FieldTest, VariantEquivalenceQuadratic)
 {
-    // The same product under every (mul, sqr) variant combination.
-    NativeTower12 alt;
-    VariantConfig cfg;
-    cfg.levels[2] = {MulVariant::Schoolbook, SqrVariant::Schoolbook};
-    cfg.levels[6] = {MulVariant::Schoolbook, SqrVariant::Schoolbook};
-    cfg.levels[12] = {MulVariant::Schoolbook, SqrVariant::Schoolbook};
-    buildTower(alt, fp_.get(), prm_, cfg);
-
-    for (int i = 0; i < 10; ++i) {
-        const Fp2 a = randFp2();
-        const Fp2 b = randFp2();
-        const Fp2 aAlt{a.c0(), a.c1(), &alt.fp2};
-        const Fp2 bAlt{b.c0(), b.c1(), &alt.fp2};
-        EXPECT_TRUE(a.mul(b).equals(
-            Fp2{aAlt.mul(bAlt).c0(), aAlt.mul(bAlt).c1(), &tower_->fp2}));
-        EXPECT_TRUE(a.sqr().equals(
-            Fp2{aAlt.sqr().c0(), aAlt.sqr().c1(), &tower_->fp2}));
-    }
+    checkFp2AgainstEager(p_, rng_);
+    for (const CurveDef &def : curveCatalog())
+        checkFp2AgainstEager(deriveCurveInfo(def).p, rng_);
+    // alt_bn128's scalar field: p = 1 mod 4, so u^2 = q != -1.
+    const BigInt p1mod4 = BigInt::fromString(
+        "0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001");
+    i64 q, x0, x1;
+    searchTowerNonResidues(p1mod4, q, x0, x1);
+    ASSERT_NE(q, -1);
+    checkFp2AgainstEager(p1mod4, rng_);
 }
 
 TEST_F(FieldTest, VariantEquivalenceCubic)

@@ -3,9 +3,12 @@
  * Differential tests for the fixed-limb Montgomery kernels
  * (bigint/montkernel.h) against the generic runtime-width oracle and the
  * BigInt reference, across every supported width and both vtable
- * flavors (spare-top-bit and general).
+ * flavors (spare-top-bit and general), including the Fp2 kernels and
+ * the ADX asm path.
  */
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "bigint/bigint.h"
 #include "bigint/mont.h"
@@ -128,45 +131,186 @@ TEST(MontKernel, VTableSelection)
     EXPECT_EQ(kernelVTable(kMaxLimbs + 1, 1), nullptr);
 }
 
-TEST(MontKernel, SumOfProductsMatchesGeneric)
+/** q * x mod p by repeated generic add/sub. */
+Residue
+mulSmallGeneric(const MontCtx &ctx, const Residue &x, i64 q)
+{
+    Residue acc{};
+    for (i64 i = 0; i < (q < 0 ? -q : q); ++i) {
+        if (q < 0)
+            ctx.subGeneric(acc, acc, x);
+        else
+            ctx.addGeneric(acc, acc, x);
+    }
+    return acc;
+}
+
+/** Kernel constants for @p p, built independently of MontCtx. */
+struct KernelConsts
+{
+    u64 p[kMaxLimbs] = {0};
+    u64 pSquared[2 * kMaxLimbs] = {0};
+    MontParams prm{};
+
+    explicit KernelConsts(const BigInt &modulus)
+    {
+        const size_t n = (static_cast<size_t>(modulus.bitLength()) + 63) / 64;
+        modulus.toLimbs(p, n);
+        (modulus * modulus).toLimbs(pSquared, 2 * n);
+        u64 inv = 1;
+        for (int i = 0; i < 6; ++i)
+            inv *= 2 - p[0] * inv;
+        prm = {p, pSquared, ~inv + 1};
+    }
+};
+
+/**
+ * Check one Fp2 kernel pair on (a0 + a1 u), (b0 + b1 u) over
+ * u^2 = q against the eager schoolbook formulas on the generic oracle:
+ * fresh outputs, in-place outputs (x = x * y), outputs written over the
+ * other operand with coefficients swapped, and mul(a, a) == sqr(a).
+ */
+template <typename Mul, typename Sqr>
+void
+checkFp2(const MontCtx &ctx, Mul mul, Sqr sqr, i64 q, const Residue &a0,
+         const Residue &a1, const Residue &b0, const Residue &b1,
+         const std::string &where)
+{
+    Residue t00{}, t11{}, t01{}, t10{};
+    ctx.mulGeneric(t00, a0, b0);
+    ctx.mulGeneric(t11, a1, b1);
+    ctx.mulGeneric(t01, a0, b1);
+    ctx.mulGeneric(t10, a1, b0);
+    Residue want0{}, want1{};
+    ctx.addGeneric(want0, t00, mulSmallGeneric(ctx, t11, q));
+    ctx.addGeneric(want1, t01, t10);
+
+    Residue r0{}, r1{};
+    mul(r0, r1, a0, a1, b0, b1, q);
+    EXPECT_EQ(r0, want0) << where;
+    EXPECT_EQ(r1, want1) << where;
+
+    Residue x0 = a0, x1 = a1;
+    mul(x0, x1, x0, x1, b0, b1, q);
+    EXPECT_EQ(x0, want0) << where << " in place";
+    EXPECT_EQ(x1, want1) << where << " in place";
+
+    Residue y0 = b0, y1 = b1;
+    mul(y1, y0, a0, a1, y0, y1, q);
+    EXPECT_EQ(y1, want0) << where << " over b, swapped";
+    EXPECT_EQ(y0, want1) << where << " over b, swapped";
+
+    Residue s00{}, s11{}, s01{};
+    ctx.sqrGeneric(s00, a0);
+    ctx.sqrGeneric(s11, a1);
+    ctx.mulGeneric(s01, a0, a1);
+    Residue sq0{}, sq1{};
+    ctx.addGeneric(sq0, s00, mulSmallGeneric(ctx, s11, q));
+    ctx.addGeneric(sq1, s01, s01);
+
+    sqr(r0, r1, a0, a1, q);
+    EXPECT_EQ(r0, sq0) << where << " sqr";
+    EXPECT_EQ(r1, sq1) << where << " sqr";
+
+    x0 = a0;
+    x1 = a1;
+    sqr(x0, x1, x0, x1, q);
+    EXPECT_EQ(x0, sq0) << where << " sqr in place";
+    EXPECT_EQ(x1, sq1) << where << " sqr in place";
+
+    x0 = a0;
+    x1 = a1;
+    sqr(x1, x0, x0, x1, q);
+    EXPECT_EQ(x1, sq0) << where << " sqr swapped";
+    EXPECT_EQ(x0, sq1) << where << " sqr swapped";
+
+    mul(r0, r1, a0, a1, a0, a1, q);
+    EXPECT_EQ(r0, sq0) << where << " mul(a, a)";
+    EXPECT_EQ(r1, sq1) << where << " mul(a, a)";
+}
+
+/** Edge operands (every mix of 0, 1, p-1) and random ones. */
+template <typename Mul, typename Sqr>
+void
+checkFp2Operands(Rng &rng, const MontCtx &ctx, Mul mul, Sqr sqr, i64 q,
+                 const std::string &where)
+{
+    const BigInt &p = ctx.modulus();
+    const Residue edges[] = {Residue{}, rawResidue(ctx, BigInt(u64{1})),
+                             rawResidue(ctx, p - BigInt(u64{1}))};
+    for (const Residue &a0 : edges)
+        for (const Residue &a1 : edges)
+            for (const Residue &b0 : edges)
+                for (const Residue &b1 : edges)
+                    checkFp2(ctx, mul, sqr, q, a0, a1, b0, b1, where);
+    for (int i = 0; i < 20; ++i) {
+        Residue v[4];
+        for (Residue &x : v)
+            x = rawResidue(ctx, BigInt::randomBelow(rng, p));
+        checkFp2(ctx, mul, sqr, q, v[0], v[1], v[2], v[3], where);
+    }
+}
+
+/** Fp2 kernels through MontCtx: whatever table it picked. */
+void
+checkCtxFp2(Rng &rng, const MontCtx &ctx, i64 q, const std::string &where)
+{
+    checkFp2Operands(
+        rng, ctx,
+        [&](Residue &r0, Residue &r1, const Residue &a0, const Residue &a1,
+            const Residue &b0, const Residue &b1, i64 qq) {
+            ctx.fp2Mul(r0, r1, a0, a1, b0, b1, qq);
+        },
+        [&](Residue &r0, Residue &r1, const Residue &a0, const Residue &a1,
+            i64 qq) { ctx.fp2Sqr(r0, r1, a0, a1, qq); },
+        q, where + " ctx");
+}
+
+/** Non-residues -1 (every catalog field) and others (p = 1 mod 4). */
+constexpr i64 kFp2Qs[] = {-1, -2, 3, 5, -11};
+
+TEST(MontKernel, Fp2KernelsMatchGeneric)
 {
     Rng rng(103);
-    for (int w : {2, 3, 4, 6, 7, 8, 10}) {
-        for (int spareBits : {0, 2}) {
-            const BigInt p = randomOddModulus(rng, 64 * w - spareBits);
-            MontCtx ctx(p);
-            for (int iter = 0; iter < 40; ++iter) {
-                const size_t count = 1 + rng.below(8);
-                Residue vals[8];
-                MontTerm terms[8];
-                for (size_t i = 0; i < count; ++i)
-                    vals[i] = rawResidue(ctx, BigInt::randomBelow(rng, p));
-                for (size_t i = 0; i < count; ++i) {
-                    // Coefficients in [-5, 5]: |nu| = 5 type towers, and
-                    // zero terms must be skipped identically. a == b
-                    // sometimes, to hit the internal squaring path.
-                    terms[i].a = vals[i].data();
-                    terms[i].b = rng.below(3) == 0
-                                     ? vals[i].data()
-                                     : vals[rng.below(count)].data();
-                    terms[i].coeff = static_cast<i64>(rng.below(11)) - 5;
-                }
-                Residue lazy{}, eager{};
-                ctx.sumOfProducts(lazy, terms, count);
-                ctx.sumOfProductsGeneric(eager, terms, count);
-                EXPECT_EQ(lazy, eager) << "width " << w << " iter " << iter;
+    for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
+        // Two spare top bits (4p < R); one (R/4 < p < R/2: the lazy
+        // kernels at their tightest bound, 2p < R); none (top bit set:
+        // the reduced form).
+        const BigInt mods[] = {
+            w == 1 ? (BigInt(u64{1}) << 61) - BigInt(u64{1})
+                   : randomOddModulus(rng, 64 * w - 2),
+            randomOddModulus(rng, 64 * w - 1),
+            randomOddModulus(rng, 64 * w),
+        };
+        for (const BigInt &p : mods) {
+            const MontCtx ctx(p);
+            ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
+            const KernelConsts kc(p);
+            // The portable kernel, called directly.
+            const KernelVTable *vt =
+                kernelVTable(ctx.limbCount(), kc.p[w - 1]);
+            for (const i64 q : kFp2Qs) {
+                const std::string where = "width " + std::to_string(w) +
+                                          " bits " +
+                                          std::to_string(p.bitLength()) +
+                                          " q " + std::to_string(q);
+                checkFp2Operands(
+                    rng, ctx,
+                    [&](Residue &r0, Residue &r1, const Residue &a0,
+                        const Residue &a1, const Residue &b0,
+                        const Residue &b1, i64 qq) {
+                        vt->fp2Mul(r0.data(), r1.data(), a0.data(),
+                                   a1.data(), b0.data(), b1.data(), qq,
+                                   kc.prm);
+                    },
+                    [&](Residue &r0, Residue &r1, const Residue &a0,
+                        const Residue &a1, i64 qq) {
+                        vt->fp2Sqr(r0.data(), r1.data(), a0.data(),
+                                   a1.data(), qq, kc.prm);
+                    },
+                    q, where);
+                checkCtxFp2(rng, ctx, q, where);
             }
-            // Worst-case accumulation: all terms (p-1)^2 with coeff -5
-            // drives the montRedc correction loop through multiple
-            // subtractions of p.
-            Residue top = rawResidue(ctx, p - BigInt(u64{1}));
-            MontTerm worst[8];
-            for (auto &t : worst)
-                t = {top.data(), top.data(), -5};
-            Residue lazy{}, eager{};
-            ctx.sumOfProducts(lazy, worst, 8);
-            ctx.sumOfProductsGeneric(eager, worst, 8);
-            EXPECT_EQ(lazy, eager) << "width " << w;
         }
     }
 }
@@ -294,21 +438,57 @@ TEST(MontKernel, AdxKernelMatchesGeneric)
     for (const BigInt &p : mods) {
         MontCtx ctx(p);
         ASSERT_EQ(ctx.limbCount(), 4u);
-        u64 pl[4], n0inv;
-        p.toLimbs(pl, 4);
-        {
-            u64 inv = 1;
-            for (int i = 0; i < 6; ++i)
-                inv *= 2 - pl[0] * inv;
-            n0inv = ~inv + 1;
-        }
+        const KernelConsts kc(p);
         for (int i = 0; i < 2000; ++i) {
             const Residue a = rawResidue(ctx, BigInt::randomBelow(rng, p));
             const Residue b = rawResidue(ctx, BigInt::randomBelow(rng, p));
             Residue asmR{}, g{};
-            montMulAdx4(asmR.data(), a.data(), b.data(), pl, n0inv);
+            montMulAdx4(asmR.data(), a.data(), b.data(), kc.p,
+                        kc.prm.n0inv);
             ctx.mulGeneric(g, a, b);
             EXPECT_EQ(asmR, g);
+        }
+    }
+}
+
+TEST(MontKernel, AdxFp2KernelsMatchGeneric)
+{
+    if (!cpuHasAdx())
+        GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    Rng rng(127);
+    const BigInt mods[] = {
+        // BN254 base field (q = -1).
+        BigInt::fromString("0x2523648240000001ba344d80000000086121000000"
+                           "000013a700000000000013"),
+        // alt_bn128 scalar field, p = 1 mod 4 (q != -1).
+        BigInt::fromString("0x30644e72e131a029b85045b68181585d2833e84879"
+                           "b9709143e1f593f0000001"),
+        // Top limb at the spare-bit boundary.
+        (BigInt::fromString("0x7ffffffffffffffe") << 192) +
+            randomOddModulus(rng, 190),
+    };
+    for (const BigInt &p : mods) {
+        const MontCtx ctx(p);
+        ASSERT_EQ(ctx.limbCount(), 4u);
+        const KernelConsts kc(p);
+        for (const i64 q : kFp2Qs) {
+            const std::string where = "adx " + p.toHexString() + " q " +
+                                      std::to_string(q);
+            checkFp2Operands(
+                rng, ctx,
+                [&](Residue &r0, Residue &r1, const Residue &a0,
+                    const Residue &a1, const Residue &b0, const Residue &b1,
+                    i64 qq) {
+                    fp2MulAdx4(r0.data(), r1.data(), a0.data(), a1.data(),
+                               b0.data(), b1.data(), qq, kc.prm);
+                },
+                [&](Residue &r0, Residue &r1, const Residue &a0,
+                    const Residue &a1, i64 qq) {
+                    fp2SqrAdx4(r0.data(), r1.data(), a0.data(), a1.data(),
+                               qq, kc.prm);
+                },
+                q, where);
+            checkCtxFp2(rng, ctx, q, where);
         }
     }
 }
