@@ -17,10 +17,10 @@
  * Also a correctness gate: kernel and generic results are compared on
  * every stream at the end; any mismatch exits non-zero.
  *
- * A BN254N Fp2 row times the base field's Fp2 kernels
+ * BN254N and BLS12-381 Fp2 rows time the base field's Fp2 kernels
  * (MontCtx::fp2Mul/fp2Sqr) against the eager schoolbook formulas on
- * the generic oracle, interleaved the same way, and gates on their
- * results matching. It has no speedup floor.
+ * the generic oracle, interleaved the same way, and gate on their
+ * results matching. They have no speedup floor.
  */
 #include "bench_common.h"
 
@@ -188,7 +188,7 @@ struct EagerFp2
     }
 };
 
-/** BN254N's Fp2 kernels against the eager oracle. */
+/** One field's Fp2 kernels against the eager oracle. */
 Fp2Result
 benchFp2(const CurveInfo &info)
 {
@@ -276,15 +276,19 @@ main()
                         (r.mulKernel + r.sqrKernel);
         }
     }
-    // BN254N Fp2: the kernels against the eager oracle (no floor).
-    const Fp2Result fp2 = benchFp2(deriveCurveInfo(findCurve("BN254N")));
-    std::printf("\nBN254N Fp2 (u^2 = %lld)  mul %6.1fns eager %6.1fns "
-                "%5.2fx  sqr %6.1fns eager %6.1fns %5.2fx%s\n",
-                static_cast<long long>(fp2.q), fp2.mulKernel, fp2.mulEager,
-                fp2.mulEager / fp2.mulKernel, fp2.sqrKernel, fp2.sqrEager,
-                fp2.sqrEager / fp2.sqrKernel,
-                fp2.identical ? "" : "  [IDENTITY MISMATCH]");
-    allIdentical = allIdentical && fp2.identical;
+    // Fp2: the kernels against the eager oracle (no floor). BN254N takes
+    // the ADX kernel where the CPU has it, BLS12-381 the portable one.
+    std::printf("\n");
+    for (const char *name : {"BN254N", "BLS12-381"}) {
+        const Fp2Result fp2 = benchFp2(deriveCurveInfo(findCurve(name)));
+        std::printf("%-9s Fp2 (u^2 = %lld)  mul %6.1fns eager %6.1fns "
+                    "%5.2fx  sqr %6.1fns eager %6.1fns %5.2fx%s\n",
+                    name, static_cast<long long>(fp2.q), fp2.mulKernel,
+                    fp2.mulEager, fp2.mulEager / fp2.mulKernel,
+                    fp2.sqrKernel, fp2.sqrEager, fp2.sqrEager / fp2.sqrKernel,
+                    fp2.identical ? "" : "  [IDENTITY MISMATCH]");
+        allIdentical = allIdentical && fp2.identical;
+    }
 
     // The gated aggregate: mul+sqr throughput ratio on the 4-limb BN254N
     // base field (spare-top-bit fast path; ADX asm where the CPU has it).
