@@ -5,8 +5,8 @@
  * (SSA level and register-file level). This is the strongest
  * whole-framework guarantee in the suite. Each curve's deterministic
  * compile outputs, and its schedule, register assignment and cycle
- * counts on every Fig. 10 model, are also pinned by
- * tests/golden/catalog.txt.
+ * counts on every Fig. 10 model and its Fig. 8 delay, are also pinned
+ * by tests/golden/catalog.txt.
  */
 #include <gtest/gtest.h>
 
@@ -98,6 +98,13 @@ TEST_P(AllCurvesEndToEnd, CompileSimulateValidate)
     // Functional correctness vs the native oracle.
     const ValidationReport rep = fw.validate(res, 1);
     EXPECT_TRUE(rep.allPassed()) << GetParam();
+
+    // Golden: Fig. 8's delay column, the default-options point that
+    // bench/fig8_scalability evaluates.
+    const DsePoint fig8 =
+        Explorer(GetParam()).evaluate(CompileOptions{}, 1, GetParam());
+    expectGolden(std::string("fig8.") + GetParam(),
+                 goldenFormat("delay_us=%.17g", fig8.latencyUs));
 
     // Golden: schedule, register assignment and cycle-sim output on
     // every Fig. 10 model, plus program order on the paper model.
