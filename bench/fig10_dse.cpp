@@ -17,12 +17,11 @@
  *
  * Front-end traces are hardware-independent, so the grouped sweep
  * engine traces each variant combination exactly once through the
- * process-wide sharded trace cache (concurrent requests for the same
+ * process-wide trace cache (concurrent requests for the same
  * combination coalesce onto a single trace) and then runs batched
  * backend-only evaluation -- shared TracePrep, per-worker scratch --
  * for every additional pipeline model.
  */
-#include <algorithm>
 #include <chrono>
 
 #include "bench_common.h"
@@ -68,7 +67,7 @@ main()
 
     // Serial reference sweep, then the parallel sweep on all hardware
     // threads. Both start from a cold cache so the trace work is
-    // comparable; the parallel pass exercises shard contention and
+    // comparable; the parallel pass exercises cache contention and
     // in-flight coalescing (models.size() workers can race for the
     // same variant trace).
     clearTraceCache();
@@ -76,15 +75,12 @@ main()
     const std::vector<DsePoint> serial = ex.evaluateAll(reqs, 1);
     const double serialSeconds = wallSeconds(t1);
 
-    // Front-end / backend wall-time split: re-run the serial sweep
-    // with the trace cache warm -- that pass is backend-only, so the
-    // difference against the cold sweep is the front-end (CodeGen +
-    // IROpt) share. Tracks where sweep time goes across PRs.
+    // Warm leg: re-run the serial sweep against the trace cache the
+    // cold sweep filled. Its points must equal the cold ones (the
+    // cache-state identity check).
     const auto tWarm = std::chrono::steady_clock::now();
     const std::vector<DsePoint> warm = ex.evaluateAll(reqs, 1);
-    const double backendSerialSeconds = wallSeconds(tWarm);
-    const double frontendSerialSeconds =
-        std::max(serialSeconds - backendSerialSeconds, 0.0);
+    const double warmSeconds = wallSeconds(tWarm);
     size_t warmMismatches = 0;
     for (size_t i = 0; i < warm.size(); ++i)
         warmMismatches += warm[i].cycles != serial[i].cycles;
@@ -157,13 +153,12 @@ main()
         "Trace cache: %zu front-end traces, %zu warm lookups, %zu "
         "coalesced waits (grouped engine: one lookup per trace key, "
         "batched backend for all %zu points).\n"
-        "Sweep: %zu points | serial %.2f s (front end %.2f s + "
-        "backend %.2f s) | parallel %.2f s on %d workers | speedup "
-        "%.2fx | %zu parallel + %zu warm mismatches\n",
+        "Sweep: %zu points | serial %.2f s | warm sweep %.2f s | "
+        "parallel %.2f s on %d workers | speedup %.2fx | %zu parallel "
+        "+ %zu warm mismatches\n",
         cache.misses, cache.hits, cache.coalesced, points.size(),
-        points.size(), serialSeconds, frontendSerialSeconds,
-        backendSerialSeconds, parallelSeconds, jobs, speedup,
-        parallelMismatches, warmMismatches);
+        points.size(), serialSeconds, warmSeconds, parallelSeconds,
+        jobs, speedup, parallelMismatches, warmMismatches);
 
     // The floor binds in fast mode only: the full run sweeps
     // BLS24-509, a different ratio.

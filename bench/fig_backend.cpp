@@ -25,6 +25,7 @@
 #include "bench_common.h"
 #include "compiler/backendprep.h"
 #include "dse/explorer.h"
+#include "oracles.h"
 
 using namespace finesse;
 

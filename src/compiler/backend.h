@@ -1,8 +1,9 @@
 /**
  * @file
- * Compiler backend artifacts (Sec. 3.5), the compiled-program container
- * and the reference oracles of the backend stages. The stage functions
- * that compile and sweep both run live in compiler/backendprep.h.
+ * Compiler backend artifacts (Sec. 3.5) and the compiled-program
+ * container. The stage functions that compile and sweep both run live
+ * in compiler/backendprep.h; their reference oracles live with the
+ * tests (tests/oracles/).
  */
 #ifndef FINESSE_COMPILER_BACKEND_H_
 #define FINESSE_COMPILER_BACKEND_H_
@@ -59,25 +60,6 @@ struct RegAssignment
 
     bool operator==(const RegAssignment &) const = default;
 };
-
-/**
- * Reference oracle of scheduleModule, called only by
- * tests/test_backend_props.cpp and bench/fig_backend: the legacy
- * Module-walking scheduler (per-call dependence-graph rebuild,
- * ordered-map LegacyPortTracker).
- */
-Schedule scheduleModuleReference(const Module &m,
-                                 const BankAssignment &banks,
-                                 const PipelineModel &hw,
-                                 bool useListScheduling);
-
-/**
- * Reference oracle of allocateRegistersInto, called only by the same
- * two: its std::map expiry buckets are the legacy implementation.
- */
-RegAssignment allocateRegistersReference(const Module &m,
-                                         const BankAssignment &banks,
-                                         const Schedule &sched);
 
 /** Everything the encoder/simulators need about one compilation. */
 struct CompiledProgram

@@ -11,8 +11,8 @@
  * TracePrep per cached trace, built once and shared read-only by every
  * worker. All per-point working state lives in a BackendScratch that
  * is reset -- never reallocated -- between points. The stages are
- * byte-identical to the reference oracles in compiler/backend.h,
- * checked by tests/test_backend_props.cpp, bench/fig_backend.cpp and
+ * byte-identical to the reference oracles in tests/oracles/, checked
+ * by tests/test_backend_props.cpp, bench/fig_backend.cpp and
  * the sched.* lines of tests/golden/catalog.txt.
  */
 #ifndef FINESSE_COMPILER_BACKENDPREP_H_
@@ -145,10 +145,11 @@ void assignBanksInto(const Module &m, const PipelineModel &hw,
  * effects. The Inv + Nop heap is never skipped: Nop has no unit
  * limit, and a second Inv in a bundle just fails tryIssue. A popped
  * op that fails tryIssue is pushed back after the bundle closes. The
- * schedule therefore equals scheduleModuleReference, which sorts the
- * whole ready list every cycle; an issue costs O(log R) for R ready
- * ops, plus O(log R) for each rejected candidate (1.2 to 2.1 per
- * issue on BN254N across the Fig. 10 models).
+ * schedule therefore equals the reference scheduler's
+ * (tests/oracles/), which sorts the whole ready list every cycle; an
+ * issue costs O(log R) for R ready ops, plus O(log R) for each
+ * rejected candidate (1.2 to 2.1 per issue on BN254N across the
+ * Fig. 10 models).
  */
 void scheduleModule(const Module &m, const TracePrep &prep,
                     const BankAssignment &banks, const PipelineModel &hw,

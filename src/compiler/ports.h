@@ -6,18 +6,14 @@
  * the cycle-accurate simulator (as the timing ground truth), so the
  * two views of the pipeline model can never diverge.
  *
- * Two implementations share the same interface:
- *
- *  - PortTracker: the production tracker. Dense ring-buffer state
- *    sized from the pipeline model -- one CycleUse slot and one
- *    read/write counter row per cycle of the reservation window
- *    (max op latency + FIFO-defer horizon) -- with lazy per-slot
- *    invalidation, so an issue attempt costs a handful of array
- *    indexes instead of ordered-map lookups. Resettable in place for
- *    reuse across the backend runs of a sweep (no reallocation).
- *  - LegacyPortTracker: the original std::map-based tracker, kept as
- *    the reference oracle the dense tracker is identity-tested
- *    against (tests/test_backend_props.cpp, bench/fig_backend.cpp).
+ * PortTracker keeps dense ring-buffer state sized from the pipeline
+ * model -- one CycleUse slot and one read/write counter row per cycle
+ * of the reservation window (max op latency + FIFO-defer horizon) --
+ * with lazy per-slot invalidation, so an issue attempt costs a handful
+ * of array indexes instead of ordered-map lookups. It is resettable in
+ * place for reuse across the backend runs of a sweep (no
+ * reallocation). The ordered-map reference tracker it is
+ * identity-tested against lives with the test oracles (tests/oracles/).
  *
  * Correctness of the ring buffer relies on the drivers' probe cycles
  * being monotonically non-decreasing (true for the init scheduler,
@@ -29,7 +25,6 @@
 #define FINESSE_COMPILER_PORTS_H_
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "hwmodel/pipeline.h"
@@ -45,7 +40,7 @@ struct PortOp
     i32 dstBank = 0;
 };
 
-/** Dense, resettable production tracker (see file header). */
+/** Dense, resettable hazard tracker (see file header). */
 class PortTracker
 {
   public:
@@ -323,170 +318,6 @@ class PortTracker
     std::vector<int> bundleWrites_;
     std::vector<i32> touchedBundleReads_;
     std::vector<size_t> touchedBundleWrites_;
-    i64 maxFifoDefer_ = 0;
-};
-
-/**
- * Reference tracker: ordered-map reservation tables, one fresh pair of
- * std::maps per canIssueBundle call. Semantically identical to
- * PortTracker by construction; kept as the oracle for identity tests
- * and the reference arm of bench/fig_backend.
- */
-class LegacyPortTracker
-{
-  public:
-    explicit LegacyPortTracker(const PipelineModel &hw) : hw_(hw) {}
-
-    /** Check whether @p op can issue at @p cycle; optionally reserve. */
-    bool
-    tryIssue(const PortOp &op, i64 cycle, bool commit)
-    {
-        const UnitClass unit = unitOf(op.op);
-        CycleUse &use = cycleUse_[cycle];
-        if (use.total >= hw_.issueWidth)
-            return false;
-        if (unit == UnitClass::Mul && use.longOps >= 1)
-            return false;
-        if (unit == UnitClass::Linear && use.shortOps >= hw_.numLinUnits)
-            return false;
-        if (unit == UnitClass::Inv && use.invOps >= 1)
-            return false;
-
-        for (int i = 0; i < op.numReads; ++i) {
-            int needed = 0;
-            for (int j = 0; j < op.numReads; ++j)
-                needed += op.readBanks[j] == op.readBanks[i];
-            if (readsAt(cycle, op.readBanks[i]) + needed >
-                hw_.readsPerBank) {
-                return false;
-            }
-        }
-
-        const i64 slot = writebackSlot(op, cycle);
-        if (slot < 0)
-            return false;
-
-        if (commit) {
-            use.total++;
-            if (unit == UnitClass::Mul)
-                use.longOps++;
-            else if (unit == UnitClass::Linear)
-                use.shortOps++;
-            else if (unit == UnitClass::Inv)
-                use.invOps++;
-            for (int i = 0; i < op.numReads; ++i)
-                readUse_[{cycle, op.readBanks[i]}]++;
-            writeUse_[{slot, op.dstBank}]++;
-            maxFifoDefer_ = std::max(
-                maxFifoDefer_, slot - (cycle + hw_.latency(op.op)));
-        }
-        return true;
-    }
-
-    /** Aggregate feasibility of a whole bundle at @p cycle. */
-    bool
-    canIssueBundle(const std::vector<PortOp> &ops, i64 cycle)
-    {
-        if (static_cast<int>(ops.size()) > hw_.issueWidth)
-            return false;
-        int longOps = 0, shortOps = 0, invOps = 0;
-        std::map<i32, int> reads;
-        std::map<std::pair<i64, i32>, int> writes;
-        const CycleUse &use = cycleUse_[cycle];
-        if (use.total + static_cast<int>(ops.size()) > hw_.issueWidth)
-            return false;
-        for (const PortOp &op : ops) {
-            switch (unitOf(op.op)) {
-              case UnitClass::Mul:
-                ++longOps;
-                break;
-              case UnitClass::Linear:
-                ++shortOps;
-                break;
-              case UnitClass::Inv:
-                ++invOps;
-                break;
-              case UnitClass::None:
-                break;
-            }
-            for (int i = 0; i < op.numReads; ++i)
-                reads[op.readBanks[i]]++;
-            // Write-back feasibility considering this bundle's writes.
-            const i64 wb = cycle + hw_.latency(op.op);
-            const int window = hw_.writebackFifo ? hw_.fifoDepth : 0;
-            i64 slot = -1;
-            for (i64 c = wb; c <= wb + window; ++c) {
-                if (writesAt(c, op.dstBank) + writes[{c, op.dstBank}] <
-                    hw_.writesPerBank) {
-                    slot = c;
-                    break;
-                }
-            }
-            if (slot < 0)
-                return false;
-            writes[{slot, op.dstBank}]++;
-        }
-        if (use.longOps + longOps > 1)
-            return false;
-        if (use.shortOps + shortOps > hw_.numLinUnits)
-            return false;
-        if (use.invOps + invOps > 1)
-            return false;
-        for (auto &[bank, cnt] : reads) {
-            if (readsAt(cycle, bank) + cnt > hw_.readsPerBank)
-                return false;
-        }
-        return true;
-    }
-
-    /** Commit a whole (pre-checked) bundle. */
-    void
-    commitBundle(const std::vector<PortOp> &ops, i64 cycle)
-    {
-        for (const PortOp &op : ops) {
-            const bool ok = tryIssue(op, cycle, true);
-            FINESSE_CHECK(ok, "bundle commit failed after check");
-        }
-    }
-
-    i64 maxFifoDefer() const { return maxFifoDefer_; }
-
-  private:
-    struct CycleUse
-    {
-        int total = 0, longOps = 0, shortOps = 0, invOps = 0;
-    };
-
-    int
-    readsAt(i64 cycle, i32 bank) const
-    {
-        auto it = readUse_.find({cycle, bank});
-        return it == readUse_.end() ? 0 : it->second;
-    }
-
-    int
-    writesAt(i64 cycle, i32 bank) const
-    {
-        auto it = writeUse_.find({cycle, bank});
-        return it == writeUse_.end() ? 0 : it->second;
-    }
-
-    i64
-    writebackSlot(const PortOp &op, i64 cycle) const
-    {
-        const i64 wb = cycle + hw_.latency(op.op);
-        const int window = hw_.writebackFifo ? hw_.fifoDepth : 0;
-        for (i64 c = wb; c <= wb + window; ++c) {
-            if (writesAt(c, op.dstBank) < hw_.writesPerBank)
-                return c;
-        }
-        return -1;
-    }
-
-    const PipelineModel &hw_;
-    std::map<i64, CycleUse> cycleUse_;
-    std::map<std::pair<i64, i32>, int> readUse_;
-    std::map<std::pair<i64, i32>, int> writeUse_;
     i64 maxFifoDefer_ = 0;
 };
 

@@ -7,11 +7,10 @@
  */
 #include "core/framework.h"
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,11 +41,12 @@ flattenPairInputs(const G1Affine &p, const G2Affine &q)
 
 // ------------------------------------------------- front-end trace cache
 //
-// Sharded by key hash so parallel sweep workers on distinct keys take
-// distinct locks, with in-flight coalescing so N workers asking for
-// the same key trace it once: the first caller publishes a slot,
-// traces OUTSIDE the shard lock, then fills the slot and wakes the
-// waiters.
+// One mutex over one map, with in-flight coalescing so N workers
+// asking for the same key trace it once: the first caller publishes a
+// slot, traces OUTSIDE the cache lock, then fills the slot and wakes
+// the waiters. The lock covers a map lookup, never a trace, and a
+// sweep takes it once per trace-key group (a compile, once), so one
+// lock does not serialize the workers.
 
 /** One cached front-end result: traced + optimized module and stats. */
 struct TraceCacheEntry
@@ -57,7 +57,7 @@ struct TraceCacheEntry
 
 /**
  * Shared state of one cache entry, ready or in flight. Waiters hold a
- * shared_ptr, so eviction or clearTraceCache() can drop the shard's
+ * shared_ptr, so eviction or clearTraceCache() can drop the cache's
  * reference while a trace is still being produced or consumed.
  */
 struct TraceSlot
@@ -69,82 +69,60 @@ struct TraceSlot
     TraceCacheEntry entry;
 };
 
-struct TraceShard
+struct TraceCache
 {
     std::mutex mutex;
     std::map<std::string, std::shared_ptr<TraceSlot>> slots;
 };
 
-constexpr size_t kNumTraceShards = 16;
 // Bound resident memory: cached modules are multi-MB, and a
 // long-lived process sweeping many (curve, variants) keys must not
-// grow without limit. The bound is GLOBAL (not per shard, which would
-// evict mid-sweep under hash skew and break the one-trace-per-key
-// invariant): 256 entries comfortably hold a full-variant-space sweep
-// (96 combos) over a couple of curves. Past the bound, each miss
-// evicts an arbitrary ready entry (see evictOverCapacity); re-tracing
-// an evicted key is correct, just slower.
+// grow without limit. 256 entries comfortably hold a full-variant-space
+// sweep (96 combos) over a couple of curves. Past the bound, each miss
+// evicts a ready entry (see evictOverCapacity); re-tracing an evicted
+// key is correct, just slower.
 constexpr size_t kMaxTraceEntries = 256;
 std::atomic<size_t> g_traceCapacity{kMaxTraceEntries};
 
-std::array<TraceShard, kNumTraceShards> &
-traceShards()
+TraceCache &
+traceCache()
 {
-    static std::array<TraceShard, kNumTraceShards> shards;
-    return shards;
+    static TraceCache cache;
+    return cache;
 }
 
 std::atomic<size_t> g_traceHits{0};
 std::atomic<size_t> g_traceMisses{0};
 std::atomic<size_t> g_traceCoalesced{0};
-std::atomic<size_t> g_traceEntries{0}; ///< slots across all shards
 std::atomic<size_t> g_traceDiskHits{0};
 std::atomic<size_t> g_traceDiskMisses{0};
 std::atomic<size_t> g_traceDiskPuts{0};
 std::atomic<size_t> g_traceDiskRejects{0};
 
 /**
- * Enforce the global entry bound: while over capacity, scan the
- * shards in index order and drop the first READY entry found.
- * In-flight slots are never evicted (their producers still hold a
- * reference and expect to publish the result to their waiters), so
- * the bound is soft while traces are outstanding; a scan that finds
- * nothing evictable stops rather than spinning. Only one shard lock
- * is held at a time, so this cannot deadlock against other shard
- * users or clearTraceCache()'s ordered multi-lock.
+ * Enforce the entry bound; the caller holds @p cache's lock. While
+ * over capacity, drop the first READY entry in key order. In-flight
+ * slots are never evicted (their producers still hold a reference and
+ * expect to publish the result to their waiters), so the bound is
+ * soft while traces are outstanding; a scan that finds nothing
+ * evictable stops rather than spinning.
  */
 void
-evictOverCapacity()
+evictOverCapacity(TraceCache &cache)
 {
-    while (g_traceEntries.load(std::memory_order_relaxed) >
+    while (cache.slots.size() >
            g_traceCapacity.load(std::memory_order_relaxed)) {
-        bool evicted = false;
-        for (TraceShard &shard : traceShards()) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            for (auto ev = shard.slots.begin();
-                 ev != shard.slots.end(); ++ev) {
-                // Keep the slot alive past the erase: the map may
-                // hold the last reference, and erasing while its
-                // mutex is locked would destroy a locked mutex.
-                std::shared_ptr<TraceSlot> victim = ev->second;
-                bool evictable = false;
-                {
-                    std::lock_guard<std::mutex> sl(victim->mutex);
-                    evictable = victim->ready;
-                }
-                if (evictable) {
-                    shard.slots.erase(ev);
-                    g_traceEntries.fetch_sub(1,
-                                             std::memory_order_relaxed);
-                    evicted = true;
-                    break;
-                }
-            }
-            if (evicted)
-                break;
-        }
-        if (!evicted)
+        // The slot lock is released before the erase: the map may
+        // hold the last reference, and destroying a locked mutex is
+        // undefined.
+        const auto victim = std::find_if(
+            cache.slots.begin(), cache.slots.end(), [](const auto &kv) {
+                std::lock_guard<std::mutex> sl(kv.second->mutex);
+                return kv.second->ready;
+            });
+        if (victim == cache.slots.end())
             return; // everything resident is in flight
+        cache.slots.erase(victim);
     }
 }
 
@@ -194,7 +172,7 @@ storeTraceArtifact(const std::string &key, const TraceCacheEntry &entry)
  * into the cache slot: the module is shared read-only by every caller
  * (and by the batched DSE engine), and the aliasing shared_ptr keeps
  * it alive across eviction and clearTraceCache(). A missing key is
- * traced with only the slot published (the shard lock is NOT held
+ * traced with only the slot published (the cache lock is NOT held
  * across the trace), so concurrent requests for other keys proceed
  * and concurrent requests for the same key coalesce onto the
  * in-flight slot.
@@ -212,27 +190,23 @@ sharedFrontend(const ICurveHandle &h, const CompileOptions &opt,
         return std::make_shared<const Module>(traceNow());
 
     const std::string key = traceCacheKey(h.info().def.name, opt);
-    TraceShard &shard =
-        traceShards()[std::hash<std::string>{}(key) % kNumTraceShards];
+    TraceCache &cache = traceCache();
 
     std::shared_ptr<TraceSlot> slot;
     bool owner = false;
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.slots.find(key);
-        if (it == shard.slots.end()) {
+        std::lock_guard<std::mutex> lock(cache.mutex);
+        auto it = cache.slots.find(key);
+        if (it == cache.slots.end()) {
             slot = std::make_shared<TraceSlot>();
-            shard.slots.emplace(key, slot);
-            g_traceEntries.fetch_add(1, std::memory_order_relaxed);
+            cache.slots.emplace(key, slot);
             owner = true;
             g_traceMisses.fetch_add(1, std::memory_order_relaxed);
+            evictOverCapacity(cache);
         } else {
             slot = it->second;
         }
     }
-
-    if (owner)
-        evictOverCapacity();
 
     if (owner) {
         try {
@@ -257,12 +231,10 @@ sharedFrontend(const ICurveHandle &h, const CompileOptions &opt,
             }
             // Unpublish so a later caller retries instead of
             // rereading a poisoned slot forever.
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto it = shard.slots.find(key);
-            if (it != shard.slots.end() && it->second == slot) {
-                shard.slots.erase(it);
-                g_traceEntries.fetch_sub(1, std::memory_order_relaxed);
-            }
+            std::lock_guard<std::mutex> lock(cache.mutex);
+            auto it = cache.slots.find(key);
+            if (it != cache.slots.end() && it->second == slot)
+                cache.slots.erase(it);
             throw;
         }
     }
@@ -455,31 +427,21 @@ traceCacheStats()
     s.diskMisses = g_traceDiskMisses.load(std::memory_order_relaxed);
     s.diskPuts = g_traceDiskPuts.load(std::memory_order_relaxed);
     s.diskRejects = g_traceDiskRejects.load(std::memory_order_relaxed);
-    for (TraceShard &shard : traceShards()) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        s.entries += shard.slots.size();
-    }
+    TraceCache &cache = traceCache();
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    s.entries = cache.slots.size();
     return s;
 }
 
 void
 clearTraceCache()
 {
-    // All shard locks, in index order (the only multi-shard lock
-    // site, so the ordering is trivially deadlock-free). A concurrent
-    // compile() either completed its lookup before we took the shard
-    // (and holds its own shared_ptr to the slot, which stays valid)
-    // or will miss afterwards and re-trace.
-    std::array<TraceShard, kNumTraceShards> &shards = traceShards();
-    std::array<std::unique_lock<std::mutex>, kNumTraceShards> locks;
-    for (size_t i = 0; i < kNumTraceShards; ++i)
-        locks[i] = std::unique_lock<std::mutex>(shards[i].mutex);
-    size_t dropped = 0;
-    for (TraceShard &shard : shards) {
-        dropped += shard.slots.size();
-        shard.slots.clear();
-    }
-    g_traceEntries.fetch_sub(dropped, std::memory_order_relaxed);
+    // A concurrent compile() either completed its lookup before the
+    // clear (and holds its own shared_ptr to the slot, which stays
+    // valid) or will miss afterwards and re-trace.
+    TraceCache &cache = traceCache();
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    cache.slots.clear();
     g_traceHits.store(0, std::memory_order_relaxed);
     g_traceMisses.store(0, std::memory_order_relaxed);
     g_traceCoalesced.store(0, std::memory_order_relaxed);

@@ -182,11 +182,12 @@ DesignPoint designPoint(int fpBits, const PipelineModel &hw, int cores,
                         const RegAssignment &regs, size_t imemBits);
 
 /**
- * Counters of the process-wide front-end trace cache. The cache is
- * sharded by key hash with one mutex per shard, so concurrent sweep
- * workers on different keys never contend; concurrent requests for
- * the SAME key are coalesced -- the first caller traces, the others
- * block on the in-flight entry instead of tracing redundantly.
+ * Counters of the process-wide front-end trace cache. The cache is one
+ * map under one mutex, held for a lookup and never across a trace, so
+ * concurrent requests for different keys trace in parallel;
+ * concurrent requests for the SAME key are coalesced -- the first
+ * caller traces, the others block on the in-flight entry instead of
+ * tracing redundantly.
  */
 struct TraceCacheStats
 {
@@ -212,7 +213,7 @@ struct TraceCacheStats
 TraceCacheStats traceCacheStats();
 
 /**
- * Test-only: override the global trace-cache entry bound so the
+ * Test-only: override the trace-cache entry bound so the
  * eviction path can be exercised without tracing hundreds of keys.
  * 0 restores the built-in default. Returns the previous bound.
  */
@@ -220,9 +221,9 @@ size_t setTraceCacheCapacityForTesting(size_t capacity);
 
 /**
  * Drop all cached traces and reset the counters (tests/benches).
- * Safe against concurrent compile() callers: all shard locks are
- * taken in index order, and in-flight traces complete normally for
- * their waiters (the results are simply not retained).
+ * Safe against concurrent compile() callers: in-flight traces
+ * complete normally for their waiters (the results are simply not
+ * retained).
  */
 void clearTraceCache();
 

@@ -4,9 +4,9 @@
  * backend engine: design points are grouped by front-end trace key,
  * each group's cached trace is shared un-cloned (Framework::
  * traceShared) and prepped once (TracePrep), and every worker thread
- * evaluates its points with one reusable BackendScratch. The pre-
- * batching per-point path is kept as evaluateAllUngrouped(), the
- * oracle the grouped engine is identity-tested against.
+ * evaluates its points with one reusable BackendScratch. The grouped
+ * engine is identity-tested against per-point Framework::compile
+ * evaluation (tests/test_parallel_dse.cpp).
  */
 #include "dse/explorer.h"
 
@@ -31,7 +31,7 @@ workerScratch()
  * One design point on the batched engine: backend artifacts + cycle
  * simulation + area/timing models against the shared immutable
  * (module, prep), without cloning the module or materializing the
- * binary. Equal to the per-point compile path (evaluateLegacy) by the
+ * binary. Equal to the per-point Framework::compile path by the
  * engine-identity and encoding-layout contracts.
  */
 DsePoint
@@ -108,26 +108,6 @@ fillModelMetrics(DsePoint &p, int fpBits, const CycleStats &sim,
 }
 
 DsePoint
-Explorer::evaluateLegacy(const CompileOptions &opt, int cores,
-                         const std::string &label) const
-{
-    DsePoint p;
-    p.label = label;
-    p.variants = opt.variants;
-    p.hw = opt.hw;
-    p.cores = cores;
-    CompileResult res = fw_.compile(opt);
-    p.instrs = res.instrs();
-    p.mulInstrs = res.prog.module.countUnit(UnitClass::Mul);
-    p.linInstrs = res.prog.module.countUnit(UnitClass::Linear);
-    p.compileSeconds = res.compileSeconds;
-    fillModelMetrics(p, fw_.info().logP(), simulateCycles(res.prog),
-                     fw_.area(res, cores));
-    p.opt = std::move(res.opt);
-    return p;
-}
-
-DsePoint
 Explorer::evaluate(const CompileOptions &opt, int cores,
                    const std::string &label) const
 {
@@ -180,18 +160,6 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
                                points[i].opt, points[i].cores,
                                points[i].label, grp.stats,
                                workerScratch());
-    });
-    return out;
-}
-
-std::vector<DsePoint>
-Explorer::evaluateAllUngrouped(const std::vector<DseRequest> &points,
-                               int jobs) const
-{
-    std::vector<DsePoint> out(points.size());
-    parallelFor(points.size(), jobs, [&](size_t i) {
-        out[i] = evaluateLegacy(points[i].opt, points[i].cores,
-                                points[i].label);
     });
     return out;
 }

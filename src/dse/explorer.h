@@ -103,17 +103,6 @@ class Explorer
                                       int jobs = 0) const;
 
     /**
-     * Reference oracle for the grouped engine: the pre-batching
-     * per-point path (every point independently runs
-     * Framework::compile on its own clone of the cached trace).
-     * Deterministic fields must match evaluateAll exactly; tests and
-     * benches enforce this.
-     */
-    std::vector<DsePoint>
-    evaluateAllUngrouped(const std::vector<DseRequest> &points,
-                         int jobs = 0) const;
-
-    /**
      * Evaluate a hardware model against an already-traced module
      * (reuses the front end across a hardware sweep). Runs the
      * batched backend engine against @p m by const reference -- no
@@ -162,9 +151,6 @@ class Explorer
     static double score(const DsePoint &p, Objective objective);
 
   private:
-    DsePoint evaluateLegacy(const CompileOptions &opt, int cores,
-                            const std::string &label) const;
-
     Framework fw_;
     std::string curve_;
 };

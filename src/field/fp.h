@@ -36,9 +36,16 @@ struct FpCtx
 /**
  * Element of the prime field Fp (Montgomery domain).
  *
- * Operations never branch on element values; the same call sequence is
- * valid for the symbolic twin, and the hardware mapping is
- * data-independent (the paper's constant-time property).
+ * The sequence of operations an algorithm issues on Fp elements never
+ * depends on element values. That is what the symbolic twin
+ * (compiler/symfp.h) needs to record the same call sequence, and what
+ * makes the hardware mapping data-independent (the paper's
+ * constant-time property). The native kernels are not branch-free
+ * inside: MontKernel<N>'s add, sub, neg and condSub, and the final
+ * reductions of mulSpareBit, sqr and redc, branch on the data, and
+ * inversion is a binary extended GCD (bigint/montkernel.h, mont.h).
+ * Only the 4-limb ADX kernels -- Montgomery mul and sqr, and the Fp2
+ * mul and sqr built on them -- are branch-free inside.
  */
 class Fp
 {

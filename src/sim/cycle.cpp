@@ -3,92 +3,16 @@
  * Cycle-accurate simulator implementation. Issue rules are shared with
  * the scheduler through compiler/ports.h, so simulated timing and
  * scheduled timing can only diverge through in-order head-of-line
- * blocking, which this simulator models explicitly. One template
- * replay loop serves both trackers: the dense production PortTracker
- * (optionally running out of a sweep worker's BackendScratch) and the
- * LegacyPortTracker reference oracle.
+ * blocking, which this simulator models explicitly. The replay loop
+ * itself (sim/replay.h) runs on the dense PortTracker, optionally out
+ * of a sweep worker's BackendScratch.
  */
 #include "sim/cycle.h"
 
 #include "compiler/backendprep.h"
-#include "compiler/ports.h"
+#include "sim/replay.h"
 
 namespace finesse {
-
-namespace {
-
-template <typename Tracker>
-CycleStats
-replay(const Module &m, const BankAssignment &banks,
-       const Schedule &sched, const PipelineModel &hw, i64 windowStart,
-       i64 windowLen, Tracker &ports, std::vector<i64> &readyAt,
-       std::vector<PortOp> &pops)
-{
-    CycleStats stats;
-    stats.instrs = m.body.size();
-
-    readyAt.assign(static_cast<size_t>(m.numValues), 0);
-
-    i64 cycle = 0;
-    i64 lastWriteback = 0;
-
-    for (const Bundle &bundle : sched.bundles) {
-        // Dependence stall: every op's operands must be ready.
-        i64 t = cycle;
-        pops.clear();
-        for (i32 idx : bundle.instIdx) {
-            const Inst &inst = m.body[idx];
-            if (arity(inst.op) >= 1)
-                t = std::max(t, readyAt[inst.a]);
-            if (arity(inst.op) >= 2)
-                t = std::max(t, readyAt[inst.b]);
-            pops.push_back(makePortOp(inst, banks.bankOf));
-        }
-        // Structural stall: ports/units/write-back.
-        while (!ports.canIssueBundle(pops, t))
-            ++t;
-        ports.commitBundle(pops, t);
-
-        stats.bubbles += t - cycle;
-        for (i32 idx : bundle.instIdx) {
-            const Inst &inst = m.body[idx];
-            readyAt[inst.dst] = t + hw.latency(inst.op);
-            lastWriteback = std::max(lastWriteback, readyAt[inst.dst]);
-        }
-
-        if (t >= windowStart && t < windowStart + windowLen) {
-            IssueSample s{t, 0, 0, 0};
-            for (i32 idx : bundle.instIdx) {
-                switch (unitOf(m.body[idx].op)) {
-                  case UnitClass::Mul:
-                    s.longOps++;
-                    break;
-                  case UnitClass::Linear:
-                    s.shortOps++;
-                    break;
-                  case UnitClass::Inv:
-                    s.invOps++;
-                    break;
-                  case UnitClass::None:
-                    break;
-                }
-            }
-            stats.window.push_back(s);
-        }
-
-        stats.issueCycles = t;
-        cycle = t + 1;
-    }
-
-    i64 done = lastWriteback;
-    for (i32 out : m.outputs)
-        done = std::max(done, readyAt[out]);
-    stats.totalCycles = done;
-    stats.maxFifoDefer = ports.maxFifoDefer();
-    return stats;
-}
-
-} // namespace
 
 CycleStats
 simulateCycles(const Module &m, const BankAssignment &banks,
@@ -97,15 +21,15 @@ simulateCycles(const Module &m, const BankAssignment &banks,
 {
     if (scratch) {
         scratch->simPorts.reset(hw);
-        return replay(m, banks, sched, hw, windowStart, windowLen,
-                      scratch->simPorts, scratch->simReadyAt,
-                      scratch->pops);
+        return replaySchedule(m, banks, sched, hw, windowStart,
+                              windowLen, scratch->simPorts,
+                              scratch->simReadyAt, scratch->pops);
     }
     PortTracker ports(hw);
     std::vector<i64> readyAt;
     std::vector<PortOp> pops;
-    return replay(m, banks, sched, hw, windowStart, windowLen, ports,
-                  readyAt, pops);
+    return replaySchedule(m, banks, sched, hw, windowStart, windowLen,
+                          ports, readyAt, pops);
 }
 
 CycleStats
@@ -114,17 +38,6 @@ simulateCycles(const CompiledProgram &prog, i64 windowStart,
 {
     return simulateCycles(prog.module, prog.banks, prog.schedule,
                           prog.hw, windowStart, windowLen, nullptr);
-}
-
-CycleStats
-simulateCyclesReference(const CompiledProgram &prog, i64 windowStart,
-                        i64 windowLen)
-{
-    LegacyPortTracker ports(prog.hw);
-    std::vector<i64> readyAt;
-    std::vector<PortOp> pops;
-    return replay(prog.module, prog.banks, prog.schedule, prog.hw,
-                  windowStart, windowLen, ports, readyAt, pops);
 }
 
 } // namespace finesse

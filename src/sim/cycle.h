@@ -4,7 +4,10 @@
  * against the pipeline model (in-order issue, instruction latencies,
  * data dependences, bank read ports, write-back conflicts / FIFO) and
  * reports cycle counts, IPC, bubbles, and the issue-queue occupancy
- * trace used by the Figure 9 waterfall.
+ * trace used by the Figure 9 waterfall. The replay runs on the same
+ * dense port tracker the scheduler issues against (compiler/ports.h),
+ * so the two views of the pipeline cannot diverge; the ordered-map
+ * reference replay lives with the test oracles (tests/oracles/).
  */
 #ifndef FINESSE_SIM_CYCLE_H_
 #define FINESSE_SIM_CYCLE_H_
@@ -61,15 +64,6 @@ CycleStats simulateCycles(const Module &m, const BankAssignment &banks,
                           const Schedule &sched, const PipelineModel &hw,
                           i64 windowStart = 10000, i64 windowLen = 64,
                           BackendScratch *scratch = nullptr);
-
-/**
- * Reference replay on the LegacyPortTracker oracle (identity tests
- * only; production simulation uses the dense tracker -- the same one
- * the scheduler issues against, so the two views cannot diverge).
- */
-CycleStats simulateCyclesReference(const CompiledProgram &prog,
-                                   i64 windowStart = 10000,
-                                   i64 windowLen = 64);
 
 } // namespace finesse
 

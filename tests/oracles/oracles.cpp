@@ -1,18 +1,20 @@
 /**
  * @file
  * Backend reference oracles: the legacy Module-walking PackSched
- * (Algorithm 2) and the std::map RegAlloc. Production runs -- compile
- * and sweep alike -- go through the dense engine
- * (compiler/backendprep.h); the oracles below are kept byte-identical
- * to it by tests/test_backend_props.cpp and bench/fig_backend.
+ * (Algorithm 2), the std::map RegAlloc and the cycle replay on the
+ * ordered-map tracker. Compile and sweep alike go through the dense
+ * engine (compiler/backendprep.h, sim/cycle.h); these are kept
+ * byte-identical to it by tests/test_backend_props.cpp and
+ * bench/fig_backend.
  */
-#include "compiler/backend.h"
+#include "oracles.h"
 
 #include <algorithm>
 #include <map>
 #include <queue>
 
-#include "compiler/ports.h"
+#include "legacy_ports.h"
+#include "sim/replay.h"
 
 namespace finesse {
 
@@ -280,6 +282,18 @@ allocateRegistersReference(const Module &m, const BankAssignment &banks,
         ++pos;
     }
     return ra;
+}
+
+CycleStats
+simulateCyclesReference(const CompiledProgram &prog, i64 windowStart,
+                        i64 windowLen)
+{
+    LegacyPortTracker ports(prog.hw);
+    std::vector<i64> readyAt;
+    std::vector<PortOp> pops;
+    return replaySchedule(prog.module, prog.banks, prog.schedule,
+                          prog.hw, windowStart, windowLen, ports,
+                          readyAt, pops);
 }
 
 } // namespace finesse

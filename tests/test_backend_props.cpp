@@ -11,6 +11,7 @@
 #include "compiler/backendprep.h"
 #include "compiler/passes.h"
 #include "core/framework.h"
+#include "oracles.h"
 #include "sim/binary.h"
 #include "sim/functional.h"
 #include "support/rng.h"

@@ -2,7 +2,7 @@
  * @file
  * Parallel DSE tests: thread-pool semantics, the determinism contract
  * of Explorer::evaluateAll / exploreVariants (bit-identical results
- * for every jobs value), and the concurrency behavior of the sharded
+ * for every jobs value), and the concurrency behavior of the
  * front-end trace cache (one trace per key under contention, in-flight
  * coalescing, clearTraceCache vs concurrent compiles).
  *
@@ -90,6 +90,36 @@ TEST(ThreadPool, FreeParallelForRunsInlineWhenSerial)
 
 // -------------------------------------------- determinism of the sweep
 
+/**
+ * Per-point reference for the grouped engine, from public calls only:
+ * every point runs Framework::compile on its own copy of the cached
+ * trace, then the cycle simulator, the area model and
+ * fillModelMetrics.
+ */
+std::vector<DsePoint>
+evaluateUngrouped(const Framework &fw, const std::vector<DseRequest> &reqs,
+                  int jobs)
+{
+    std::vector<DsePoint> out(reqs.size());
+    parallelFor(reqs.size(), jobs, [&](size_t i) {
+        const DseRequest &req = reqs[i];
+        DsePoint &p = out[i];
+        p.label = req.label;
+        p.variants = req.opt.variants;
+        p.hw = req.opt.hw;
+        p.cores = req.cores;
+        CompileResult res = fw.compile(req.opt);
+        p.instrs = res.instrs();
+        p.mulInstrs = res.prog.module.countUnit(UnitClass::Mul);
+        p.linInstrs = res.prog.module.countUnit(UnitClass::Linear);
+        p.compileSeconds = res.compileSeconds;
+        fillModelMetrics(p, fw.info().logP(), simulateCycles(res.prog),
+                         fw.area(res, req.cores));
+        p.opt = std::move(res.opt);
+    });
+    return out;
+}
+
 TEST(ParallelDse, EvaluateAllMatchesSerialAcrossJobs)
 {
     Explorer ex("BN254N");
@@ -133,11 +163,12 @@ TEST(ParallelDse, EvaluateAllMatchesSerialAcrossJobs)
 TEST(ParallelDse, GroupedEvaluateAllMatchesUngroupedAcrossJobs)
 {
     // The batched engine (grouped by trace key, shared TracePrep,
-    // per-worker scratch) against the pre-batching per-point oracle
-    // (every point runs Framework::compile on its own clone of the
-    // trace): deterministic fields must be bit-identical for
-    // every jobs value. This test is part of the TSan workload -- the
-    // grouped path shares immutable trace/prep state across workers.
+    // per-worker scratch) against the pre-batching per-point reference
+    // (evaluateUngrouped: every point runs Framework::compile on its
+    // own clone of the trace): deterministic fields must be
+    // bit-identical for every jobs value. This test is part of the
+    // TSan workload -- the grouped path shares immutable trace/prep
+    // state across workers.
     Explorer ex("BN254N");
     std::vector<PipelineModel> models;
     models.emplace_back(); // single-issue deep
@@ -172,7 +203,8 @@ TEST(ParallelDse, GroupedEvaluateAllMatchesUngroupedAcrossJobs)
         reqs.push_back(std::move(req));
     }
 
-    const std::vector<DsePoint> ref = ex.evaluateAllUngrouped(reqs, 1);
+    const std::vector<DsePoint> ref =
+        evaluateUngrouped(ex.framework(), reqs, 1);
     ASSERT_EQ(ref.size(), reqs.size());
     for (int jobs : {1, 2, 8}) {
         const std::vector<DsePoint> got = ex.evaluateAll(reqs, jobs);
@@ -224,7 +256,7 @@ TEST(ParallelDse, ExploreVariantsSameBestPointAcrossJobs)
     }
 }
 
-// ------------------------------------------------ sharded trace cache
+// --------------------------------------------- front-end trace cache
 
 TEST(TraceCacheConcurrency, SameKeyTracesOnceAndCoalesces)
 {
