@@ -44,9 +44,10 @@ flattenPairInputs(const G1Affine &p, const G2Affine &q)
 // One mutex over one map, with in-flight coalescing so N workers
 // asking for the same key trace it once: the first caller publishes a
 // slot, traces OUTSIDE the cache lock, then fills the slot and wakes
-// the waiters. The lock covers a map lookup, never a trace, and a
-// sweep takes it once per trace-key group (a compile, once), so one
-// lock does not serialize the workers.
+// the waiters. The lock covers a map lookup (plus, on a miss past the
+// entry bound, the eviction scan), never a trace, and a sweep takes it
+// once per trace-key group (a compile, once), so one lock does not
+// serialize the workers.
 
 /** One cached front-end result: traced + optimized module and stats. */
 struct TraceCacheEntry

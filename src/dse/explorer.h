@@ -97,7 +97,8 @@ class Explorer
      * Results come back index-aligned with @p points, and every point
      * is evaluated by the same deterministic, RNG-free computation as
      * evaluate(), so the output is identical for any jobs value --
-     * only wall-clock time changes.
+     * only wall-clock time changes. tests/test_parallel_dse.cpp checks
+     * it field by field against per-point Framework::compile.
      */
     std::vector<DsePoint> evaluateAll(const std::vector<DseRequest> &points,
                                       int jobs = 0) const;

@@ -65,8 +65,7 @@ scheduleModuleReference(const Module &m, const BankAssignment &banks,
 
     // ---- Algorithm 2: affinity list scheduling with greedy packing ----
     // Use counts first, so every users[] vector is sized in one
-    // allocation instead of growing geometrically (this loop runs for
-    // every backend compile of a sweep).
+    // allocation instead of growing geometrically.
     std::vector<int> deps(n, 0);
     std::vector<u32> useCount(m.numValues, 0);
     for (size_t i = 0; i < n; ++i) {
