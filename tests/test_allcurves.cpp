@@ -6,13 +6,15 @@
  * whole-framework guarantee in the suite. Each curve's deterministic
  * compile outputs, and its schedule, register assignment and cycle
  * counts on every Fig. 10 model and its Fig. 8 delay, are also pinned
- * by tests/golden/catalog.txt.
+ * by tests/golden/catalog.txt, and so is its native pairing value.
  */
 #include <gtest/gtest.h>
 
 #include "core/framework.h"
 #include "dse/explorer.h"
 #include "golden.h"
+#include "pairing/cache.h"
+#include "support/diskcache.h"
 
 namespace finesse {
 namespace {
@@ -122,6 +124,38 @@ TEST_P(AllCurvesEndToEnd, CompileSimulateValidate)
                                             : std::string(".init")),
                      scheduleFingerprint(r, fw.simulate(r)));
     }
+}
+
+/**
+ * FNV-1a over the hex Fp coefficients of e(g1Gen, g2Gen), one
+ * `0x...` string each, joined by ','. The bilinearity tests compare
+ * pairings with each other, so a field op that is wrong but
+ * self-consistent passes them; this line pins the value itself.
+ */
+template <typename System>
+std::string
+nativePairingFingerprint(const System &sys)
+{
+    std::vector<BigInt> coeffs;
+    sys.pair(sys.g1Gen(), sys.g2Gen()).toFpCoeffs(coeffs);
+    std::string hex;
+    for (const BigInt &c : coeffs) {
+        if (!hex.empty())
+            hex += ',';
+        hex += c.toHexString();
+    }
+    return goldenFormat("pair_fnv=%016llx",
+                        static_cast<unsigned long long>(
+                            DiskCache::fnv1a(hex.data(), hex.size())));
+}
+
+TEST_P(AllCurvesEndToEnd, NativePairingPinned)
+{
+    const std::string name = GetParam();
+    expectGolden("native." + name,
+                 findCurve(name).family == CurveFamily::BLS24
+                     ? nativePairingFingerprint(curveSystem24(name))
+                     : nativePairingFingerprint(curveSystem12(name)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, AllCurvesEndToEnd,
