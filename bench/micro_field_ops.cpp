@@ -2,10 +2,11 @@
  * @file
  * Microbenchmark of the fixed-limb Montgomery kernels (bigint/montkernel.h)
  * against the generic runtime-width CIOS oracle, across the catalog
- * curves' base fields: mul/sqr/inv latency and kernel-vs-generic speedup
- * per curve, plus the aggregate speedup (mul+sqr throughput ratio on
- * the 4-limb BN254N field, the dominant pairing width), which must
- * reach kSpeedupFloor in either mode.
+ * curves' base fields: mul/sqr/add/sub/inv latency and kernel-vs-generic
+ * speedup per curve (add and sub have no floor), plus the aggregate
+ * speedup (mul+sqr throughput ratio on the 4-limb BN254N field, the
+ * dominant pairing width), which must reach kSpeedupFloor in either
+ * mode.
  *
  * Measurement methodology: this machine's clock drifts enough between
  * runs to swamp a 2x ratio, so each kernel/generic pair is measured in
@@ -77,6 +78,8 @@ struct CurveResult
     size_t limbs = 0;
     double mulKernel = 0, mulGeneric = 0;
     double sqrKernel = 0, sqrGeneric = 0;
+    double addKernel = 0, addGeneric = 0;
+    double subKernel = 0, subGeneric = 0;
     double invXgcd = 0, invFermat = 0;
     bool identical = true;
 };
@@ -108,6 +111,16 @@ benchCurve(const CurveInfo &info)
         [&](Residue &r, const Residue &) { ctx.sqr(r, r); },
         [&](Residue &r, const Residue &) { ctx.sqrGeneric(r, r); },
         res.sqrKernel, res.sqrGeneric);
+    pairNs(
+        s, b, batch, reps,
+        [&](Residue &r, const Residue &o) { ctx.add(r, r, o); },
+        [&](Residue &r, const Residue &o) { ctx.addGeneric(r, r, o); },
+        res.addKernel, res.addGeneric);
+    pairNs(
+        s, b, batch, reps,
+        [&](Residue &r, const Residue &o) { ctx.sub(r, r, o); },
+        [&](Residue &r, const Residue &o) { ctx.subGeneric(r, r, o); },
+        res.subKernel, res.subGeneric);
     // Inversion is microseconds-scale: smaller batches suffice, and the
     // baseline is the historical Fermat ladder.
     pairNs(
@@ -127,6 +140,10 @@ benchCurve(const CurveInfo &info)
             ctx.sqrGeneric(g, g);
             ctx.add(k, k, b);
             ctx.addGeneric(g, g, b);
+            ctx.sub(k, k, b);
+            ctx.subGeneric(g, g, b);
+            ctx.neg(k, k);
+            ctx.negGeneric(g, g);
         }
         res.identical = res.identical && k == g;
     }
@@ -258,17 +275,21 @@ main()
         results.push_back(benchCurve(deriveCurveInfo(def)));
     }
 
-    std::printf("%-11s %5s  %8s %8s %7s  %8s %8s %7s  %9s %9s %7s\n",
+    std::printf("%-11s %5s  %8s %8s %7s  %8s %8s %7s  %7s %7s %6s  "
+                "%7s %7s %6s  %9s %9s %7s\n",
                 "curve", "limbs", "mul", "gen", "x", "sqr", "gen", "x",
-                "inv", "fermat", "x");
+                "add", "gen", "x", "sub", "gen", "x", "inv", "fermat", "x");
     bool allIdentical = true;
     double aggregate = 0;
     for (const CurveResult &r : results) {
         std::printf("%-11s %5zu  %6.1fns %6.1fns %6.2fx  %6.1fns %6.1fns "
-                    "%6.2fx  %7.2fus %7.2fus %6.2fx\n",
+                    "%6.2fx  %5.1fns %5.1fns %5.2fx  %5.1fns %5.1fns %5.2fx  "
+                    "%7.2fus %7.2fus %6.2fx\n",
                     r.name.c_str(), r.limbs, r.mulKernel, r.mulGeneric,
                     r.mulGeneric / r.mulKernel, r.sqrKernel, r.sqrGeneric,
-                    r.sqrGeneric / r.sqrKernel, r.invXgcd / 1e3,
+                    r.sqrGeneric / r.sqrKernel, r.addKernel, r.addGeneric,
+                    r.addGeneric / r.addKernel, r.subKernel, r.subGeneric,
+                    r.subGeneric / r.subKernel, r.invXgcd / 1e3,
                     r.invFermat / 1e3, r.invFermat / r.invXgcd);
         allIdentical = allIdentical && r.identical;
         if (r.name == "BN254N") {

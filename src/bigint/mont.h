@@ -7,7 +7,11 @@
  * Hot-path arithmetic dispatches through a per-width KernelVTable
  * (bigint/montkernel.h) chosen once at construction, so Fp and the whole
  * pairing tower run fully unrolled fixed-limb kernels with zero per-call
- * width branching. The generic runtime-width loops remain available as
+ * width branching. 4-limb spare-top-bit contexts skip the table: on
+ * x86-64 with BMI2+ADX every table operation -- add, sub, neg, mul,
+ * sqr and the Fp2 multiply and square -- inlines its branch-free asm
+ * kernel; without ADX mul and sqr inline MontKernel<4> and the rest
+ * stay on the table. The generic runtime-width loops remain available as
  * *Generic methods — they are the differential oracle for
  * tests/test_montkernel.cpp and the baseline for bench/micro_field_ops.
  *
@@ -61,12 +65,24 @@ class MontCtx
     BigInt fromMont(const Residue &a) const;
 
     // Arithmetic (all inputs/outputs in Montgomery domain) --------------
+    /** On ADX contexts add, sub and neg inline the branch-free
+     *  mask-select asm the Fp2 kernels use, like mul (through the
+     *  table BN254N's Fp12 multiply took about 1.5x as long); other
+     *  contexts take their table's kernel. */
     void
     add(Residue &r, const Residue &a, const Residue &b) const
     {
         checkTail(a.data());
         checkTail(b.data());
-        vt_->add(r.data(), a.data(), b.data(), params());
+        switch (fast_) {
+#if FINESSE_HAVE_X86_ADX
+          case FastPath::kAdx4:
+            addMod4Asm(r.data(), a.data(), b.data(), params());
+            return;
+#endif
+          default:
+            vt_->add(r.data(), a.data(), b.data(), params());
+        }
     }
 
     void
@@ -74,14 +90,31 @@ class MontCtx
     {
         checkTail(a.data());
         checkTail(b.data());
-        vt_->sub(r.data(), a.data(), b.data(), params());
+        switch (fast_) {
+#if FINESSE_HAVE_X86_ADX
+          case FastPath::kAdx4:
+            subMod4Asm(r.data(), a.data(), b.data(), params());
+            return;
+#endif
+          default:
+            vt_->sub(r.data(), a.data(), b.data(), params());
+        }
     }
 
+    /** r = -a; on ADX contexts 0 - a, which leaves 0 at 0. */
     void
     neg(Residue &r, const Residue &a) const
     {
         checkTail(a.data());
-        vt_->neg(r.data(), a.data(), params());
+        switch (fast_) {
+#if FINESSE_HAVE_X86_ADX
+          case FastPath::kAdx4:
+            subMod4Asm(r.data(), kZero4, a.data(), params());
+            return;
+#endif
+          default:
+            vt_->neg(r.data(), a.data(), params());
+        }
     }
 
     void
@@ -93,8 +126,9 @@ class MontCtx
         // (4 limbs, spare top bit): lets the compiler inline the
         // unrolled kernel straight into Fp call sites, skipping the
         // indirect call. On x86-64 with BMI2+ADX the hand-scheduled
-        // dual-carry-chain asm kernel is used instead. Other widths
-        // still reach their fixed-limb kernel through the vtable.
+        // dual-carry-chain asm kernel is used instead (and add, sub
+        // and neg inline the asm too). Other widths still reach their
+        // fixed-limb kernel through the vtable.
         switch (fast_) {
 #if FINESSE_HAVE_X86_ADX
           case FastPath::kAdx4:
@@ -253,6 +287,11 @@ class MontCtx
         assertTailZero(a);
 #endif
     }
+
+#if FINESSE_HAVE_X86_ADX
+    /** Zero minuend of the ADX neg. */
+    static constexpr u64 kZero4[4] = {};
+#endif
 
     /** Devirtualized hot paths for 4-limb spare-top-bit moduli. */
     enum class FastPath : u8

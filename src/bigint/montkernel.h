@@ -15,13 +15,14 @@
  * the spare-top-bit table, whose fused single-scratch CIOS multiply
  * (mulSpareBit, the gnark "no-carry" shape) drops the overflow-limb
  * bookkeeping entirely and whose Fp2 kernels reduce lazily. On x86-64
- * with BMI2+ADX, 4-limb spare-bit contexts additionally bypass the
- * vtable for a hand-scheduled mulx/adcx/adox dual-carry-chain asm
- * kernel (montMulAdx4) and the Fp2 kernels built on it, selected at
- * context construction via cpuHasAdx(). The generic runtime-width
- * implementation stays in MontCtx as the differential oracle
- * (mulGeneric/sqrGeneric/...); tests/test_montkernel.cpp checks every
- * width 1..kMaxLimbs against it and against BigInt reference
+ * with BMI2+ADX, 4-limb spare-bit contexts bypass the vtable for every
+ * table entry: a hand-scheduled mulx/adcx/adox dual-carry-chain asm
+ * multiply (montMulAdx4), branch-free asm add and sub (addMod4Asm,
+ * subMod4Asm, which also serve neg), and the Fp2 kernels built on
+ * them, selected at context construction via cpuHasAdx(). The generic
+ * runtime-width implementation stays in MontCtx as the differential
+ * oracle (mulGeneric/sqrGeneric/...); tests/test_montkernel.cpp checks
+ * every width 1..kMaxLimbs against it and against BigInt reference
  * arithmetic.
  *
  * Value contract: all kernel entry points take fully reduced Montgomery
@@ -731,6 +732,8 @@ montMulAdx4(u64 *r, const u64 *a, const u64 *b, const u64 *p, u64 n0inv)
  * sum - p unless that borrows (cmov, no branch on the data). Scalar asm
  * keeps every limb in a register: compiled C++ vectorizes the select and
  * then stalls reloading limbs the multiplier stored one at a time.
+ * Serves the ADX Fp2 kernels and MontCtx::add on ADX contexts. All
+ * limbs are read before r is written, so r may alias a or b.
  */
 FINESSE_FORCE_INLINE void
 addMod4Asm(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
@@ -768,7 +771,8 @@ addMod4Asm(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
 }
 
 /** r = a - b mod p for 4 limbs: the difference, plus p masked by the
- *  borrow (no branch on the data). */
+ *  borrow (no branch on the data). Serves the ADX Fp2 kernels and, on
+ *  ADX contexts, MontCtx::sub and neg (0 - a). Aliasing as addMod4Asm. */
 FINESSE_FORCE_INLINE void
 subMod4Asm(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
 {

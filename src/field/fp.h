@@ -44,8 +44,8 @@ struct FpCtx
  * inside: MontKernel<N>'s add, sub, neg and condSub, and the final
  * reductions of mulSpareBit, sqr and redc, branch on the data, and
  * inversion is a binary extended GCD (bigint/montkernel.h, mont.h).
- * Only the 4-limb ADX kernels -- Montgomery mul and sqr, and the Fp2
- * mul and sqr built on them -- are branch-free inside.
+ * Only the 4-limb ADX kernels -- Montgomery mul and sqr, add, sub and
+ * neg, and the Fp2 mul and sqr built on them -- are branch-free inside.
  */
 class Fp
 {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/mont.h"
@@ -451,12 +452,11 @@ TEST(MontKernel, AdxKernelMatchesGeneric)
     }
 }
 
-TEST(MontKernel, AdxFp2KernelsMatchGeneric)
+/** The three 4-limb spare-bit moduli of the ADX Fp2 and linear tests. */
+std::vector<BigInt>
+adxModuli(Rng &rng)
 {
-    if (!cpuHasAdx())
-        GTEST_SKIP() << "CPU lacks BMI2/ADX";
-    Rng rng(127);
-    const BigInt mods[] = {
+    return {
         // BN254 base field (q = -1).
         BigInt::fromString("0x2523648240000001ba344d80000000086121000000"
                            "000013a700000000000013"),
@@ -467,7 +467,14 @@ TEST(MontKernel, AdxFp2KernelsMatchGeneric)
         (BigInt::fromString("0x7ffffffffffffffe") << 192) +
             randomOddModulus(rng, 190),
     };
-    for (const BigInt &p : mods) {
+}
+
+TEST(MontKernel, AdxFp2KernelsMatchGeneric)
+{
+    if (!cpuHasAdx())
+        GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    Rng rng(127);
+    for (const BigInt &p : adxModuli(rng)) {
         const MontCtx ctx(p);
         ASSERT_EQ(ctx.limbCount(), 4u);
         const KernelConsts kc(p);
@@ -489,6 +496,70 @@ TEST(MontKernel, AdxFp2KernelsMatchGeneric)
                 },
                 q, where);
             checkCtxFp2(rng, ctx, q, where);
+        }
+    }
+}
+
+/**
+ * add, sub and neg of an ADX context (the inline asm, not the table)
+ * on one pair: checkOps, add(a, a), and every op with its output
+ * aliased to an operand, against the generic oracle.
+ */
+void
+checkAdxLinear(const MontCtx &ctx, const Residue &a, const Residue &b)
+{
+    checkOps(ctx, a, b);
+    const BigInt av = BigInt::fromLimbs(a.data(), 4);
+    Residue want{}, r{};
+    ctx.add(r, a, a);
+    ctx.addGeneric(want, a, a);
+    EXPECT_EQ(r, want);
+    EXPECT_EQ(BigInt::fromLimbs(r.data(), 4), (av + av).mod(ctx.modulus()));
+
+    ctx.addGeneric(want, a, b);
+    r = a;
+    ctx.add(r, r, b);
+    EXPECT_EQ(r, want);
+    r = b;
+    ctx.add(r, a, r);
+    EXPECT_EQ(r, want);
+
+    ctx.subGeneric(want, a, b);
+    r = a;
+    ctx.sub(r, r, b);
+    EXPECT_EQ(r, want);
+    r = b;
+    ctx.sub(r, a, r);
+    EXPECT_EQ(r, want);
+
+    ctx.negGeneric(want, a);
+    r = a;
+    ctx.neg(r, r);
+    EXPECT_EQ(r, want);
+}
+
+TEST(MontKernel, AdxLinearOpsMatchGeneric)
+{
+    if (!cpuHasAdx())
+        GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    Rng rng(131);
+    for (const BigInt &p : adxModuli(rng)) {
+        SCOPED_TRACE(p.toHexString());
+        const MontCtx ctx(p);
+        ASSERT_EQ(ctx.limbCount(), 4u);
+        const Residue zero{};
+        const Residue edges[] = {zero, rawResidue(ctx, BigInt(u64{1})),
+                                 rawResidue(ctx, p - BigInt(u64{1}))};
+        for (const Residue &a : edges) {
+            for (const Residue &b : edges)
+                checkAdxLinear(ctx, a, b);
+        }
+        Residue z = edges[1];
+        ctx.neg(z, zero);
+        EXPECT_TRUE(ctx.isZero(z));
+        for (int i = 0; i < 2000; ++i) {
+            checkAdxLinear(ctx, rawResidue(ctx, BigInt::randomBelow(rng, p)),
+                           rawResidue(ctx, BigInt::randomBelow(rng, p)));
         }
     }
 }
