@@ -76,13 +76,10 @@ MontCtx::MontCtx(const BigInt &p) : p_(p)
     n0inv_ = negInv64(pLimbs_[0]);
     vt_ = kernelVTable(n_, pLimbs_[n_ - 1]);
     FINESSE_CHECK(vt_ != nullptr, "no kernel for width ", n_);
-    if (n_ == 4 && pLimbs_[n_ - 1] <= kSpareBitTopLimbMax) {
-        fast_ = FastPath::kCpp4;
 #if FINESSE_HAVE_X86_ADX
-        if (cpuHasAdx())
-            fast_ = FastPath::kAdx4;
+    if (n_ == 4 && pLimbs_[n_ - 1] <= kSpareBitTopLimbMax && cpuHasAdx())
+        fast_ = FastPath::kAdx4;
 #endif
-    }
     (p * p).toLimbs(pSquared_.data(), 2 * n_);
 
     const BigInt r = BigInt(u64{1}) << static_cast<int>(64 * n_);

@@ -7,11 +7,13 @@
  * Hot-path arithmetic dispatches through a per-width KernelVTable
  * (bigint/montkernel.h) chosen once at construction, so Fp and the whole
  * pairing tower run fully unrolled fixed-limb kernels with zero per-call
- * width branching. 4-limb spare-top-bit contexts skip the table: on
- * x86-64 with BMI2+ADX every table operation -- add, sub, neg, mul,
- * sqr and the Fp2 multiply and square -- inlines its branch-free asm
- * kernel; without ADX mul and sqr inline MontKernel<4> and the rest
- * stay on the table. The generic runtime-width loops remain available as
+ * width branching. The table's multiply is the fused spare-top-bit CIOS
+ * for every catalog modulus and wideMul + redc for a modulus without a
+ * spare top bit. On x86-64 with BMI2+ADX, 4-limb spare-top-bit contexts
+ * skip the table: every table operation -- add, sub, neg, mul, sqr and
+ * the Fp2 multiply and square -- inlines its branch-free asm kernel.
+ * Without ADX those contexts use the table like every other width. The
+ * generic runtime-width loops remain available as
  * *Generic methods — they are the differential oracle for
  * tests/test_montkernel.cpp and the baseline for bench/micro_field_ops.
  *
@@ -123,23 +125,17 @@ class MontCtx
         checkTail(a.data());
         checkTail(b.data());
         // Devirtualized fast path for the dominant pairing-curve width
-        // (4 limbs, spare top bit): lets the compiler inline the
-        // unrolled kernel straight into Fp call sites, skipping the
-        // indirect call. On x86-64 with BMI2+ADX the hand-scheduled
-        // dual-carry-chain asm kernel is used instead (and add, sub
-        // and neg inline the asm too). Other widths still reach their
+        // (4 limbs, spare top bit) on x86-64 with BMI2+ADX: the
+        // hand-scheduled dual-carry-chain asm kernel inlines straight
+        // into Fp call sites, skipping the indirect call (add, sub and
+        // neg inline the asm too). Every other context reaches its
         // fixed-limb kernel through the vtable.
         switch (fast_) {
 #if FINESSE_HAVE_X86_ADX
           case FastPath::kAdx4:
-            montMulAdx4(r.data(), a.data(), b.data(), pLimbs_.data(),
-                        n0inv_);
+            montMulAdx4(r.data(), a.data(), b.data(), params());
             return;
 #endif
-          case FastPath::kCpp4:
-            MontKernel<4>::mulSpareBit(r.data(), a.data(), b.data(),
-                                       params());
-            return;
           default:
             vt_->mul(r.data(), a.data(), b.data(), params());
         }
@@ -154,13 +150,9 @@ class MontCtx
         switch (fast_) {
 #if FINESSE_HAVE_X86_ADX
           case FastPath::kAdx4:
-            montMulAdx4(r.data(), a.data(), a.data(), pLimbs_.data(),
-                        n0inv_);
+            montMulAdx4(r.data(), a.data(), a.data(), params());
             return;
 #endif
-          case FastPath::kCpp4:
-            MontKernel<4>::sqr(r.data(), a.data(), params());
-            return;
           default:
             vt_->sqr(r.data(), a.data(), params());
         }
@@ -297,7 +289,6 @@ class MontCtx
     enum class FastPath : u8
     {
         kNone = 0, ///< dispatch through the width vtable
-        kCpp4,     ///< header-inline MontKernel<4> spare-bit kernels
         kAdx4,     ///< hand-scheduled x86-64 mulx/adcx/adox kernel
     };
 

@@ -2,28 +2,31 @@
  * @file
  * Fixed-limb Montgomery kernels: a MontKernel<N> template family whose
  * loop bounds are compile-time constants, so every curve width gets fully
- * unrolled, allocation-free CIOS multiplication, a dedicated squaring
- * kernel (cross-product doubling), unrolled linear ops, and the base
- * field's one Fp2 multiply and square (Fp[u]/(u^2 - q)): Karatsuba and
- * complex squaring over a split wideMul / redc pair, so each Fp2
- * coefficient takes a single Montgomery reduction.
+ * unrolled, allocation-free multiplication, a dedicated squaring kernel
+ * (cross-product doubling), unrolled linear ops, and the base field's
+ * one Fp2 multiply and square (Fp[u]/(u^2 - q)): Karatsuba and complex
+ * squaring over a split wideMul / redc pair, so each Fp2 coefficient
+ * takes a single Montgomery reduction.
  *
  * MontCtx (bigint/mont.h) selects one KernelVTable per context at
  * construction — a single indirect call per operation replaces the
- * per-iteration runtime-width branching of the generic loop. Moduli
- * whose top limb is <= kSpareBitTopLimbMax (every catalog curve) get
- * the spare-top-bit table, whose fused single-scratch CIOS multiply
+ * per-iteration runtime-width branching of the generic loop. Each width
+ * has one table template with one multiply per modulus class (mulFor):
+ * moduli whose top limb is <= kSpareBitTopLimbMax (every catalog curve)
+ * get the spare-top-bit table, whose fused single-scratch CIOS multiply
  * (mulSpareBit, the gnark "no-carry" shape) drops the overflow-limb
- * bookkeeping entirely and whose Fp2 kernels reduce lazily. On x86-64
- * with BMI2+ADX, 4-limb spare-bit contexts bypass the vtable for every
- * table entry: a hand-scheduled mulx/adcx/adox dual-carry-chain asm
- * multiply (montMulAdx4), branch-free asm add and sub (addMod4Asm,
- * subMod4Asm, which also serve neg), and the Fp2 kernels built on
- * them, selected at context construction via cpuHasAdx(). The generic
- * runtime-width implementation stays in MontCtx as the differential
- * oracle (mulGeneric/sqrGeneric/...); tests/test_montkernel.cpp checks
- * every width 1..kMaxLimbs against it and against BigInt reference
- * arithmetic.
+ * bookkeeping entirely and whose Fp2 kernels reduce lazily; any other
+ * modulus multiplies with wideMul + redc, the pair the squaring and the
+ * lazy Fp2 kernels use. On x86-64 with BMI2+ADX, 4-limb spare-bit
+ * contexts bypass the vtable for every table entry: a hand-scheduled
+ * mulx/adcx/adox dual-carry-chain asm multiply (montMulAdx4),
+ * branch-free asm add and sub (addMod4Asm, subMod4Asm, which also serve
+ * neg), and the Fp2 kernels built on them, selected at context
+ * construction via cpuHasAdx(); without ADX those contexts use the
+ * table. The generic runtime-width implementation stays in MontCtx as
+ * the differential oracle (mulGeneric/sqrGeneric/...);
+ * tests/test_montkernel.cpp checks every width 1..kMaxLimbs against it
+ * and against BigInt reference arithmetic.
  *
  * Value contract: all kernel entry points take fully reduced Montgomery
  * residues (< p) and produce fully reduced residues, touching only the
@@ -119,41 +122,6 @@ struct MontKernel
 
     // Multiplicative ops -------------------------------------------------
 
-    /** r = a * b * R^-1 mod p, fully unrolled CIOS. */
-    static void
-    mul(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
-    {
-        u64 t[N + 2] = {0};
-        for (size_t i = 0; i < N; ++i) {
-            u64 carry = 0;
-            const u64 ai = a[i];
-            for (size_t j = 0; j < N; ++j) {
-                const u128 s = static_cast<u128>(ai) * b[j] + t[j] + carry;
-                t[j] = static_cast<u64>(s);
-                carry = static_cast<u64>(s >> 64);
-            }
-            u128 s = static_cast<u128>(t[N]) + carry;
-            t[N] = static_cast<u64>(s);
-            t[N + 1] = static_cast<u64>(s >> 64);
-
-            const u64 m = t[0] * prm.n0inv;
-            u128 acc = static_cast<u128>(m) * prm.p[0] + t[0];
-            carry = static_cast<u64>(acc >> 64);
-            for (size_t j = 1; j < N; ++j) {
-                acc = static_cast<u128>(m) * prm.p[j] + t[j] + carry;
-                t[j - 1] = static_cast<u64>(acc);
-                carry = static_cast<u64>(acc >> 64);
-            }
-            s = static_cast<u128>(t[N]) + carry;
-            t[N - 1] = static_cast<u64>(s);
-            t[N] = t[N + 1] + static_cast<u64>(s >> 64);
-            t[N + 1] = 0;
-        }
-        for (size_t i = 0; i < N; ++i)
-            r[i] = t[i];
-        condSub(r, prm.p, t[N]);
-    }
-
     /**
      * r = a * b * R^-1 mod p, CIOS with the spare-top-bit optimization:
      * when p[N-1] <= 2^63 - 2 the running value never exceeds N limbs,
@@ -186,6 +154,25 @@ struct MontKernel
         for (size_t i = 0; i < N; ++i)
             r[i] = t[i];
         condSub(r, prm.p, 0);
+    }
+
+    /**
+     * r = a * b * R^-1 mod p, the width's multiply for the modulus
+     * class: mulSpareBit when the modulus leaves a spare top bit,
+     * otherwise the wide product and one redc, valid for any modulus
+     * (a * b < p^2 < p * R).
+     */
+    template <bool kSpareBit>
+    static FINESSE_FORCE_INLINE void
+    mulFor(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
+    {
+        if constexpr (kSpareBit) {
+            mulSpareBit(r, a, b, prm);
+        } else {
+            u64 t[2 * N];
+            wideMul(t, a, b);
+            redc(r, t, prm);
+        }
     }
 
     /**
@@ -321,7 +308,7 @@ struct MontKernel
     // other.
 
     /** Montgomery multiply and modular add/sub, as the reduced forms
-     *  take them (the shape of mul/add/sub above). */
+     *  take them (the shape of mulFor/add/sub above). */
     using BinFn = void (*)(u64 *, const u64 *, const u64 *,
                            const MontParams &);
 
@@ -454,17 +441,6 @@ struct MontKernel
             r[i] = acc[i];
     }
 
-    /** The width's Montgomery multiply for the modulus class. */
-    template <bool kSpareBit>
-    static FINESSE_FORCE_INLINE void
-    mulFor(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
-    {
-        if constexpr (kSpareBit)
-            mulSpareBit(r, a, b, prm);
-        else
-            mul(r, a, b, prm);
-    }
-
     /** r = a + b over M limbs; returns the carry out. */
     template <size_t M>
     static FINESSE_FORCE_INLINE u64
@@ -559,7 +535,7 @@ cpuHasAdx()
  * (CF via adcx, OF via adox) that retire in parallel.
  */
 FINESSE_FORCE_INLINE void
-montMulAdx4(u64 *r, const u64 *a, const u64 *b, const u64 *p, u64 n0inv)
+montMulAdx4(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
 {
     __asm__ volatile(
         // Round 0: t = a0 * b (t was zero — plain single carry chain).
@@ -722,7 +698,8 @@ montMulAdx4(u64 *r, const u64 *a, const u64 *b, const u64 *p, u64 n0inv)
         "movq %%r9, 16(%[r])\n\t"
         "movq %%r10, 24(%[r])\n\t"
         :
-        : [r] "r"(r), [a] "r"(a), [b] "r"(b), [p] "r"(p), [n0] "r"(n0inv)
+        : [r] "r"(r), [a] "r"(a), [b] "r"(b), [p] "r"(prm.p),
+          [n0] "r"(prm.n0inv)
         : "rax", "rcx", "rdx", "r8", "r9", "r10", "r11", "r12", "r13",
           "cc", "memory");
 }
@@ -809,13 +786,6 @@ subMod4Asm(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
     r[3] = d3;
 }
 
-/** montMulAdx4 in the MontKernel multiply shape. */
-inline void
-mulAdx4(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
-{
-    montMulAdx4(r, a, b, prm.p, prm.n0inv);
-}
-
 /**
  * Fp2 multiply for ADX contexts (MontCtx's kAdx4 fast path): Karatsuba
  * on three montMulAdx4 products with the mask-select add/sub above.
@@ -824,7 +794,7 @@ inline void
 fp2MulAdx4(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, const u64 *b0,
            const u64 *b1, i64 q, const MontParams &prm)
 {
-    MontKernel<4>::fp2MulReduced<&mulAdx4, &addMod4Asm, &subMod4Asm>(
+    MontKernel<4>::fp2MulReduced<&montMulAdx4, &addMod4Asm, &subMod4Asm>(
         r0, r1, a0, a1, b0, b1, q, prm);
 }
 
@@ -833,7 +803,7 @@ inline void
 fp2SqrAdx4(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
            const MontParams &prm)
 {
-    MontKernel<4>::fp2SqrReduced<&mulAdx4, &addMod4Asm, &subMod4Asm>(
+    MontKernel<4>::fp2SqrReduced<&montMulAdx4, &addMod4Asm, &subMod4Asm>(
         r0, r1, a0, a1, q, prm);
 }
 
@@ -873,33 +843,22 @@ inline constexpr u64 kSpareBitTopLimbMax = (u64{1} << 63) - 2;
 
 namespace detail {
 
-template <size_t N>
+template <size_t N, bool kSpareBit>
 inline constexpr KernelVTable kKernelVTable = {
     &MontKernel<N>::add,
     &MontKernel<N>::sub,
     &MontKernel<N>::neg,
-    &MontKernel<N>::mul,
+    &MontKernel<N>::template mulFor<kSpareBit>,
     &MontKernel<N>::sqr,
-    &MontKernel<N>::template fp2Mul<false>,
-    &MontKernel<N>::template fp2Sqr<false>,
-};
-
-template <size_t N>
-inline constexpr KernelVTable kKernelVTableSpareBit = {
-    &MontKernel<N>::add,
-    &MontKernel<N>::sub,
-    &MontKernel<N>::neg,
-    &MontKernel<N>::mulSpareBit,
-    &MontKernel<N>::sqr,
-    &MontKernel<N>::template fp2Mul<true>,
-    &MontKernel<N>::template fp2Sqr<true>,
+    &MontKernel<N>::template fp2Mul<kSpareBit>,
+    &MontKernel<N>::template fp2Sqr<kSpareBit>,
 };
 
 template <size_t N>
 inline const KernelVTable *
 pickVTable(bool spareTopBit)
 {
-    return spareTopBit ? &kKernelVTableSpareBit<N> : &kKernelVTable<N>;
+    return spareTopBit ? &kKernelVTable<N, true> : &kKernelVTable<N, false>;
 }
 
 } // namespace detail
@@ -907,7 +866,8 @@ pickVTable(bool spareTopBit)
 /**
  * Kernel table for an active width n in [1, kMaxLimbs]. @p topLimb is
  * the modulus's most significant limb; when it leaves a spare bit the
- * faster fused CIOS multiplication is selected.
+ * table multiplies with the fused CIOS (mulSpareBit) and reduces its
+ * Fp2 kernels lazily.
  */
 inline const KernelVTable *
 kernelVTable(size_t n, u64 topLimb)

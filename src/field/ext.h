@@ -60,6 +60,30 @@ struct NuDesc
     {
         return {Kind::kBaseGen, 0, 0};
     }
+
+    /** x * nu for an element x of the level's base. */
+    template <typename Base>
+    Base
+    mul(const Base &x) const
+    {
+        switch (kind) {
+          case Kind::kSmallInt:
+            return muliSmall(x, n0);
+          case Kind::kQuadSmall:
+            if constexpr (requires { x.mulBySmallPair(i64{0}, i64{0}); }) {
+                return x.mulBySmallPair(n0, n1);
+            } else {
+                panic("kQuadSmall nu over non-quadratic base");
+            }
+          case Kind::kBaseGen:
+            if constexpr (requires { x.mulByGen(); }) {
+                return x.mulByGen();
+            } else {
+                panic("kBaseGen nu over prime base");
+            }
+        }
+        panic("bad NuDesc");
+    }
 };
 
 template <typename Base>
@@ -80,27 +104,7 @@ struct QuadCtx
     Base frobC1;     ///< nu^((p-1)/2): w^p = w * frobC1
 
     /** x * nu for a base-level element x. */
-    Base
-    mulByNu(const Base &x) const
-    {
-        switch (nu.kind) {
-          case NuDesc::Kind::kSmallInt:
-            return muliSmall(x, nu.n0);
-          case NuDesc::Kind::kQuadSmall:
-            if constexpr (requires { x.mulBySmallPair(i64{0}, i64{0}); }) {
-                return x.mulBySmallPair(nu.n0, nu.n1);
-            } else {
-                panic("kQuadSmall nu over non-quadratic base");
-            }
-          case NuDesc::Kind::kBaseGen:
-            if constexpr (requires { x.mulByGen(); }) {
-                return x.mulByGen();
-            } else {
-                panic("kBaseGen nu over prime base");
-            }
-        }
-        panic("bad NuDesc");
-    }
+    Base mulByNu(const Base &x) const { return nu.mul(x); }
 };
 
 /** Context of one cubic extension level. */
@@ -116,27 +120,7 @@ struct CubicCtx
     Base frobC1; ///< nu^((p-1)/3): v^p = v * frobC1
     Base frobC2; ///< frobC1^2:     (v^2)^p = v^2 * frobC2
 
-    Base
-    mulByNu(const Base &x) const
-    {
-        switch (nu.kind) {
-          case NuDesc::Kind::kSmallInt:
-            return muliSmall(x, nu.n0);
-          case NuDesc::Kind::kQuadSmall:
-            if constexpr (requires { x.mulBySmallPair(i64{0}, i64{0}); }) {
-                return x.mulBySmallPair(nu.n0, nu.n1);
-            } else {
-                panic("kQuadSmall nu over non-quadratic base");
-            }
-          case NuDesc::Kind::kBaseGen:
-            if constexpr (requires { x.mulByGen(); }) {
-                return x.mulByGen();
-            } else {
-                panic("kBaseGen nu over prime base");
-            }
-        }
-        panic("bad NuDesc");
-    }
+    Base mulByNu(const Base &x) const { return nu.mul(x); }
 };
 
 /**

@@ -284,24 +284,6 @@ using Fp4 = NativeTower24::Fp4T;
 using Fp12b = NativeTower24::Fp12T;
 using Fp24 = NativeTower24::Fp24T;
 
-/** Apply Frobenius n times (x -> x^(p^n)). */
-template <typename F>
-F
-frobN(F x, int n)
-{
-    for (int i = 0; i < n; ++i)
-        x = x.frob();
-    return x;
-}
-
-/** Multiply every Fp coefficient of @p x by the base scalar @p s. */
-template <typename F, typename S>
-F
-scaleByFp(const F &x, const S &s)
-{
-    return x.scaleScalar(s);
-}
-
 } // namespace finesse
 
 #endif // FINESSE_FIELD_TOWER_H_

@@ -35,16 +35,16 @@ class CurveSystem
     using G1Affine = AffinePt<Fp>;
     using G2Affine = AffinePt<FtT>;
 
-    explicit CurveSystem(const CurveDef &def,
-                         const VariantConfig &vc = VariantConfig{})
+    explicit CurveSystem(const CurveDef &def)
         : info_(deriveCurveInfo(def)), fp_(info_.p), setupRng_(0xf1e55e)
     {
         FINESSE_REQUIRE(info_.k == TW::kEmbedding,
                         "tower shape mismatch for ", def.name);
-        // Tower.
+        // Tower, on the default operator variants: the sweep's choice
+        // only reaches the symbolic tower (compiler/codegen.h).
         searchTowerNonResidues(info_.p, q_, xi0_, xi1_);
         towerPrm_ = computeTowerParams(info_.p, info_.k, q_, xi0_, xi1_);
-        buildTower(tower_, &fp_, towerPrm_, vc);
+        buildTower(tower_, &fp_, towerPrm_, VariantConfig{});
 
         // G1 curve: find the twist class with #E = p + 1 - t.
         const BigInt n1 = info_.p + BigInt(u64{1}) - info_.t;

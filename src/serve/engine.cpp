@@ -126,7 +126,7 @@ ServeEngine::runBatch(std::vector<Pending> batch, u64 seq)
     std::vector<bool> verdicts;
     std::exception_ptr error;
     try {
-        verdicts = verifyBatch(sys_, checks, opt_.seed ^ (seq * 2 + 1),
+        verdicts = verifyBatch(sys_, checks, batchSeed(opt_.seed, seq),
                                &stats);
     } catch (...) {
         error = std::current_exception();

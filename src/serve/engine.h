@@ -49,6 +49,13 @@ struct ServeOptions
     u64 seed = 0x5e55e; ///< base seed of the per-batch RLC scalars
 };
 
+/** RLC seed of the engine's @p batch-th batch (0-based) under @p seed. */
+inline u64
+batchSeed(u64 seed, u64 batch)
+{
+    return seed ^ (batch * 2 + 1);
+}
+
 /** Per-request outcome. */
 enum class Verdict : u8
 {

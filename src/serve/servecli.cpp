@@ -346,7 +346,7 @@ runVerifyBatchCommand(const ServeCliOptions &opts)
             checks.begin() + std::min(checks.size(), from + batch));
         const u64 i = from / batch;
         const std::vector<bool> verdicts =
-            verifyBatch(sys, chunk, opts.engine.seed ^ (i * 2 + 1), &stats);
+            verifyBatch(sys, chunk, batchSeed(opts.engine.seed, i), &stats);
         batched.insert(batched.end(), verdicts.begin(), verdicts.end());
     }
 

@@ -28,6 +28,32 @@ randomOddModulus(Rng &rng, int bits)
     return p;
 }
 
+/**
+ * Odd modulus of @p w limbs whose top limb is exactly @p top, over random
+ * odd low limbs. At w = 1 the top limb is the whole modulus, so an even
+ * @p top is lowered by one.
+ */
+BigInt
+topLimbModulus(Rng &rng, int w, u64 top)
+{
+    if (w == 1)
+        return BigInt((top & 1) ? top : top - 1);
+    return (BigInt(top) << (64 * (w - 1))) +
+           randomOddModulus(rng, 64 * (w - 1));
+}
+
+/**
+ * The two moduli at the boundary between the kernel tables: top limb
+ * 2^63 - 1 (the general table, though the modulus has 64w - 1 bits) and
+ * 2^63 - 2 (the spare-bit table at its tightest).
+ */
+std::vector<BigInt>
+boundaryModuli(Rng &rng, int w)
+{
+    return {topLimbModulus(rng, w, (u64{1} << 63) - 1),
+            topLimbModulus(rng, w, (u64{1} << 63) - 2)};
+}
+
 /** Raw residue (Montgomery-domain limbs) from a BigInt in [0, p). */
 Residue
 rawResidue(const MontCtx &ctx, const BigInt &v)
@@ -88,12 +114,16 @@ TEST(MontKernel, AllWidthsMatchOracleAndBigInt)
 {
     Rng rng(101);
     for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
-        // One modulus with the top bit set (general-path vtable) and one
-        // with two spare top bits (spare-bit vtable; w=1 uses 2^61-1).
-        BigInt mods[2];
-        mods[0] = randomOddModulus(rng, 64 * w);
-        mods[1] = w == 1 ? (BigInt(u64{1}) << 61) - BigInt(u64{1})
-                         : randomOddModulus(rng, 64 * w - 2);
+        // One modulus with the top bit set (general-path vtable), one
+        // with two spare top bits (spare-bit vtable; w=1 uses 2^61-1),
+        // and the two at the boundary between the tables.
+        std::vector<BigInt> mods = {
+            randomOddModulus(rng, 64 * w),
+            w == 1 ? (BigInt(u64{1}) << 61) - BigInt(u64{1})
+                   : randomOddModulus(rng, 64 * w - 2),
+        };
+        for (const BigInt &p : boundaryModuli(rng, w))
+            mods.push_back(p);
         for (const BigInt &p : mods) {
             if (p <= BigInt(u64{2}))
                 continue;
@@ -127,6 +157,10 @@ TEST(MontKernel, VTableSelection)
         ASSERT_NE(general, nullptr);
         ASSERT_NE(spare, nullptr);
         EXPECT_NE(general, spare) << "width " << w;
+        EXPECT_EQ(kernelVTable(w, (u64{1} << 63) - 1), general)
+            << "width " << w;
+        EXPECT_EQ(kernelVTable(w, (u64{1} << 63) - 2), spare)
+            << "width " << w;
     }
     EXPECT_EQ(kernelVTable(0, 1), nullptr);
     EXPECT_EQ(kernelVTable(kMaxLimbs + 1, 1), nullptr);
@@ -276,13 +310,16 @@ TEST(MontKernel, Fp2KernelsMatchGeneric)
     for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
         // Two spare top bits (4p < R); one (R/4 < p < R/2: the lazy
         // kernels at their tightest bound, 2p < R); none (top bit set:
-        // the reduced form).
-        const BigInt mods[] = {
+        // the reduced form); and the two at the boundary between the
+        // tables.
+        std::vector<BigInt> mods = {
             w == 1 ? (BigInt(u64{1}) << 61) - BigInt(u64{1})
                    : randomOddModulus(rng, 64 * w - 2),
             randomOddModulus(rng, 64 * w - 1),
             randomOddModulus(rng, 64 * w),
         };
+        for (const BigInt &p : boundaryModuli(rng, w))
+            mods.push_back(p);
         for (const BigInt &p : mods) {
             const MontCtx ctx(p);
             ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
@@ -444,8 +481,7 @@ TEST(MontKernel, AdxKernelMatchesGeneric)
             const Residue a = rawResidue(ctx, BigInt::randomBelow(rng, p));
             const Residue b = rawResidue(ctx, BigInt::randomBelow(rng, p));
             Residue asmR{}, g{};
-            montMulAdx4(asmR.data(), a.data(), b.data(), kc.p,
-                        kc.prm.n0inv);
+            montMulAdx4(asmR.data(), a.data(), b.data(), kc.prm);
             ctx.mulGeneric(g, a, b);
             EXPECT_EQ(asmR, g);
         }

@@ -6,17 +6,23 @@ Forward checks, extracted from the code (never from a hand-kept list,
 so the lint cannot go stale):
 
   1. every finesse_cli subcommand in src/core/cliusage.h
-     (the table --help renders and test_cli_help audits), and
+     (the table --help renders and test_cli_help audits),
   2. every FINESSE_* environment variable that appears as a string
-     literal anywhere in src/, tools/, bench/ or tests/
+     literal anywhere in src/, tools/, bench/ or tests/, and
+  3. every config key requireKnownKeys (src/core/options.h) accepts,
+     quoted in backticks (a key built as "variants.mul" + D counts
+     as the prefix `variants.mul`, documented as `variants.mul<D>`)
 
 must be mentioned in README.md or docs/operations.md. Reverse checks,
 extracted from those two docs:
 
-  3. every FINESSE_* name they mention must appear somewhere in the
+  4. every FINESSE_* name they mention must appear somewhere in the
      code (src/, tools/, bench/, tests/ or CMakeLists.txt), and
-  4. every `--flag` they quote in backticks must be a flag of the
+  5. every `--flag` they quote in backticks must be a flag of the
      kCliFlags table in cliusage.h.
+
+Config keys have no reverse check: the docs quote a misspelt key on
+purpose, as the example of an error.
 
 Any failure fails the build -- an undocumented knob and a stale row
 for a deleted one are both CI failures, not doc drift.
@@ -56,6 +62,28 @@ def cli_flags(root: pathlib.Path) -> set:
     if len(names) < 10:
         sys.exit(f"docs_check: suspiciously few flags parsed: {names}")
     return set(names)
+
+
+def config_keys(root: pathlib.Path) -> tuple:
+    """(keys, prefixes) of the `known` set in requireKnownKeys: the
+    literal keys, and the prefixes of keys built as "<prefix>" + D."""
+    text = (root / "src/core/options.h").read_text()
+    m = re.search(r"std::set<std::string> known = \[\] \{(.*?)\}\(\);",
+                  text, re.S)
+    if not m:
+        sys.exit("docs_check: requireKnownKeys set not found in options.h")
+    prefixes = set(re.findall(r'"([a-z0-9_.]+)"\s*\+', m.group(1)))
+    keys = set(re.findall(r'"([a-z0-9_.]+)"', m.group(1))) - prefixes
+    if len(keys) < 10 or not prefixes:
+        sys.exit(f"docs_check: suspiciously few config keys parsed: "
+                 f"{sorted(keys)} {sorted(prefixes)}")
+    return keys, prefixes
+
+
+def quoted(name: str, docs: str) -> bool:
+    """True when a backticked span in the docs starts with name as a
+    whole key (`name`, `name = 7`, `name<D>`; not `name_x`)."""
+    return re.search(rf"`{re.escape(name)}(?![a-z0-9_.])", docs) is not None
 
 
 def code_text(root: pathlib.Path) -> str:
@@ -101,6 +129,7 @@ def main() -> int:
     commands = cli_commands(root)
     env = env_vars(code)
     flags = cli_flags(root)
+    keys, prefixes = config_keys(root)
 
     missing = []
     for name in sorted(commands):
@@ -109,6 +138,12 @@ def main() -> int:
     for name in sorted(env):
         if name not in docs:
             missing.append(f"environment variable {name}")
+    for name in sorted(keys):
+        if not quoted(name, docs):
+            missing.append(f"config key `{name}`")
+    for name in sorted(prefixes):
+        if not re.search(rf"`{re.escape(name)}<", docs):
+            missing.append(f"config keys `{name}<D>`")
 
     doc_env, doc_flags = doc_names(docs)
     stale = []
@@ -131,9 +166,10 @@ def main() -> int:
     if missing or stale:
         return 1
 
-    print(f"docs_check: OK: {len(commands)} subcommands and {len(env)} "
-          f"env vars all documented; {len(doc_env)} documented env vars "
-          f"and {len(doc_flags)} documented flags all exist")
+    print(f"docs_check: OK: {len(commands)} subcommands, {len(env)} env "
+          f"vars and {len(keys) + len(prefixes)} config keys and prefixes "
+          f"all documented; {len(doc_env)} documented env vars and "
+          f"{len(doc_flags)} documented flags all exist")
     return 0
 
 
