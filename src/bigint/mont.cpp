@@ -77,8 +77,12 @@ MontCtx::MontCtx(const BigInt &p) : p_(p)
     vt_ = kernelVTable(n_, pLimbs_[n_ - 1]);
     FINESSE_CHECK(vt_ != nullptr, "no kernel for width ", n_);
 #if FINESSE_HAVE_X86_ADX
-    if (n_ == 4 && pLimbs_[n_ - 1] <= kSpareBitTopLimbMax && cpuHasAdx())
-        fast_ = FastPath::kAdx4;
+    if (pLimbs_[n_ - 1] <= kSpareBitTopLimbMax && cpuHasAdx()) {
+        if (n_ == 4)
+            fast_ = FastPath::kAdx4;
+        else if (n_ == 6)
+            vt_ = &kAdx6KernelVTable;
+    }
 #endif
     (p * p).toLimbs(pSquared_.data(), 2 * n_);
 

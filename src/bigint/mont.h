@@ -9,10 +9,12 @@
  * pairing tower run fully unrolled fixed-limb kernels with zero per-call
  * width branching. The table's multiply is the fused spare-top-bit CIOS
  * for every catalog modulus and wideMul + redc for a modulus without a
- * spare top bit. On x86-64 with BMI2+ADX, 4-limb spare-top-bit contexts
- * skip the table: every table operation -- add, sub, neg, mul, sqr and
- * the Fp2 multiply and square -- inlines its branch-free asm kernel.
- * Without ADX those contexts use the table like every other width. The
+ * spare top bit. On x86-64 with BMI2+ADX, spare-top-bit contexts of the
+ * two pairing widths run branch-free asm kernels for every table
+ * operation -- add, sub, neg, mul, sqr and the Fp2 multiply and square:
+ * 4-limb contexts skip the table and inline them, 6-limb contexts
+ * select the 6-limb ADX table in its place. Without ADX those contexts
+ * use the portable table like every other width. The
  * generic runtime-width loops remain available as
  * *Generic methods — they are the differential oracle for
  * tests/test_montkernel.cpp and the baseline for bench/micro_field_ops.
@@ -67,7 +69,7 @@ class MontCtx
     BigInt fromMont(const Residue &a) const;
 
     // Arithmetic (all inputs/outputs in Montgomery domain) --------------
-    /** On ADX contexts add, sub and neg inline the branch-free
+    /** On 4-limb ADX contexts add, sub and neg inline the branch-free
      *  mask-select asm the Fp2 kernels use, like mul (through the
      *  table BN254N's Fp12 multiply took about 1.5x as long); other
      *  contexts take their table's kernel. */
@@ -129,7 +131,7 @@ class MontCtx
         // hand-scheduled dual-carry-chain asm kernel inlines straight
         // into Fp call sites, skipping the indirect call (add, sub and
         // neg inline the asm too). Every other context reaches its
-        // fixed-limb kernel through the vtable.
+        // kernel through the vtable, 6-limb ADX contexts the asm one.
         switch (fast_) {
 #if FINESSE_HAVE_X86_ADX
           case FastPath::kAdx4:
@@ -162,9 +164,9 @@ class MontCtx
      * (r0 + r1 u) = (a0 + a1 u)(b0 + b1 u) in Fp2 = Fp[u]/(u^2 - q) for
      * a small integer non-residue q: the context's one Fp2 multiply
      * (Karatsuba), picked at construction with the multiplier: the
-     * ADX one on montMulAdx4 is inlined like mul (through the table it
-     * took about 1.5x as long on BN254N); other contexts take their
-     * table's kernel. Outputs may alias inputs but not each other.
+     * 4-limb ADX one on montMulAdx4 is inlined like mul (through the
+     * table it took about 1.5x as long on BN254N); other contexts take
+     * their table's kernel. Outputs may alias inputs but not each other.
      */
     void
     fp2Mul(Residue &r0, Residue &r1, const Residue &a0, const Residue &a1,

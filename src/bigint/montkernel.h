@@ -17,16 +17,18 @@
  * (mulSpareBit, the gnark "no-carry" shape) drops the overflow-limb
  * bookkeeping entirely and whose Fp2 kernels reduce lazily; any other
  * modulus multiplies with wideMul + redc, the pair the squaring and the
- * lazy Fp2 kernels use. On x86-64 with BMI2+ADX, 4-limb spare-bit
- * contexts bypass the vtable for every table entry: a hand-scheduled
- * mulx/adcx/adox dual-carry-chain asm multiply (montMulAdx4),
- * branch-free asm add and sub (addMod4Asm, subMod4Asm, which also serve
- * neg), and the Fp2 kernels built on them, selected at context
- * construction via cpuHasAdx(); without ADX those contexts use the
- * table. The generic runtime-width implementation stays in MontCtx as
- * the differential oracle (mulGeneric/sqrGeneric/...);
- * tests/test_montkernel.cpp checks every width 1..kMaxLimbs against it
- * and against BigInt reference arithmetic.
+ * lazy Fp2 kernels use. On x86-64 with BMI2+ADX (cpuHasAdx(), checked
+ * at context construction) the two pairing widths with a spare top bit
+ * run hand-scheduled mulx/adcx/adox dual-carry-chain asm: a multiply
+ * that also squares, branch-free add and sub (which also serve neg),
+ * and the Fp2 kernels built on them. 4-limb contexts (BN254N) inline
+ * them at every MontCtx call (montMulAdx4, addMod4Asm, subMod4Asm);
+ * 6-limb contexts (BLS12-381) take a third table, kAdx6KernelVTable
+ * (montMulAdx6, addMod6Asm, subMod6Asm). Without ADX both use the
+ * portable table. The generic runtime-width implementation stays in
+ * MontCtx as the differential oracle (mulGeneric/sqrGeneric/...);
+ * tests/test_montkernel.cpp checks every width 1..kMaxLimbs and both ADX
+ * kernel sets against it and against BigInt reference arithmetic.
  *
  * Value contract: all kernel entry points take fully reduced Montgomery
  * residues (< p) and produce fully reduced residues, touching only the
@@ -511,11 +513,13 @@ struct MontKernel
 
 // x86-64 ADX/BMI2 fast path ----------------------------------------------
 //
-// Hand-scheduled 4-limb Montgomery multiplication using mulx + the dual
-// adcx/adox carry chains those extensions exist for. Inline asm needs no
-// compiler ISA flags, so this inlines into baseline-ISA callers; it is
-// selected at MontCtx construction only when the CPU reports BMI2 + ADX
-// and the modulus has a spare top bit (value < 2p stays in 4 limbs).
+// Hand-scheduled 4- and 6-limb Montgomery multiplication using mulx + the
+// dual adcx/adox carry chains those extensions exist for (Gopal et al.,
+// "New Instructions Supporting Large Integer Arithmetic on Intel
+// Architecture Processors", 2012). Inline asm needs no compiler ISA
+// flags, so this inlines into baseline-ISA callers; it is selected at
+// MontCtx construction only when the CPU reports BMI2 + ADX and the
+// modulus has a spare top bit (value < 2p stays in N limbs).
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FINESSE_HAVE_X86_ADX 1
 
@@ -807,6 +811,470 @@ fp2SqrAdx4(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
         r0, r1, a0, a1, q, prm);
 }
 
+/**
+ * r = a * b * R^-1 mod p for exactly 6 limbs with a spare-top-bit
+ * modulus (BLS12-381); also the 6-limb ADX square (a == b). Same CIOS as
+ * MontKernel<6>::mulSpareBit. Each round adds a_i * b, then m * p, on
+ * two carry chains: the low word of each mulx goes into T[j] on CF
+ * (adcx) and the high word straight into T[j+1] on OF (adox), so one
+ * high temporary (rcx) serves the round. Seven rotating limb registers,
+ * rax, rcx and rdx make 10 clobbers next to the a, b and p pointers;
+ * n0inv and r are memory operands. With an eleventh clobber the asm
+ * has "impossible constraints" under -fsanitize=address
+ * -fno-omit-frame-pointer (GCC 12). All limbs are read before r is
+ * written, so r may alias a or b.
+ */
+FINESSE_FORCE_INLINE void
+montMulAdx6(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
+{
+    const u64 n0 = prm.n0inv;
+    u64 *const out = r;
+    __asm__ volatile(
+        // Round 0: t = a0 * b (t was zero: one carry chain, each mulx
+        // high word straight into the next limb).
+        "movq 0(%[a]), %%rdx\n\t"
+        "mulxq 0(%[b]), %%r8, %%r9\n\t"
+        "mulxq 8(%[b]), %%rax, %%r10\n\t"
+        "addq %%rax, %%r9\n\t"
+        "mulxq 16(%[b]), %%rax, %%r11\n\t"
+        "adcq %%rax, %%r10\n\t"
+        "mulxq 24(%[b]), %%rax, %%r12\n\t"
+        "adcq %%rax, %%r11\n\t"
+        "mulxq 32(%[b]), %%rax, %%r13\n\t"
+        "adcq %%rax, %%r12\n\t"
+        "mulxq 40(%[b]), %%rax, %%r14\n\t"
+        "adcq %%rax, %%r13\n\t"
+        "adcq $0, %%r14\n\t"
+        // Round 0 reduce: m = t0 * n0inv; t = (t + m * p) >> 64.
+        "movq %%r8, %%rdx\n\t"
+        "imulq %[n0], %%rdx\n\t"
+        "xorl %%eax, %%eax\n\t" // clear CF and OF
+        "mulxq 0(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%r8, %%rax\n\t" // low word cancels; keep the carry
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 8(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 16(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 24(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 32(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 40(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        // Round 1: t = (r9, r10, r11, r12, r13, r14), top word r8.
+        "movq 8(%[a]), %%rdx\n\t"
+        "xorl %%r8d, %%r8d\n\t" // top = 0, clears CF and OF
+        "mulxq 0(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 8(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 16(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 24(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 32(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 40(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "movq %%r9, %%rdx\n\t"
+        "imulq %[n0], %%rdx\n\t"
+        "xorl %%eax, %%eax\n\t"
+        "mulxq 0(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%r9, %%rax\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 8(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 16(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 24(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 32(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 40(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        // Round 2: t = (r10, r11, r12, r13, r14, r8), top word r9.
+        "movq 16(%[a]), %%rdx\n\t"
+        "xorl %%r9d, %%r9d\n\t"
+        "mulxq 0(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 8(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 16(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 24(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 32(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 40(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "movq %%r10, %%rdx\n\t"
+        "imulq %[n0], %%rdx\n\t"
+        "xorl %%eax, %%eax\n\t"
+        "mulxq 0(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%r10, %%rax\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 8(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 16(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 24(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 32(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 40(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        // Round 3: t = (r11, r12, r13, r14, r8, r9), top word r10.
+        "movq 24(%[a]), %%rdx\n\t"
+        "xorl %%r10d, %%r10d\n\t"
+        "mulxq 0(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 8(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 16(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 24(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 32(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 40(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "movq %%r11, %%rdx\n\t"
+        "imulq %[n0], %%rdx\n\t"
+        "xorl %%eax, %%eax\n\t"
+        "mulxq 0(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%r11, %%rax\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "mulxq 8(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 16(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 24(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 32(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 40(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        // Round 4: t = (r12, r13, r14, r8, r9, r10), top word r11.
+        "movq 32(%[a]), %%rdx\n\t"
+        "xorl %%r11d, %%r11d\n\t"
+        "mulxq 0(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 8(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 16(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 24(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 32(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 40(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "movq %%r12, %%rdx\n\t"
+        "imulq %[n0], %%rdx\n\t"
+        "xorl %%eax, %%eax\n\t"
+        "mulxq 0(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%r12, %%rax\n\t"
+        "adoxq %%rcx, %%r13\n\t"
+        "mulxq 8(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 16(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 24(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 32(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 40(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        // Round 5: t = (r13, r14, r8, r9, r10, r11), top word r12.
+        "movq 40(%[a]), %%rdx\n\t"
+        "xorl %%r12d, %%r12d\n\t"
+        "mulxq 0(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r13\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 8(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 16(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 24(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 32(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 40(%[b]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        "movq %%r13, %%rdx\n\t"
+        "imulq %[n0], %%rdx\n\t"
+        "xorl %%eax, %%eax\n\t"
+        "mulxq 0(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%r13, %%rax\n\t"
+        "adoxq %%rcx, %%r14\n\t"
+        "mulxq 8(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r14\n\t"
+        "adoxq %%rcx, %%r8\n\t"
+        "mulxq 16(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r8\n\t"
+        "adoxq %%rcx, %%r9\n\t"
+        "mulxq 24(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r9\n\t"
+        "adoxq %%rcx, %%r10\n\t"
+        "mulxq 32(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r10\n\t"
+        "adoxq %%rcx, %%r11\n\t"
+        "mulxq 40(%[p]), %%rax, %%rcx\n\t"
+        "adcxq %%rax, %%r11\n\t"
+        "adoxq %%rcx, %%r12\n\t"
+        "movl $0, %%eax\n\t"
+        "adcxq %%rax, %%r12\n\t"
+        // t = (r14, r8, r9, r10, r11, r12) < 2p. Subtract p in place; the
+        // difference's top bit (SF) is set exactly when it borrowed, so cmovs
+        // adds p back on a CF-only adcx chain.
+        "subq 0(%[p]), %%r14\n\t"
+        "sbbq 8(%[p]), %%r8\n\t"
+        "sbbq 16(%[p]), %%r9\n\t"
+        "sbbq 24(%[p]), %%r10\n\t"
+        "sbbq 32(%[p]), %%r11\n\t"
+        "sbbq 40(%[p]), %%r12\n\t"
+        "clc\n\t"
+        "movl $0, %%ecx\n\t"
+        "cmovsq 0(%[p]), %%rcx\n\t"
+        "adcxq %%rcx, %%r14\n\t"
+        "movl $0, %%edx\n\t"
+        "cmovsq 8(%[p]), %%rdx\n\t"
+        "adcxq %%rdx, %%r8\n\t"
+        "movl $0, %%r13d\n\t"
+        "cmovsq 16(%[p]), %%r13\n\t"
+        "adcxq %%r13, %%r9\n\t"
+        "movl $0, %%ecx\n\t"
+        "cmovsq 24(%[p]), %%rcx\n\t"
+        "adcxq %%rcx, %%r10\n\t"
+        "movl $0, %%edx\n\t"
+        "cmovsq 32(%[p]), %%rdx\n\t"
+        "adcxq %%rdx, %%r11\n\t"
+        "movl $0, %%r13d\n\t"
+        "cmovsq 40(%[p]), %%r13\n\t"
+        "adcxq %%r13, %%r12\n\t"
+        "movq %[r], %%rax\n\t"
+        "movq %%r14, 0(%%rax)\n\t"
+        "movq %%r8, 8(%%rax)\n\t"
+        "movq %%r9, 16(%%rax)\n\t"
+        "movq %%r10, 24(%%rax)\n\t"
+        "movq %%r11, 32(%%rax)\n\t"
+        "movq %%r12, 40(%%rax)\n\t"
+
+        :
+        : [a] "r"(a), [b] "r"(b), [p] "r"(prm.p), [n0] "m"(n0),
+          [r] "m"(out)
+        : "rax", "rcx", "rdx", "r8", "r9", "r10", "r11", "r12", "r13",
+          "r14", "cc", "memory");
+}
+
+/**
+ * r = a + b mod p for 6 limbs (a, b < p, 2p < R): the sum less p, with
+ * p added back when that borrowed. The spare top bit sets the top bit of
+ * the difference (SF) exactly on a borrow, so cmovs selects the p limbs
+ * to add back on a CF-only adcx chain and one temporary serves all six:
+ * 7 registers where addMod4Asm's two-copy select would need 12. Serves
+ * the 6-limb ADX table and its Fp2 kernels. All limbs are read before r
+ * is written, so r may alias a or b.
+ */
+FINESSE_FORCE_INLINE void
+addMod6Asm(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
+{
+    u64 d0, d1, d2, d3, d4, d5, m;
+    __asm__("movq 0(%[a]), %[d0]\n\t"
+            "addq 0(%[b]), %[d0]\n\t"
+            "movq 8(%[a]), %[d1]\n\t"
+            "adcq 8(%[b]), %[d1]\n\t"
+            "movq 16(%[a]), %[d2]\n\t"
+            "adcq 16(%[b]), %[d2]\n\t"
+            "movq 24(%[a]), %[d3]\n\t"
+            "adcq 24(%[b]), %[d3]\n\t"
+            "movq 32(%[a]), %[d4]\n\t"
+            "adcq 32(%[b]), %[d4]\n\t"
+            "movq 40(%[a]), %[d5]\n\t"
+            "adcq 40(%[b]), %[d5]\n\t"
+            "subq 0(%[p]), %[d0]\n\t"
+            "sbbq 8(%[p]), %[d1]\n\t"
+            "sbbq 16(%[p]), %[d2]\n\t"
+            "sbbq 24(%[p]), %[d3]\n\t"
+            "sbbq 32(%[p]), %[d4]\n\t"
+            "sbbq 40(%[p]), %[d5]\n\t"
+            "clc\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 0(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d0]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 8(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d1]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 16(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d2]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 24(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d3]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 32(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d4]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 40(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d5]\n\t"
+            : [d0] "=&r"(d0), [d1] "=&r"(d1), [d2] "=&r"(d2),
+              [d3] "=&r"(d3), [d4] "=&r"(d4), [d5] "=&r"(d5),
+              [m] "=&r"(m)
+            : [a] "r"(a), [b] "r"(b), [p] "r"(prm.p)
+            : "cc", "memory");
+    r[0] = d0;
+    r[1] = d1;
+    r[2] = d2;
+    r[3] = d3;
+    r[4] = d4;
+    r[5] = d5;
+}
+
+/** r = a - b mod p for 6 limbs: the difference, with p added back on a
+ *  borrow, which (a, b < p < R/2) sets the difference's top bit; the
+ *  add-back is addMod6Asm's. Aliasing as addMod6Asm. */
+FINESSE_FORCE_INLINE void
+subMod6Asm(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
+{
+    u64 d0, d1, d2, d3, d4, d5, m;
+    __asm__("movq 0(%[a]), %[d0]\n\t"
+            "subq 0(%[b]), %[d0]\n\t"
+            "movq 8(%[a]), %[d1]\n\t"
+            "sbbq 8(%[b]), %[d1]\n\t"
+            "movq 16(%[a]), %[d2]\n\t"
+            "sbbq 16(%[b]), %[d2]\n\t"
+            "movq 24(%[a]), %[d3]\n\t"
+            "sbbq 24(%[b]), %[d3]\n\t"
+            "movq 32(%[a]), %[d4]\n\t"
+            "sbbq 32(%[b]), %[d4]\n\t"
+            "movq 40(%[a]), %[d5]\n\t"
+            "sbbq 40(%[b]), %[d5]\n\t"
+            "clc\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 0(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d0]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 8(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d1]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 16(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d2]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 24(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d3]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 32(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d4]\n\t"
+            "movl $0, %k[m]\n\t"
+            "cmovsq 40(%[p]), %[m]\n\t"
+            "adcxq %[m], %[d5]\n\t"
+            : [d0] "=&r"(d0), [d1] "=&r"(d1), [d2] "=&r"(d2),
+              [d3] "=&r"(d3), [d4] "=&r"(d4), [d5] "=&r"(d5),
+              [m] "=&r"(m)
+            : [a] "r"(a), [b] "r"(b), [p] "r"(prm.p)
+            : "cc", "memory");
+    r[0] = d0;
+    r[1] = d1;
+    r[2] = d2;
+    r[3] = d3;
+    r[4] = d4;
+    r[5] = d5;
+}
+
+/** Fp2 multiply of the 6-limb ADX table: Karatsuba on three
+ *  montMulAdx6 products with the asm add/sub above. */
+inline void
+fp2MulAdx6(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, const u64 *b0,
+           const u64 *b1, i64 q, const MontParams &prm)
+{
+    MontKernel<6>::fp2MulReduced<&montMulAdx6, &addMod6Asm, &subMod6Asm>(
+        r0, r1, a0, a1, b0, b1, q, prm);
+}
+
+/** Fp2 square of the 6-limb ADX table: two montMulAdx6 products. */
+inline void
+fp2SqrAdx6(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
+           const MontParams &prm)
+{
+    MontKernel<6>::fp2SqrReduced<&montMulAdx6, &addMod6Asm, &subMod6Asm>(
+        r0, r1, a0, a1, q, prm);
+}
+
 #else
 #define FINESSE_HAVE_X86_ADX 0
 #endif
@@ -864,10 +1332,11 @@ pickVTable(bool spareTopBit)
 } // namespace detail
 
 /**
- * Kernel table for an active width n in [1, kMaxLimbs]. @p topLimb is
- * the modulus's most significant limb; when it leaves a spare bit the
- * table multiplies with the fused CIOS (mulSpareBit) and reduces its
- * Fp2 kernels lazily.
+ * Portable kernel table for an active width n in [1, kMaxLimbs].
+ * @p topLimb is the modulus's most significant limb; when it leaves a
+ * spare bit the table multiplies with the fused CIOS (mulSpareBit) and
+ * reduces its Fp2 kernels lazily. On ADX hosts MontCtx takes
+ * kAdx6KernelVTable in place of the 6-limb spare-bit table.
  */
 inline const KernelVTable *
 kernelVTable(size_t n, u64 topLimb)
@@ -889,6 +1358,32 @@ kernelVTable(size_t n, u64 topLimb)
 }
 
 static_assert(kMaxLimbs == 10, "extend kernelVTable when widening");
+
+#if FINESSE_HAVE_X86_ADX
+/**
+ * The 6-limb ADX table: montMulAdx6 (also the square), addMod6Asm,
+ * subMod6Asm (neg is 0 - a) and the Fp2 kernels on them. MontCtx selects
+ * it in place of kernelVTable(6, ...) for a spare-top-bit modulus
+ * (BLS12-381) when cpuHasAdx() holds. A table rather than an inline
+ * FastPath arm like kAdx4's: an arm would put the ~290-instruction
+ * multiply at every MontCtx::mul call site, BN254N's included, while at
+ * 6 limbs the indirect call is a small share of the multiply.
+ */
+inline constexpr KernelVTable kAdx6KernelVTable = {
+    &addMod6Asm,
+    &subMod6Asm,
+    [](u64 *r, const u64 *a, const MontParams &prm) {
+        static constexpr u64 kZero[6] = {};
+        subMod6Asm(r, kZero, a, prm);
+    },
+    &montMulAdx6,
+    [](u64 *r, const u64 *a, const MontParams &prm) {
+        montMulAdx6(r, a, a, prm);
+    },
+    &fp2MulAdx6,
+    &fp2SqrAdx6,
+};
+#endif
 
 } // namespace finesse
 

@@ -4,7 +4,7 @@
  * (bigint/montkernel.h) against the generic runtime-width oracle and the
  * BigInt reference, across every supported width and both vtable
  * flavors (spare-top-bit and general), including the Fp2 kernels and
- * the ADX asm path.
+ * the 4- and 6-limb ADX asm kernels.
  */
 #include <gtest/gtest.h>
 
@@ -63,9 +63,74 @@ rawResidue(const MontCtx &ctx, const BigInt &v)
     return r;
 }
 
+/** Kernel constants for @p p, built independently of MontCtx. */
+struct KernelConsts
+{
+    u64 p[kMaxLimbs] = {0};
+    u64 pSquared[2 * kMaxLimbs] = {0};
+    MontParams prm{};
+
+    explicit KernelConsts(const BigInt &modulus)
+    {
+        const size_t n = (static_cast<size_t>(modulus.bitLength()) + 63) / 64;
+        modulus.toLimbs(p, n);
+        (modulus * modulus).toLimbs(pSquared, 2 * n);
+        u64 inv = 1;
+        for (int i = 0; i < 6; ++i)
+            inv *= 2 - p[0] * inv;
+        prm = {p, pSquared, ~inv + 1};
+    }
+};
+
 /**
- * Check mul/sqr/add/sub/neg on one operand pair: the kernel path must be
- * bit-identical to the generic oracle, and both must match BigInt.
+ * Call add/sub/neg/mul/sqr of table @p vt directly on one operand pair,
+ * fresh and with the output aliased to an operand, against the generic
+ * oracle.
+ */
+void
+checkTable(const MontCtx &ctx, const KernelVTable &vt, const Residue &a,
+           const Residue &b)
+{
+    const KernelConsts kc(ctx.modulus());
+    Residue want{}, r{}, x{};
+    ctx.addGeneric(want, a, b);
+    vt.add(r.data(), a.data(), b.data(), kc.prm);
+    EXPECT_EQ(r, want) << "table add";
+    x = b;
+    vt.add(x.data(), a.data(), x.data(), kc.prm);
+    EXPECT_EQ(x, want) << "table add, r == b";
+
+    ctx.subGeneric(want, a, b);
+    vt.sub(r.data(), a.data(), b.data(), kc.prm);
+    EXPECT_EQ(r, want) << "table sub";
+    x = b;
+    vt.sub(x.data(), a.data(), x.data(), kc.prm);
+    EXPECT_EQ(x, want) << "table sub, r == b";
+
+    ctx.negGeneric(want, a);
+    vt.neg(r.data(), a.data(), kc.prm);
+    EXPECT_EQ(r, want) << "table neg";
+
+    ctx.mulGeneric(want, a, b);
+    vt.mul(r.data(), a.data(), b.data(), kc.prm);
+    EXPECT_EQ(r, want) << "table mul";
+    x = a;
+    vt.mul(x.data(), x.data(), b.data(), kc.prm);
+    EXPECT_EQ(x, want) << "table mul, r == a";
+
+    ctx.sqrGeneric(want, a);
+    vt.sqr(r.data(), a.data(), kc.prm);
+    EXPECT_EQ(r, want) << "table sqr";
+    x = a;
+    vt.sqr(x.data(), x.data(), kc.prm);
+    EXPECT_EQ(x, want) << "table sqr, r == a";
+}
+
+/**
+ * Check mul/sqr/add/sub/neg on one operand pair: the context's path and
+ * the width's portable table (kernelVTable, which an ADX context
+ * bypasses) must be bit-identical to the generic oracle, and the
+ * context must match BigInt.
  */
 void
 checkOps(const MontCtx &ctx, const Residue &a, const Residue &b)
@@ -108,6 +173,8 @@ checkOps(const MontCtx &ctx, const Residue &a, const Residue &b)
     ctx.mul(ka, ka, b);
     ctx.mulGeneric(g, a, b);
     EXPECT_EQ(ka, g);
+
+    checkTable(ctx, *kernelVTable(n, p.limb(n - 1)), a, b);
 }
 
 TEST(MontKernel, AllWidthsMatchOracleAndBigInt)
@@ -179,25 +246,6 @@ mulSmallGeneric(const MontCtx &ctx, const Residue &x, i64 q)
     }
     return acc;
 }
-
-/** Kernel constants for @p p, built independently of MontCtx. */
-struct KernelConsts
-{
-    u64 p[kMaxLimbs] = {0};
-    u64 pSquared[2 * kMaxLimbs] = {0};
-    MontParams prm{};
-
-    explicit KernelConsts(const BigInt &modulus)
-    {
-        const size_t n = (static_cast<size_t>(modulus.bitLength()) + 63) / 64;
-        modulus.toLimbs(p, n);
-        (modulus * modulus).toLimbs(pSquared, 2 * n);
-        u64 inv = 1;
-        for (int i = 0; i < 6; ++i)
-            inv *= 2 - p[0] * inv;
-        prm = {p, pSquared, ~inv + 1};
-    }
-};
 
 /**
  * Check one Fp2 kernel pair on (a0 + a1 u), (b0 + b1 u) over
@@ -460,49 +508,86 @@ TEST(MontKernel, BatchInvMatchesScalarInv)
 }
 
 #if FINESSE_HAVE_X86_ADX
+/**
+ * The spare-bit moduli of the ADX tests at width @p w (4 or 6): the
+ * pairing base field (q = -1), a prime p = 1 mod 4 (q != -1), and a
+ * modulus whose top limb is at the spare-bit boundary.
+ */
+std::vector<BigInt>
+adxModuli(Rng &rng, int w)
+{
+    const BigInt boundary =
+        (BigInt::fromString("0x7ffffffffffffffe") << (64 * (w - 1))) +
+        randomOddModulus(rng, 64 * (w - 1) - 2);
+    if (w == 4) {
+        return {
+            // BN254 base field.
+            BigInt::fromString("0x2523648240000001ba344d8000000008612100"
+                               "0000000013a700000000000013"),
+            // alt_bn128 scalar field.
+            BigInt::fromString("0x30644e72e131a029b85045b68181585d2833e8"
+                               "4879b9709143e1f593f0000001"),
+            boundary,
+        };
+    }
+    return {
+        // BLS12-381 base field.
+        BigInt::fromString(
+            "0x1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0"
+            "f6b0f6241eabfffeb153ffffb9feffffffffaaab"),
+        // BLS12-377 base field.
+        BigInt::fromString(
+            "0x1ae3a4617c510eac63b05c06ca1493b1a22d9f300f5138f1ef3622fba"
+            "094800170b5d44300000008508c00000000001"),
+        boundary,
+    };
+}
+
+/** Widths with a hand-scheduled ADX kernel set. */
+constexpr int kAdxWidths[] = {4, 6};
+
 TEST(MontKernel, AdxKernelMatchesGeneric)
 {
     if (!cpuHasAdx())
         GTEST_SKIP() << "CPU lacks BMI2/ADX";
     Rng rng(113);
-    // Spare-top-bit 4-limb moduli, including one with the top limb right
-    // at the spare-bit boundary.
-    const BigInt mods[] = {
-        BigInt::fromString("0x2523648240000001ba344d80000000086121000000"
-                           "000013a700000000000013"),
-        (BigInt::fromString("0x7ffffffffffffffe") << 192) +
-            randomOddModulus(rng, 190),
-    };
-    for (const BigInt &p : mods) {
-        MontCtx ctx(p);
-        ASSERT_EQ(ctx.limbCount(), 4u);
-        const KernelConsts kc(p);
-        for (int i = 0; i < 2000; ++i) {
-            const Residue a = rawResidue(ctx, BigInt::randomBelow(rng, p));
-            const Residue b = rawResidue(ctx, BigInt::randomBelow(rng, p));
-            Residue asmR{}, g{};
-            montMulAdx4(asmR.data(), a.data(), b.data(), kc.prm);
-            ctx.mulGeneric(g, a, b);
-            EXPECT_EQ(asmR, g);
+    for (const int w : kAdxWidths) {
+        for (const BigInt &p : adxModuli(rng, w)) {
+            SCOPED_TRACE(p.toHexString());
+            MontCtx ctx(p);
+            ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
+            const KernelConsts kc(p);
+            const auto mul = w == 4 ? &montMulAdx4 : &montMulAdx6;
+            // Fresh output, r == a, r == b; and the square with r == a == b.
+            auto check = [&](const Residue &a, const Residue &b) {
+                Residue g{}, r{};
+                ctx.mulGeneric(g, a, b);
+                mul(r.data(), a.data(), b.data(), kc.prm);
+                EXPECT_EQ(r, g);
+                r = a;
+                mul(r.data(), r.data(), b.data(), kc.prm);
+                EXPECT_EQ(r, g) << "r == a";
+                r = b;
+                mul(r.data(), a.data(), r.data(), kc.prm);
+                EXPECT_EQ(r, g) << "r == b";
+                ctx.sqrGeneric(g, a);
+                r = a;
+                mul(r.data(), r.data(), r.data(), kc.prm);
+                EXPECT_EQ(r, g) << "square in place";
+            };
+            const Residue edges[] = {Residue{},
+                                     rawResidue(ctx, BigInt(u64{1})),
+                                     rawResidue(ctx, p - BigInt(u64{1}))};
+            for (const Residue &a : edges) {
+                for (const Residue &b : edges)
+                    check(a, b);
+            }
+            for (int i = 0; i < 2000; ++i) {
+                check(rawResidue(ctx, BigInt::randomBelow(rng, p)),
+                      rawResidue(ctx, BigInt::randomBelow(rng, p)));
+            }
         }
     }
-}
-
-/** The three 4-limb spare-bit moduli of the ADX Fp2 and linear tests. */
-std::vector<BigInt>
-adxModuli(Rng &rng)
-{
-    return {
-        // BN254 base field (q = -1).
-        BigInt::fromString("0x2523648240000001ba344d80000000086121000000"
-                           "000013a700000000000013"),
-        // alt_bn128 scalar field, p = 1 mod 4 (q != -1).
-        BigInt::fromString("0x30644e72e131a029b85045b68181585d2833e84879"
-                           "b9709143e1f593f0000001"),
-        // Top limb at the spare-bit boundary.
-        (BigInt::fromString("0x7ffffffffffffffe") << 192) +
-            randomOddModulus(rng, 190),
-    };
 }
 
 TEST(MontKernel, AdxFp2KernelsMatchGeneric)
@@ -510,47 +595,52 @@ TEST(MontKernel, AdxFp2KernelsMatchGeneric)
     if (!cpuHasAdx())
         GTEST_SKIP() << "CPU lacks BMI2/ADX";
     Rng rng(127);
-    for (const BigInt &p : adxModuli(rng)) {
-        const MontCtx ctx(p);
-        ASSERT_EQ(ctx.limbCount(), 4u);
-        const KernelConsts kc(p);
-        for (const i64 q : kFp2Qs) {
-            const std::string where = "adx " + p.toHexString() + " q " +
-                                      std::to_string(q);
-            checkFp2Operands(
-                rng, ctx,
-                [&](Residue &r0, Residue &r1, const Residue &a0,
-                    const Residue &a1, const Residue &b0, const Residue &b1,
-                    i64 qq) {
-                    fp2MulAdx4(r0.data(), r1.data(), a0.data(), a1.data(),
+    for (const int w : kAdxWidths) {
+        const auto fp2Mul = w == 4 ? &fp2MulAdx4 : &fp2MulAdx6;
+        const auto fp2Sqr = w == 4 ? &fp2SqrAdx4 : &fp2SqrAdx6;
+        for (const BigInt &p : adxModuli(rng, w)) {
+            const MontCtx ctx(p);
+            ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
+            const KernelConsts kc(p);
+            for (const i64 q : kFp2Qs) {
+                const std::string where = "adx " + p.toHexString() +
+                                          " q " + std::to_string(q);
+                checkFp2Operands(
+                    rng, ctx,
+                    [&](Residue &r0, Residue &r1, const Residue &a0,
+                        const Residue &a1, const Residue &b0,
+                        const Residue &b1, i64 qq) {
+                        fp2Mul(r0.data(), r1.data(), a0.data(), a1.data(),
                                b0.data(), b1.data(), qq, kc.prm);
-                },
-                [&](Residue &r0, Residue &r1, const Residue &a0,
-                    const Residue &a1, i64 qq) {
-                    fp2SqrAdx4(r0.data(), r1.data(), a0.data(), a1.data(),
+                    },
+                    [&](Residue &r0, Residue &r1, const Residue &a0,
+                        const Residue &a1, i64 qq) {
+                        fp2Sqr(r0.data(), r1.data(), a0.data(), a1.data(),
                                qq, kc.prm);
-                },
-                q, where);
-            checkCtxFp2(rng, ctx, q, where);
+                    },
+                    q, where);
+                checkCtxFp2(rng, ctx, q, where);
+            }
         }
     }
 }
 
 /**
- * add, sub and neg of an ADX context (the inline asm, not the table)
- * on one pair: checkOps, add(a, a), and every op with its output
- * aliased to an operand, against the generic oracle.
+ * add, sub and neg of an ADX context (the inline asm at 4 limbs, the
+ * ADX table at 6) on one pair: checkOps, add(a, a), and every op with
+ * its output aliased to an operand, against the generic oracle.
  */
 void
 checkAdxLinear(const MontCtx &ctx, const Residue &a, const Residue &b)
 {
     checkOps(ctx, a, b);
-    const BigInt av = BigInt::fromLimbs(a.data(), 4);
+    const BigInt av = BigInt::fromLimbs(a.data(), ctx.limbCount());
     Residue want{}, r{};
     ctx.add(r, a, a);
     ctx.addGeneric(want, a, a);
     EXPECT_EQ(r, want);
-    EXPECT_EQ(BigInt::fromLimbs(r.data(), 4), (av + av).mod(ctx.modulus()));
+    EXPECT_EQ(BigInt::fromLimbs(r.data(), ctx.limbCount()),
+              (av + av).mod(ctx.modulus()));
 
     ctx.addGeneric(want, a, b);
     r = a;
@@ -572,6 +662,11 @@ checkAdxLinear(const MontCtx &ctx, const Residue &a, const Residue &b)
     r = a;
     ctx.neg(r, r);
     EXPECT_EQ(r, want);
+
+    // The 6-limb ADX table, called directly: a context that fell back
+    // to the portable table would pass the checks above.
+    if (ctx.limbCount() == 6)
+        checkTable(ctx, kAdx6KernelVTable, a, b);
 }
 
 TEST(MontKernel, AdxLinearOpsMatchGeneric)
@@ -579,23 +674,26 @@ TEST(MontKernel, AdxLinearOpsMatchGeneric)
     if (!cpuHasAdx())
         GTEST_SKIP() << "CPU lacks BMI2/ADX";
     Rng rng(131);
-    for (const BigInt &p : adxModuli(rng)) {
-        SCOPED_TRACE(p.toHexString());
-        const MontCtx ctx(p);
-        ASSERT_EQ(ctx.limbCount(), 4u);
-        const Residue zero{};
-        const Residue edges[] = {zero, rawResidue(ctx, BigInt(u64{1})),
-                                 rawResidue(ctx, p - BigInt(u64{1}))};
-        for (const Residue &a : edges) {
-            for (const Residue &b : edges)
-                checkAdxLinear(ctx, a, b);
-        }
-        Residue z = edges[1];
-        ctx.neg(z, zero);
-        EXPECT_TRUE(ctx.isZero(z));
-        for (int i = 0; i < 2000; ++i) {
-            checkAdxLinear(ctx, rawResidue(ctx, BigInt::randomBelow(rng, p)),
-                           rawResidue(ctx, BigInt::randomBelow(rng, p)));
+    for (const int w : kAdxWidths) {
+        for (const BigInt &p : adxModuli(rng, w)) {
+            SCOPED_TRACE(p.toHexString());
+            const MontCtx ctx(p);
+            ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
+            const Residue zero{};
+            const Residue edges[] = {zero, rawResidue(ctx, BigInt(u64{1})),
+                                     rawResidue(ctx, p - BigInt(u64{1}))};
+            for (const Residue &a : edges) {
+                for (const Residue &b : edges)
+                    checkAdxLinear(ctx, a, b);
+            }
+            Residue z = edges[1];
+            ctx.neg(z, zero);
+            EXPECT_TRUE(ctx.isZero(z));
+            for (int i = 0; i < 2000; ++i) {
+                checkAdxLinear(ctx,
+                               rawResidue(ctx, BigInt::randomBelow(rng, p)),
+                               rawResidue(ctx, BigInt::randomBelow(rng, p)));
+            }
         }
     }
 }
