@@ -731,48 +731,6 @@ BigInt::toHexString() const
     return (negative_ ? std::string("-0x") : std::string("0x")) + out;
 }
 
-bool
-isProbablePrime(const BigInt &n, int rounds)
-{
-    if (n < BigInt(u64{2}))
-        return false;
-    static const u64 smallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19, 23,
-                                      29, 31, 37, 41, 43, 47, 53, 59, 61};
-    for (u64 p : smallPrimes) {
-        if (n == BigInt(p))
-            return true;
-        if ((n % BigInt(p)).isZero())
-            return false;
-    }
-    // Write n - 1 = d * 2^s.
-    const BigInt nm1 = n - BigInt(u64{1});
-    BigInt d = nm1;
-    int s = 0;
-    while (d.isEven()) {
-        d = d >> 1;
-        ++s;
-    }
-    Rng rng(0x4d696c6c65725261ull); // fixed seed: deterministic testing
-    for (int round = 0; round < rounds; ++round) {
-        const BigInt a =
-            BigInt(u64{2}) + BigInt::randomBelow(rng, n - BigInt(u64{4}));
-        BigInt x = a.powMod(d, n);
-        if (x == BigInt(u64{1}) || x == nm1)
-            continue;
-        bool composite = true;
-        for (int i = 0; i < s - 1; ++i) {
-            x = (x * x).mod(n);
-            if (x == nm1) {
-                composite = false;
-                break;
-            }
-        }
-        if (composite)
-            return false;
-    }
-    return true;
-}
-
 std::ostream &
 operator<<(std::ostream &os, const BigInt &v)
 {

@@ -130,7 +130,11 @@ class BigInt
     /** this^e for small unsigned exponent. */
     BigInt pow(u64 e) const;
 
-    /** Modular exponentiation: this^e mod m (m > 0, e >= 0). */
+    /**
+     * Modular exponentiation: this^e mod m (m > 0, e >= 0), by
+     * schoolbook division. The differential oracle for MontCtx::pow in
+     * tests; library code exponentiates on MontCtx.
+     */
     BigInt powMod(const BigInt &e, const BigInt &m) const;
 
     /** Greatest common divisor of magnitudes. */
@@ -186,9 +190,6 @@ struct BigIntHash
         return v.hashValue();
     }
 };
-
-/** Deterministic Miller-Rabin + trial-division primality test. */
-bool isProbablePrime(const BigInt &n, int rounds = 40);
 
 std::ostream &operator<<(std::ostream &os, const BigInt &v);
 

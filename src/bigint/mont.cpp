@@ -1,8 +1,8 @@
 /**
  * @file
  * MontCtx implementation: fixed-width kernel dispatch (construction-time
- * vtable selection), the generic runtime-width CIOS oracle, and binary
- * extended-GCD inversion.
+ * vtable selection), the generic runtime-width CIOS oracle, binary
+ * extended-GCD inversion, and the Miller-Rabin primality test.
  */
 #include "bigint/mont.h"
 
@@ -304,6 +304,54 @@ MontCtx::batchInv(Residue *r, const Residue *a, size_t n) const
         mul(next, invAcc, ai);
         invAcc = next;
     }
+}
+
+bool
+isProbablePrime(const BigInt &n, int rounds)
+{
+    if (n < BigInt(u64{2}))
+        return false;
+    FINESSE_REQUIRE(n.bitLength() <= static_cast<int>(64 * kMaxLimbs),
+                    "isProbablePrime: modulus too wide: ", n.bitLength(),
+                    " bits");
+    static const u64 smallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19, 23,
+                                      29, 31, 37, 41, 43, 47, 53, 59, 61};
+    for (u64 p : smallPrimes) {
+        if (n == BigInt(p))
+            return true;
+        if ((n % BigInt(p)).isZero())
+            return false;
+    }
+    // n is odd and above 61 here. Write n - 1 = d * 2^s.
+    const BigInt nm1 = n - BigInt(u64{1});
+    BigInt d = nm1;
+    int s = 0;
+    while (d.isEven()) {
+        d = d >> 1;
+        ++s;
+    }
+    const MontCtx ctx(n);
+    const Residue minusOne = ctx.toMont(nm1);
+    Rng rng(0x4d696c6c65725261ull); // fixed seed: deterministic testing
+    for (int round = 0; round < rounds; ++round) {
+        const BigInt a =
+            BigInt(u64{2}) + BigInt::randomBelow(rng, n - BigInt(u64{4}));
+        Residue x{};
+        ctx.pow(x, ctx.toMont(a), d);
+        if (ctx.equal(x, ctx.one()) || ctx.equal(x, minusOne))
+            continue;
+        bool composite = true;
+        for (int i = 0; i < s - 1; ++i) {
+            ctx.sqr(x, x);
+            if (ctx.equal(x, minusOne)) {
+                composite = false;
+                break;
+            }
+        }
+        if (composite)
+            return false;
+    }
+    return true;
 }
 
 } // namespace finesse

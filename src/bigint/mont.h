@@ -26,6 +26,9 @@
  * ever writes beyond the active width, so the tail stays zero for the
  * lifetime of the value. Debug builds assert this on every operand. A
  * wider modulus is rejected at construction ("modulus too wide").
+ *
+ * isProbablePrime (Miller-Rabin) lives here too: it runs on MontCtx, so
+ * its width limit is the same.
  */
 #ifndef FINESSE_BIGINT_MONT_H_
 #define FINESSE_BIGINT_MONT_H_
@@ -305,6 +308,15 @@ class MontCtx
     Residue r2ModP_{};   ///< R^2 mod p (for toMont)
     std::array<u64, 2 * kMaxLimbs> pSquared_{}; ///< p^2 (lazy Fp2 c0)
 };
+
+/**
+ * Deterministic primality test: trial division by the primes up to 61,
+ * then @p rounds Miller-Rabin rounds on MontCtx::pow/sqr with bases
+ * drawn from a fixed-seed Rng, so a verdict never varies between runs.
+ * @p n must fit a MontCtx: a value wider than kMaxLimbs * 64 bits is
+ * refused ("modulus too wide"), whatever its size or parity.
+ */
+bool isProbablePrime(const BigInt &n, int rounds = 40);
 
 } // namespace finesse
 

@@ -10,6 +10,7 @@
  */
 #include "curve/catalog.h"
 
+#include "bigint/mont.h"
 #include "support/common.h"
 
 namespace finesse {

@@ -255,12 +255,18 @@ class QuadExt
         }
     }
 
-    /** Inverse: (a0 - a1 w) / (a0^2 - nu a1^2). Zero maps to zero. */
+    /** Norm to Base: x * conj(x) = a0^2 - nu a1^2. */
+    Base
+    norm() const
+    {
+        return c0_.sqr().sub(ctx_->mulByNu(c1_.sqr()));
+    }
+
+    /** Inverse: (a0 - a1 w) / norm(). Zero maps to zero. */
     QuadExt
     inv() const
     {
-        const Base norm = c0_.sqr().sub(ctx_->mulByNu(c1_.sqr()));
-        const Base t = norm.inv();
+        const Base t = norm().inv();
         return {c0_.mul(t), c1_.mul(t).neg(), ctx_};
     }
 
@@ -499,17 +505,20 @@ class CubicExt
         }
     }
 
+    /** Norm to Base: the product of x's three conjugates. */
+    Base
+    norm() const
+    {
+        return normFrom(adjugate());
+    }
+
     /** Inverse via the adjugate formulas (zero maps to zero). */
     CubicExt
     inv() const
     {
-        const Base d0 = c0_.sqr().sub(ctx_->mulByNu(c1_.mul(c2_)));
-        const Base d1 = ctx_->mulByNu(c2_.sqr()).sub(c0_.mul(c1_));
-        const Base d2 = c1_.sqr().sub(c0_.mul(c2_));
-        const Base norm = c0_.mul(d0).add(
-            ctx_->mulByNu(c2_.mul(d1).add(c1_.mul(d2))));
-        const Base t = norm.inv();
-        return {d0.mul(t), d1.mul(t), d2.mul(t), ctx_};
+        const CubicExt d = adjugate();
+        const Base t = normFrom(d).inv();
+        return {d.c0_.mul(t), d.c1_.mul(t), d.c2_.mul(t), ctx_};
     }
 
     /** Frobenius x -> x^p. */
@@ -579,6 +588,24 @@ class CubicExt
     }
 
   private:
+    /** First row (d0, d1, d2) of the adjugate: x * d = norm(). */
+    CubicExt
+    adjugate() const
+    {
+        const Base d0 = c0_.sqr().sub(ctx_->mulByNu(c1_.mul(c2_)));
+        const Base d1 = ctx_->mulByNu(c2_.sqr()).sub(c0_.mul(c1_));
+        const Base d2 = c1_.sqr().sub(c0_.mul(c2_));
+        return {d0, d1, d2, ctx_};
+    }
+
+    /** c0 d0 + nu (c2 d1 + c1 d2) for the adjugate @p d of this. */
+    Base
+    normFrom(const CubicExt &d) const
+    {
+        return c0_.mul(d.c0_).add(
+            ctx_->mulByNu(c2_.mul(d.c1_).add(c1_.mul(d.c2_))));
+    }
+
     Base c0_, c1_, c2_;
     const Ctx *ctx_ = nullptr;
 };

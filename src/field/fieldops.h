@@ -5,7 +5,8 @@
  * exponentiation by arbitrary big integers. These correspond to the
  * paper's `muli` and `exp` IR operations: both lower to the linear/
  * multiplicative ISA ops at compile time since scalars and exponents are
- * curve constants.
+ * curve constants. Native-only: batch inversion and the norm-based
+ * k-th power residue test (powerResidue) of curve set-up.
  */
 #ifndef FINESSE_FIELD_FIELDOPS_H_
 #define FINESSE_FIELD_FIELDOPS_H_
@@ -116,6 +117,30 @@ powBig(const F &a, const BigInt &e)
             result = result.mul(a);
     }
     return result;
+}
+
+/**
+ * True when a^((|F| - 1)/k) = 1 in a's field F, i.e. when a is a nonzero
+ * k-th power there. For F of degree d over a level K with |K| = Q,
+ * a^((Q^d - 1)/k) = N(a)^((Q - 1)/k) whenever k | Q - 1, where N is the
+ * norm from F to K. So the test recurses a -> N(a) down to Fp and ends
+ * in one exponentiation by (p - 1)/k there, in place of one by
+ * (p^deg - 1)/k in F. Requires k | p - 1 (then k | Q - 1 on every
+ * level) and F and every level below it to be fields; tower validation
+ * establishes each level before it tests an element of that level.
+ */
+template <typename F>
+bool
+powerResidue(const F &a, int k)
+{
+    if constexpr (std::is_same_v<F, Fp>) {
+        const BigInt pm1 = a.fieldCtx()->modulus() - BigInt(u64{1});
+        FINESSE_REQUIRE(k > 0 && (pm1 % BigInt(i64{k})).isZero(),
+                        "powerResidue: k = ", k, " does not divide p - 1");
+        return powBig(a, pm1.divExact(BigInt(i64{k}))).equals(a.oneLike());
+    } else {
+        return powerResidue(a.norm(), k);
+    }
 }
 
 } // namespace finesse

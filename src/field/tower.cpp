@@ -3,7 +3,8 @@
  * Native computation of tower parameters: validation of non-residue
  * choices (irreducibility of every tower level) and precomputation of
  * the Frobenius constant tables that the compiler later treats as
- * lowering constants.
+ * lowering constants. Every square and cube test is a powerResidue
+ * norm test (field/fieldops.h); the q test exponentiates on MontCtx.
  */
 #include "field/tower.h"
 
@@ -21,6 +22,16 @@ flat(const F &x)
     std::vector<BigInt> v;
     x.toFpCoeffs(v);
     return v;
+}
+
+/** q^((p-1)/2) mod p on Montgomery arithmetic: p - 1 for a non-residue. */
+BigInt
+eulerCriterion(const FpCtx &fp, i64 q)
+{
+    const MontCtx &mont = fp.mont;
+    Residue r{};
+    mont.pow(r, mont.toMont(BigInt(q)), (fp.modulus() - BigInt(u64{1})) >> 1);
+    return mont.fromMont(r);
 }
 
 } // namespace
@@ -43,7 +54,7 @@ computeTowerParams(const BigInt &p, int k, i64 q, i64 xi0, i64 xi1)
     const BigInt pm1 = p - BigInt(u64{1});
 
     // Level Fp2: q must be a quadratic non-residue mod p.
-    const BigInt qpow = BigInt(q).mod(p).powMod(pm1 >> 1, p);
+    const BigInt qpow = eulerCriterion(fp, q);
     FINESSE_REQUIRE(qpow == pm1, "q = ", q,
                     " is not a quadratic non-residue mod p");
     prm.frobC2 = {qpow};
@@ -56,16 +67,12 @@ computeTowerParams(const BigInt &p, int k, i64 q, i64 xi0, i64 xi1)
 
     const Fp2 one2 = Fp2::one(&fp2ctx);
     const Fp2 xi = one2.mulBySmallPair(xi0, xi1);
-    const BigInt p2m1 = p * p - BigInt(u64{1});
 
     if (k == 12) {
         // Fp6 = Fp2[v]/(v^3 - xi) and Fp12 = Fp6[w]/(w^2 - v) need xi to
         // be neither a square nor a cube in Fp2.
-        FINESSE_REQUIRE(!powBig(xi, p2m1 >> 1).equals(one2),
-                        "xi is a square in Fp2");
-        FINESSE_REQUIRE(!powBig(xi, p2m1.divExact(BigInt(u64{3}))).equals(
-                            one2),
-                        "xi is a cube in Fp2");
+        FINESSE_REQUIRE(!powerResidue(xi, 2), "xi is a square in Fp2");
+        FINESSE_REQUIRE(!powerResidue(xi, 3), "xi is a cube in Fp2");
 
         const Fp2 c6 = powBig(xi, pm1.divExact(BigInt(u64{3})));
         prm.frobMid1 = flat(c6);
@@ -85,8 +92,7 @@ computeTowerParams(const BigInt &p, int k, i64 q, i64 xi0, i64 xi1)
 
     // k == 24.
     // Fp4 = Fp2[s]/(s^2 - xi): xi must be a non-square in Fp2.
-    FINESSE_REQUIRE(!powBig(xi, p2m1 >> 1).equals(one2),
-                    "xi is a square in Fp2");
+    FINESSE_REQUIRE(!powerResidue(xi, 2), "xi is a square in Fp2");
     const Fp2 c4 = powBig(xi, pm1 >> 1);
     prm.frobMid1 = flat(c4);
 
@@ -98,10 +104,7 @@ computeTowerParams(const BigInt &p, int k, i64 q, i64 xi0, i64 xi1)
 
     // Fp12' = Fp4[v]/(v^3 - s): s must be a non-cube in Fp4.
     const Fp4 s = Fp4::gen(&fp4ctx);
-    const Fp4 one4 = Fp4::one(&fp4ctx);
-    const BigInt p4m1 = p.pow(4) - BigInt(u64{1});
-    FINESSE_REQUIRE(!powBig(s, p4m1.divExact(BigInt(u64{3}))).equals(one4),
-                    "s is a cube in Fp4");
+    FINESSE_REQUIRE(!powerResidue(s, 3), "s is a cube in Fp4");
 
     const Fp4 c12 = powBig(s, pm1.divExact(BigInt(u64{3})));
     prm.frobCub1 = flat(c12);
@@ -116,10 +119,7 @@ computeTowerParams(const BigInt &p, int k, i64 q, i64 xi0, i64 xi1)
 
     // Fp24 = Fp12'[w]/(w^2 - v): v must be a non-square in Fp12'.
     const Fp12b v = Fp12b::gen(&fp12ctx);
-    const Fp12b one12 = Fp12b::one(&fp12ctx);
-    const BigInt p12m1 = p.pow(12) - BigInt(u64{1});
-    FINESSE_REQUIRE(!powBig(v, p12m1 >> 1).equals(one12),
-                    "v is a square in Fp12'");
+    FINESSE_REQUIRE(!powerResidue(v, 2), "v is a square in Fp12'");
 
     prm.frobTop = flat(powBig(v, pm1 >> 1));
     return prm;
@@ -129,30 +129,29 @@ void
 searchTowerNonResidues(const BigInt &p, i64 &q, i64 &xi0, i64 &xi1)
 {
     const BigInt pm1 = p - BigInt(u64{1});
+    const FpCtx fp(p);
     static const i64 qCandidates[] = {-1, -2, -3, -5, 2,  3,
                                       5,  7,  -7, 11, -11};
     for (i64 qc : qCandidates) {
-        if (BigInt(qc).mod(p).powMod(pm1 >> 1, p) != pm1)
+        if (eulerCriterion(fp, qc) != pm1)
             continue;
         // xi candidates: small coefficient pairs, preferring 1 + u.
         static const std::pair<i64, i64> xiCandidates[] = {
             {1, 1},  {0, 1}, {1, -1}, {2, 1}, {1, 2}, {3, 1},
             {-1, 1}, {2, 3}, {1, 3},  {4, 1}, {5, 1}, {1, 4}};
-        FpCtx fp(p);
         QuadCtx<Fp> fp2ctx;
         fp2ctx.base = &fp;
         fp2ctx.nu = NuDesc::smallInt(qc);
         fp2ctx.degree = 2;
         fp2ctx.frobC1 = Fp::fromBig(&fp, pm1);
         const Fp2 one2 = Fp2::one(&fp2ctx);
-        const BigInt p2m1 = p * p - BigInt(u64{1});
         for (auto [a, b] : xiCandidates) {
             const Fp2 xi = one2.mulBySmallPair(a, b);
             if (xi.isZero())
                 continue;
-            if (powBig(xi, p2m1 >> 1).equals(one2))
+            if (powerResidue(xi, 2))
                 continue; // square
-            if (powBig(xi, p2m1.divExact(BigInt(u64{3}))).equals(one2))
+            if (powerResidue(xi, 3))
                 continue; // cube
             q = qc;
             xi0 = a;

@@ -8,6 +8,14 @@
  * phi(x, y) = (beta x, y) = [lambda] (curve/msm.h), and the pairing
  * plan (with a setup-verified final-exponentiation chain).
  *
+ * Every check of that derivation runs on every construction, on exact
+ * arithmetic that keeps it cheap: Miller-Rabin on p and r and the
+ * lambda exponentiation on MontCtx (bigint/mont.h), and each square or
+ * cube test -- tower irreducibility and the Tonelli-Shanks Legendre
+ * tests of point sampling -- as a norm test down to Fp (powerResidue,
+ * field/fieldops.h). The results are pinned by the setup.<curve> and
+ * native.<curve> golden lines.
+ *
  * This plays the role of the paper's reference libraries (RELIC/MCL):
  * the independent computational oracle against which compiled
  * accelerator programs are cross-validated.
@@ -224,8 +232,11 @@ class CurveSystem
             if (!beta_.equals(Fp::one(&fp_)))
                 break;
         }
+        const MontCtx rCtx(r);
         for (u64 h = 2;; ++h) {
-            lambda_ = BigInt(h).powMod((r - one) / three, r);
+            Residue l{};
+            rCtx.pow(l, rCtx.toMont(BigInt(h)), (r - one) / three);
+            lambda_ = rCtx.fromMont(l);
             if (lambda_ != one)
                 break;
         }

@@ -6,7 +6,8 @@
  * whole-framework guarantee in the suite. Each curve's deterministic
  * compile outputs, and its schedule, register assignment and cycle
  * counts on every Fig. 10 model and its Fig. 8 delay, are also pinned
- * by tests/golden/catalog.txt, and so is its native pairing value.
+ * by tests/golden/catalog.txt, and so are its native pairing value and
+ * what its CurveSystem constructor derives.
  */
 #include <gtest/gtest.h>
 
@@ -126,11 +127,23 @@ TEST_P(AllCurvesEndToEnd, CompileSimulateValidate)
     }
 }
 
+/** FNV-1a over Fp coefficients as `0x...` strings joined by ','. */
+unsigned long long
+coeffFnv(const std::vector<BigInt> &coeffs)
+{
+    std::string hex;
+    for (const BigInt &c : coeffs) {
+        if (!hex.empty())
+            hex += ',';
+        hex += c.toHexString();
+    }
+    return DiskCache::fnv1a(hex.data(), hex.size());
+}
+
 /**
- * FNV-1a over the hex Fp coefficients of e(g1Gen, g2Gen), one
- * `0x...` string each, joined by ','. The bilinearity tests compare
- * pairings with each other, so a field op that is wrong but
- * self-consistent passes them; this line pins the value itself.
+ * coeffFnv of e(g1Gen, g2Gen). The bilinearity tests compare pairings
+ * with each other, so a field op that is wrong but self-consistent
+ * passes them; this line pins the value itself.
  */
 template <typename System>
 std::string
@@ -138,15 +151,32 @@ nativePairingFingerprint(const System &sys)
 {
     std::vector<BigInt> coeffs;
     sys.pair(sys.g1Gen(), sys.g2Gen()).toFpCoeffs(coeffs);
-    std::string hex;
-    for (const BigInt &c : coeffs) {
-        if (!hex.empty())
-            hex += ',';
-        hex += c.toHexString();
-    }
-    return goldenFormat("pair_fnv=%016llx",
-                        static_cast<unsigned long long>(
-                            DiskCache::fnv1a(hex.data(), hex.size())));
+    return goldenFormat("pair_fnv=%016llx", coeffFnv(coeffs));
+}
+
+/**
+ * What the CurveSystem constructor derives: b, the twist type, the
+ * tower non-residues q and xi = xi0 + xi1 u, and coeffFnv over g1Gen
+ * (x, y), g2Gen (x, y) and beta. A set-up change shows here by name,
+ * not only through native.<curve>.
+ */
+template <typename System>
+std::string
+setupFingerprint(const System &sys)
+{
+    std::vector<BigInt> coeffs;
+    sys.g1Gen().x.toFpCoeffs(coeffs);
+    sys.g1Gen().y.toFpCoeffs(coeffs);
+    sys.g2Gen().x.toFpCoeffs(coeffs);
+    sys.g2Gen().y.toFpCoeffs(coeffs);
+    sys.g1Beta().toFpCoeffs(coeffs);
+    const TowerParams &prm = sys.towerParams();
+    return goldenFormat(
+        "b=%lld twist=%s q=%lld xi=%lld,%lld gen_fnv=%016llx",
+        static_cast<long long>(sys.b()),
+        sys.twistType() == TwistType::D ? "D" : "M",
+        static_cast<long long>(prm.q), static_cast<long long>(prm.xi0),
+        static_cast<long long>(prm.xi1), coeffFnv(coeffs));
 }
 
 TEST_P(AllCurvesEndToEnd, NativePairingPinned)
@@ -156,6 +186,15 @@ TEST_P(AllCurvesEndToEnd, NativePairingPinned)
                  findCurve(name).family == CurveFamily::BLS24
                      ? nativePairingFingerprint(curveSystem24(name))
                      : nativePairingFingerprint(curveSystem12(name)));
+}
+
+TEST_P(AllCurvesEndToEnd, SetupPinned)
+{
+    const std::string name = GetParam();
+    expectGolden("setup." + name,
+                 findCurve(name).family == CurveFamily::BLS24
+                     ? setupFingerprint(curveSystem24(name))
+                     : setupFingerprint(curveSystem12(name)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, AllCurvesEndToEnd,

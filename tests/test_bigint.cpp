@@ -6,6 +6,7 @@
 
 #include "bigint/bigint.h"
 #include "bigint/mont.h"
+#include "curve/catalog.h"
 #include "support/rng.h"
 
 namespace finesse {
@@ -174,6 +175,106 @@ TEST(BigInt, PrimalityKnownValues)
     const BigInt c = BigInt::fromString("1000000007") *
                      BigInt::fromString("1000000009");
     EXPECT_FALSE(isProbablePrime(c));
+}
+
+/**
+ * The Miller-Rabin test on BigInt::powMod, as the library ran it before
+ * it moved to MontCtx: same trial division, seed, bases and rounds. The
+ * oracle for isProbablePrime.
+ */
+bool
+powModProbablePrime(const BigInt &n, int rounds = 40)
+{
+    if (n < BigInt(u64{2}))
+        return false;
+    static const u64 smallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19, 23,
+                                      29, 31, 37, 41, 43, 47, 53, 59, 61};
+    for (u64 p : smallPrimes) {
+        if (n == BigInt(p))
+            return true;
+        if ((n % BigInt(p)).isZero())
+            return false;
+    }
+    const BigInt nm1 = n - BigInt(u64{1});
+    BigInt d = nm1;
+    int s = 0;
+    while (d.isEven()) {
+        d = d >> 1;
+        ++s;
+    }
+    Rng rng(0x4d696c6c65725261ull);
+    for (int round = 0; round < rounds; ++round) {
+        const BigInt a =
+            BigInt(u64{2}) + BigInt::randomBelow(rng, n - BigInt(u64{4}));
+        BigInt x = a.powMod(d, n);
+        if (x == BigInt(u64{1}) || x == nm1)
+            continue;
+        bool composite = true;
+        for (int i = 0; i < s - 1; ++i) {
+            x = (x * x).mod(n);
+            if (x == nm1) {
+                composite = false;
+                break;
+            }
+        }
+        if (composite)
+            return false;
+    }
+    return true;
+}
+
+TEST(Primality, MontgomeryMatchesPowModOracle)
+{
+    // {n, prime?}: Carmichael numbers 561 = 3 * 11 * 17 and 41041 =
+    // 7 * 11 * 13 * 41 (trial division finds them) and 56052361 =
+    // 211 * 421 * 631 (no factor up to 61, so Miller-Rabin must); the
+    // strong pseudoprime to bases 2, 3, 5 and 7 3215031751 =
+    // 151 * 751 * 28351; one-limb primes and composites.
+    std::vector<std::pair<BigInt, bool>> cases = {
+        {BigInt(u64{561}), false},
+        {BigInt(u64{41041}), false},
+        {BigInt(u64{56052361}), false},
+        {BigInt(u64{3215031751}), false},
+        {BigInt(u64{67}), true},
+        {(BigInt(u64{1}) << 61) - BigInt(u64{1}), true},
+        {BigInt(u64{0xffffffffffffffc5}), true}, // 2^64 - 59
+        {BigInt(u64{4294967291}) * BigInt(u64{4294967279}), false},
+    };
+    for (const CurveDef &def : curveCatalog()) {
+        const CurveInfo info = deriveCurveInfo(def);
+        cases.emplace_back(info.p, true);
+        cases.emplace_back(info.r, true);
+    }
+    // 640 bits: the first prime 2^639 + 3 + 4i, and a 639-bit product
+    // of two 320-bit primes.
+    BigInt p640 = (BigInt(u64{1}) << 639) + BigInt(u64{3});
+    while (!isProbablePrime(p640))
+        p640 = p640 + BigInt(u64{4});
+    BigInt p320a = (BigInt(u64{1}) << 319) + BigInt(u64{1});
+    while (!isProbablePrime(p320a))
+        p320a = p320a + BigInt(u64{2});
+    BigInt p320b = p320a + BigInt(u64{2});
+    while (!isProbablePrime(p320b))
+        p320b = p320b + BigInt(u64{2});
+    cases.emplace_back(p640, true);
+    cases.emplace_back(p320a * p320b, false);
+
+    for (const auto &[n, prime] : cases) {
+        EXPECT_EQ(isProbablePrime(n), prime) << n;
+        EXPECT_EQ(isProbablePrime(n), powModProbablePrime(n)) << n;
+        EXPECT_EQ(isProbablePrime(n, 3), powModProbablePrime(n, 3)) << n;
+    }
+    EXPECT_EQ(p640.bitLength(), 640);
+    EXPECT_EQ((p320a * p320b).bitLength(), 639);
+}
+
+TEST(Primality, RefusesModulusWiderThan640Bits)
+{
+    const BigInt wide = (BigInt(u64{1}) << 640) + BigInt(u64{1});
+    EXPECT_THROW(isProbablePrime(wide), FatalError);
+    EXPECT_THROW(isProbablePrime(wide + BigInt(u64{1})), FatalError);
+    // The widest accepted value: 2^640 - 1 = 3 * 5 * 17 * ... is composite.
+    EXPECT_FALSE(isProbablePrime((BigInt(u64{1}) << 640) - BigInt(u64{1})));
 }
 
 TEST(BigInt, DivExact)

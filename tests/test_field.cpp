@@ -584,5 +584,137 @@ TEST(FieldTower24, VariantEquivalenceAllLevels)
     }
 }
 
+// powerResidue against direct exponentiation -----------------------------
+
+/** An element of @p ctx's level with uniform random Fp coefficients. */
+template <typename F>
+F
+randomLevelElem(const typename F::Ctx *ctx, const BigInt &p, Rng &rng)
+{
+    std::vector<BigInt> c;
+    for (int i = 0; i < ctx->degree; ++i)
+        c.push_back(BigInt::randomBelow(rng, p));
+    auto it = c.begin();
+    return F::fromFpCoeffs(ctx, it);
+}
+
+/**
+ * On one tower level: powerResidue(a, k) == (a^((p^deg - 1)/k) == 1) for
+ * k = 2 and 3 on @p special (the level's non-residues), one, -1, the
+ * level generator, random elements and a square and a cube; both
+ * verdicts must occur for each k. Also a * a^-1 == 1 on every nonzero
+ * sample, since inv() now shares norm() with the residue test.
+ */
+template <typename F>
+void
+checkPowerResidueLevel(const typename F::Ctx *ctx, const BigInt &p,
+                       std::vector<F> special, Rng &rng)
+{
+    const F one = F::one(ctx);
+    std::vector<F> elems = std::move(special);
+    elems.push_back(one);
+    elems.push_back(one.neg());
+    elems.push_back(F::gen(ctx));
+    for (int i = 0; i < 4; ++i)
+        elems.push_back(randomLevelElem<F>(ctx, p, rng));
+    const F r = randomLevelElem<F>(ctx, p, rng);
+    elems.push_back(r.sqr());
+    elems.push_back(r.sqr().mul(r));
+
+    // y = a^((|F| - 1)/6) (6 | p - 1); then a^((|F| - 1)/2) = y^3 and
+    // a^((|F| - 1)/3) = y^2, one oracle exponentiation per sample.
+    const BigInt e6 = (p.pow(static_cast<u64>(ctx->degree)) -
+                       BigInt(u64{1}))
+                          .divExact(BigInt(u64{6}));
+    std::vector<F> y;
+    for (const F &a : elems)
+        y.push_back(powBig(a, e6));
+    for (int k : {2, 3}) {
+        int yes = 0;
+        for (size_t i = 0; i < elems.size(); ++i) {
+            const bool want =
+                (k == 2 ? y[i].sqr().mul(y[i]) : y[i].sqr()).equals(one);
+            EXPECT_EQ(powerResidue(elems[i], k), want)
+                << "degree " << ctx->degree << ", k = " << k
+                << ", sample " << i;
+            yes += want;
+        }
+        EXPECT_GT(yes, 0) << "degree " << ctx->degree << ", k = " << k;
+        EXPECT_LT(yes, static_cast<int>(elems.size()))
+            << "degree " << ctx->degree << ", k = " << k;
+    }
+    for (const F &a : elems)
+        EXPECT_TRUE(a.mul(a.inv()).equals(one)) << "degree " << ctx->degree;
+}
+
+/** Fp and every level of a k = 12 catalog tower. */
+void
+checkPowerResidueTower12(const char *name)
+{
+    SCOPED_TRACE(name);
+    const BigInt p = deriveCurveInfo(findCurve(name)).p;
+    FpCtx fp(p);
+    i64 q, x0, x1;
+    searchTowerNonResidues(p, q, x0, x1);
+    NativeTower12 t;
+    buildTower(t, &fp, computeTowerParams(p, 12, q, x0, x1),
+               VariantConfig{});
+    Rng rng(71);
+
+    EXPECT_FALSE(powerResidue(Fp::fromInt(&fp, q), 2));
+    EXPECT_TRUE(powerResidue(Fp::fromInt(&fp, q).sqr(), 2));
+    const Fp2 xi = Fp2::one(&t.fp2).mulBySmallPair(x0, x1);
+    checkPowerResidueLevel<Fp2>(&t.fp2, p, {xi}, rng);
+    checkPowerResidueLevel<Fp6>(&t.fp6, p, {Fp6::one(&t.fp6).scale(xi)},
+                                rng);
+    checkPowerResidueLevel<Fp12>(
+        &t.fp12, p, {Fp12::one(&t.fp12).scale(Fp6::gen(&t.fp6))}, rng);
+}
+
+TEST(PowerResidue, MatchesExponentiationBN254N)
+{
+    checkPowerResidueTower12("BN254N");
+}
+
+TEST(PowerResidue, MatchesExponentiationBLS12_381)
+{
+    checkPowerResidueTower12("BLS12-381");
+}
+
+TEST(PowerResidue, MatchesExponentiationBLS24_509)
+{
+    const BigInt p = deriveCurveInfo(findCurve("BLS24-509")).p;
+    FpCtx fp(p);
+    i64 q, x0, x1;
+    searchTowerNonResidues(p, q, x0, x1);
+    NativeTower24 t;
+    buildTower(t, &fp, computeTowerParams(p, 24, q, x0, x1),
+               VariantConfig{});
+    Rng rng(73);
+
+    const Fp2 xi = Fp2::one(&t.fp2).mulBySmallPair(x0, x1);
+    const Fp4 s = Fp4::gen(&t.fp4);
+    checkPowerResidueLevel<Fp2>(&t.fp2, p, {xi}, rng);
+    checkPowerResidueLevel<Fp4>(&t.fp4, p, {Fp4::one(&t.fp4).scale(xi)},
+                                rng);
+    checkPowerResidueLevel<Fp12b>(&t.fp12, p,
+                                  {Fp12b::one(&t.fp12).scale(s)}, rng);
+    checkPowerResidueLevel<Fp24>(
+        &t.fp24, p, {Fp24::one(&t.fp24).scale(Fp12b::gen(&t.fp12))}, rng);
+}
+
+TEST(PowerResidue, RejectsKNotDividingPMinus1)
+{
+    // p = 2^127 - 1: 7 divides p - 1, 5 does not.
+    const BigInt p = (BigInt(u64{1}) << 127) - BigInt(u64{1});
+    FpCtx fp(p);
+    const Fp a = Fp::fromInt(&fp, 3);
+    EXPECT_TRUE(powerResidue(powBig(a, BigInt(u64{7})), 7));
+    EXPECT_EQ(powerResidue(a, 7),
+              powBig(a, (p - BigInt(u64{1})).divExact(BigInt(u64{7})))
+                  .equals(Fp::one(&fp)));
+    EXPECT_THROW(powerResidue(a, 5), FatalError);
+}
+
 } // namespace
 } // namespace finesse

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "bigint/bigint.h"
+#include "bigint/mont.h"
 
 using namespace finesse;
 
