@@ -7,12 +7,18 @@
  * A researcher proposes new BN parameters (say, a small-field variant
  * for protocol experimentation). The framework:
  *   1. searches a fresh family parameter x with prime p, r;
- *   2. derives tower, twist, cofactors, generators, pairing plan —
- *      verifying each (irreducibility, chain exponents, orders);
+ *   2. derives the curve's facts (deriveCurveFacts: tower non-residues,
+ *      b, twist type, generators, beta/lambda) and prints them as a
+ *      catalog entry; the curve system loads them and checks each
+ *      (irreducibility, on-curve and order-r generators, the
+ *      endomorphism, chain exponents);
  *   3. checks bilinearity natively;
  *   4. compiles the accelerator program and cross-validates it.
  * No hand-derived constants anywhere: exactly the re-engineering cost
- * the framework eliminates.
+ * the framework eliminates. To add the curve to the catalog, paste the
+ * printed entry into curveCatalog() (src/curve/catalog.cpp) and its
+ * name into test_allcurves' curve list, whose FactsMatchDerivation
+ * test then holds the entry equal to its derivation.
  */
 #include <chrono>
 #include <cstdio>
@@ -58,7 +64,12 @@ main()
         }
     }
 
-    // 2+3. Full bring-up: tower, twist, generators, verified plan.
+    // 2. Derive the facts, print them as a catalog entry, and bring
+    // the curve system up from them: tower, twist, generators,
+    // verified plan.
+    def.facts = deriveCurveFacts(def);
+    std::printf("derived facts at %.2f s, as a catalog entry:\n%s",
+                elapsed(), catalogEntryLiteral(def).c_str());
     CurveSystem12 sys(def);
     std::printf("bring-up complete at %.2f s: b = %lld, %s-type twist, "
                 "hard part = %s\n",

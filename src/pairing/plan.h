@@ -19,15 +19,6 @@
 
 namespace finesse {
 
-/** Sextic twist type: D (divide, b/xi) or M (multiply, b*xi). */
-enum class TwistType { D, M };
-
-inline const char *
-toString(TwistType t)
-{
-    return t == TwistType::D ? "D" : "M";
-}
-
 /** Final-exponentiation hard-part strategy. */
 enum class HardPartKind {
     BNChain,   ///< Devegili-Scott-Dahab chain (BN family)
@@ -137,18 +128,19 @@ makePairingPlan(const CurveInfo &info, TwistType twist, const TW &tower)
     }
     cX.toFpCoeffs(plan.frobTwX);
     cY.toFpCoeffs(plan.frobTwY);
-    if (info.k == 12) {
-        const BigInt p2m1 = info.p * info.p - BigInt(u64{1});
-        FtT cX2, cY2;
-        if (twist == TwistType::D) {
-            cX2 = powBig(xi, p2m1.divExact(BigInt(u64{3})));
-            cY2 = powBig(xi, p2m1 >> 1);
-        } else {
-            cX2 = powBig(xi, p2m1.divExact(BigInt(u64{3}))).inv();
-            cY2 = powBig(xi, p2m1 >> 1).inv();
+    if constexpr (TW::kEmbedding == 12) {
+        // xi^((p^2-1)/3) and xi^((p^2-1)/2): xi^(p+1) = N(xi) lies in
+        // Fp, so these are N(xi)^((p-1)/3) and N(xi)^((p-1)/2).
+        const auto nXi = xi.norm();
+        auto cX2 = powBig(nXi, pm1.divExact(BigInt(u64{3})));
+        auto cY2 = powBig(nXi, pm1 >> 1);
+        if (twist == TwistType::M) {
+            cX2 = cX2.inv();
+            cY2 = cY2.inv();
         }
-        cX2.toFpCoeffs(plan.frobTwX2);
-        cY2.toFpCoeffs(plan.frobTwY2);
+        const auto zero = nXi.zeroLike();
+        FtT(cX2, zero, xi.fieldCtx()).toFpCoeffs(plan.frobTwX2);
+        FtT(cY2, zero, xi.fieldCtx()).toFpCoeffs(plan.frobTwY2);
     }
 
     // Final exponentiation: prefer the family chain when it verifies.

@@ -1,20 +1,21 @@
 /**
  * @file
  * CurveSystem: the fully-initialized native pairing system for one
- * catalog curve. Construction derives everything from (family, x):
- * field tower (with validated non-residues), curve constant b, twist
- * type and twist constant, cofactors (via the trace recurrence),
- * deterministic subgroup generators, the G1 endomorphism
- * phi(x, y) = (beta x, y) = [lambda] (curve/msm.h), and the pairing
- * plan (with a setup-verified final-exponentiation chain).
+ * curve: field tower, curve constant b, twist type and twist constant,
+ * cofactors (via the trace recurrence), subgroup generators, the G1
+ * endomorphism phi(x, y) = (beta x, y) = [lambda] (curve/msm.h), and
+ * the pairing plan (with a setup-verified final-exponentiation chain).
  *
- * Every check of that derivation runs on every construction, on exact
- * arithmetic that keeps it cheap: Miller-Rabin on p and r and the
- * lambda exponentiation on MontCtx (bigint/mont.h), and each square or
- * cube test -- tower irreducibility and the Tonelli-Shanks Legendre
- * tests of point sampling -- as a norm test down to Fp (powerResidue,
- * field/fieldops.h). The results are pinned by the setup.<curve> and
- * native.<curve> golden lines.
+ * The construction loads the curve's pinned CurveFacts (curve/
+ * catalog.h), or calls deriveCurveFacts for a definition without them,
+ * and then takes one path. It runs only cheap checks: Miller-Rabin on
+ * p and r, irreducibility of every tower level (computeTowerParams),
+ * each generator on its curve with [r]G = O (which also confirms b and
+ * the twist type), phi(g1) = [lambda] g1, and the plan's chain check.
+ * A failed check is fatal and names the curve and the fact. That the
+ * pinned facts are the ones the searches find is held by
+ * test_allcurves (FactsMatchDerivation); the setup.<curve> and
+ * native.<curve> golden lines pin the loaded values.
  *
  * This plays the role of the paper's reference libraries (RELIC/MCL):
  * the independent computational oracle against which compiled
@@ -24,6 +25,8 @@
 #define FINESSE_PAIRING_SYSTEM_H_
 
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "curve/catalog.h"
 #include "curve/msm.h"
@@ -43,65 +46,76 @@ class CurveSystem
     using G1Affine = AffinePt<Fp>;
     using G2Affine = AffinePt<FtT>;
 
+    /**
+     * Loads def.facts, or deriveCurveFacts(def) when the definition
+     * has none, and refuses (fatal, naming the curve and the fact)
+     * facts that fail a check.
+     */
     explicit CurveSystem(const CurveDef &def)
-        : info_(deriveCurveInfo(def)), fp_(info_.p), setupRng_(0xf1e55e)
+        : info_(deriveCurveInfo(def)), fp_(info_.p)
     {
         FINESSE_REQUIRE(info_.k == TW::kEmbedding,
                         "tower shape mismatch for ", def.name);
+        const CurveFacts facts =
+            def.facts ? *def.facts : deriveCurveFacts(def);
+        const std::string &name = def.name;
+
         // Tower, on the default operator variants: the sweep's choice
         // only reaches the symbolic tower (compiler/codegen.h).
-        searchTowerNonResidues(info_.p, q_, xi0_, xi1_);
-        towerPrm_ = computeTowerParams(info_.p, info_.k, q_, xi0_, xi1_);
+        try {
+            towerPrm_ = computeTowerParams(info_.p, info_.k, facts.q,
+                                           facts.xi0, facts.xi1);
+        } catch (const FatalError &err) {
+            fatal(name, ": tower non-residues q = ", facts.q, ", xi = ",
+                  facts.xi0, ",", facts.xi1, ": ", err.what());
+        }
         buildTower(tower_, &fp_, towerPrm_, VariantConfig{});
 
-        // G1 curve: find the twist class with #E = p + 1 - t.
-        const BigInt n1 = info_.p + BigInt(u64{1}) - info_.t;
-        g1Cofactor_ = n1.divExact(info_.r);
-        bool found = false;
-        for (i64 bc = 1; bc <= 64 && !found; ++bc) {
-            g1Curve_ = CurveCtx<Fp>{&fp_, Fp::fromInt(&fp_, bc)};
-            found = curveOrderIs(g1Curve_, n1, info_.p, 3);
-            if (found)
-                b_ = bc;
-        }
-        FINESSE_REQUIRE(found, "no b <= 64 with #E = p+1-t for ",
-                        def.name);
-
-        // G1 generator (deterministic x scan, cofactor cleared).
-        g1Gen_ = findGenerator(g1Curve_, info_.p, g1Cofactor_,
-                               [&](u64 i) { return Fp::fromInt(&fp_, i); },
-                               [&] { return randomFpElem(); });
-        deriveG1Endomorphism();
-
-        // Twist curve: order from the trace recurrence, then pick D/M.
-        const int e = info_.k / 6;
-        twistOrder_ = sexticTwistOrder(info_.p, info_.t, e, info_.r);
-        g2Cofactor_ = twistOrder_.divExact(info_.r);
-        const BigInt qe = info_.p.pow(static_cast<u64>(e));
+        // Curves. r divides the order of only one curve class over Fp
+        // and one twist over Ft, so generators of order r on them
+        // confirm b and the twist type.
+        b_ = facts.b;
+        twistType_ = facts.twist;
+        g1Curve_ = CurveCtx<Fp>{&fp_, Fp::fromInt(&fp_, b_)};
         const FtT bFt = muliSmall(FtT::one(tower_.ftCtx()), b_);
         const FtT xi = tower_.twistXi();
-        const CurveCtx<FtT> dTwist{tower_.ftCtx(), bFt.mul(xi.inv())};
-        const CurveCtx<FtT> mTwist{tower_.ftCtx(), bFt.mul(xi)};
-        if (curveOrderIs(dTwist, twistOrder_, qe, 2)) {
-            twistType_ = TwistType::D;
-            twistCurve_ = dTwist;
-        } else {
-            FINESSE_REQUIRE(curveOrderIs(mTwist, twistOrder_, qe, 2),
-                            "neither twist has the expected order for ",
-                            def.name);
-            twistType_ = TwistType::M;
-            twistCurve_ = mTwist;
-        }
+        twistCurve_ = CurveCtx<FtT>{
+            tower_.ftCtx(),
+            twistType_ == TwistType::D ? bFt.mul(xi.inv()) : bFt.mul(xi)};
+        g1Cofactor_ = (info_.p + BigInt(u64{1}) - info_.t)
+                          .divExact(info_.r);
+        twistOrder_ =
+            sexticTwistOrder(info_.p, info_.t, info_.k / 6, info_.r);
+        g2Cofactor_ = twistOrder_.divExact(info_.r);
 
-        // G2 generator.
-        g2Gen_ = findGenerator(
-            twistCurve_, qe, g2Cofactor_,
-            [&](u64 i) {
-                return muliSmall(FtT::one(tower_.ftCtx()),
-                                 static_cast<i64>(i))
-                    .add(FtT::gen(tower_.ftCtx()));
-            },
-            [&] { return randomFtElem(); });
+        g1Gen_ = loadGenerator(g1Curve_, {facts.g1x}, {facts.g1y},
+                               "g1 generator");
+        g2Gen_ = loadGenerator(twistCurve_, facts.g2x, facts.g2y,
+                               "g2 generator");
+        if (!isOnCurve(g1Curve_, g1Gen_))
+            fatal(name, ": g1 generator is not on y^2 = x^3 + b with b = ",
+                  b_);
+        if (!isOnCurve(twistCurve_, g2Gen_))
+            fatal(name, ": g2 generator is not on the twist with b = ", b_,
+                  ", twist = ", toString(twistType_), ", xi = ", facts.xi0,
+                  ",", facts.xi1);
+        if (!scalarMul(g1Curve_, g1Gen_, info_.r).infinity)
+            fatal(name, ": g1 generator does not have order r");
+        if (!scalarMul(twistCurve_, g2Gen_, info_.r).infinity)
+            fatal(name, ": g2 generator does not have order r");
+
+        // G1 endomorphism: phi(g1) = [lambda] g1 with g1 of prime order
+        // r holds only for a cube root of unity beta and the lambda it
+        // acts as.
+        requireCanonical(facts.beta, info_.p, "beta");
+        requireCanonical(facts.lambda, info_.r, "lambda");
+        beta_ = Fp::fromBig(&fp_, facts.beta);
+        lambda_ = facts.lambda;
+        if (!scalarMul(g1Curve_, g1Gen_, lambda_)
+                 .equals(G1Affine::make(g1Gen_.x.mul(beta_), g1Gen_.y)))
+            fatal(name, ": phi(g1) = (beta x, y) != [lambda] g1 for the "
+                        "pinned beta and lambda");
+        endoScalarsInjective_ = endoPairsInjective(lambda_, info_.r);
 
         // Pairing plan + engine.
         plan_ = makePairingPlan(info_, twistType_, tower_);
@@ -209,124 +223,39 @@ class CurveSystem
     }
 
   private:
-    /**
-     * beta = g^((p-1)/3) != 1 in Fp and lambda = h^((r-1)/3) != 1 mod r
-     * for the smallest such g, h >= 2; then beta is swapped for beta^2
-     * if that is the one that matches [lambda] on g1Gen. One
-     * full-width scalar multiplication checks the match. Injectivity
-     * of 64-bit scalar pairs is only recorded: it holds on every
-     * catalog curve, a toy curve with r below about 2^131 fails it,
-     * and only the RLC batch verifier refuses such a curve.
-     */
+    /** Fatal unless 0 <= v < bound. */
     void
-    deriveG1Endomorphism()
+    requireCanonical(const BigInt &v, const BigInt &bound,
+                     const char *what) const
     {
-        const BigInt one(u64{1}), three(u64{3});
-        const BigInt &p = info_.p;
-        const BigInt &r = info_.r;
-        FINESSE_REQUIRE((p - one) % three == BigInt(u64{0}) &&
-                            (r - one) % three == BigInt(u64{0}),
-                        "no cube roots of unity for ", info_.def.name);
-        for (i64 g = 2;; ++g) {
-            beta_ = powBig(Fp::fromInt(&fp_, g), (p - one) / three);
-            if (!beta_.equals(Fp::one(&fp_)))
-                break;
-        }
-        const MontCtx rCtx(r);
-        for (u64 h = 2;; ++h) {
-            Residue l{};
-            rCtx.pow(l, rCtx.toMont(BigInt(h)), (r - one) / three);
-            lambda_ = rCtx.fromMont(l);
-            if (lambda_ != one)
-                break;
-        }
-        const G1Affine lg = scalarMul(g1Curve_, g1Gen_, lambda_);
-        if (!lg.x.equals(g1Gen_.x.mul(beta_)))
-            beta_ = beta_.sqr();
-        FINESSE_REQUIRE(lg.equals(G1Affine::make(g1Gen_.x.mul(beta_),
-                                                 g1Gen_.y)),
-                        "phi(g1) != [lambda] g1 for ", info_.def.name);
-        endoScalarsInjective_ = endoPairsInjective(lambda_, r);
+        if (v.isNegative() || v >= bound)
+            fatal(info_.def.name, ": ", what, " is not reduced: ",
+                  v.toHexString());
     }
 
-    Fp
-    randomFpElem()
-    {
-        return Fp::fromBig(&fp_, BigInt::randomBelow(setupRng_, info_.p));
-    }
-
-    FtT
-    randomFtElem()
-    {
-        std::vector<BigInt> coeffs;
-        for (int i = 0; i < TW::kFtDegree; ++i)
-            coeffs.push_back(BigInt::randomBelow(setupRng_, info_.p));
-        auto it = coeffs.begin();
-        return FtT::fromFpCoeffs(tower_.ftCtx(), it);
-    }
-
-    /** Check #E = n by testing [n]P = O on several sampled points. */
+    /**
+     * A pinned point with canonical coordinates (Ft coordinates as
+     * kFtDegree-long coefficient lists); the curve checks follow.
+     */
     template <typename F>
-    bool
-    curveOrderIs(const CurveCtx<F> &c, const BigInt &n,
-                 const BigInt &fieldOrder, int samples)
-    {
-        for (int k = 0; k < samples; ++k) {
-            AffinePt<F> pt;
-            try {
-                pt = findPoint<F>(
-                    c, fieldOrder,
-                    [&](u64 i) {
-                        if constexpr (std::is_same_v<F, Fp>) {
-                            return Fp::fromInt(&fp_, i);
-                        } else {
-                            return muliSmall(F::one(c.field),
-                                             static_cast<i64>(i))
-                                .add(F::gen(c.field));
-                        }
-                    },
-                    [&] {
-                        if constexpr (std::is_same_v<F, Fp>) {
-                            return randomFpElem();
-                        } else {
-                            return randomFtElem();
-                        }
-                    },
-                    1 + 17 * k);
-            } catch (const PanicError &) {
-                return false;
-            }
-            if (!scalarMul(c, pt, n).infinity)
-                return false;
-        }
-        return true;
-    }
-
-    /** Deterministic generator: scan x, clear cofactor, check order r. */
-    template <typename F, typename MakeX, typename Sample>
     AffinePt<F>
-    findGenerator(const CurveCtx<F> &c, const BigInt &fieldOrder,
-                  const BigInt &cofactor, MakeX makeXFn, Sample sampleFn)
+    loadGenerator(const CurveCtx<F> &c, const std::vector<BigInt> &x,
+                  const std::vector<BigInt> &y, const char *what) const
     {
-        const std::function<F(u64)> makeX = makeXFn;
-        const std::function<F()> sample = sampleFn;
-        for (u64 start = 1; start < 64; ++start) {
-            const AffinePt<F> pt =
-                findPoint<F>(c, fieldOrder, makeX, sample, start);
-            const AffinePt<F> g = scalarMul(c, pt, cofactor);
-            if (g.infinity)
-                continue;
-            FINESSE_CHECK(scalarMul(c, g, info_.r).infinity,
-                          "generator has wrong order");
-            return g;
-        }
-        panic("no generator found");
+        const size_t degree = std::is_same_v<F, Fp> ? 1 : TW::kFtDegree;
+        if (x.size() != degree || y.size() != degree)
+            fatal(info_.def.name, ": ", what, " needs ", degree,
+                  " coefficients per coordinate");
+        for (const BigInt &v : x)
+            requireCanonical(v, info_.p, what);
+        for (const BigInt &v : y)
+            requireCanonical(v, info_.p, what);
+        return AffinePt<F>::make(detail::elemFromCoeffs<F>(c.field, x),
+                                 detail::elemFromCoeffs<F>(c.field, y));
     }
 
     CurveInfo info_;
     FpCtx fp_;
-    Rng setupRng_;
-    i64 q_ = -1, xi0_ = 1, xi1_ = 1;
     TowerParams towerPrm_;
     TW tower_;
     i64 b_ = 0;

@@ -7,7 +7,8 @@
  * compile outputs, and its schedule, register assignment and cycle
  * counts on every Fig. 10 model and its Fig. 8 delay, are also pinned
  * by tests/golden/catalog.txt, and so are its native pairing value and
- * what its CurveSystem constructor derives.
+ * the facts its CurveSystem constructor loads. FactsMatchDerivation
+ * holds each catalog entry's pinned facts equal to deriveCurveFacts.
  */
 #include <gtest/gtest.h>
 
@@ -155,7 +156,7 @@ nativePairingFingerprint(const System &sys)
 }
 
 /**
- * What the CurveSystem constructor derives: b, the twist type, the
+ * What the CurveSystem constructor loads: b, the twist type, the
  * tower non-residues q and xi = xi0 + xi1 u, and coeffFnv over g1Gen
  * (x, y), g2Gen (x, y) and beta. A set-up change shows here by name,
  * not only through native.<curve>.
@@ -195,6 +196,20 @@ TEST_P(AllCurvesEndToEnd, SetupPinned)
                  findCurve(name).family == CurveFamily::BLS24
                      ? setupFingerprint(curveSystem24(name))
                      : setupFingerprint(curveSystem12(name)));
+}
+
+TEST_P(AllCurvesEndToEnd, FactsMatchDerivation)
+{
+    // The constructor loads the pinned facts and checks only that they
+    // are consistent; that they are the ones the searches find is held
+    // here. On a mismatch, paste the printed entry into the catalog.
+    const CurveDef &pinned = findCurve(GetParam());
+    ASSERT_TRUE(pinned.facts.has_value());
+    CurveDef derived = pinned;
+    derived.facts = deriveCurveFacts(pinned);
+    EXPECT_TRUE(*derived.facts == *pinned.facts)
+        << "derived catalog entry:\n"
+        << catalogEntryLiteral(derived);
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, AllCurvesEndToEnd,

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 
 #include "pairing/cache.h"
 
@@ -108,8 +110,10 @@ TEST(CurveSetup, CatalogPrimesFitResidueStorage)
 
 TEST(CurveSetup, DeterministicGenerators)
 {
-    // Two constructions of the same curve yield identical generators.
-    const CurveDef &def = findCurve("BN254N");
+    // Two constructions that derive the facts yield identical
+    // generators.
+    CurveDef def = findCurve("BN254N");
+    def.facts.reset();
     CurveSystem12 a(def);
     CurveSystem12 b(def);
     EXPECT_TRUE(a.g1Gen().x.toBig() == b.g1Gen().x.toBig());
@@ -118,6 +122,159 @@ TEST(CurveSetup, DeterministicGenerators)
     a.g2Gen().x.toFpCoeffs(ax);
     b.g2Gen().x.toFpCoeffs(bx);
     EXPECT_EQ(ax, bx);
+}
+
+TEST(CurveSetup, CatalogHashCoversPinnedFacts)
+{
+    const u64 pinned = catalogHash();
+    EXPECT_EQ(hashCatalog(curveCatalog()), pinned);
+    const auto hashAfter = [](auto edit) {
+        std::vector<CurveDef> defs = curveCatalog();
+        edit(*defs[3].facts);
+        return hashCatalog(defs);
+    };
+    const BigInt one(u64{1});
+    EXPECT_NE(hashAfter([&](CurveFacts &f) { f.g2x[1] = f.g2x[1] + one; }),
+              pinned);
+    EXPECT_NE(hashAfter([&](CurveFacts &f) { f.g1y = f.g1y + one; }),
+              pinned);
+    EXPECT_NE(hashAfter([&](CurveFacts &f) { f.lambda = f.lambda + one; }),
+              pinned);
+    EXPECT_NE(hashAfter([](CurveFacts &f) { f.b += 1; }), pinned);
+    EXPECT_NE(hashAfter([](CurveFacts &f) { f.xi1 += 1; }), pinned);
+    EXPECT_NE(hashAfter([](CurveFacts &f) {
+                  f.twist = f.twist == TwistType::D ? TwistType::M
+                                                    : TwistType::D;
+              }),
+              pinned);
+    std::vector<CurveDef> stripped = curveCatalog();
+    stripped[3].facts.reset();
+    EXPECT_NE(hashCatalog(stripped), pinned);
+}
+
+/**
+ * Constructing System from @p def must throw FatalError, with a message
+ * that names the curve and contains @p fact.
+ */
+template <typename System>
+void
+expectRefused(const CurveDef &def, const std::string &fact)
+{
+    try {
+        const System sys(def);
+        ADD_FAILURE() << def.name << ": corrupt facts accepted, expected "
+                      << "an error naming \"" << fact << "\"";
+    } catch (const FatalError &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find(def.name + ": "), std::string::npos) << msg;
+        EXPECT_NE(msg.find(fact), std::string::npos) << msg;
+    }
+}
+
+/**
+ * A point of @p c outside the order-r subgroup: the first point of an
+ * x scan, before cofactor clearing.
+ */
+template <typename F>
+AffinePt<F>
+pointOutsideSubgroup(const CurveCtx<F> &c, const BigInt &p, const BigInt &r)
+{
+    std::vector<BigInt> coeffs;
+    F::one(c.field).toFpCoeffs(coeffs);
+    const size_t degree = coeffs.size();
+    Rng rng(41);
+    const auto sample = [&] {
+        std::vector<BigInt> v;
+        for (size_t i = 0; i < degree; ++i)
+            v.push_back(BigInt::randomBelow(rng, p));
+        auto it = v.begin();
+        return F::fromFpCoeffs(c.field, it);
+    };
+    const auto makeX = [&](u64 i) {
+        F x = muliSmall(F::one(c.field), static_cast<i64>(i));
+        if constexpr (!std::is_same_v<F, Fp>)
+            x = x.add(F::gen(c.field));
+        return x;
+    };
+    const AffinePt<F> pt = findPoint<F>(c, p.pow(degree), makeX, sample);
+    EXPECT_FALSE(scalarMul(c, pt, r).infinity);
+    return pt;
+}
+
+/**
+ * Each corruption of one pinned fact of catalog curve @p name is
+ * refused at construction, naming the curve and the fact.
+ */
+template <typename System>
+void
+checkCorruptFactsRefused(const std::string &name)
+{
+    using F = typename System::FtT;
+    const CurveDef &good = findCurve(name);
+    const CurveFacts &facts = *good.facts;
+    const System sys(good);
+    const BigInt &p = sys.info().p;
+    const BigInt &r = sys.info().r;
+    const BigInt one(u64{1});
+    const auto corrupt = [&](const auto &edit, const std::string &fact) {
+        SCOPED_TRACE(name + ", corrupt fact: " + fact);
+        CurveDef def = good;
+        edit(*def.facts);
+        expectRefused<System>(def, fact);
+    };
+
+    corrupt([&](CurveFacts &f) { f.g1y = (f.g1y + one) % p; },
+            "g1 generator is not on");
+    corrupt([&](CurveFacts &f) { f.g2y[0] = (f.g2y[0] + one) % p; },
+            "g2 generator is not on");
+    corrupt([&](CurveFacts &f) { f.g1x = f.g1x + p; },
+            "g1 generator is not reduced");
+    if (sys.g1Cofactor() != one) {
+        const AffinePt<Fp> pt = pointOutsideSubgroup(sys.g1Curve(), p, r);
+        corrupt(
+            [&](CurveFacts &f) {
+                f.g1x = pt.x.toBig();
+                f.g1y = pt.y.toBig();
+            },
+            "g1 generator does not have order r");
+    }
+    const AffinePt<F> pt2 = pointOutsideSubgroup(sys.twistCurve(), p, r);
+    corrupt(
+        [&](CurveFacts &f) {
+            f.g2x.clear();
+            f.g2y.clear();
+            pt2.x.toFpCoeffs(f.g2x);
+            pt2.y.toFpCoeffs(f.g2y);
+        },
+        "g2 generator does not have order r");
+    const TwistType other =
+        facts.twist == TwistType::D ? TwistType::M : TwistType::D;
+    corrupt([&](CurveFacts &f) { f.twist = other; },
+            std::string("twist = ") + toString(other));
+    corrupt([](CurveFacts &f) { f.b += 1; },
+            "b = " + std::to_string(facts.b + 1));
+    corrupt([&](CurveFacts &f) { f.beta = (f.beta * f.beta) % p; },
+            "beta");
+    corrupt([&](CurveFacts &f) { f.lambda = (f.lambda * f.lambda) % r; },
+            "lambda");
+    corrupt([](CurveFacts &f) { f.xi0 += 1; },
+            "xi = " + std::to_string(facts.xi0 + 1) + "," +
+                std::to_string(facts.xi1));
+}
+
+TEST(CurveSetup, RefusesCorruptFactsBLS12_381)
+{
+    checkCorruptFactsRefused<CurveSystem12>("BLS12-381");
+}
+
+TEST(CurveSetup, RefusesCorruptFactsBN254N)
+{
+    checkCorruptFactsRefused<CurveSystem12>("BN254N");
+}
+
+TEST(CurveSetup, RefusesCorruptFactsBLS24_509)
+{
+    checkCorruptFactsRefused<CurveSystem24>("BLS24-509");
 }
 
 TEST(CurveSetup, TwistOrderIdentities)

@@ -142,6 +142,37 @@ TEST(PairingPlanChecks, ChainVerificationCatchesBadChains)
         sys.info().p, sys.info().r, sys.info().def.x, 12));
 }
 
+TEST(PairingPlanChecks, TwistFrobeniusSquareConstantsMatchFp2Powers)
+{
+    // makePairingPlan takes the k = 12 pi^2 constants as powers of
+    // N(xi) in Fp; the oracle is the Fp2 form xi^((p^2-1)/3) and
+    // xi^((p^2-1)/2), inverted on M twists.
+    for (const CurveDef &def : curveCatalog()) {
+        if (def.family == CurveFamily::BLS24)
+            continue;
+        const CurveSystem12 &sys = curveSystem12(def.name);
+        const Fp2 xi = sys.tower().twistXi();
+        const BigInt &p = sys.info().p;
+        const BigInt p2m1 = p * p - BigInt(u64{1});
+        for (const TwistType twist : {TwistType::D, TwistType::M}) {
+            SCOPED_TRACE(def.name + " " + toString(twist));
+            Fp2 cX2 = powBig(xi, p2m1.divExact(BigInt(u64{3})));
+            Fp2 cY2 = powBig(xi, p2m1 >> 1);
+            if (twist == TwistType::M) {
+                cX2 = cX2.inv();
+                cY2 = cY2.inv();
+            }
+            std::vector<BigInt> wantX, wantY;
+            cX2.toFpCoeffs(wantX);
+            cY2.toFpCoeffs(wantY);
+            const PairingPlan plan =
+                makePairingPlan(sys.info(), twist, sys.tower());
+            EXPECT_EQ(plan.frobTwX2, wantX);
+            EXPECT_EQ(plan.frobTwY2, wantY);
+        }
+    }
+}
+
 TEST(CurveCatalog, Table2BitLengths)
 {
     // Reproduces Table 2 of the paper.
