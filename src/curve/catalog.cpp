@@ -335,8 +335,7 @@ findCurve(const std::string &name)
 std::string
 catalogEntryLiteral(const CurveDef &def)
 {
-    FINESSE_REQUIRE(def.facts.has_value(), def.name, " has no facts");
-    const CurveFacts &f = *def.facts;
+    const CurveFacts &f = def.facts;
     const std::string field(13, ' ');
     const auto line = [&](const char *key, const std::string &value) {
         return field + "." + key + " = " + value + ",\n";
@@ -381,10 +380,7 @@ hashCatalog(const std::vector<CurveDef> &defs)
         mix(static_cast<u64>(def.family));
         mix(def.x.hashValue());
         mix(static_cast<u64>(def.securityBits));
-        mix(def.facts.has_value());
-        if (!def.facts)
-            continue;
-        const CurveFacts &f = *def.facts;
+        const CurveFacts &f = def.facts;
         for (const i64 v : {f.b, static_cast<i64>(f.twist), f.q, f.xi0,
                             f.xi1})
             mix(static_cast<u64>(v));

@@ -14,7 +14,6 @@
 #ifndef FINESSE_CURVE_CATALOG_H_
 #define FINESSE_CURVE_CATALOG_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,15 +66,15 @@ struct CurveFacts
     bool operator==(const CurveFacts &) const = default;
 };
 
-/** Curve definition: family and x, plus its facts when pinned. */
+/** Curve definition: family and x, plus its facts. */
 struct CurveDef
 {
     std::string name;
     CurveFamily family;
     BigInt x;         ///< family parameter (signed)
     int securityBits; ///< SexTNFS security estimate (recorded, Table 2)
-    /** Pinned facts; without them CurveSystem calls deriveCurveFacts. */
-    std::optional<CurveFacts> facts;
+    /** What CurveSystem loads; deriveCurveFacts finds them. */
+    CurveFacts facts;
 };
 
 /** Derived curve numbers. */
@@ -107,9 +106,8 @@ CurveInfo deriveCurveInfo(const CurveDef &def);
 CurveFacts deriveCurveFacts(const CurveDef &def);
 
 /**
- * @p def as a curveCatalog() entry in C++ literal form, facts included
- * (fatal without them): a derived curve is added to the catalog by
- * pasting this block.
+ * @p def as a curveCatalog() entry in C++ literal form, facts included:
+ * a derived curve is added to the catalog by pasting this block.
  */
 std::string catalogEntryLiteral(const CurveDef &def);
 

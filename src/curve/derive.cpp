@@ -1,9 +1,11 @@
 /**
  * @file
  * deriveCurveFacts (see catalog.h): the searches that find a curve's
- * facts from its family and x. CurveSystem runs them only for a
- * definition without pinned facts; test_allcurves runs them on every
- * catalog curve and compares with the pinned data.
+ * facts from its family and x. CurveSystem never runs them: it loads
+ * the facts a definition carries. A new curve's facts come from here
+ * (examples/new_curve_bringup.cpp prints them as a catalog entry), and
+ * test_allcurves runs the searches on every catalog curve and compares
+ * with the pinned data.
  *
  * Point sampling draws its Tonelli-Shanks non-residues from one RNG
  * with a fixed seed, in a fixed order (b search, G1 generator, twist

@@ -6,12 +6,13 @@
  * endomorphism phi(x, y) = (beta x, y) = [lambda] (curve/msm.h), and
  * the pairing plan (with a setup-verified final-exponentiation chain).
  *
- * The construction loads the curve's pinned CurveFacts (curve/
- * catalog.h), or calls deriveCurveFacts for a definition without them,
- * and then takes one path. It runs only cheap checks: Miller-Rabin on
- * p and r, irreducibility of every tower level (computeTowerParams),
- * each generator on its curve with [r]G = O (which also confirms b and
- * the twist type), phi(g1) = [lambda] g1, and the plan's chain check.
+ * The construction loads the definition's CurveFacts (curve/
+ * catalog.h); it runs no search. A curve outside the catalog gets its
+ * facts from deriveCurveFacts first. The construction runs only cheap
+ * checks: Miller-Rabin on p and r, irreducibility of every tower level
+ * (computeTowerParams), each generator on its curve with [r]G = O
+ * (which also confirms b and the twist type), beta != 1 with
+ * phi(g1) = [lambda] g1, and the plan's chain check.
  * A failed check is fatal and names the curve and the fact. That the
  * pinned facts are the ones the searches find is held by
  * test_allcurves (FactsMatchDerivation); the setup.<curve> and
@@ -47,18 +48,19 @@ class CurveSystem
     using G2Affine = AffinePt<FtT>;
 
     /**
-     * Loads def.facts, or deriveCurveFacts(def) when the definition
-     * has none, and refuses (fatal, naming the curve and the fact)
-     * facts that fail a check.
+     * Loads def.facts and refuses (fatal, naming the curve and the
+     * fact) facts that fail a check.
      */
     explicit CurveSystem(const CurveDef &def)
         : info_(deriveCurveInfo(def)), fp_(info_.p)
     {
         FINESSE_REQUIRE(info_.k == TW::kEmbedding,
                         "tower shape mismatch for ", def.name);
-        const CurveFacts facts =
-            def.facts ? *def.facts : deriveCurveFacts(def);
+        const CurveFacts &facts = def.facts;
         const std::string &name = def.name;
+        if (facts.b == 0)
+            fatal(name, ": no facts (b = 0); derive them with "
+                        "deriveCurveFacts");
 
         // Tower, on the default operator variants: the sweep's choice
         // only reaches the symbolic tower (compiler/codegen.h).
@@ -104,11 +106,14 @@ class CurveSystem
         if (!scalarMul(twistCurve_, g2Gen_, info_.r).infinity)
             fatal(name, ": g2 generator does not have order r");
 
-        // G1 endomorphism: phi(g1) = [lambda] g1 with g1 of prime order
-        // r holds only for a cube root of unity beta and the lambda it
-        // acts as.
+        // G1 endomorphism: (beta x, y) on the curve makes beta a cube
+        // root of unity, so with beta != 1 and g1 of prime order r,
+        // phi(g1) = [lambda] g1 holds only for a primitive beta and the
+        // lambda it acts as.
         requireCanonical(facts.beta, info_.p, "beta");
         requireCanonical(facts.lambda, info_.r, "lambda");
+        if (facts.beta == BigInt(u64{1}))
+            fatal(name, ": beta = 1 is not a primitive cube root of unity");
         beta_ = Fp::fromBig(&fp_, facts.beta);
         lambda_ = facts.lambda;
         if (!scalarMul(g1Curve_, g1Gen_, lambda_)

@@ -110,18 +110,15 @@ TEST(CurveSetup, CatalogPrimesFitResidueStorage)
 
 TEST(CurveSetup, DeterministicGenerators)
 {
-    // Two constructions that derive the facts yield identical
-    // generators.
-    CurveDef def = findCurve("BN254N");
-    def.facts.reset();
-    CurveSystem12 a(def);
-    CurveSystem12 b(def);
-    EXPECT_TRUE(a.g1Gen().x.toBig() == b.g1Gen().x.toBig());
-    EXPECT_TRUE(a.g1Gen().y.toBig() == b.g1Gen().y.toBig());
-    std::vector<BigInt> ax, bx;
-    a.g2Gen().x.toFpCoeffs(ax);
-    b.g2Gen().x.toFpCoeffs(bx);
-    EXPECT_EQ(ax, bx);
+    // Two derivations yield identical facts, generators included.
+    const CurveDef &def = findCurve("BN254N");
+    const CurveFacts a = deriveCurveFacts(def);
+    const CurveFacts b = deriveCurveFacts(def);
+    EXPECT_TRUE(a.g1x == b.g1x);
+    EXPECT_TRUE(a.g1y == b.g1y);
+    EXPECT_EQ(a.g2x, b.g2x);
+    EXPECT_EQ(a.g2y, b.g2y);
+    EXPECT_TRUE(a == b);
 }
 
 TEST(CurveSetup, CatalogHashCoversPinnedFacts)
@@ -130,7 +127,7 @@ TEST(CurveSetup, CatalogHashCoversPinnedFacts)
     EXPECT_EQ(hashCatalog(curveCatalog()), pinned);
     const auto hashAfter = [](auto edit) {
         std::vector<CurveDef> defs = curveCatalog();
-        edit(*defs[3].facts);
+        edit(defs[3].facts);
         return hashCatalog(defs);
     };
     const BigInt one(u64{1});
@@ -147,9 +144,6 @@ TEST(CurveSetup, CatalogHashCoversPinnedFacts)
                                                     : TwistType::D;
               }),
               pinned);
-    std::vector<CurveDef> stripped = curveCatalog();
-    stripped[3].facts.reset();
-    EXPECT_NE(hashCatalog(stripped), pinned);
 }
 
 /**
@@ -211,7 +205,7 @@ checkCorruptFactsRefused(const std::string &name)
 {
     using F = typename System::FtT;
     const CurveDef &good = findCurve(name);
-    const CurveFacts &facts = *good.facts;
+    const CurveFacts &facts = good.facts;
     const System sys(good);
     const BigInt &p = sys.info().p;
     const BigInt &r = sys.info().r;
@@ -219,7 +213,7 @@ checkCorruptFactsRefused(const std::string &name)
     const auto corrupt = [&](const auto &edit, const std::string &fact) {
         SCOPED_TRACE(name + ", corrupt fact: " + fact);
         CurveDef def = good;
-        edit(*def.facts);
+        edit(def.facts);
         expectRefused<System>(def, fact);
     };
 
@@ -257,6 +251,13 @@ checkCorruptFactsRefused(const std::string &name)
             "beta");
     corrupt([&](CurveFacts &f) { f.lambda = (f.lambda * f.lambda) % r; },
             "lambda");
+    corrupt(
+        [&](CurveFacts &f) {
+            f.beta = one;
+            f.lambda = one;
+        },
+        "beta = 1");
+    corrupt([](CurveFacts &f) { f = CurveFacts{}; }, "no facts");
     corrupt([](CurveFacts &f) { f.xi0 += 1; },
             "xi = " + std::to_string(facts.xi0 + 1) + "," +
                 std::to_string(facts.xi1));
