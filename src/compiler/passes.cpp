@@ -220,9 +220,9 @@ class ConstFoldPass final : public RewritePass
 
 /**
  * zerooneprop: algebraic identities around the ring units -- x+0, x-0,
- * x*1, x*0, x-x and 0-x. Recovers the literature's manual sparse
- * multiplication optimizations once line evaluations feed Fp^k
- * arithmetic with structural zeros/ones (Table 7 discussion).
+ * x*1, x*0, x-x and 0-x. Folds the structural zeros and ones the trace
+ * starts from, such as the Miller accumulator's initial 1 (Table 7
+ * discussion); the engine already multiplies lines sparsely.
  */
 class ZeroOnePropPass final : public RewritePass
 {

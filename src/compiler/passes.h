@@ -3,9 +3,9 @@
  * IROpt: SSA data-flow optimization passes (Sec. 3.5, "IROpt").
  *  - constant propagation / folding (with the Frobenius constant tables
  *    already interned by CodeGen),
- *  - zero/one propagation, which automatically recovers the manual
- *    "dense x sparse" Fp^k multiplication optimizations of the
- *    literature (Table 7 discussion),
+ *  - zero/one propagation, which folds the structural zeros and ones
+ *    the trace starts from (Table 7 discussion); line sparsity is
+ *    already in the trace, as the engine multiplies lines sparsely,
  *  - strength reduction (mul-by-small-constant -> DBL/TPL/NEG,
  *    mul(a, a) -> SQR),
  *  - global value numbering using commutativity on finite fields,

@@ -97,13 +97,6 @@ struct Tower12
         return FtT::one(&fp2).mulBySmallPair(xi0, xi1);
     }
 
-    /** Cheap multiplication by xi_t (small-coefficient linear map). */
-    FtT
-    mulByXi(const FtT &x) const
-    {
-        return x.mulBySmallPair(xi0, xi1);
-    }
-
     /** Assemble a GT element from its six z-slot coefficients. */
     GtT
     fromSlots(const std::array<FtT, 6> &s) const
@@ -150,13 +143,6 @@ struct Tower24
     twistXi() const
     {
         return FtT::gen(&fp4);
-    }
-
-    /** Cheap multiplication by xi_t = s (coefficient shift). */
-    FtT
-    mulByXi(const FtT &x) const
-    {
-        return x.mulByGen();
     }
 
     GtT

@@ -18,30 +18,29 @@
  *   mixed addition step with affine Q2 = (xq, yq):
  *     theta = Y - yq Z^3, H = X - xq Z^2, Z3 = H Z:
  *     l = (Z3 yP) + (-theta xP) z + (theta xq - yq Z3) z^3
- * For M-type twists the same coefficients land in slots (0, 5, 3) with
- * the slot-0 value additionally multiplied by xi.
  *
  * GT = Ft[z]/(z^6 - xi_t) is stored as (a0 + a1 v + a2 v^2) +
  * (b0 + b1 v + b2 v^2) w with z = w, so slots (0..5) are
- * (a0, b0, a1, b1, a2, b2). A D-twist line fills slots (0, 1, 3) and an
- * M-twist line slots (0, 3, 5); either way it is an Ft scalar plus a
- * two-coefficient w-part.
+ * (a0, b0, a1, b1, a2, b2). Both twists evaluate a line at P to the
+ * same three values l0 = c0 yP, l3 = c3 and lx = c1 xP. A D-twist line
+ * is l0 + lx w + l3 w^3: slots (0, 1, 3). An M-twist line is
+ * xi l0 + l3 w^3 + lx w^5; it is kept scaled by w^3/xi, as
+ * l3 + lx w^2 + l0 w^3: slots (0, 2, 3) (Aranha et al., "Faster
+ * explicit formulas for computing pairings over ordinary curves").
+ * (w^3/xi)^2 = 1/xi lies in Ft, so w^3/xi lies in GF(p^(k/3)), whose
+ * units the easy part of the final exponentiation kills, as it kills
+ * the Ft scalings above.
  *
- * Two loops share the step functions:
- *   miller       one term, each line spread into a dense GT element and
- *                multiplied densely. This is the path the compiler
- *                traces, so its op sequence is the paper's Algorithm 1.
- *   multiMiller  a product of terms in one loop (Granger-Smart, "On
- *                computing products of pairings"): one accumulator
- *                squaring per loop bit for all terms, and each line
- *                folded in by a sparse multiply (13 Ft muls for a D
- *                twist, 16 for an M twist, against 18 for a dense one).
- * Both give the same GT value: multiMiller(terms) == prod miller(term).
+ * There is one Miller loop, multiMiller: a product of terms
+ * (Granger-Smart, "On computing products of pairings") with one
+ * accumulator squaring per loop bit for all terms, and each line folded
+ * in by a sparse multiply of 13 Ft muls for either twist, against 18
+ * for a dense one (Beuchat et al., Pairing 2010). miller is its
+ * one-term case, so multiMiller(terms) == prod miller(term) exactly.
  */
 #ifndef FINESSE_PAIRING_ENGINE_H_
 #define FINESSE_PAIRING_ENGINE_H_
 
-#include <array>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -66,9 +65,8 @@ class PairingEngine
     };
 
     /**
-     * A line evaluated at P, as its three non-zero GT slot values:
-     * slot 0 (times xi for an M twist), slot 3, and the xP term in
-     * slot 1 (D twist) or slot 5 (M twist).
+     * A line evaluated at P: l0 = c0 yP, l3 = c3 and lx = c1 xP, in
+     * GT slots (0, 3, 1) for a D twist and (3, 0, 2) for an M twist.
      */
     struct Line
     {
@@ -177,38 +175,11 @@ class PairingEngine
         return f;
     }
 
-    /** Miller loop (Algorithm 1, lines 5-14). */
+    /** Miller loop (Algorithm 1, lines 5-14): the one-term product. */
     GtT
     miller(const FpT &xP, const FpT &yP, const FtT &xQ, const FtT &yQ) const
     {
-        TwistJac T{xQ, yQ, FtT::one(tower_.ftCtx())};
-        GtT f = GtT::one(tower_.gtCtx());
-        const FtT yQneg = yQ.neg();
-
-        const auto &naf = plan_.loopNaf;
-        for (size_t i = 1; i < naf.size(); ++i) {
-            f = f.sqr().mul(lineToGt(dblStep(T, xP, yP)));
-            if (naf[i] == 1)
-                f = f.mul(lineToGt(addStep(T, xQ, yQ, xP, yP)));
-            else if (naf[i] == -1)
-                f = f.mul(lineToGt(addStep(T, xQ, yQneg, xP, yP)));
-        }
-
-        if (plan_.negLoop) {
-            f = f.conj();
-            T.y = T.y.neg();
-        }
-
-        if (plan_.family == CurveFamily::BN) {
-            // Q1 = pi(Q), Q2 = -pi^2(Q) extra steps (Algorithm 1, 10-14).
-            const FtT x1 = cX_.mul(xQ.frob());
-            const FtT y1 = cY_.mul(yQ.frob());
-            f = f.mul(lineToGt(addStep(T, x1, y1, xP, yP)));
-            const FtT x2 = cX2_.mul(xQ);
-            const FtT y2 = cY2_.mul(yQ).neg();
-            f = f.mul(lineToGt(addStep(T, x2, y2, xP, yP)));
-        }
-        return f;
+        return multiMiller({{xP, yP, xQ, yQ}});
     }
 
     /** Final exponentiation f^((p^k - 1)/r). */
@@ -358,35 +329,22 @@ class PairingEngine
 
     using CubicT = std::decay_t<decltype(std::declval<GtT>().c0())>;
 
-    /** Spread a line into a dense GT element (the traced path). */
-    GtT
-    lineToGt(const Line &l) const
-    {
-        const FtT z = FtT::zero(tower_.ftCtx());
-        std::array<FtT, 6> slots{l.l0, z, z, l.l3, z, z};
-        slots[plan_.twist == TwistType::D ? 1 : 5] = l.lx;
-        return tower_.fromSlots(slots);
-    }
-
     /** Evaluate the Ft-scaled line (c0, c1, c3) at P. */
     Line
     evalLine(const FtT &c0, const FtT &c1, const FtT &c3, const FpT &xP,
              const FpT &yP) const
     {
-        if (plan_.twist == TwistType::D)
-            return {c0.scaleScalar(yP), c3, c1.scaleScalar(xP)};
-        return {tower_.mulByXi(c0.scaleScalar(yP)), c3, c1.scaleScalar(xP)};
+        return {c0.scaleScalar(yP), c3, c1.scaleScalar(xP)};
     }
 
     /**
-     * f *= l without spreading l. With f = a + b w and l = l0 + L w
-     * (L the line's two-coefficient w-part, w^2 = v):
-     *   f l = (a l0 + v (b L)) + (a L + b l0) w.
-     * A D-twist line has L = lx + l3 v, and the w-coefficient comes
-     * from Karatsuba, (a + b)(l0 + L) - a l0 - b L, as l0 + L is again
-     * sparse: 13 Ft muls. An M-twist line has L = v (l3 + lx v), which
-     * makes l0 + L dense, so the w-coefficient stays schoolbook:
-     * 16 Ft muls. A dense GT multiply costs 18.
+     * f *= l without spreading l. With f = a + b w and l = A + B w
+     * (w^2 = v), Karatsuba gives
+     *   f l = (a A + v b B) + ((a + b)(A + B) - a A - b B) w.
+     * A D-twist line has A = l0 and B = lx + l3 v; an M-twist line has
+     * A = l3 + lx v and B = l0 v. Either way one product is an Ft
+     * scaling (3 Ft muls) and the other two multiply by a
+     * two-coefficient cubic (5 each): 13 Ft muls.
      */
     void
     mulByLine(GtT &f, const Line &l) const
@@ -394,16 +352,13 @@ class PairingEngine
         const CubicT &a = f.c0();
         const CubicT &b = f.c1();
         const auto *ctx = f.fieldCtx();
-        const CubicT al0 = a.scale(l.l0);
-        if (plan_.twist == TwistType::D) {
-            const CubicT bL = mulBy01(b, l.lx, l.l3);
-            const CubicT t = mulBy01(a.add(b), l.l0.add(l.lx), l.l3);
-            f = GtT{al0.add(ctx->mulByNu(bL)), t.sub(al0).sub(bL), ctx};
-        } else {
-            const CubicT bL = mulBy01(b, l.l3, l.lx).mulByGen();
-            const CubicT aL = mulBy01(a, l.l3, l.lx).mulByGen();
-            f = GtT{al0.add(ctx->mulByNu(bL)), aL.add(b.scale(l.l0)), ctx};
-        }
+        const bool d = plan_.twist == TwistType::D;
+        const CubicT aA = d ? a.scale(l.l0) : mulBy01(a, l.l3, l.lx);
+        const CubicT bB =
+            d ? mulBy01(b, l.lx, l.l3) : b.scale(l.l0).mulByGen();
+        const CubicT t = d ? mulBy01(a.add(b), l.l0.add(l.lx), l.l3)
+                           : mulBy01(a.add(b), l.l3, l.lx.add(l.l0));
+        f = GtT{aA.add(ctx->mulByNu(bB)), t.sub(aA).sub(bB), ctx};
     }
 
     /** c * (x0 + x1 v) in 5 Ft muls. */

@@ -5,8 +5,9 @@
  * against independent oracles: the product of single-term Miller
  * loops, which must agree *exactly* in GT before the final
  * exponentiation, and the product of single pairings. The sparse line
- * multiply is checked against the dense path for both twist layouts
- * on both tower shapes.
+ * multiply is checked against a dense GT multiply by the spread line
+ * for both twist layouts on both tower shapes, and the M-twist layout
+ * against the unscaled line it stands for.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +15,7 @@
 
 namespace finesse {
 
-/** Reaches the engine's private dense and sparse line multiplies. */
+/** Reaches the engine's private sparse line multiply. */
 template <typename TW>
 struct PairingEngineTestPeer
 {
@@ -27,15 +28,25 @@ struct PairingEngineTestPeer
         eng.mulByLine(f, l);
         return f;
     }
-
-    static GtT
-    lineToGt(const Engine &eng, const typename Engine::Line &l)
-    {
-        return eng.lineToGt(l);
-    }
 };
 
 namespace {
+
+/**
+ * The oracle: spread a line into a dense GT element. A D-twist line
+ * fills slots (0, 1, 3) with (l0, lx, l3); an M-twist line, scaled by
+ * w^3/xi, fills slots (0, 2, 3) with (l3, lx, l0).
+ */
+template <typename TW>
+typename TW::GtT
+lineToGt(const TW &tw, TwistType twist,
+         const typename PairingEngine<TW>::Line &l)
+{
+    const auto z = TW::FtT::zero(tw.ftCtx());
+    if (twist == TwistType::D)
+        return tw.fromSlots({l.l0, l.lx, z, l.l3, z, z});
+    return tw.fromSlots({l.l3, z, l.lx, l.l0, z, z});
+}
 
 template <typename F>
 F
@@ -59,6 +70,10 @@ checkSparseLineMul(const CurveSystem<TW> &sys, u64 seed)
     using GtT = typename TW::GtT;
     const BigInt &p = sys.info().p;
     const TW &tw = sys.tower();
+    const auto z = FtT::zero(tw.ftCtx());
+    // w^3 and xi as GT elements, for the M-twist scaling check.
+    const GtT w3 = tw.fromSlots({z, z, z, FtT::one(tw.ftCtx()), z, z});
+    const GtT xi = tw.fromSlots({tw.twistXi(), z, z, z, z, z});
     Rng rng(seed);
     for (TwistType twist : {TwistType::D, TwistType::M}) {
         PairingPlan plan = sys.plan();
@@ -71,10 +86,17 @@ checkSparseLineMul(const CurveSystem<TW> &sys, u64 seed)
                 randomElem<FtT>(tw.ftCtx(), TW::kFtDegree, p, rng),
                 randomElem<FtT>(tw.ftCtx(), TW::kFtDegree, p, rng)};
             using Peer = PairingEngineTestPeer<TW>;
-            EXPECT_TRUE(Peer::mulByLine(eng, f, l)
-                            .equals(f.mul(Peer::lineToGt(eng, l))))
+            const GtT dense = lineToGt(tw, twist, l);
+            EXPECT_TRUE(Peer::mulByLine(eng, f, l).equals(f.mul(dense)))
                 << sys.info().def.name << " twist=" << static_cast<int>(twist)
                 << " i=" << i;
+            if (twist == TwistType::M) {
+                // xi * spread == (xi l0 + l3 w^3 + lx w^5) * w^3.
+                const GtT unscaled =
+                    tw.fromSlots({l.l0.mul(tw.twistXi()), z, z, l.l3, z, l.lx});
+                EXPECT_TRUE(dense.mul(xi).equals(unscaled.mul(w3)))
+                    << sys.info().def.name << " i=" << i;
+            }
         }
     }
 }

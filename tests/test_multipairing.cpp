@@ -46,16 +46,23 @@ traceTwoPairingProduct(const CurveSystem12 &sys)
     return m;
 }
 
-TEST(MultiPairingCompile, TwoPairingProductValidates)
+/**
+ * Trace, optimise and compile the two-pairing product of @p curve, pin
+ * its instruction counts, and check the compiled program against the
+ * native engine.
+ */
+void
+checkTwoPairingProduct(const std::string &curve)
 {
-    const auto &sys = curveSystem12("BN254N");
+    SCOPED_TRACE(curve);
+    const auto &sys = curveSystem12(curve);
     Module m = traceTwoPairingProduct(sys);
     EXPECT_EQ(m.inputs.size(), 12u); // 2 x (2 + 4) coordinates
     EXPECT_EQ(m.outputs.size(), 12u);
 
     const OptStats stats = optimizeModule(m);
     EXPECT_LT(stats.instrsAfter, stats.instrsBefore);
-    expectGolden("multipairing.BN254N.k2",
+    expectGolden("multipairing." + curve + ".k2",
                  goldenFormat("instrs_before=%zu instrs_after=%zu",
                               stats.instrsBefore, stats.instrsAfter));
 
@@ -85,6 +92,13 @@ TEST(MultiPairingCompile, TwoPairingProductValidates)
     FpCtx fp(sys.info().p);
     EXPECT_EQ(runModule(res.prog.module, fp, inputs), want);
     EXPECT_EQ(runAllocated(res.prog, fp, inputs), want);
+}
+
+/** BN254N has a D twist and BLS12-381 an M twist: both line layouts. */
+TEST(MultiPairingCompile, TwoPairingProductValidates)
+{
+    checkTwoPairingProduct("BN254N");
+    checkTwoPairingProduct("BLS12-381");
 }
 
 TEST(MultiPairingCompile, SharedFinalExpIsCheaperThanTwoPairings)
