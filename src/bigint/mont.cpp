@@ -62,22 +62,31 @@ subMod(u64 *x, const u64 *y, const u64 *p, size_t n)
         limbs::add(x, x, p, n);
 }
 
+/** The kernel width @p p runs at (kernelWidth); refuses a modulus that
+ *  fits none: 640 bits or more, or 10 limbs with no spare top bit. */
+size_t
+montWidth(const BigInt &p)
+{
+    const size_t limbs = (static_cast<size_t>(p.bitLength()) + 63) / 64;
+    const size_t w =
+        limbs <= kMaxLimbs ? kernelWidth(limbs, p.limb(limbs - 1)) : 0;
+    FINESSE_REQUIRE(w != 0, "modulus too wide: ", p.bitLength(), " bits");
+    return w;
+}
+
 } // namespace
 
 MontCtx::MontCtx(const BigInt &p) : p_(p)
 {
     FINESSE_REQUIRE(p.isOdd() && p > BigInt(u64{2}),
                     "Montgomery modulus must be odd and > 2");
-    n_ = (static_cast<size_t>(p.bitLength()) + 63) / 64;
-    FINESSE_REQUIRE(n_ <= kMaxLimbs, "modulus too wide: ", p.bitLength(),
-                    " bits");
+    n_ = montWidth(p);
     bits_ = p.bitLength();
     p.toLimbs(pLimbs_.data(), n_);
     n0inv_ = negInv64(pLimbs_[0]);
-    vt_ = kernelVTable(n_, pLimbs_[n_ - 1]);
-    FINESSE_CHECK(vt_ != nullptr, "no kernel for width ", n_);
+    vt_ = kernelVTable(n_);
 #if FINESSE_HAVE_X86_ADX
-    if (pLimbs_[n_ - 1] <= kSpareBitTopLimbMax && cpuHasAdx()) {
+    if (cpuHasAdx()) {
         if (n_ == 4)
             fast_ = FastPath::kAdx4;
         else if (n_ == 6)
@@ -311,9 +320,7 @@ isProbablePrime(const BigInt &n, int rounds)
 {
     if (n < BigInt(u64{2}))
         return false;
-    FINESSE_REQUIRE(n.bitLength() <= static_cast<int>(64 * kMaxLimbs),
-                    "isProbablePrime: modulus too wide: ", n.bitLength(),
-                    " bits");
+    montWidth(n); // refuse what MontCtx would, before trial division
     static const u64 smallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19, 23,
                                       29, 31, 37, 41, 43, 47, 53, 59, 61};
     for (u64 p : smallPrimes) {

@@ -7,25 +7,26 @@
  * Hot-path arithmetic dispatches through a per-width KernelVTable
  * (bigint/montkernel.h) chosen once at construction, so Fp and the whole
  * pairing tower run fully unrolled fixed-limb kernels with zero per-call
- * width branching. The table's multiply is the fused spare-top-bit CIOS
- * for every catalog modulus and wideMul + redc for a modulus without a
- * spare top bit. On x86-64 with BMI2+ADX, spare-top-bit contexts of the
- * two pairing widths run branch-free asm kernels for every table
- * operation -- add, sub, neg, mul, sqr and the Fp2 multiply and square:
- * 4-limb contexts skip the table and inline them, 6-limb contexts
- * select the 6-limb ADX table in its place. Without ADX those contexts
- * use the portable table like every other width. The
+ * width branching. The modulus is zero-padded to its kernel width
+ * (kernelWidth: 4, 6, 7, 8 or 10 limbs, with a spare top bit), so every
+ * table multiplies with the fused spare-top-bit CIOS. On x86-64 with
+ * BMI2+ADX the two pairing widths run branch-free asm kernels for every
+ * table operation -- add, sub, neg, mul, sqr and the Fp2 multiply and
+ * square: 4-limb contexts skip the table and inline them, 6-limb
+ * contexts select the 6-limb ADX table in its place. Without ADX those
+ * contexts use the portable table like every other width. The
  * generic runtime-width loops remain available as
  * *Generic methods — they are the differential oracle for
  * tests/test_montkernel.cpp and the baseline for bench/micro_field_ops.
  *
- * Residue active-width contract: a Residue carries kMaxLimbs (10 limbs,
- * 640 bits: the widest catalog prime) of storage but only the low
+ * Residue active-width contract: a Residue carries kMaxLimbs (10 limbs:
+ * the widest catalog prime has 638 bits) of storage but only the low
  * limbCount() limbs are meaningful; the tail is zero-filled at
  * construction (Residue{} / Fp's member initializer) and no operation
  * ever writes beyond the active width, so the tail stays zero for the
  * lifetime of the value. Debug builds assert this on every operand. A
- * wider modulus is rejected at construction ("modulus too wide").
+ * modulus that fits no kernel width (640 bits or more, or 10 limbs with
+ * no spare top bit) is rejected at construction ("modulus too wide").
  *
  * isProbablePrime (Miller-Rabin) lives here too: it runs on MontCtx, so
  * its width limit is the same.
@@ -45,9 +46,9 @@ namespace finesse {
 using Residue = std::array<u64, kMaxLimbs>;
 
 /**
- * Montgomery multiplication context for an odd modulus p of at most
- * kMaxLimbs * 64 bits. Values handled by mul/sqr/... are residues in the
- * Montgomery domain (a * R mod p with R = 2^(64n)).
+ * Montgomery multiplication context for an odd modulus p that fits a
+ * kernel width. Values handled by mul/sqr/... are residues in the
+ * Montgomery domain (a * R mod p with R = 2^(64n), n = limbCount()).
  */
 class MontCtx
 {
@@ -55,7 +56,8 @@ class MontCtx
     /** Build a context for odd modulus @p p (p > 2). */
     explicit MontCtx(const BigInt &p);
 
-    /** Active limb count n. */
+    /** Active limb count n: the kernel width, which may exceed the
+     *  modulus's own limb count (the padding limbs of p are zero). */
     size_t limbCount() const { return n_; }
 
     /** Modulus as BigInt. */
@@ -130,7 +132,7 @@ class MontCtx
         checkTail(a.data());
         checkTail(b.data());
         // Devirtualized fast path for the dominant pairing-curve width
-        // (4 limbs, spare top bit) on x86-64 with BMI2+ADX: the
+        // (4 limbs) on x86-64 with BMI2+ADX: the
         // hand-scheduled dual-carry-chain asm kernel inlines straight
         // into Fp call sites, skipping the indirect call (add, sub and
         // neg inline the asm too). Every other context reaches its
@@ -290,7 +292,7 @@ class MontCtx
     static constexpr u64 kZero4[4] = {};
 #endif
 
-    /** Devirtualized hot paths for 4-limb spare-top-bit moduli. */
+    /** Devirtualized hot paths for 4-limb contexts. */
     enum class FastPath : u8
     {
         kNone = 0, ///< dispatch through the width vtable
@@ -313,8 +315,9 @@ class MontCtx
  * Deterministic primality test: trial division by the primes up to 61,
  * then @p rounds Miller-Rabin rounds on MontCtx::pow/sqr with bases
  * drawn from a fixed-seed Rng, so a verdict never varies between runs.
- * @p n must fit a MontCtx: a value wider than kMaxLimbs * 64 bits is
- * refused ("modulus too wide"), whatever its size or parity.
+ * @p n must fit a kernel width as a MontCtx modulus does; otherwise it is
+ * refused ("modulus too wide") before trial division, whatever its
+ * parity.
  */
 bool isProbablePrime(const BigInt &n, int rounds = 40);
 

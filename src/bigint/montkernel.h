@@ -10,25 +10,25 @@
  *
  * MontCtx (bigint/mont.h) selects one KernelVTable per context at
  * construction — a single indirect call per operation replaces the
- * per-iteration runtime-width branching of the generic loop. Each width
- * has one table template with one multiply per modulus class (mulFor):
- * moduli whose top limb is <= kSpareBitTopLimbMax (every catalog curve)
- * get the spare-top-bit table, whose fused single-scratch CIOS multiply
- * (mulSpareBit, the gnark "no-carry" shape) drops the overflow-limb
- * bookkeeping entirely and whose Fp2 kernels reduce lazily; any other
- * modulus multiplies with wideMul + redc, the pair the squaring and the
- * lazy Fp2 kernels use. On x86-64 with BMI2+ADX (cpuHasAdx(), checked
- * at context construction) the two pairing widths with a spare top bit
- * run hand-scheduled mulx/adcx/adox dual-carry-chain asm: a multiply
- * that also squares, branch-free add and sub (which also serve neg),
- * and the Fp2 kernels built on them. 4-limb contexts (BN254N) inline
- * them at every MontCtx call (montMulAdx4, addMod4Asm, subMod4Asm);
- * 6-limb contexts (BLS12-381) take a third table, kAdx6KernelVTable
+ * per-iteration runtime-width branching of the generic loop. Tables
+ * exist only at the catalog's base-field widths, 4, 6, 7, 8 and 10
+ * limbs, and only for moduli that leave a spare top bit (2p < R):
+ * MontCtx pads any other modulus with zero limbs onto the next such
+ * width (kernelWidth), so every table multiplies with the fused
+ * single-scratch CIOS (mulSpareBit, the gnark "no-carry" shape) and
+ * reduces its Fp2 kernels lazily. On x86-64 with BMI2+ADX (cpuHasAdx(),
+ * checked at context construction) the two pairing widths run
+ * hand-scheduled mulx/adcx/adox dual-carry-chain asm: a multiply that
+ * also squares, branch-free add and sub (which also serve neg), and the
+ * Fp2 kernels built on them. 4-limb contexts (BN254N) inline them at
+ * every MontCtx call (montMulAdx4, addMod4Asm, subMod4Asm); 6-limb
+ * contexts (BLS12-381) take a third table, kAdx6KernelVTable
  * (montMulAdx6, addMod6Asm, subMod6Asm). Without ADX both use the
  * portable table. The generic runtime-width implementation stays in
  * MontCtx as the differential oracle (mulGeneric/sqrGeneric/...);
- * tests/test_montkernel.cpp checks every width 1..kMaxLimbs and both ADX
- * kernel sets against it and against BigInt reference arithmetic.
+ * tests/test_montkernel.cpp checks moduli of every natural width
+ * 1..kMaxLimbs, padded or not, and both ADX kernel sets against it and
+ * against BigInt reference arithmetic.
  *
  * Value contract: all kernel entry points take fully reduced Montgomery
  * residues (< p) and produce fully reduced residues, touching only the
@@ -128,8 +128,8 @@ struct MontKernel
      * r = a * b * R^-1 mod p, CIOS with the spare-top-bit optimization:
      * when p[N-1] <= 2^63 - 2 the running value never exceeds N limbs,
      * so the multiply and reduce passes fuse into one loop over an
-     * N-word scratch with no overflow-limb bookkeeping. Callers must
-     * check the modulus condition (kernelVTable does).
+     * N-word scratch with no overflow-limb bookkeeping. MontCtx pads
+     * every modulus until the condition holds (kernelWidth).
      */
     static FINESSE_FORCE_INLINE void
     mulSpareBit(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
@@ -156,25 +156,6 @@ struct MontKernel
         for (size_t i = 0; i < N; ++i)
             r[i] = t[i];
         condSub(r, prm.p, 0);
-    }
-
-    /**
-     * r = a * b * R^-1 mod p, the width's multiply for the modulus
-     * class: mulSpareBit when the modulus leaves a spare top bit,
-     * otherwise the wide product and one redc, valid for any modulus
-     * (a * b < p^2 < p * R).
-     */
-    template <bool kSpareBit>
-    static FINESSE_FORCE_INLINE void
-    mulFor(u64 *r, const u64 *a, const u64 *b, const MontParams &prm)
-    {
-        if constexpr (kSpareBit) {
-            mulSpareBit(r, a, b, prm);
-        } else {
-            u64 t[2 * N];
-            wideMul(t, a, b);
-            redc(r, t, prm);
-        }
     }
 
     /**
@@ -299,18 +280,16 @@ struct MontKernel
 
     // Fp2 = Fp[u]/(u^2 - q) ----------------------------------------------
     //
-    // kSpareBit says the modulus leaves its top bit free (2p < R; the
-    // spare-bit vtable). Then a sum of two residues fits N limbs and,
-    // for q = -1, the Fp2 kernels keep their products wide with one
-    // reduction per output coefficient: every wide value reduced below
-    // is < 2p^2 < p * R, the bound redc needs. Otherwise (no spare bit,
-    // or q != -1) they run the reduced forms, which take fully reduced
-    // Montgomery products. Outputs may alias inputs: all products are
-    // formed before r0 or r1 is written. r0 and r1 must not alias each
-    // other.
+    // The modulus leaves its top bit free (2p < R), so a sum of two
+    // residues fits N limbs and, for q = -1, the Fp2 kernels keep their
+    // products wide with one reduction per output coefficient: every
+    // wide value reduced below is < 2p^2 < p * R, the bound redc needs.
+    // Other q run the reduced forms, which take fully reduced Montgomery
+    // products. Outputs may alias inputs: all products are formed before
+    // r0 or r1 is written. r0 and r1 must not alias each other.
 
     /** Montgomery multiply and modular add/sub, as the reduced forms
-     *  take them (the shape of mulFor/add/sub above). */
+     *  take them (the shape of mulSpareBit/add/sub above). */
     using BinFn = void (*)(u64 *, const u64 *, const u64 *,
                            const MontParams &);
 
@@ -318,33 +297,30 @@ struct MontKernel
      * (r0 + r1 u) = (a0 + a1 u)(b0 + b1 u): Karatsuba, three products.
      * c1 = (a0+a1)(b0+b1) - a0 b0 - a1 b1, c0 = a0 b0 + q a1 b1.
      */
-    template <bool kSpareBit>
     static void
     fp2Mul(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, const u64 *b0,
            const u64 *b1, i64 q, const MontParams &prm)
     {
-        if constexpr (kSpareBit) {
-            if (q == -1) {
-                u64 sa[N], sb[N], v0[2 * N], v1[2 * N], t[2 * N];
-                addWide<N>(sa, a0, a1);
-                addWide<N>(sb, b0, b1);
-                wideMul(v0, a0, b0);
-                wideMul(v1, a1, b1);
-                wideMul(t, sa, sb);
-                // a0 b1 + a1 b0 in [0, 2p^2): the subtractions never
-                // borrow out.
-                subWide<2 * N>(t, t, v0);
-                subWide<2 * N>(t, t, v1);
-                // a0 b0 - a1 b1, lifted by p^2 when negative: [0, p^2).
-                const u64 borrow = subWide<2 * N>(v0, v0, v1);
-                addMasked<2 * N>(v0, prm.pSquared, u64{0} - borrow);
-                redc(r0, v0, prm);
-                redc(r1, t, prm);
-                return;
-            }
+        if (q == -1) {
+            u64 sa[N], sb[N], v0[2 * N], v1[2 * N], t[2 * N];
+            addWide<N>(sa, a0, a1);
+            addWide<N>(sb, b0, b1);
+            wideMul(v0, a0, b0);
+            wideMul(v1, a1, b1);
+            wideMul(t, sa, sb);
+            // a0 b1 + a1 b0 in [0, 2p^2): the subtractions never borrow
+            // out.
+            subWide<2 * N>(t, t, v0);
+            subWide<2 * N>(t, t, v1);
+            // a0 b0 - a1 b1, lifted by p^2 when negative: [0, p^2).
+            const u64 borrow = subWide<2 * N>(v0, v0, v1);
+            addMasked<2 * N>(v0, prm.pSquared, u64{0} - borrow);
+            redc(r0, v0, prm);
+            redc(r1, t, prm);
+            return;
         }
-        fp2MulReduced<&mulFor<kSpareBit>, &add, &sub>(
-            r0, r1, a0, a1, b0, b1, q, prm);
+        fp2MulReduced<&mulSpareBit, &add, &sub>(r0, r1, a0, a1, b0, b1, q,
+                                                prm);
     }
 
     /**
@@ -352,30 +328,26 @@ struct MontKernel
      * c1 = 2 a0 a1, c0 = (a0 + a1)(a0 + q a1) - (1 + q) a0 a1, which for
      * q = -1 is (a0 + a1)(a0 - a1).
      */
-    template <bool kSpareBit>
     static void
     fp2Sqr(u64 *r0, u64 *r1, const u64 *a0, const u64 *a1, i64 q,
            const MontParams &prm)
     {
-        if constexpr (kSpareBit) {
-            if (q == -1) {
-                u64 s[N], d[N], a0x2[N], t[2 * N], u[2 * N];
-                addWide<N>(s, a0, a1);    // < 2p
-                addWide<N>(a0x2, a0, a0); // < 2p
-                // d = a0 - a1 mod p, p added back under the borrow mask:
-                // with sub's branch on the borrow this square ran 5-14%
-                // slower (BLS12-381 and 4 limbs, 4-vCPU Xeon VM).
-                const u64 borrow = subWide<N>(d, a0, a1);
-                addMasked<N>(d, prm.p, u64{0} - borrow);
-                wideMul(t, s, d);
-                wideMul(u, a0x2, a1);
-                redc(r0, t, prm);
-                redc(r1, u, prm);
-                return;
-            }
+        if (q == -1) {
+            u64 s[N], d[N], a0x2[N], t[2 * N], u[2 * N];
+            addWide<N>(s, a0, a1);    // < 2p
+            addWide<N>(a0x2, a0, a0); // < 2p
+            // d = a0 - a1 mod p, p added back under the borrow mask:
+            // with sub's branch on the borrow this square ran 5-14%
+            // slower (BLS12-381 and 4 limbs, 4-vCPU Xeon VM).
+            const u64 borrow = subWide<N>(d, a0, a1);
+            addMasked<N>(d, prm.p, u64{0} - borrow);
+            wideMul(t, s, d);
+            wideMul(u, a0x2, a1);
+            redc(r0, t, prm);
+            redc(r1, u, prm);
+            return;
         }
-        fp2SqrReduced<&mulFor<kSpareBit>, &add, &sub>(r0, r1, a0, a1, q,
-                                                      prm);
+        fp2SqrReduced<&mulSpareBit, &add, &sub>(r0, r1, a0, a1, q, prm);
     }
 
     /** fp2Mul on fully reduced products: 3 kMul, mod add/sub. */
@@ -518,8 +490,9 @@ struct MontKernel
 // "New Instructions Supporting Large Integer Arithmetic on Intel
 // Architecture Processors", 2012). Inline asm needs no compiler ISA
 // flags, so this inlines into baseline-ISA callers; it is selected at
-// MontCtx construction only when the CPU reports BMI2 + ADX and the
-// modulus has a spare top bit (value < 2p stays in N limbs).
+// MontCtx construction only when the CPU reports BMI2 + ADX; like every
+// kernel they rely on the modulus's spare top bit (value < 2p stays in
+// N limbs).
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FINESSE_HAVE_X86_ADX 1
 
@@ -1304,70 +1277,73 @@ struct KernelVTable
  * Largest modulus top limb for which the fused spare-top-bit CIOS
  * (MontKernel::mulSpareBit) is sound: the running value must stay below
  * 2p < R, i.e. the modulus needs at least one free bit in its top limb.
- * Every pairing curve modulus in practice qualifies (BN254: 254 bits in
- * 4 limbs, BLS12-381: 381 bits in 6 limbs, ...).
+ * Every catalog prime qualifies (BN254: 254 bits in 4 limbs, BLS12-381:
+ * 381 bits in 6 limbs, ...); kernelWidth pads any other modulus.
  */
 inline constexpr u64 kSpareBitTopLimbMax = (u64{1} << 63) - 2;
 
 namespace detail {
 
-template <size_t N, bool kSpareBit>
+template <size_t N>
 inline constexpr KernelVTable kKernelVTable = {
     &MontKernel<N>::add,
     &MontKernel<N>::sub,
     &MontKernel<N>::neg,
-    &MontKernel<N>::template mulFor<kSpareBit>,
+    &MontKernel<N>::mulSpareBit,
     &MontKernel<N>::sqr,
-    &MontKernel<N>::template fp2Mul<kSpareBit>,
-    &MontKernel<N>::template fp2Sqr<kSpareBit>,
+    &MontKernel<N>::fp2Mul,
+    &MontKernel<N>::fp2Sqr,
 };
-
-template <size_t N>
-inline const KernelVTable *
-pickVTable(bool spareTopBit)
-{
-    return spareTopBit ? &kKernelVTable<N, true> : &kKernelVTable<N, false>;
-}
 
 } // namespace detail
 
 /**
- * Portable kernel table for an active width n in [1, kMaxLimbs].
- * @p topLimb is the modulus's most significant limb; when it leaves a
- * spare bit the table multiplies with the fused CIOS (mulSpareBit) and
- * reduces its Fp2 kernels lazily. On ADX hosts MontCtx takes
- * kAdx6KernelVTable in place of the 6-limb spare-bit table.
+ * Portable kernel table for width @p n, or nullptr when @p n is not a
+ * kernel width. The widths are the catalog's base fields: 4 (BN254N),
+ * 6 (BLS12-381, BLS12-377), 7 (BLS12-446), 8 (BN462, BLS24-509) and 10
+ * (BN638, BLS12-638). On ADX hosts MontCtx takes kAdx6KernelVTable in
+ * place of the 6-limb table.
  */
 inline const KernelVTable *
-kernelVTable(size_t n, u64 topLimb)
+kernelVTable(size_t n)
 {
-    const bool spare = topLimb <= kSpareBitTopLimbMax;
     switch (n) {
-      case 1: return detail::pickVTable<1>(spare);
-      case 2: return detail::pickVTable<2>(spare);
-      case 3: return detail::pickVTable<3>(spare);
-      case 4: return detail::pickVTable<4>(spare);
-      case 5: return detail::pickVTable<5>(spare);
-      case 6: return detail::pickVTable<6>(spare);
-      case 7: return detail::pickVTable<7>(spare);
-      case 8: return detail::pickVTable<8>(spare);
-      case 9: return detail::pickVTable<9>(spare);
-      case 10: return detail::pickVTable<10>(spare);
+      case 4: return &detail::kKernelVTable<4>;
+      case 6: return &detail::kKernelVTable<6>;
+      case 7: return &detail::kKernelVTable<7>;
+      case 8: return &detail::kKernelVTable<8>;
+      case 10: return &detail::kKernelVTable<10>;
       default: return nullptr;
     }
 }
 
-static_assert(kMaxLimbs == 10, "extend kernelVTable when widening");
+static_assert(kMaxLimbs == 10, "add a kernelVTable width when widening");
+
+/**
+ * The width a modulus of @p limbs limbs with top limb @p topLimb runs
+ * at: one limb more when the top limb leaves no spare bit (above
+ * kSpareBitTopLimbMax), rounded up to the next width with a
+ * kernelVTable; 0 when none fits. The padding limbs of the modulus are
+ * zero, so the padded modulus leaves a spare top bit.
+ */
+inline size_t
+kernelWidth(size_t limbs, u64 topLimb)
+{
+    size_t w = limbs + (topLimb > kSpareBitTopLimbMax ? 1 : 0);
+    while (w <= kMaxLimbs && kernelVTable(w) == nullptr)
+        ++w;
+    return w <= kMaxLimbs ? w : 0;
+}
 
 #if FINESSE_HAVE_X86_ADX
 /**
  * The 6-limb ADX table: montMulAdx6 (also the square), addMod6Asm,
  * subMod6Asm (neg is 0 - a) and the Fp2 kernels on them. MontCtx selects
- * it in place of kernelVTable(6, ...) for a spare-top-bit modulus
- * (BLS12-381) when cpuHasAdx() holds. A table rather than an inline
- * FastPath arm like kAdx4's: an arm would put the ~290-instruction
- * multiply at every MontCtx::mul call site, BN254N's included, while at
- * 6 limbs the indirect call is a small share of the multiply.
+ * it in place of kernelVTable(6) (BLS12-381) when cpuHasAdx() holds. A
+ * table rather than an inline FastPath arm like kAdx4's: an arm would
+ * put the ~290-instruction multiply at every MontCtx::mul call site,
+ * BN254N's included, while at 6 limbs the indirect call is a small
+ * share of the multiply.
  */
 inline constexpr KernelVTable kAdx6KernelVTable = {
     &addMod6Asm,

@@ -223,6 +223,19 @@ powModProbablePrime(const BigInt &n, int rounds = 40)
     return true;
 }
 
+/**
+ * The widest prime MontCtx accepts: the largest p = 3 mod 4 whose top
+ * limb is 2^63 - 2 or less, searched down from (2^63 - 1) * 2^576 - 1.
+ */
+BigInt
+widestAcceptedPrime()
+{
+    BigInt p = (BigInt((u64{1} << 63) - 1) << 576) - BigInt(u64{1});
+    while (!isProbablePrime(p))
+        p = p - BigInt(u64{4});
+    return p;
+}
+
 TEST(Primality, MontgomeryMatchesPowModOracle)
 {
     // {n, prime?}: Carmichael numbers 561 = 3 * 11 * 17 and 41041 =
@@ -245,18 +258,16 @@ TEST(Primality, MontgomeryMatchesPowModOracle)
         cases.emplace_back(info.p, true);
         cases.emplace_back(info.r, true);
     }
-    // 640 bits: the first prime 2^639 + 3 + 4i, and a 639-bit product
-    // of two 320-bit primes.
-    BigInt p640 = (BigInt(u64{1}) << 639) + BigInt(u64{3});
-    while (!isProbablePrime(p640))
-        p640 = p640 + BigInt(u64{4});
+    // The widest accepted prime, and a 639-bit product of two 320-bit
+    // primes.
+    const BigInt p639 = widestAcceptedPrime();
     BigInt p320a = (BigInt(u64{1}) << 319) + BigInt(u64{1});
     while (!isProbablePrime(p320a))
         p320a = p320a + BigInt(u64{2});
     BigInt p320b = p320a + BigInt(u64{2});
     while (!isProbablePrime(p320b))
         p320b = p320b + BigInt(u64{2});
-    cases.emplace_back(p640, true);
+    cases.emplace_back(p639, true);
     cases.emplace_back(p320a * p320b, false);
 
     for (const auto &[n, prime] : cases) {
@@ -264,17 +275,25 @@ TEST(Primality, MontgomeryMatchesPowModOracle)
         EXPECT_EQ(isProbablePrime(n), powModProbablePrime(n)) << n;
         EXPECT_EQ(isProbablePrime(n, 3), powModProbablePrime(n, 3)) << n;
     }
-    EXPECT_EQ(p640.bitLength(), 640);
+    EXPECT_EQ(p639.bitLength(), 639);
     EXPECT_EQ((p320a * p320b).bitLength(), 639);
 }
 
-TEST(Primality, RefusesModulusWiderThan640Bits)
+TEST(Primality, RefusesModulusPastWidestKernel)
 {
+    // Past the widest kernel: 641 bits, 640 bits, and 10 limbs whose
+    // top limb is 2^63 - 1 (no spare bit), odd or even alike.
     const BigInt wide = (BigInt(u64{1}) << 640) + BigInt(u64{1});
     EXPECT_THROW(isProbablePrime(wide), FatalError);
     EXPECT_THROW(isProbablePrime(wide + BigInt(u64{1})), FatalError);
-    // The widest accepted value: 2^640 - 1 = 3 * 5 * 17 * ... is composite.
-    EXPECT_FALSE(isProbablePrime((BigInt(u64{1}) << 640) - BigInt(u64{1})));
+    EXPECT_THROW(isProbablePrime((BigInt(u64{1}) << 640) - BigInt(u64{1})),
+                 FatalError);
+    const BigInt noSpare = BigInt((u64{1} << 63) - 1) << 576;
+    EXPECT_THROW(isProbablePrime(noSpare), FatalError);
+    EXPECT_THROW(isProbablePrime(noSpare + BigInt(u64{1})), FatalError);
+    // The widest accepted value, top limb 2^63 - 2, gets a verdict.
+    const BigInt widest = noSpare - BigInt(u64{1});
+    EXPECT_EQ(isProbablePrime(widest), powModProbablePrime(widest));
 }
 
 TEST(BigInt, DivExact)
@@ -347,14 +366,13 @@ TEST(Mont, PowAndInv)
     }
 }
 
-TEST(Mont, WideModulus640Bit)
+TEST(Mont, WidestModulus639Bit)
 {
-    // 640-bit prime exercises the full kMaxLimbs width.
-    BigInt p = (BigInt(u64{1}) << 639);
-    // Find the next number == 3 mod 4 that is prime (deterministic search).
-    p = p + BigInt(u64{3});
-    while (!isProbablePrime(p))
-        p = p + BigInt(u64{4});
+    // The widest accepted prime exercises the full kMaxLimbs width with
+    // the spare-bit CIOS at its tightest.
+    const BigInt p = widestAcceptedPrime();
+    ASSERT_EQ(p.bitLength(), 639);
+    ASSERT_LE(p.limb(kMaxLimbs - 1), kSpareBitTopLimbMax);
     MontCtx ctx(p);
     EXPECT_EQ(ctx.limbCount(), kMaxLimbs);
     Rng rng(31);
@@ -372,6 +390,10 @@ TEST(Mont, RejectsBadModulus)
     // Odd and one bit past the kMaxLimbs ceiling: too wide.
     EXPECT_THROW(MontCtx((BigInt(u64{1}) << 640) + BigInt(u64{1})),
                  FatalError);
+    // Odd, 639 bits, top limb 2^63 - 1: fits no kernel width.
+    EXPECT_THROW(
+        MontCtx((BigInt((u64{1} << 63) - 1) << 576) + BigInt(u64{1})),
+        FatalError);
 }
 
 } // namespace

@@ -94,13 +94,21 @@ TEST(CurveSetup, CatalogPrimesFitResidueStorage)
 {
     // Residue storage is sized to the widest catalog prime: a wider
     // catalog curve must fail here, not at curve-system setup, and the
-    // cap must not carry limbs no catalog curve uses.
+    // cap must not carry limbs no catalog curve uses. Each base field
+    // must also run at its own limb count: a catalog width without a
+    // kernel table would otherwise be padded onto a wider, slower one.
     size_t widest = 0;
     for (const CurveDef &def : curveCatalog()) {
-        const size_t n = (deriveCurveInfo(def).logP() + 63) / 64;
+        const CurveInfo info = deriveCurveInfo(def);
+        const size_t n = (info.logP() + 63) / 64;
         EXPECT_LE(n, kMaxLimbs)
             << def.name << " needs " << n << " limbs but kMaxLimbs is "
-            << kMaxLimbs << ": raise kMaxLimbs and extend kernelVTable";
+            << kMaxLimbs << ": raise kMaxLimbs";
+        if (n <= kMaxLimbs) {
+            EXPECT_EQ(FpCtx(info.p).mont.limbCount(), n)
+                << def.name << " runs padded: add a kernelVTable width of "
+                << n << " limbs";
+        }
         widest = std::max(widest, n);
     }
     EXPECT_EQ(widest, kMaxLimbs)

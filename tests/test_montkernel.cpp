@@ -2,9 +2,10 @@
  * @file
  * Differential tests for the fixed-limb Montgomery kernels
  * (bigint/montkernel.h) against the generic runtime-width oracle and the
- * BigInt reference, across every supported width and both vtable
- * flavors (spare-top-bit and general), including the Fp2 kernels and
- * the 4- and 6-limb ADX asm kernels.
+ * BigInt reference, on moduli of every natural width 1..kMaxLimbs with
+ * and without a spare top bit (padded onto the kernel widths 4, 6, 7, 8
+ * and 10), including the Fp2 kernels and the 4- and 6-limb ADX asm
+ * kernels.
  */
 #include <gtest/gtest.h>
 
@@ -43,9 +44,9 @@ topLimbModulus(Rng &rng, int w, u64 top)
 }
 
 /**
- * The two moduli at the boundary between the kernel tables: top limb
- * 2^63 - 1 (the general table, though the modulus has 64w - 1 bits) and
- * 2^63 - 2 (the spare-bit table at its tightest).
+ * The two moduli at the padding boundary: top limb 2^63 - 1 (padded by
+ * one limb, though the modulus has 64w - 1 bits) and 2^63 - 2 (the
+ * spare-bit CIOS at its tightest, with no padding limb).
  */
 std::vector<BigInt>
 boundaryModuli(Rng &rng, int w)
@@ -63,16 +64,53 @@ rawResidue(const MontCtx &ctx, const BigInt &v)
     return r;
 }
 
-/** Kernel constants for @p p, built independently of MontCtx. */
+/**
+ * Documented kernel width by natural limb count (the index) for a top
+ * limb with a spare bit and for one above kSpareBitTopLimbMax; 0 means
+ * refused.
+ */
+constexpr size_t kWidthSpare[kMaxLimbs + 1] = {0, 4, 4, 4, 4, 6,
+                                               6, 7, 8, 10, 10};
+constexpr size_t kWidthNoSpare[kMaxLimbs + 1] = {0, 4, 4, 4, 6, 6,
+                                                 7, 8, 10, 10, 0};
+
+/** The documented kernel width of an odd modulus @p p of at most
+ *  kMaxLimbs limbs (0: refused). */
+size_t
+documentedWidth(const BigInt &p)
+{
+    const size_t w = (static_cast<size_t>(p.bitLength()) + 63) / 64;
+    return (p.limb(w - 1) <= kSpareBitTopLimbMax ? kWidthSpare
+                                                  : kWidthNoSpare)[w];
+}
+
+/**
+ * True when MontCtx accepts @p p at its documented width; otherwise
+ * checks that MontCtx refuses it and returns false.
+ */
+bool
+acceptedAtDocumentedWidth(const BigInt &p)
+{
+    const size_t want = documentedWidth(p);
+    if (want == 0) {
+        EXPECT_THROW(MontCtx{p}, FatalError) << p.bitLength() << " bits";
+        return false;
+    }
+    EXPECT_EQ(MontCtx(p).limbCount(), want) << p.bitLength() << " bits";
+    return true;
+}
+
+/** Kernel constants of @p ctx, built independently of MontCtx. */
 struct KernelConsts
 {
     u64 p[kMaxLimbs] = {0};
     u64 pSquared[2 * kMaxLimbs] = {0};
     MontParams prm{};
 
-    explicit KernelConsts(const BigInt &modulus)
+    explicit KernelConsts(const MontCtx &ctx)
     {
-        const size_t n = (static_cast<size_t>(modulus.bitLength()) + 63) / 64;
+        const BigInt &modulus = ctx.modulus();
+        const size_t n = ctx.limbCount();
         modulus.toLimbs(p, n);
         (modulus * modulus).toLimbs(pSquared, 2 * n);
         u64 inv = 1;
@@ -91,7 +129,7 @@ void
 checkTable(const MontCtx &ctx, const KernelVTable &vt, const Residue &a,
            const Residue &b)
 {
-    const KernelConsts kc(ctx.modulus());
+    const KernelConsts kc(ctx);
     Residue want{}, r{}, x{};
     ctx.addGeneric(want, a, b);
     vt.add(r.data(), a.data(), b.data(), kc.prm);
@@ -174,16 +212,17 @@ checkOps(const MontCtx &ctx, const Residue &a, const Residue &b)
     ctx.mulGeneric(g, a, b);
     EXPECT_EQ(ka, g);
 
-    checkTable(ctx, *kernelVTable(n, p.limb(n - 1)), a, b);
+    checkTable(ctx, *kernelVTable(n), a, b);
 }
 
 TEST(MontKernel, AllWidthsMatchOracleAndBigInt)
 {
     Rng rng(101);
     for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
-        // One modulus with the top bit set (general-path vtable), one
-        // with two spare top bits (spare-bit vtable; w=1 uses 2^61-1),
-        // and the two at the boundary between the tables.
+        // One modulus with the top bit set (padded by a limb), one with
+        // two spare top bits (w=1 uses 2^61-1), and the two at the
+        // padding boundary. A 10-limb modulus without a spare bit is
+        // refused.
         std::vector<BigInt> mods = {
             randomOddModulus(rng, 64 * w),
             w == 1 ? (BigInt(u64{1}) << 61) - BigInt(u64{1})
@@ -192,10 +231,9 @@ TEST(MontKernel, AllWidthsMatchOracleAndBigInt)
         for (const BigInt &p : boundaryModuli(rng, w))
             mods.push_back(p);
         for (const BigInt &p : mods) {
-            if (p <= BigInt(u64{2}))
+            if (p <= BigInt(u64{2}) || !acceptedAtDocumentedWidth(p))
                 continue;
             MontCtx ctx(p);
-            ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
             // Edge residues: 0, 1, p-1; then random pairs.
             const Residue zero{};
             const Residue one = rawResidue(ctx, BigInt(u64{1}));
@@ -214,23 +252,33 @@ TEST(MontKernel, AllWidthsMatchOracleAndBigInt)
     }
 }
 
-TEST(MontKernel, VTableSelection)
+TEST(MontKernel, WidthSelection)
 {
-    // Same width, different top limb: spare-bit and general moduli must
-    // pick different kernel tables, and both must exist for all widths.
-    for (size_t w = 1; w <= kMaxLimbs; ++w) {
-        const KernelVTable *general = kernelVTable(w, u64{1} << 63);
-        const KernelVTable *spare = kernelVTable(w, kSpareBitTopLimbMax);
-        ASSERT_NE(general, nullptr);
-        ASSERT_NE(spare, nullptr);
-        EXPECT_NE(general, spare) << "width " << w;
-        EXPECT_EQ(kernelVTable(w, (u64{1} << 63) - 1), general)
-            << "width " << w;
-        EXPECT_EQ(kernelVTable(w, (u64{1} << 63) - 2), spare)
-            << "width " << w;
+    // Kernel tables exist exactly at the catalog's base-field widths.
+    for (size_t w = 0; w <= kMaxLimbs + 1; ++w) {
+        const bool kernel = w == 4 || w == 6 || w == 7 || w == 8 || w == 10;
+        EXPECT_EQ(kernelVTable(w) != nullptr, kernel) << "width " << w;
     }
-    EXPECT_EQ(kernelVTable(0, 1), nullptr);
-    EXPECT_EQ(kernelVTable(kMaxLimbs + 1, 1), nullptr);
+    // Every natural width, with a spare top bit (at its tightest), at
+    // the padding boundary and with the top bit set, runs at its
+    // documented width or is refused.
+    Rng rng(137);
+    for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
+        for (const u64 top :
+             {kSpareBitTopLimbMax, kSpareBitTopLimbMax + 1, ~u64{0}}) {
+            SCOPED_TRACE("width " + std::to_string(w));
+            acceptedAtDocumentedWidth(topLimbModulus(rng, w, top));
+        }
+    }
+    // 10 limbs with top limb 2^63 - 1, odd and even, and the smallest
+    // such value: refused by MontCtx and by isProbablePrime before trial
+    // division, which would call an even value composite.
+    const BigInt refused = topLimbModulus(rng, 10, (u64{1} << 63) - 1);
+    EXPECT_THROW(MontCtx{refused}, FatalError);
+    EXPECT_THROW(isProbablePrime(refused), FatalError);
+    EXPECT_THROW(isProbablePrime(refused + BigInt(u64{1})), FatalError);
+    EXPECT_THROW(isProbablePrime(BigInt((u64{1} << 63) - 1) << 576),
+                 FatalError);
 }
 
 /** q * x mod p by repeated generic add/sub. */
@@ -358,8 +406,8 @@ TEST(MontKernel, Fp2KernelsMatchGeneric)
     for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
         // Two spare top bits (4p < R); one (R/4 < p < R/2: the lazy
         // kernels at their tightest bound, 2p < R); none (top bit set:
-        // the reduced form); and the two at the boundary between the
-        // tables.
+        // padded by a limb, refused at 10 limbs); and the two at the
+        // padding boundary.
         std::vector<BigInt> mods = {
             w == 1 ? (BigInt(u64{1}) << 61) - BigInt(u64{1})
                    : randomOddModulus(rng, 64 * w - 2),
@@ -369,12 +417,12 @@ TEST(MontKernel, Fp2KernelsMatchGeneric)
         for (const BigInt &p : boundaryModuli(rng, w))
             mods.push_back(p);
         for (const BigInt &p : mods) {
+            if (!acceptedAtDocumentedWidth(p))
+                continue;
             const MontCtx ctx(p);
-            ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
-            const KernelConsts kc(p);
+            const KernelConsts kc(ctx);
             // The portable kernel, called directly.
-            const KernelVTable *vt =
-                kernelVTable(ctx.limbCount(), kc.p[w - 1]);
+            const KernelVTable *vt = kernelVTable(ctx.limbCount());
             for (const i64 q : kFp2Qs) {
                 const std::string where = "width " + std::to_string(w) +
                                           " bits " +
@@ -433,18 +481,25 @@ TEST(MontKernel, InvMatchesFermatAndBigInt)
 TEST(MontKernel, InvAllWidthsAgainstBigInt)
 {
     // Odd (possibly composite) moduli cover every width cheaply: the
-    // xgcd inverse only needs gcd(a, m) == 1, which we enforce.
+    // xgcd inverse only needs gcd(a, m) == 1, which we enforce. One
+    // modulus with the top bit set (padded by a limb, refused at 10
+    // limbs) and one with a spare top bit per natural width.
     Rng rng(109);
     for (int w = 1; w <= static_cast<int>(kMaxLimbs); ++w) {
-        const BigInt m = randomOddModulus(rng, 64 * w);
-        MontCtx ctx(m);
-        for (int i = 0; i < 8; ++i) {
-            BigInt a = BigInt::randomBelow(rng, m - 1) + 1;
-            while (BigInt::gcd(a, m) != BigInt(u64{1}))
-                a = BigInt::randomBelow(rng, m - 1) + 1;
-            Residue r{};
-            ctx.inv(r, ctx.toMont(a));
-            EXPECT_EQ(ctx.fromMont(r), a.invMod(m)) << "width " << w;
+        for (const BigInt &m : {randomOddModulus(rng, 64 * w),
+                                randomOddModulus(rng, 64 * w - 1)}) {
+            if (!acceptedAtDocumentedWidth(m))
+                continue;
+            MontCtx ctx(m);
+            for (int i = 0; i < 8; ++i) {
+                BigInt a = BigInt::randomBelow(rng, m - 1) + 1;
+                while (BigInt::gcd(a, m) != BigInt(u64{1}))
+                    a = BigInt::randomBelow(rng, m - 1) + 1;
+                Residue r{};
+                ctx.inv(r, ctx.toMont(a));
+                EXPECT_EQ(ctx.fromMont(r), a.invMod(m))
+                    << "width " << w << " bits " << m.bitLength();
+            }
         }
     }
 }
@@ -556,7 +611,7 @@ TEST(MontKernel, AdxKernelMatchesGeneric)
             SCOPED_TRACE(p.toHexString());
             MontCtx ctx(p);
             ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
-            const KernelConsts kc(p);
+            const KernelConsts kc(ctx);
             const auto mul = w == 4 ? &montMulAdx4 : &montMulAdx6;
             // Fresh output, r == a, r == b; and the square with r == a == b.
             auto check = [&](const Residue &a, const Residue &b) {
@@ -601,7 +656,7 @@ TEST(MontKernel, AdxFp2KernelsMatchGeneric)
         for (const BigInt &p : adxModuli(rng, w)) {
             const MontCtx ctx(p);
             ASSERT_EQ(ctx.limbCount(), static_cast<size_t>(w));
-            const KernelConsts kc(p);
+            const KernelConsts kc(ctx);
             for (const i64 q : kFp2Qs) {
                 const std::string where = "adx " + p.toHexString() +
                                           " q " + std::to_string(q);
